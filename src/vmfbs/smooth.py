@@ -12,6 +12,15 @@ divergence
 
 has the open domain {x : (Ax)_i > 0 for all i} and gradient
 A^T(1 - b / (Ax)).
+
+Both terms remember the last point queried: its image Ax and, once
+asked for, its gradient. ``value``, ``gradient`` and ``in_domain`` at
+that same point (same bytes, same shape) reuse them, so the gradient
+at an accepted trial point costs one A^T product and a repeated query
+none. A reused image is the product a fresh call would compute, so
+results are bitwise the same as without the memo. The memo is plain
+instance state: one term instance must not be shared by solves running
+in concurrent threads.
 """
 
 from __future__ import annotations
@@ -24,16 +33,16 @@ __all__ = [
     "LinearMap",
     "PNormResidual",
     "KLDivergence",
-    "pnorm_value",
-    "pnorm_grad",
-    "kl_value",
-    "kl_grad",
     "quadratic_lipschitz",
 ]
 
 
 class LinearMap:
-    """Dense m x n matrix with a cached, certified operator-norm estimate."""
+    """Dense m x n matrix with a cached, certified operator-norm estimate.
+
+    ``matvecs`` counts the products taken through ``apply`` and
+    ``adjoint``; the power iteration of ``operator_norm`` is not counted.
+    """
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
@@ -46,15 +55,18 @@ class LinearMap:
         self.a = a.copy()
         self.a.flags.writeable = False
         self._opnorm: float | None = None
+        self.matvecs = 0
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        self.matvecs += 1
         return self.a @ x
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
+        self.matvecs += 1
         return self.a.T @ r
 
     def operator_norm(self) -> float:
@@ -101,7 +113,40 @@ class LinearMap:
         return est
 
 
-class PNormResidual(SmoothTerm):
+class _Composite(SmoothTerm):
+    """f(x) = h(Ax) for a dense A, remembering the last point queried.
+
+    The memo holds one entry: the point's shape and bytes as the key, its
+    image Ax, and its gradient once computed. Keying on bytes makes -0.0
+    and 0.0 distinct points and lets an array changed in place miss.
+    Subclasses supply h as ``_value(ax)`` and its gradient as
+    ``_outer_gradient(ax)``, so that grad f(x) = A^T grad h(Ax).
+    """
+
+    a: LinearMap
+    _key: tuple | None = None
+    _ax: np.ndarray | None = None
+    _grad: np.ndarray | None = None
+
+    def _image(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        if key != self._key:
+            ax = self.a.apply(x)
+            self._key, self._ax, self._grad = key, ax, None
+        return self._ax
+
+    def value(self, x) -> float:
+        return self._value(self._image(x))
+
+    def gradient(self, x) -> np.ndarray:
+        ax = self._image(x)
+        if self._grad is None:
+            self._grad = self.a.adjoint(self._outer_gradient(ax))
+        return self._grad.copy()
+
+
+class PNormResidual(_Composite):
     """f(x) = (1/p) sum |(Ax - b)_i|^p with p > 1. Full domain."""
 
     lower_bound = 0.0
@@ -121,16 +166,16 @@ class PNormResidual(SmoothTerm):
             return self.a.operator_norm() ** 2
         return None
 
-    def value(self, x) -> float:
-        r = self.a.apply(np.asarray(x, dtype=float)) - self.b
+    def _value(self, ax) -> float:
+        r = ax - self.b
         return float(np.sum(np.abs(r) ** self.p) / self.p)
 
-    def gradient(self, x) -> np.ndarray:
-        r = self.a.apply(np.asarray(x, dtype=float)) - self.b
-        return self.a.adjoint(np.abs(r) ** (self.p - 1.0) * np.sign(r))
+    def _outer_gradient(self, ax) -> np.ndarray:
+        r = ax - self.b
+        return np.abs(r) ** (self.p - 1.0) * np.sign(r)
 
 
-class KLDivergence(SmoothTerm):
+class KLDivergence(_Composite):
     """f(x) = D(b, Ax), the Kullback-Leibler divergence of Ax from b.
 
     A must be entrywise nonnegative with no all-zero row (an all-zero
@@ -153,39 +198,21 @@ class KLDivergence(SmoothTerm):
         if not np.all(self.b > 0):
             raise ConfigurationError("KL needs b > 0 componentwise")
 
-    def value(self, x) -> float:
-        ax = self.a.apply(np.asarray(x, dtype=float))
+    def _value(self, ax) -> float:
         if np.any(ax <= 0):
             return np.inf
         return float(np.sum(self.b * np.log(self.b / ax) + ax - self.b))
 
-    def gradient(self, x) -> np.ndarray:
-        ax = self.a.apply(np.asarray(x, dtype=float))
+    def _outer_gradient(self, ax) -> np.ndarray:
         if np.any(ax <= 0):
             raise DomainError("gradient of the KL term needs (Ax)_i > 0 for every i")
-        return self.a.adjoint(1.0 - self.b / ax)
+        return 1.0 - self.b / ax
 
     def in_domain(self, x) -> bool:
-        return bool(np.all(self.a.apply(np.asarray(x, dtype=float)) > 0))
+        return bool(np.all(self._image(x) > 0))
 
     # dom f is open
     in_interior_domain = in_domain
-
-
-def pnorm_value(f: PNormResidual, x) -> float:
-    return f.value(x)
-
-
-def pnorm_grad(f: PNormResidual, x) -> np.ndarray:
-    return f.gradient(x)
-
-
-def kl_value(f: KLDivergence, x) -> float:
-    return f.value(x)
-
-
-def kl_grad(f: KLDivergence, x) -> np.ndarray:
-    return f.gradient(x)
 
 
 def quadratic_lipschitz(f: PNormResidual) -> float:

@@ -14,6 +14,17 @@ def test_linear_map_apply_adjoint():
     assert a.shape == (2, 2)
 
 
+def test_linear_map_counts_products():
+    a = vmfbs.LinearMap(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert a.matvecs == 0
+    a.apply(np.ones(2))
+    a.adjoint(np.ones(2))
+    a.apply(np.ones(2))
+    assert a.matvecs == 3
+    a.operator_norm()  # the power iteration is not counted
+    assert a.matvecs == 3
+
+
 def test_linear_map_validates_input():
     with pytest.raises(vmfbs.ConfigurationError):
         vmfbs.LinearMap(np.array([1.0, 2.0]))
@@ -101,13 +112,6 @@ def test_quadratic_lipschitz_op():
         vmfbs.quadratic_lipschitz(f4)
 
 
-def test_pnorm_op_wrappers():
-    f = vmfbs.PNormResidual(np.array([[2.0]]), np.array([1.0]))
-    x = np.array([1.0])
-    assert vmfbs.pnorm_value(f, x) == f.value(x)
-    assert np.array_equal(vmfbs.pnorm_grad(f, x), f.gradient(x))
-
-
 # --- KL divergence -------------------------------------------------------
 
 def test_kl_pinned_value_and_gradient():
@@ -153,9 +157,58 @@ def test_kl_validates_data():
         vmfbs.KLDivergence(np.array([[1.0]]), np.array([0.0]))  # b must be positive
 
 
-def test_kl_op_wrappers():
-    a = np.array([[1.0]])
-    f = vmfbs.KLDivergence(a, np.array([2.0]))
-    x = np.array([1.0])
-    assert vmfbs.kl_value(f, x) == f.value(x)
-    assert np.array_equal(vmfbs.kl_grad(f, x), f.gradient(x))
+
+# --- the memo of the last point queried ------------------------------------
+
+def test_memo_reuses_image_and_gradient():
+    f = vmfbs.PNormResidual(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), np.ones(3))
+    x = np.array([0.5, -1.0])
+    v = f.value(x)
+    g = f.gradient(x)
+    assert f.a.matvecs == 2  # A x once, A^T r once
+    assert f.value(x.copy()) == v
+    assert np.array_equal(f.gradient(x.copy()), g)
+    assert f.a.matvecs == 2
+
+
+def test_memo_sees_in_place_change():
+    f = vmfbs.PNormResidual(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
+    fresh = vmfbs.PNormResidual(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
+    x = np.array([1.0, 1.0])
+    f.gradient(x)
+    x[1] = -2.0
+    assert f.value(x) == fresh.value(x.copy())
+    assert np.array_equal(f.gradient(x), fresh.gradient(x.copy()))
+
+
+def test_memo_gradient_is_a_copy():
+    f = vmfbs.PNormResidual(np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
+    x = np.array([1.0, 3.0])
+    g = f.gradient(x)
+    expected = g.copy()
+    g[:] = 99.0
+    assert np.array_equal(f.gradient(x), expected)
+
+
+def test_memo_signed_zeros_are_distinct_points():
+    # 0.0 == -0.0 numerically, but the points differ in their bytes; each
+    # must pay its own products rather than reuse the other's
+    f = vmfbs.PNormResidual(np.array([[1.0]]), np.array([1.0]), p=3.0)
+    f.gradient(np.array([0.0]))
+    f.gradient(np.array([-0.0]))
+    assert f.a.matvecs == 4
+    f.value(np.array([0.0]))
+    assert f.a.matvecs == 5
+
+
+def test_memo_kl_gradient_outside_domain_always_raises():
+    f = vmfbs.KLDivergence(np.array([[1.0, 1.0]]), np.array([1.0]))
+    bad = np.array([-1.0, 0.5])
+    for _ in range(2):
+        with pytest.raises(vmfbs.DomainError):
+            f.gradient(bad)
+    assert f.value(bad) == np.inf
+    assert not f.in_domain(bad)
+    with pytest.raises(vmfbs.DomainError):
+        f.gradient(bad)
+    assert f.a.matvecs == 1
