@@ -22,7 +22,6 @@ from .problems import UsageError, Unsupported, as_vector
 __all__ = [
     "CheckReport",
     "RateEstimate",
-    "TraceFrame",
     "check_descent_inequality",
     "check_quasi_fejer",
     "check_stepsize_floor",
@@ -305,35 +304,13 @@ def estimate_rate(record, f_star: float) -> RateEstimate:
     return RateEstimate(r=r, tails=tails)
 
 
-class TraceFrame:
-    """Columns re-parsed from a trace CSV, attribute access like Trace."""
+def read_trace_csv(path):
+    """Read a solver trace CSV back into a :class:`~vmfbs.solver.Trace`.
 
-    def __init__(self, columns: dict):
-        self._columns = dict(columns)
-        self._n = len(next(iter(self._columns.values()))) if self._columns else 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def column(self, name: str) -> np.ndarray:
-        return self._columns[name]
-
-    def __getattr__(self, name: str):
-        columns = object.__getattribute__(self, "_columns")
-        if name in columns:
-            return columns[name]
-        raise AttributeError(name)
-
-
-_CSV_INT_COLUMNS = {"k", "backtracks"}
-
-
-def read_trace_csv(path) -> TraceFrame:
-    """Read a solver trace CSV back into columns.
-
-    The 'lambda' header (a Python keyword) is exposed as the attribute
-    ``lam``, matching the in-memory trace.
+    The trace holds the columns the file has; the 'lambda' header (a
+    Python keyword) becomes the column ``lam``, as in memory.
     """
+    from .solver import Trace  # the solver imports this module
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
         try:
@@ -342,11 +319,4 @@ def read_trace_csv(path) -> TraceFrame:
             raise UsageError(f"{path}: empty trace file") from None
         rows = [row for row in reader if row]
     names = ["lam" if h == "lambda" else h for h in (h.strip() for h in header)]
-    columns = {}
-    for j, name in enumerate(names):
-        vals = [row[j] for row in rows]
-        if name in _CSV_INT_COLUMNS:
-            columns[name] = np.array([int(float(v)) for v in vals], dtype=int)
-        else:
-            columns[name] = np.array([float(v) for v in vals], dtype=float)
-    return TraceFrame(columns)
+    return Trace({name: [float(row[j]) for row in rows] for j, name in enumerate(names)})

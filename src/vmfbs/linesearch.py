@@ -1,68 +1,49 @@
-"""Forward-backward trial steps and stepsize selection rules.
+"""Stepsize selection: one grid walk serving every backtracking rule.
 
 The trial map in the metric W = diag(w) is
 
-    J(x, gamma, lam) = x + lam * (prox_{gamma g}^W(x - gamma W^{-1} grad f(x)) - x)
+    J(x, gamma, lam) = x + lam * (y - x),  y = prox_{gamma g}^W(x - gamma W^{-1} grad f(x))
 
-and each rule picks the largest point on a geometric grid {start * theta^i}
-satisfying its acceptance inequality:
+and every rule accepts the largest point t = start * theta^i,
+i = 0..max_backtracks, of one geometric grid that passes its test.
+:func:`line_search` walks that grid. ls1, ls3 and the general-regime
+domain walk search gamma at a fixed lam; ls2, ls4 and Tseng-Yun search
+lam at a fixed gamma, so y is computed once. Only the test differs:
 
-- ``ls1_search``: lam fixed a priori, backtracks gamma against the descent
-  condition  f(J) - f(x) - <J - x, grad f(x)> <= (delta/(gamma lam)) ||J - x||_W^2.
-- ``ls2_search``: gamma fixed a priori (the prox point y is computed once),
-  backtracks lam against the same condition.
-- ``ls3_search``: lam fixed, backtracks gamma against the gradient condition
-  ||grad^W f(J) - grad^W f(x)||_W <= (delta/(gamma lam)) ||J - x||_W (norms
-  not squared); every trial J must admit a gradient query.
-- ``ls4_search``: gamma fixed, backtracks lam against the Armijo condition
-  (f+g)(J) - (f+g)(x) <= (1 - delta) lam ell, with
-  ell = g(y) - g(x) + <y - x, grad f(x)>.
-- ``tseng_yun_search``: gamma fixed, backtracks lam against
-  (f+g)(J) - (f+g)(x) <= sigma lam (ell + (beta/gamma) ||y - x||_W^2),
-  needing 0 < (1 - beta) sigma < 1; beta = 0, sigma = 1 - delta reproduces
-  the Armijo rule exactly.
-- ``domain_search``: in the general domain regime, the largest grid gamma
-  whose unrelaxed trial point y lands inside dom f. Its output replaces the
-  backtracking start of ls1/ls3 and *is* gamma_k for the lam-backtracking
-  rules.
+- ``ls1``/``ls2``: the descent condition
+  f(J) - f(x) - <J - x, grad f(x)> <= (delta/(gamma lam)) ||J - x||_W^2.
+- ``ls3``: the gradient condition
+  ||W^{-1}(grad f(J) - grad f(x))||_W <= (delta/gamma) ||y - x||_W (norms
+  not squared); a trial J outside the interior of dom f fails.
+- ``ls4``: the Armijo condition (f+g)(J) - (f+g)(x) <= (1 - delta) lam ell,
+  with ell = g(y) - g(x) + <y - x, grad f(x)>.
+- ``tseng-yun``: (f+g)(J) - (f+g)(x) <= sigma lam (ell + (beta/gamma) ||y - x||_W^2),
+  needing 0 < (1 - beta) sigma < 1; beta = 0, sigma = 1 - delta
+  reproduces the Armijo rule exactly.
+- ``domain``: y lies in dom f. In the general domain regime its gamma
+  replaces the backtracking start of ls1/ls3 and *is* gamma for the lam
+  rules, and its y is their first prox point.
 
 A trial whose value comes back +inf (outside dom f) is an ordinary failed
 comparison. Acceptance uses "<= plus absolute slack 1e-14 * (1 + |f(x)|)"
-so that exact-tie cases (fixed points) cannot flip under round-off. If
-||y - x||_W <= tol_fp * (1 + ||x||) at the first trial, the search
-short-circuits with a fixed-point tag instead of backtracking.
+so that exact-tie cases (fixed points) cannot flip under round-off. Every
+step is tested, the last one of a run included: at an exact fixed point
+y = x and every test passes at the first grid point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import DiagonalMetric, metric_norm_sq, metric_prox
-from .problems import (
-    CompositeProblem,
-    ConfigurationError,
-    SearchFailure,
-    UsageError,
-)
+from .problems import CompositeProblem, ConfigurationError, SearchFailure
 
-__all__ = [
-    "RULES",
-    "LineSearchConfig",
-    "EvalCounts",
-    "StepOutcome",
-    "DomainSearchOutcome",
-    "fb_step",
-    "ls1_search",
-    "ls2_search",
-    "ls3_search",
-    "ls4_search",
-    "tseng_yun_search",
-    "domain_search",
-]
+__all__ = ["RULES", "LineSearchConfig", "StepOutcome", "line_search"]
 
 RULES = ("ls1", "ls2", "ls3", "ls4", "tseng-yun", "fixed")
+_GAMMA_WALKS = ("ls1", "ls3", "domain")
 
 
 @dataclass(frozen=True)
@@ -103,7 +84,15 @@ class LineSearchConfig:
         if self.max_backtracks < 1:
             raise ConfigurationError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
         if self.rule == "tseng-yun":
-            _validate_ty(self.sigma, self.beta)
+            sigma, beta = self.sigma, self.beta
+            if not (0 < sigma <= 1):
+                raise ConfigurationError(f"sigma must lie in (0,1], got {sigma}")
+            if not (0 <= beta <= 1):
+                raise ConfigurationError(f"beta must lie in [0,1], got {beta}")
+            if not (0 < (1 - beta) * sigma < 1):
+                raise ConfigurationError(
+                    f"need 0 < (1-beta)*sigma < 1, got (1-{beta})*{sigma} = {(1 - beta) * sigma}"
+                )
         if self.rule == "fixed":
             if self.fixed_gamma is None or self.fixed_lam is None:
                 raise ConfigurationError("fixed-step mode needs fixed_gamma and fixed_lam")
@@ -113,24 +102,6 @@ class LineSearchConfig:
                 raise ConfigurationError(f"fixed_lam must lie in (0,1], got {self.fixed_lam}")
 
 
-def _validate_ty(sigma: float, beta: float):
-    if not (0 < sigma <= 1):
-        raise ConfigurationError(f"sigma must lie in (0,1], got {sigma}")
-    if not (0 <= beta <= 1):
-        raise ConfigurationError(f"beta must lie in [0,1], got {beta}")
-    if not (0 < (1 - beta) * sigma < 1):
-        raise ConfigurationError(
-            f"need 0 < (1-beta)*sigma < 1, got (1-{beta})*{sigma} = {(1 - beta) * sigma}"
-        )
-
-
-@dataclass(frozen=True)
-class EvalCounts:
-    f: int = 0
-    grad: int = 0
-    prox: int = 0
-
-
 @dataclass
 class StepOutcome:
     """One accepted forward-backward step.
@@ -138,7 +109,8 @@ class StepOutcome:
     ``y`` is the unrelaxed prox point at the accepted gamma and
     ``x_next = x + lam * (y - x)``. ``norm_sq_yx`` is ||y - x||_W^2.
     ``f_next``/``g_next``/``ell`` are filled when the rule evaluated
-    them, so the solver can reuse instead of re-evaluating.
+    them, so the solver can reuse instead of re-evaluating. The counters
+    are the oracle calls the step made.
     """
 
     gamma: float
@@ -146,438 +118,123 @@ class StepOutcome:
     y: np.ndarray
     x_next: np.ndarray
     backtracks: int
-    accepted_condition: str
     norm_sq_yx: float
     f_next: float | None = None
     g_next: float | None = None
     ell: float | None = None
-    evals: EvalCounts = field(default_factory=EvalCounts)
+    f_evals: int = 0
+    grad_evals: int = 0
+    prox_evals: int = 0
 
 
-@dataclass
-class DomainSearchOutcome:
-    gamma: float
-    backtracks: int
-    evals: EvalCounts
-
-
-def fb_step(
-    problem: CompositeProblem,
-    metric: DiagonalMetric,
-    x: np.ndarray,
-    gamma: float,
-    lam: float,
-    grad: np.ndarray | None = None,
-):
-    """One trial step: returns (y, x_next) at the given gamma and lam."""
-    if not (gamma > 0):
-        raise UsageError(f"gamma must be positive, got {gamma}")
-    if not (0 < lam <= 1):
-        raise UsageError(f"lam must lie in (0,1], got {lam}")
-    x = np.asarray(x, dtype=float)
-    if grad is None:
-        grad = problem.f.gradient(x)
-    z = x - gamma * (grad / metric.weights)
-    y = metric_prox(problem.g, metric, z, gamma)
-    return y, x + lam * (y - x)
-
-
-def _slack(fx: float) -> float:
-    return 1e-14 * (1.0 + abs(fx))
-
-
-def _accepts(lhs: float, rhs: float, slack: float) -> bool:
-    # +inf or nan on the left is a failed trial, never an acceptance
-    return np.isfinite(lhs) and lhs <= rhs + slack
-
-
-def _prox_at(problem, metric, x, grad, gamma):
+def _prox_point(problem, metric, x, grad, gamma):
     z = x - gamma * (grad / metric.weights)
     return metric_prox(problem.g, metric, z, gamma)
 
 
-def _fixed_point(metric, x, y, tol_fp: float) -> bool:
-    if tol_fp < 0:
-        raise UsageError(f"tol_fp must be nonnegative, got {tol_fp}")
-    gap = np.sqrt(metric_norm_sq(metric, y - x))
-    return gap <= tol_fp * (1.0 + np.linalg.norm(x))
-
-
-def _search_failure(rule: str, k_info: dict, budget: int) -> SearchFailure:
-    return SearchFailure(
-        f"{rule}: no grid point accepted within {budget} backtracks",
-        diagnostics={"rule": rule, "trials": budget + 1, **k_info},
-    )
-
-
-def ls1_search(
+def line_search(
     problem: CompositeProblem,
     metric: DiagonalMetric,
     x: np.ndarray,
-    lam_k: float,
-    *,
+    rule: str,
     config: LineSearchConfig,
-    fx: float | None = None,
-    grad: np.ndarray | None = None,
-    tol_fp: float = 0.0,
-    gamma_start: float | None = None,
-) -> StepOutcome:
-    """Backtrack gamma against the descent condition at fixed lam_k."""
-    if not (0 < lam_k <= 1):
-        raise UsageError(f"lam_k must lie in (0,1], got {lam_k}")
-    x = np.asarray(x, dtype=float)
-    nf = ngrad = nprox = 0
-    if grad is None:
-        grad = problem.f.gradient(x)
-        ngrad += 1
-    if fx is None:
-        fx = problem.f.value(x)
-        nf += 1
-    start = config.gamma_max if gamma_start is None else gamma_start
-    slack = _slack(fx)
-    for i in range(config.max_backtracks + 1):
-        gamma = start * config.theta**i
-        y = _prox_at(problem, metric, x, grad, gamma)
-        nprox += 1
-        dy = y - x
-        ns = metric_norm_sq(metric, dy)
-        if i == 0 and _fixed_point(metric, x, y, tol_fp):
-            return StepOutcome(
-                gamma=start,
-                lam=lam_k,
-                y=y,
-                x_next=x + lam_k * dy,
-                backtracks=0,
-                accepted_condition="fixed-point",
-                norm_sq_yx=ns,
-                evals=EvalCounts(nf, ngrad, nprox),
-            )
-        x_trial = x + lam_k * dy
-        f_trial = problem.f.value(x_trial)
-        nf += 1
-        lhs = f_trial - fx - lam_k * float(dy @ grad)
-        rhs = (config.delta * lam_k / gamma) * ns
-        if _accepts(lhs, rhs, slack):
-            return StepOutcome(
-                gamma=gamma,
-                lam=lam_k,
-                y=y,
-                x_next=x_trial,
-                backtracks=i,
-                accepted_condition="descent-gamma",
-                norm_sq_yx=ns,
-                f_next=f_trial,
-                evals=EvalCounts(nf, ngrad, nprox),
-            )
-    raise _search_failure(
-        "ls1", {"x": x, "gamma_last": gamma, "lhs": lhs, "rhs": rhs}, config.max_backtracks
-    )
-
-
-def ls2_search(
-    problem: CompositeProblem,
-    metric: DiagonalMetric,
-    x: np.ndarray,
-    gamma_k: float,
     *,
-    config: LineSearchConfig,
-    fx: float | None = None,
-    grad: np.ndarray | None = None,
-    tol_fp: float = 0.0,
-    lam_start: float | None = None,
+    fx: float,
+    gx: float,
+    grad: np.ndarray,
+    start: float,
+    other: float,
+    y: np.ndarray | None = None,
 ) -> StepOutcome:
-    """Backtrack lam against the descent condition; y fixed at gamma_k."""
-    if not (gamma_k > 0) or not np.isfinite(gamma_k):
-        raise UsageError(f"gamma_k must be positive and finite, got {gamma_k}")
-    x = np.asarray(x, dtype=float)
-    nf = ngrad = nprox = 0
-    if grad is None:
-        grad = problem.f.gradient(x)
-        ngrad += 1
-    if fx is None:
-        fx = problem.f.value(x)
-        nf += 1
-    y = _prox_at(problem, metric, x, grad, gamma_k)
-    nprox += 1
-    dy = y - x
-    ns = metric_norm_sq(metric, dy)
-    if _fixed_point(metric, x, y, tol_fp):
-        return StepOutcome(
-            gamma=gamma_k,
-            lam=config.lam_max,
-            y=y,
-            x_next=x + config.lam_max * dy,
-            backtracks=0,
-            accepted_condition="fixed-point",
-            norm_sq_yx=ns,
-            evals=EvalCounts(nf, ngrad, nprox),
-        )
-    gdot = float(dy @ grad)
-    slack = _slack(fx)
-    start = config.lam_max if lam_start is None else lam_start
-    for i in range(config.max_backtracks + 1):
-        lam = start * config.theta**i
-        x_trial = x + lam * dy
-        f_trial = problem.f.value(x_trial)
-        nf += 1
-        lhs = f_trial - fx - lam * gdot
-        rhs = (config.delta * lam / gamma_k) * ns
-        if _accepts(lhs, rhs, slack):
-            return StepOutcome(
-                gamma=gamma_k,
-                lam=lam,
-                y=y,
-                x_next=x_trial,
-                backtracks=i,
-                accepted_condition="descent-lambda",
-                norm_sq_yx=ns,
-                f_next=f_trial,
-                evals=EvalCounts(nf, ngrad, nprox),
-            )
-    raise _search_failure(
-        "ls2", {"x": x, "lam_last": lam, "lhs": lhs, "rhs": rhs}, config.max_backtracks
-    )
+    """Largest grid point start * theta^i passing ``rule``'s test at x.
 
-
-def ls3_search(
-    problem: CompositeProblem,
-    metric: DiagonalMetric,
-    x: np.ndarray,
-    lam_k: float,
-    *,
-    config: LineSearchConfig,
-    fx: float | None = None,
-    grad: np.ndarray | None = None,
-    tol_fp: float = 0.0,
-    gamma_start: float | None = None,
-) -> StepOutcome:
-    """Backtrack gamma against the gradient-increment condition.
-
-    Each trial queries grad f at the trial point, so a trial outside the
-    interior of dom f counts as failed (relevant in the general regime).
+    ``rule`` is a backtracking rule of :data:`RULES` or ``"domain"``.
+    The gamma walks (ls1, ls3, domain) search gamma at lam = ``other``;
+    the lam walks (ls2, ls4, tseng-yun) search lam at gamma = ``other``.
+    ``fx``, ``gx`` and ``grad`` are f(x), g(x) and grad f(x). ``y``, when
+    given, is the prox point at the first grid gamma (gamma walks) or at
+    ``other`` (lam walks) and is not recomputed. Raises
+    :class:`SearchFailure` when no grid point within ``max_backtracks``
+    passes.
     """
-    if not (0 < lam_k <= 1):
-        raise UsageError(f"lam_k must lie in (0,1], got {lam_k}")
-    x = np.asarray(x, dtype=float)
+    f = problem.f
+    walks_gamma = rule in _GAMMA_WALKS
     nf = ngrad = nprox = 0
-    if grad is None:
-        grad = problem.f.gradient(x)
-        ngrad += 1
-    if fx is None:
-        fx = problem.f.value(x)
-        nf += 1
-    start = config.gamma_max if gamma_start is None else gamma_start
-    slack = _slack(fx)
+    ell = g_next = None
     lhs = rhs = np.nan
-    for i in range(config.max_backtracks + 1):
-        gamma = start * config.theta**i
-        y = _prox_at(problem, metric, x, grad, gamma)
-        nprox += 1
+    if not walks_gamma:
+        gamma = other
+        if y is None:
+            y = _prox_point(problem, metric, x, grad, gamma)
+            nprox += 1
         dy = y - x
         ns = metric_norm_sq(metric, dy)
-        if i == 0 and _fixed_point(metric, x, y, tol_fp):
-            return StepOutcome(
-                gamma=start,
-                lam=lam_k,
-                y=y,
-                x_next=x + lam_k * dy,
-                backtracks=0,
-                accepted_condition="fixed-point",
-                norm_sq_yx=ns,
-                evals=EvalCounts(nf, ngrad, nprox),
-            )
-        x_trial = x + lam_k * dy
-        if not problem.f.in_interior_domain(x_trial):
-            continue
-        grad_trial = problem.f.gradient(x_trial)
-        ngrad += 1
-        dg = (grad_trial - grad) / metric.weights
-        lhs = float(np.sqrt(metric_norm_sq(metric, dg)))
-        rhs = (config.delta / gamma) * float(np.sqrt(ns))
-        if _accepts(lhs, rhs, slack):
+        gdot = float(dy @ grad)
+        if rule in ("ls4", "tseng-yun"):
+            ell = problem.g.value(y) - gx + gdot
+            if rule == "ls4":
+                slope = (1.0 - config.delta) * ell
+            else:
+                slope = config.sigma * (ell + (config.beta / gamma) * ns)
+    fgx = fx + gx
+    slack = 1e-14 * (1.0 + abs(fx))
+    for i in range(config.max_backtracks + 1):
+        t = start * config.theta**i
+        if walks_gamma:
+            gamma, lam = t, other
+            if i > 0 or y is None:
+                y = _prox_point(problem, metric, x, grad, gamma)
+                nprox += 1
+            dy = y - x
+            ns = metric_norm_sq(metric, dy)
+            gdot = float(dy @ grad)
+        else:
+            lam = t
+        x_next = x + lam * dy
+        f_next = None
+        if rule == "domain":
+            accepted = f.in_domain(y)
+        elif rule == "ls3":
+            if not f.in_interior_domain(x_next):
+                continue
+            grad_next = f.gradient(x_next)
+            ngrad += 1
+            dg = (grad_next - grad) / metric.weights
+            lhs = float(np.sqrt(metric_norm_sq(metric, dg)))
+            rhs = (config.delta / gamma) * float(np.sqrt(ns))
+        else:
+            f_next = f.value(x_next)
+            nf += 1
+            if rule in ("ls1", "ls2"):
+                lhs = f_next - fx - lam * gdot
+                rhs = (config.delta * lam / gamma) * ns
+            else:
+                g_next = problem.g.value(x_next)
+                lhs = (f_next + g_next) - fgx
+                rhs = lam * slope
+        if rule != "domain":
+            # +inf or nan on the left is a failed trial, never an acceptance
+            accepted = np.isfinite(lhs) and lhs <= rhs + slack
+        if accepted:
             return StepOutcome(
                 gamma=gamma,
-                lam=lam_k,
-                y=y,
-                x_next=x_trial,
-                backtracks=i,
-                accepted_condition="gradient",
-                norm_sq_yx=ns,
-                evals=EvalCounts(nf, ngrad, nprox),
-            )
-    raise _search_failure(
-        "ls3", {"x": x, "gamma_last": gamma, "lhs": lhs, "rhs": rhs}, config.max_backtracks
-    )
-
-
-def _armijo_family(
-    problem,
-    metric,
-    x,
-    gamma_k,
-    *,
-    config,
-    rhs_slope,
-    tag,
-    fx,
-    gx,
-    grad,
-    tol_fp,
-    lam_start,
-):
-    """Shared lam-backtracking loop for the Armijo and Tseng-Yun rules.
-
-    ``rhs_slope(ell, ns)`` maps the descent quantity ell and ||y-x||_W^2
-    to the coefficient of lam on the right-hand side.
-    """
-    if not (gamma_k > 0) or not np.isfinite(gamma_k):
-        raise UsageError(f"gamma_k must be positive and finite, got {gamma_k}")
-    x = np.asarray(x, dtype=float)
-    nf = ngrad = nprox = 0
-    if grad is None:
-        grad = problem.f.gradient(x)
-        ngrad += 1
-    if fx is None:
-        fx = problem.f.value(x)
-        nf += 1
-    if gx is None:
-        gx = problem.g.value(x)
-    y = _prox_at(problem, metric, x, grad, gamma_k)
-    nprox += 1
-    dy = y - x
-    ns = metric_norm_sq(metric, dy)
-    if _fixed_point(metric, x, y, tol_fp):
-        return StepOutcome(
-            gamma=gamma_k,
-            lam=config.lam_max,
-            y=y,
-            x_next=x + config.lam_max * dy,
-            backtracks=0,
-            accepted_condition="fixed-point",
-            norm_sq_yx=ns,
-            evals=EvalCounts(nf, ngrad, nprox),
-        )
-    gy = problem.g.value(y)
-    ell = gy - gx + float(dy @ grad)
-    slope = rhs_slope(ell, ns)
-    fgx = fx + gx
-    slack = _slack(fx)
-    start = config.lam_max if lam_start is None else lam_start
-    for i in range(config.max_backtracks + 1):
-        lam = start * config.theta**i
-        x_trial = x + lam * dy
-        f_trial = problem.f.value(x_trial)
-        nf += 1
-        g_trial = problem.g.value(x_trial)
-        lhs = (f_trial + g_trial) - fgx
-        rhs = lam * slope
-        if _accepts(lhs, rhs, slack):
-            return StepOutcome(
-                gamma=gamma_k,
                 lam=lam,
                 y=y,
-                x_next=x_trial,
+                x_next=x_next,
                 backtracks=i,
-                accepted_condition=tag,
                 norm_sq_yx=ns,
-                f_next=f_trial,
-                g_next=g_trial,
+                f_next=f_next,
+                g_next=g_next,
                 ell=ell,
-                evals=EvalCounts(nf, ngrad, nprox),
+                f_evals=nf,
+                grad_evals=ngrad,
+                prox_evals=nprox,
             )
-    raise _search_failure(
-        tag, {"x": x, "lam_last": lam, "lhs": lhs, "rhs": rhs}, config.max_backtracks
-    )
-
-
-def ls4_search(
-    problem: CompositeProblem,
-    metric: DiagonalMetric,
-    x: np.ndarray,
-    gamma_k: float,
-    *,
-    config: LineSearchConfig,
-    fx: float | None = None,
-    gx: float | None = None,
-    grad: np.ndarray | None = None,
-    tol_fp: float = 0.0,
-    lam_start: float | None = None,
-) -> StepOutcome:
-    """Backtrack lam against the Armijo condition; y fixed at gamma_k."""
-    return _armijo_family(
-        problem,
-        metric,
-        x,
-        gamma_k,
-        config=config,
-        rhs_slope=lambda ell, ns: (1.0 - config.delta) * ell,
-        tag="armijo",
-        fx=fx,
-        gx=gx,
-        grad=grad,
-        tol_fp=tol_fp,
-        lam_start=lam_start,
-    )
-
-
-def tseng_yun_search(
-    problem: CompositeProblem,
-    metric: DiagonalMetric,
-    x: np.ndarray,
-    gamma_k: float,
-    *,
-    config: LineSearchConfig,
-    fx: float | None = None,
-    gx: float | None = None,
-    grad: np.ndarray | None = None,
-    tol_fp: float = 0.0,
-    lam_start: float | None = None,
-) -> StepOutcome:
-    """Backtrack lam against the generalized sufficient-decrease condition."""
-    _validate_ty(config.sigma, config.beta)
-    return _armijo_family(
-        problem,
-        metric,
-        x,
-        gamma_k,
-        config=config,
-        rhs_slope=lambda ell, ns: config.sigma * (ell + (config.beta / gamma_k) * ns),
-        tag="tseng-yun",
-        fx=fx,
-        gx=gx,
-        grad=grad,
-        tol_fp=tol_fp,
-        lam_start=lam_start,
-    )
-
-
-def domain_search(
-    problem: CompositeProblem,
-    metric: DiagonalMetric,
-    x: np.ndarray,
-    *,
-    config: LineSearchConfig,
-    grad: np.ndarray | None = None,
-) -> DomainSearchOutcome:
-    """Largest grid gamma whose unrelaxed trial point lies in dom f.
-
-    The general-regime entry step: the returned gamma replaces the
-    backtracking start for ls1/ls3 and is itself gamma_k for the
-    lam-backtracking rules.
-    """
-    x = np.asarray(x, dtype=float)
-    nf = ngrad = nprox = 0
-    if grad is None:
-        grad = problem.f.gradient(x)
-        ngrad += 1
-    for i in range(config.max_backtracks + 1):
-        gamma = config.gamma_max * config.theta**i
-        y = _prox_at(problem, metric, x, grad, gamma)
-        nprox += 1
-        if problem.f.in_domain(y):
-            return DomainSearchOutcome(
-                gamma=gamma, backtracks=i, evals=EvalCounts(nf, ngrad, nprox)
-            )
-    raise _search_failure(
-        "domain-search", {"x": x, "gamma_last": gamma}, config.max_backtracks
+    budget = config.max_backtracks
+    raise SearchFailure(
+        f"{rule}: no grid point accepted within {budget} backtracks",
+        diagnostics={
+            "rule": rule, "trials": budget + 1, "x": x,
+            "gamma_last": gamma, "lam_last": lam, "lhs": lhs, "rhs": rhs,
+        },
     )

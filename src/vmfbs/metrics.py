@@ -34,8 +34,6 @@ __all__ = [
     "DiagonalMetric",
     "identity_metric",
     "metric_norm_sq",
-    "metric_norm",
-    "metric_gradient",
     "metric_prox",
     "StepSnapshot",
     "MetricSchedule",
@@ -91,22 +89,6 @@ def metric_norm_sq(metric: DiagonalMetric, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     _check_dim(metric, v)
     return float(np.dot(metric.weights, v * v))
-
-
-def metric_norm(metric: DiagonalMetric, v: np.ndarray) -> float:
-    return float(np.sqrt(metric_norm_sq(metric, v)))
-
-
-def metric_gradient(metric: DiagonalMetric, grad: np.ndarray) -> np.ndarray:
-    """W^{-1} grad, the gradient in the metric's geometry.
-
-    Note <u, W^{-1} grad>_W = <u, grad>, so Euclidean inner products
-    against the plain gradient already compute metric inner products
-    against this one.
-    """
-    grad = np.asarray(grad, dtype=float)
-    _check_dim(metric, grad)
-    return grad / metric.weights
 
 
 def metric_prox(g: ProxTerm, metric: DiagonalMetric, z: np.ndarray, gamma: float) -> np.ndarray:

@@ -23,8 +23,6 @@ __all__ = [
     "SmoothTerm",
     "ProxTerm",
     "CompositeProblem",
-    "eval_objective",
-    "eval_gradient",
 ]
 
 
@@ -160,19 +158,3 @@ class CompositeProblem:
             )
         if not isinstance(self.dimension, int) or self.dimension < 1:
             raise ConfigurationError(f"dimension must be a positive int, got {self.dimension!r}")
-
-
-def eval_objective(problem: CompositeProblem, x) -> float:
-    """F(x) = f(x) + g(x) as an extended real (inf outside the domain)."""
-    x = as_vector(x, problem.dimension)
-    gx = problem.g.value(x)
-    if not gx < np.inf:
-        return np.inf
-    fx = problem.f.value(x)
-    return float(fx + gx)
-
-
-def eval_gradient(problem: CompositeProblem, x) -> np.ndarray:
-    """Euclidean gradient of f at x. Raises DomainError off the interior."""
-    x = as_vector(x, problem.dimension)
-    return problem.f.gradient(x)

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import ConfigurationError, DomainError, SmoothTerm, Unsupported, as_vector
+from .problems import ConfigurationError, DomainError, SmoothTerm, as_vector
 
 __all__ = [
     "LinearMap",
     "PNormResidual",
     "KLDivergence",
-    "quadratic_lipschitz",
 ]
 
 
@@ -213,10 +212,3 @@ class KLDivergence(_Composite):
 
     # dom f is open
     in_interior_domain = in_domain
-
-
-def quadratic_lipschitz(f: PNormResidual) -> float:
-    """Global Lipschitz constant L = ||A||^2 of the gradient, p = 2 only."""
-    if not isinstance(f, PNormResidual) or f.p != 2.0:
-        raise Unsupported("a global gradient Lipschitz constant exists only at p = 2")
-    return f.a.operator_norm() ** 2

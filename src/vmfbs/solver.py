@@ -1,20 +1,23 @@
 """The variable-metric forward-backward outer loop.
 
-Per iteration k: emit the metric W_k, run the configured stepsize rule
-(preceded by the domain search in the general regime), update
-x_{k+1} = x_k + lam_k (y_k - x_k), record the trace row, and evaluate
-the stopping rules. Execution is fully deterministic.
-
-Two operating regimes:
+Per iteration k: emit the metric W_k, take one step, record the trace
+row, and evaluate the stopping rules. Execution is fully deterministic.
 
 - backtracking rules (ls1/ls2/ls3/ls4/tseng-yun) need no Lipschitz
-  constant; the a-priori sequence (lam_k for ls1/ls3, gamma_k for the
-  others) comes from a user schedule, except in the general domain
-  regime where the per-iteration domain search produces gamma_k for the
-  lam-backtracking rules and the backtracking start for ls1/ls3.
-- fixed-step mode runs no acceptance test and instead requires a known
-  global L with sup_k gamma lam / nu_k strictly below 2/L, validated
-  up front by :func:`fixed_step_validate`.
+  constant. Each step is one call of the grid walk
+  :func:`~vmfbs.linesearch.line_search`. The a-priori value (lam_k for
+  ls1/ls3, gamma_k for the others) comes from a user schedule, except
+  in the general domain regime: there a first walk of the same kernel,
+  the domain walk, produces gamma_k for the lam-backtracking rules and
+  the backtracking start for ls1/ls3, and its accepted prox point is
+  the search's first trial.
+- fixed-step mode computes the step inline and runs no acceptance
+  test; instead it requires a known global L with sup_k gamma lam / nu_k
+  strictly below 2/L, validated up front by :func:`fixed_step_validate`.
+
+The search tests the last step like any other; a run stops at the
+fixed-point tolerance through :func:`stopping_check` on the accepted
+step.
 
 The recorded per-iteration residuals (descent inequality, sufficient
 decrease) are signed; nonpositive means the inequality holds. For the
@@ -32,19 +35,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .diagnostics import CheckReport
-from .linesearch import (
-    EvalCounts,
-    LineSearchConfig,
-    StepOutcome,
-    domain_search,
-    fb_step,
-    ls1_search,
-    ls2_search,
-    ls3_search,
-    ls4_search,
-    tseng_yun_search,
+from .linesearch import LineSearchConfig, StepOutcome, line_search
+from .metrics import (
+    MetricSchedule,
+    StepSnapshot,
+    constant_schedule,
+    metric_norm_sq,
+    metric_prox,
 )
-from .metrics import MetricSchedule, StepSnapshot, constant_schedule, metric_norm_sq
 from .problems import (
     CompositeProblem,
     ConfigurationError,
@@ -379,71 +377,48 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
 
         dom_gamma = np.nan
         try:
+            y_start = None
             if general:
-                dres = domain_search(problem, metric, x, config=ls, grad=grad)
-                dom_gamma = dres.gamma
-                nf_k += dres.evals.f
-                ngrad_k += dres.evals.grad
-                nprox_k += dres.evals.prox
-
-            if rule in ("ls1", "ls3"):
-                lam_k = float(lam_at(k))
-                if not (0 < lam_k <= 1):
-                    raise ConfigurationError(f"lam_schedule({k}) = {lam_k} outside (0,1]")
-                if general:
-                    gamma_start = dom_gamma
-                elif ls.warm_start and warm_gamma is not None:
-                    gamma_start = min(ls.gamma_max, warm_gamma / ls.theta)
-                else:
-                    gamma_start = None
-                search = ls1_search if rule == "ls1" else ls3_search
-                outcome = search(
-                    problem,
-                    metric,
-                    x,
-                    lam_k,
-                    config=ls,
-                    fx=fx,
-                    grad=grad,
-                    tol_fp=config.tol_fixed_point,
-                    gamma_start=gamma_start,
+                dom = line_search(
+                    problem, metric, x, "domain", ls,
+                    fx=fx, gx=gx, grad=grad, start=ls.gamma_max, other=1.0,
                 )
-            elif rule in ("ls2", "ls4", "tseng-yun"):
-                if general:
-                    gamma_k = dom_gamma
-                else:
-                    gamma_k = float(gamma_at(k))
-                    if not (gamma_k > 0 and np.isfinite(gamma_k)):
-                        raise ConfigurationError(
-                            f"gamma_schedule({k}) = {gamma_k} must be positive and finite"
-                        )
-                lam_start = None
-                if ls.warm_start and warm_lam is not None:
-                    lam_start = min(ls.lam_max, warm_lam / ls.theta)
-                if rule == "ls2":
-                    outcome = ls2_search(
-                        problem, metric, x, gamma_k,
-                        config=ls, fx=fx, grad=grad,
-                        tol_fp=config.tol_fixed_point, lam_start=lam_start,
-                    )
-                else:
-                    search = ls4_search if rule == "ls4" else tseng_yun_search
-                    outcome = search(
-                        problem, metric, x, gamma_k,
-                        config=ls, fx=fx, gx=gx, grad=grad,
-                        tol_fp=config.tol_fixed_point, lam_start=lam_start,
-                    )
-            else:  # fixed
-                y, x_next = fb_step(problem, metric, x, ls.fixed_gamma, ls.fixed_lam, grad=grad)
+                dom_gamma, y_start = dom.gamma, dom.y
+                nprox_k += dom.prox_evals
+            if rule == "fixed":
+                gamma, lam = ls.fixed_gamma, ls.fixed_lam
+                y = metric_prox(problem.g, metric, x - gamma * (grad / metric.weights), gamma)
+                dy = y - x
                 outcome = StepOutcome(
-                    gamma=ls.fixed_gamma,
-                    lam=ls.fixed_lam,
-                    y=y,
-                    x_next=x_next,
-                    backtracks=0,
-                    accepted_condition="fixed",
-                    norm_sq_yx=metric_norm_sq(metric, y - x),
-                    evals=EvalCounts(0, 0, 1),
+                    gamma=gamma, lam=lam, y=y, x_next=x + lam * dy, backtracks=0,
+                    norm_sq_yx=metric_norm_sq(metric, dy), prox_evals=1,
+                )
+            else:
+                if rule in ("ls1", "ls3"):
+                    other = float(lam_at(k))
+                    if not (0 < other <= 1):
+                        raise ConfigurationError(f"lam_schedule({k}) = {other} outside (0,1]")
+                    if general:
+                        start = dom_gamma
+                    elif ls.warm_start and warm_gamma is not None:
+                        start = min(ls.gamma_max, warm_gamma / ls.theta)
+                    else:
+                        start = ls.gamma_max
+                else:
+                    if general:
+                        other = dom_gamma
+                    else:
+                        other = float(gamma_at(k))
+                        if not (other > 0 and np.isfinite(other)):
+                            raise ConfigurationError(
+                                f"gamma_schedule({k}) = {other} must be positive and finite"
+                            )
+                    start = ls.lam_max
+                    if ls.warm_start and warm_lam is not None:
+                        start = min(ls.lam_max, warm_lam / ls.theta)
+                outcome = line_search(
+                    problem, metric, x, rule, ls,
+                    fx=fx, gx=gx, grad=grad, start=start, other=other, y=y_start,
                 )
         except SearchFailure as exc:
             termination = "search_failure"
@@ -451,9 +426,9 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             failure.update(exc.diagnostics)
             break
 
-        nf_k += outcome.evals.f
-        ngrad_k += outcome.evals.grad
-        nprox_k += outcome.evals.prox
+        nf_k += outcome.f_evals
+        ngrad_k += outcome.grad_evals
+        nprox_k += outcome.prox_evals
 
         x_next = outcome.x_next
         f_next = outcome.f_next

@@ -104,7 +104,7 @@ def batch200():
         prob, x0, rule, smooth_kind, reg_kind = batch_instance(i)
         kw = {"rule": rule}
         if rule == "fixed":
-            kw.update(fixed_gamma=1.5 / vmfbs.quadratic_lipschitz(prob.f), fixed_lam=1.0)
+            kw.update(fixed_gamma=1.5 / prob.f.lipschitz_bound, fixed_lam=1.0)
         if rule == "tseng-yun":
             kw.update(sigma=0.5, beta=0.5)
         cfg = vmfbs.SolverConfig(
@@ -128,7 +128,7 @@ def c6_bundle():
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.1), dimension=n
     )
-    L = vmfbs.quadratic_lipschitz(prob.f)
+    L = prob.f.lipschitz_bound
     ref = solve(prob, np.zeros(n), vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule="ls1", warm_start=True),
         max_iterations=10**6,
@@ -247,8 +247,8 @@ def test_criterion_04_stepsize_floors():
             max_iterations=10,
         )
         res = solve(prob, np.array([1.0]), cfg)
-        # row 0 is the searched step; later rows may be fixed-point
-        # short-circuits at gamma_max once x hits the minimizer exactly
+        # row 0 is the searched step; once x hits the minimizer exactly,
+        # later rows accept gamma_max with y == x
         g0 = float(res.trace.gamma[0])
         g_min = float(np.min(res.trace.gamma))
         rep = check_stepsize_floor(res, rule, 0.9, 0.5, 1.0, 1.0, 1.0, 4.0)

@@ -236,6 +236,7 @@ def test_read_trace_csv(tmp_path):
         "1,2.5,0.5,1,1,0,0\n"
     )
     frame = read_trace_csv(p)
+    assert isinstance(frame, vmfbs.Trace)
     assert len(frame) == 2
     assert frame.k.tolist() == [0, 1]
     assert frame.backtracks.dtype.kind == "i"

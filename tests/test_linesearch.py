@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 import vmfbs
-from vmfbs.linesearch import (
-    domain_search,
-    fb_step,
-    ls1_search,
-    ls2_search,
-    ls3_search,
-    ls4_search,
-    tseng_yun_search,
-)
+from vmfbs.linesearch import line_search
 
 from conftest import lasso_1d, steep_quadratic_1d
 
@@ -21,6 +13,33 @@ def cfg(**kw):
 
 def identity(n=1):
     return vmfbs.identity_metric(n)
+
+
+def search(prob, x, rule, config, *, other=1.0, start=None, metric=None):
+    """One kernel call at x, with f(x), g(x) and grad f(x) taken fresh.
+
+    ``start`` defaults to the grid top of the walked variable.
+    """
+    x = np.asarray(x, dtype=float)
+    if start is None:
+        start = config.gamma_max if rule in ("ls1", "ls3", "domain") else config.lam_max
+    return line_search(
+        prob, metric or identity(x.size), x, rule, config,
+        fx=prob.f.value(x), gx=prob.g.value(x), grad=prob.f.gradient(x),
+        start=start, other=other,
+    )
+
+
+def trial(prob, metric, x, gamma, lam):
+    """(y, x_next) at (gamma, lam): the domain walk accepts its first grid
+    point on a problem whose f is finite everywhere."""
+    out = line_search(
+        prob, metric, x, "domain", cfg(),
+        fx=prob.f.value(x), gx=prob.g.value(x), grad=prob.f.gradient(x),
+        start=gamma, other=lam,
+    )
+    assert out.backtracks == 0 and out.gamma == gamma
+    return out.y, out.x_next
 
 
 # --- config validation ---------------------------------------------------
@@ -56,34 +75,39 @@ def test_config_fixed_needs_both_steps():
     assert c.fixed_gamma == 0.1
 
 
-# --- fb_step --------------------------------------------------------------
+# --- fb step ---------------------------------------------------------
 
 def test_fb_step_gradient_step_when_g_zero():
     prob = steep_quadratic_1d()
     x = np.array([1.0])
-    y, x_next = fb_step(prob, identity(), x, 0.1, 0.5)
+    y, x_next = trial(prob, identity(), x, 0.1, 0.5)
     assert np.allclose(y, x - 0.1 * 4.0)  # grad = 4x
     assert np.allclose(x_next, x + 0.5 * (y - x))
 
 
 def test_fb_step_lasso_pinned():
     prob = lasso_1d()
-    y, x_next = fb_step(prob, identity(), np.array([3.0]), 1.0, 1.0)
+    y, x_next = trial(prob, identity(), np.array([3.0]), 1.0, 1.0)
     assert np.allclose(y, 2.0) and np.allclose(x_next, 2.0)
 
 
 def test_fb_step_fixed_point_at_minimizer():
     prob = lasso_1d()
-    y, x_next = fb_step(prob, identity(), np.array([2.0]), 1.0, 1.0)
+    y, x_next = trial(prob, identity(), np.array([2.0]), 1.0, 1.0)
     assert np.array_equal(y, [2.0]) and np.array_equal(x_next, [2.0])
 
 
-def test_fb_step_validates_parameters():
+@pytest.mark.parametrize("rule", ["ls1", "ls2", "ls3", "ls4", "tseng-yun", "domain"])
+def test_minimizer_accepts_first_grid_point(rule):
+    # at the exact minimizer y == x and every test holds at the grid top:
+    # the step is tested, not waved through
     prob = lasso_1d()
-    with pytest.raises(vmfbs.UsageError):
-        fb_step(prob, identity(), np.array([0.0]), 0.0, 1.0)
-    with pytest.raises(vmfbs.UsageError):
-        fb_step(prob, identity(), np.array([0.0]), 1.0, 0.0)
+    config = cfg(rule="tseng-yun", sigma=0.5, beta=0.5) if rule == "tseng-yun" else cfg()
+    out = search(prob, [2.0], rule, config)
+    assert np.array_equal(out.y, [2.0]) and np.array_equal(out.x_next, [2.0])
+    assert out.backtracks == 0
+    assert out.gamma == 1.0 and out.lam == 1.0
+    assert out.norm_sq_yx == 0.0
 
 
 # --- ls1: gamma backtracking on the descent condition ---------------------
@@ -91,14 +115,12 @@ def test_fb_step_validates_parameters():
 def test_ls1_steep_quadratic_pinned():
     # condition is gamma <= 0.45, grid hits 0.25 after two cuts
     prob = steep_quadratic_1d()
-    out = ls1_search(prob, identity(), np.array([1.0]), 1.0,
-                     config=cfg(delta=0.9, theta=0.5, gamma_max=1.0))
+    out = search(prob, [1.0], "ls1", cfg(delta=0.9, theta=0.5, gamma_max=1.0))
     assert out.gamma == 0.25
     assert out.backtracks == 2
     assert np.allclose(out.x_next, 0.0)
-    assert out.accepted_condition == "descent-gamma"
-    # f(x) once up front, then one f per trial
-    assert out.evals == vmfbs.EvalCounts(f=4, grad=1, prox=3)
+    # one f and one prox per trial; f(x) and grad f(x) come from the caller
+    assert (out.f_evals, out.grad_evals, out.prox_evals) == (3, 0, 3)
     assert out.gamma == 1.0 * 0.5**out.backtracks
 
 
@@ -106,34 +128,25 @@ def test_ls1_gentle_quadratic_accepts_immediately():
     # L = 1: condition is gamma <= 1.8, so gamma_max passes at once
     f = vmfbs.PNormResidual(np.array([[1.0]]), np.array([0.0]))
     prob = vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=1)
-    out = ls1_search(prob, identity(), np.array([1.0]), 1.0,
-                     config=cfg(delta=0.9, theta=0.5, gamma_max=1.0))
+    out = search(prob, [1.0], "ls1", cfg(delta=0.9, theta=0.5, gamma_max=1.0))
     assert out.gamma == 1.0 and out.backtracks == 0
-
-
-def test_ls1_fixed_point_short_circuit():
-    prob = lasso_1d()
-    out = ls1_search(prob, identity(), np.array([2.0]), 1.0, config=cfg())
-    assert out.accepted_condition == "fixed-point"
-    assert out.gamma == 1.0 and out.backtracks == 0
-    assert np.array_equal(out.y, [2.0])
 
 
 def test_ls1_search_failure_carries_diagnostics():
     prob = steep_quadratic_1d()
     with pytest.raises(vmfbs.SearchFailure) as err:
-        ls1_search(prob, identity(), np.array([1.0]), 1.0,
-                   config=cfg(delta=0.01, theta=0.5, gamma_max=1.0, max_backtracks=1))
+        search(prob, [1.0], "ls1",
+               cfg(delta=0.01, theta=0.5, gamma_max=1.0, max_backtracks=1))
     d = err.value.diagnostics
     assert d["rule"] == "ls1" and d["trials"] == 2
+    assert d["gamma_last"] == 0.5 and d["lhs"] > d["rhs"]
 
 
 def test_ls1_reuses_fx_and_reports_f_next():
     prob = steep_quadratic_1d()
-    x = np.array([1.0])
-    out = ls1_search(prob, identity(), x, 1.0,
-                     config=cfg(delta=0.9, theta=0.5, gamma_max=1.0),
-                     fx=prob.f.value(x))
+    out = search(prob, [1.0], "ls1", cfg(delta=0.9, theta=0.5, gamma_max=1.0))
+    # f(x) is the caller's: one f evaluation per trial, none for x itself
+    assert out.f_evals == out.backtracks + 1
     assert out.f_next == pytest.approx(prob.f.value(out.x_next))
 
 
@@ -141,27 +154,28 @@ def test_ls1_reuses_fx_and_reports_f_next():
 
 def test_ls2_steep_quadratic_pinned():
     prob = steep_quadratic_1d()
-    out = ls2_search(prob, identity(), np.array([1.0]), 1.0,
-                     config=cfg(delta=0.9, theta=0.5, lam_max=1.0))
+    out = search(prob, [1.0], "ls2", cfg(delta=0.9, theta=0.5, lam_max=1.0), other=1.0)
     assert out.lam == 0.25 and out.backtracks == 2
     assert out.gamma == 1.0
     # y computed once: a single prox evaluation
-    assert out.evals.prox == 1
-    assert out.accepted_condition == "descent-lambda"
+    assert out.prox_evals == 1
 
 
 def test_ls2_small_gamma_accepts_lam_max():
     prob = steep_quadratic_1d()
-    out = ls2_search(prob, identity(), np.array([1.0]), 0.25,
-                     config=cfg(delta=0.9, theta=0.5, lam_max=1.0))
+    out = search(prob, [1.0], "ls2", cfg(delta=0.9, theta=0.5, lam_max=1.0), other=0.25)
     assert out.lam == 1.0 and out.backtracks == 0
 
 
-def test_ls2_fixed_point_returns_lam_max():
-    prob = lasso_1d()
-    out = ls2_search(prob, identity(), np.array([2.0]), 1.0, config=cfg())
-    assert out.accepted_condition == "fixed-point"
-    assert out.lam == 1.0
+def test_lam_walk_reuses_given_prox_point():
+    prob = steep_quadratic_1d()
+    x = np.array([1.0])
+    y = np.array([-3.0])  # the prox point at gamma = 1
+    out = line_search(prob, identity(), x, "ls2", cfg(delta=0.9, theta=0.5),
+                      fx=prob.f.value(x), gx=0.0, grad=prob.f.gradient(x),
+                      start=1.0, other=1.0, y=y)
+    assert out.y is y and out.prox_evals == 0
+    assert out.lam == 0.25 and out.backtracks == 2
 
 
 # --- ls3: gamma backtracking on the gradient condition ---------------------
@@ -169,69 +183,47 @@ def test_ls2_fixed_point_returns_lam_max():
 def test_ls3_steep_quadratic_pinned():
     # Lipschitz ratio condition: gamma <= 0.225, half of ls1's range
     prob = steep_quadratic_1d()
-    out = ls3_search(prob, identity(), np.array([1.0]), 1.0,
-                     config=cfg(delta=0.9, theta=0.5, gamma_max=1.0))
+    out = search(prob, [1.0], "ls3", cfg(delta=0.9, theta=0.5, gamma_max=1.0))
     assert out.gamma == 0.125 and out.backtracks == 3
-    assert out.accepted_condition == "gradient"
-    # one gradient per trial on top of the base point's
-    assert out.evals.grad == 1 + 4
+    # one gradient per trial
+    assert out.grad_evals == 4
 
 
 def test_ls3_gentle_quadratic():
     f = vmfbs.PNormResidual(np.array([[1.0]]), np.array([0.0]))
     prob = vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=1)
-    out = ls3_search(prob, identity(), np.array([1.0]), 1.0,
-                     config=cfg(delta=0.9, theta=0.5, gamma_max=1.0))
+    out = search(prob, [1.0], "ls3", cfg(delta=0.9, theta=0.5, gamma_max=1.0))
     assert out.gamma == 0.5 and out.backtracks == 1
-
-
-def test_ls3_fixed_point():
-    prob = lasso_1d()
-    out = ls3_search(prob, identity(), np.array([2.0]), 1.0, config=cfg())
-    assert out.accepted_condition == "fixed-point"
-    assert out.gamma == 1.0
 
 
 # --- ls4: Armijo on F with the ell slope -----------------------------------
 
 def test_ls4_steep_quadratic_pinned():
     prob = steep_quadratic_1d()
-    out = ls4_search(prob, identity(), np.array([1.0]), 1.0,
-                     config=cfg(delta=0.9, theta=0.5, lam_max=1.0))
+    out = search(prob, [1.0], "ls4", cfg(delta=0.9, theta=0.5, lam_max=1.0), other=1.0)
     assert out.lam == 0.25 and out.backtracks == 2
-    assert out.accepted_condition == "armijo"
     assert out.ell == pytest.approx(-16.0)
     assert out.g_next == 0.0
 
 
 def test_ls4_monotone_in_delta():
-    # gamma_k = 0.6 puts the lambda threshold at delta/1.2: the grid
+    # gamma = 0.6 puts the lambda threshold at delta/1.2: the grid
     # accepts 0.25 at delta=0.5 but 0.5 as delta approaches 1
     prob = steep_quadratic_1d()
-    lo = ls4_search(prob, identity(), np.array([1.0]), 0.6,
-                    config=cfg(delta=0.5, theta=0.5, lam_max=1.0))
-    hi = ls4_search(prob, identity(), np.array([1.0]), 0.6,
-                    config=cfg(delta=0.99, theta=0.5, lam_max=1.0))
+    lo = search(prob, [1.0], "ls4", cfg(delta=0.5, theta=0.5, lam_max=1.0), other=0.6)
+    hi = search(prob, [1.0], "ls4", cfg(delta=0.99, theta=0.5, lam_max=1.0), other=0.6)
     assert lo.lam == 0.25 and hi.lam == 0.5
     assert hi.lam > lo.lam
-
-
-def test_ls4_fixed_point():
-    prob = lasso_1d()
-    out = ls4_search(prob, identity(), np.array([2.0]), 1.0, config=cfg())
-    assert out.accepted_condition == "fixed-point"
-    assert out.lam == 1.0
 
 
 # --- Tseng-Yun -------------------------------------------------------------
 
 def test_tseng_yun_pinned():
     prob = steep_quadratic_1d()
-    out = tseng_yun_search(prob, identity(), np.array([1.0]), 1.0,
-                           config=cfg(rule="tseng-yun", sigma=1.0, beta=0.5,
-                                      theta=0.5, lam_max=1.0))
+    out = search(prob, [1.0], "tseng-yun",
+                 cfg(rule="tseng-yun", sigma=1.0, beta=0.5, theta=0.5, lam_max=1.0),
+                 other=1.0)
     assert out.lam == 0.25 and out.backtracks == 2
-    assert out.accepted_condition == "tseng-yun"
 
 
 def test_tseng_yun_reduces_to_ls4(rng):
@@ -244,24 +236,16 @@ def test_tseng_yun_reduces_to_ls4(rng):
         )
         x = rng.standard_normal(3)
         delta = float(rng.uniform(0.1, 0.9))
-        gamma_k = float(rng.uniform(0.2, 2.0))
-        ls4 = ls4_search(prob, identity(3), x, gamma_k,
-                         config=cfg(delta=delta, theta=0.5))
-        ty = tseng_yun_search(prob, identity(3), x, gamma_k,
-                              config=cfg(rule="tseng-yun", sigma=1.0 - delta, beta=0.0,
-                                         theta=0.5))
+        gamma = float(rng.uniform(0.2, 2.0))
+        ls4 = search(prob, x, "ls4", cfg(delta=delta, theta=0.5), other=gamma)
+        ty = search(prob, x, "tseng-yun",
+                    cfg(rule="tseng-yun", sigma=1.0 - delta, beta=0.0, theta=0.5),
+                    other=gamma)
         assert ty.lam == ls4.lam and ty.backtracks == ls4.backtracks
         assert np.array_equal(ty.x_next, ls4.x_next)
 
 
-def test_tseng_yun_validates_parameters():
-    prob = steep_quadratic_1d()
-    with pytest.raises(vmfbs.ConfigurationError):
-        tseng_yun_search(prob, identity(), np.array([1.0]), 1.0,
-                         config=cfg(sigma=1.0, beta=0.0))
-
-
-# --- domain search ----------------------------------------------------------
+# --- domain search ------------------------------------------------------------
 
 def kl_scalar():
     f = vmfbs.KLDivergence(np.array([[1.0]]), np.array([1.0]))
@@ -274,15 +258,15 @@ def test_domain_search_pinned_kl_scalar():
     # grad at x=2 is 0.5, trial point 2 - 0.5 gamma: 8 and 4 leave the
     # open domain, 2 lands at 1
     prob = kl_scalar()
-    out = domain_search(prob, identity(), np.array([2.0]),
-                        config=cfg(gamma_max=8.0, theta=0.5))
+    out = search(prob, [2.0], "domain", cfg(gamma_max=8.0, theta=0.5))
     assert out.gamma == 2.0 and out.backtracks == 2
+    assert out.prox_evals == 3 and out.f_evals == 0
+    assert np.array_equal(out.y, [1.0])
 
 
 def test_domain_search_already_feasible():
     prob = kl_scalar()
-    out = domain_search(prob, identity(), np.array([2.0]),
-                        config=cfg(gamma_max=0.5, theta=0.5))
+    out = search(prob, [2.0], "domain", cfg(gamma_max=0.5, theta=0.5))
     assert out.gamma == 0.5 and out.backtracks == 0
 
 
@@ -291,9 +275,9 @@ def test_domain_search_exhaustion_fails():
     # budget allows
     prob = kl_scalar()
     with pytest.raises(vmfbs.SearchFailure) as err:
-        domain_search(prob, identity(), np.array([2.0]),
-                      config=cfg(gamma_max=1e6, theta=0.5, max_backtracks=3))
+        search(prob, [2.0], "domain", cfg(gamma_max=1e6, theta=0.5, max_backtracks=3))
     assert err.value.diagnostics["trials"] == 4
+    assert err.value.diagnostics["rule"] == "domain"
 
 
 # --- shared invariants -------------------------------------------------------
@@ -309,8 +293,8 @@ def test_step_norm_monotone_in_gamma(rng):
     for _ in range(25):
         x = rng.standard_normal(4)
         g1, g2 = sorted(rng.uniform(0.05, 3.0, size=2))
-        y1, _ = fb_step(prob, m, x, g1, 1.0)
-        y2, _ = fb_step(prob, m, x, g2, 1.0)
+        y1, _ = trial(prob, m, x, g1, 1.0)
+        y2, _ = trial(prob, m, x, g2, 1.0)
         n1 = np.linalg.norm(y1 - x)
         n2 = np.linalg.norm(y2 - x)
         assert n1 <= n2 + 1e-12
@@ -320,7 +304,7 @@ def test_step_norm_monotone_in_gamma(rng):
 def test_accepted_points_sit_on_grid():
     prob = steep_quadratic_1d()
     c = cfg(delta=0.37, theta=0.5, gamma_max=1.3)
-    out = ls1_search(prob, identity(), np.array([0.7]), 1.0, config=c)
+    out = search(prob, [0.7], "ls1", c)
     assert out.gamma == 1.3 * 0.5**out.backtracks
 
 
@@ -330,10 +314,9 @@ def test_descent_inequality_at_accepted_y(rng):
         g=vmfbs.L1Norm(0.2),
         dimension=5,
     )
-    m = identity(5)
     for _ in range(20):
         x = rng.standard_normal(5)
-        out = ls1_search(prob, m, x, 1.0, config=cfg(delta=0.6, theta=0.5, gamma_max=2.0))
+        out = search(prob, x, "ls1", cfg(delta=0.6, theta=0.5, gamma_max=2.0))
         dy = out.y - x
         ell = prob.g.value(out.y) - prob.g.value(x) + float(dy @ prob.f.gradient(x))
         assert ell <= -np.dot(dy, dy) / out.gamma + 1e-10

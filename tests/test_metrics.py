@@ -26,13 +26,6 @@ def test_metric_norm_against_direct_sum():
     m = vmfbs.DiagonalMetric.from_weights(w)
     direct = float(np.sum(w * v * v))
     assert vmfbs.metric_norm_sq(m, v) == pytest.approx(direct, rel=1e-15)
-    assert vmfbs.metric_norm(m, v) == pytest.approx(np.sqrt(direct), rel=1e-15)
-
-
-def test_metric_gradient_divides_by_weights():
-    m = vmfbs.DiagonalMetric.from_weights([2.0, 4.0])
-    g = np.array([2.0, 4.0])
-    assert np.allclose(vmfbs.metric_gradient(m, g), [1.0, 1.0])
 
 
 def test_metric_prox_identity_weights_is_plain_prox():

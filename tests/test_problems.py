@@ -4,7 +4,7 @@ import pytest
 import vmfbs
 from vmfbs.problems import as_vector
 
-from conftest import lasso_1d, random_kl
+from conftest import random_kl
 
 
 def test_as_vector_accepts_scalars_and_lists():
@@ -33,22 +33,6 @@ def test_composite_problem_validates_dimension():
     f = vmfbs.PNormResidual(np.array([[1.0]]), np.array([0.0]))
     with pytest.raises(vmfbs.ConfigurationError):
         vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=0)
-
-
-def test_eval_objective_inf_outside_domain():
-    prob = vmfbs.CompositeProblem(
-        f=vmfbs.PNormResidual(np.array([[1.0]]), np.array([0.0])),
-        g=vmfbs.BoxIndicator(0.0, 1.0),
-        dimension=1,
-    )
-    assert vmfbs.eval_objective(prob, np.array([0.5])) == pytest.approx(0.125)
-    assert vmfbs.eval_objective(prob, np.array([2.0])) == np.inf
-
-
-def test_eval_gradient_matches_term():
-    prob = lasso_1d()
-    x = np.array([1.0])
-    assert vmfbs.eval_gradient(prob, x) == pytest.approx(np.array([-2.0]))
 
 
 def test_kl_gradient_outside_domain_raises():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vmfbs
-from vmfbs.linesearch import fb_step, ls1_search, ls3_search, ls4_search, tseng_yun_search
+from vmfbs.linesearch import line_search
 from vmfbs.metrics import metric_norm_sq, metric_prox
 from vmfbs.prox import soft_threshold
 
@@ -20,6 +20,20 @@ small_pos = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
 def vec(draw, n, lo=-10.0, hi=10.0):
     return np.array(draw(st.lists(
         st.floats(min_value=lo, max_value=hi), min_size=n, max_size=n)))
+
+
+def kernel(prob, m, x, rule, config, *, start, other, y=None):
+    return line_search(
+        prob, m, x, rule, config,
+        fx=prob.f.value(x), gx=prob.g.value(x), grad=prob.f.gradient(x),
+        start=start, other=other, y=y,
+    )
+
+
+def trial(prob, m, x, gamma, lam):
+    """(y, x_next) at (gamma, lam): the domain walk on a finite f takes its first point."""
+    out = kernel(prob, m, x, "domain", vmfbs.LineSearchConfig(), start=gamma, other=lam)
+    return out.y, out.x_next
 
 
 @st.composite
@@ -91,8 +105,8 @@ def test_forward_backward_map_scalings(inst, g1, g2, lam):
     )
     m = vmfbs.identity_metric(a.shape[1])
     lo, hi = sorted((g1, g2))
-    y_lo, x_lo = fb_step(prob, m, x, lo, lam)
-    y_hi, x_hi = fb_step(prob, m, x, hi, lam)
+    y_lo, x_lo = trial(prob, m, x, lo, lam)
+    y_hi, x_hi = trial(prob, m, x, hi, lam)
     n_lo = np.linalg.norm(y_lo - x)
     n_hi = np.linalg.norm(y_hi - x)
     # step length grows with gamma, but no faster than linearly
@@ -111,12 +125,12 @@ def test_tseng_yun_ls4_equivalence(inst, delta, gamma_k):
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=a.shape[1]
     )
     m = vmfbs.identity_metric(a.shape[1])
-    ls4 = ls4_search(prob, m, x, gamma_k,
-                     config=vmfbs.LineSearchConfig(delta=delta, theta=0.5))
-    ty = tseng_yun_search(
-        prob, m, x, gamma_k,
-        config=vmfbs.LineSearchConfig(rule="tseng-yun", sigma=1.0 - delta,
-                                      beta=0.0, theta=0.5))
+    ls4 = kernel(prob, m, x, "ls4", vmfbs.LineSearchConfig(delta=delta, theta=0.5),
+                 start=1.0, other=gamma_k)
+    ty = kernel(
+        prob, m, x, "tseng-yun",
+        vmfbs.LineSearchConfig(rule="tseng-yun", sigma=1.0 - delta, beta=0.0, theta=0.5),
+        start=1.0, other=gamma_k)
     assert ty.lam == ls4.lam
     assert ty.backtracks == ls4.backtracks
 
@@ -131,9 +145,7 @@ def test_condition_chain_ls3_implies_ls1_and_ls4(inst, delta):
     )
     m = vmfbs.identity_metric(n)
     cfg = vmfbs.LineSearchConfig(rule="ls3", delta=delta, theta=0.5, gamma_max=2.0)
-    out = ls3_search(prob, m, x, 1.0, config=cfg)
-    if out.accepted_condition == "fixed-point":
-        return
+    out = kernel(prob, m, x, "ls3", cfg, start=cfg.gamma_max, other=1.0)
     y, gamma, lam = out.y, out.gamma, out.lam
     gx = prob.f.gradient(x)
     fx = prob.f.value(x)
@@ -158,7 +170,97 @@ def test_accepted_step_always_descends(inst, delta):
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=a.shape[1]
     )
     m = vmfbs.identity_metric(a.shape[1])
-    out = ls1_search(prob, m, x, 1.0,
-                     config=vmfbs.LineSearchConfig(delta=delta, theta=0.5))
+    out = kernel(prob, m, x, "ls1", vmfbs.LineSearchConfig(delta=delta, theta=0.5),
+                 start=1.0, other=1.0)
     F = lambda v: prob.f.value(v) + prob.g.value(v)
     assert F(out.x_next) <= F(x) + 1e-10 * (1 + abs(F(x)))
+
+
+def rule_holds(rule, prob, m, x, gamma, lam, cfg):
+    """The rule's acceptance inequality at (gamma, lam), recomputed from scratch."""
+    f, g, w = prob.f, prob.g, m.weights
+    fx, gx, grad = f.value(x), g.value(x), f.gradient(x)
+    y = metric_prox(g, m, x - gamma * (grad / w), gamma)
+    if rule == "domain":
+        return f.in_domain(y)
+    dy = y - x
+    ns = float(np.dot(w, dy * dy))
+    x1 = x + lam * dy
+    if rule == "ls3":
+        if not f.in_interior_domain(x1):
+            return False
+        dg = (f.gradient(x1) - grad) / w
+        lhs = float(np.sqrt(np.dot(w, dg * dg)))
+        rhs = (cfg.delta / gamma) * float(np.sqrt(ns))
+    elif rule in ("ls1", "ls2"):
+        lhs = f.value(x1) - fx - lam * float(dy @ grad)
+        rhs = (cfg.delta * lam / gamma) * ns
+    else:
+        ell = g.value(y) - gx + float(dy @ grad)
+        lhs = (f.value(x1) + g.value(x1)) - (fx + gx)
+        if rule == "ls4":
+            rhs = lam * ((1.0 - cfg.delta) * ell)
+        else:
+            rhs = lam * (cfg.sigma * (ell + (cfg.beta / gamma) * ns))
+    return bool(np.isfinite(lhs) and lhs <= rhs + 1e-14 * (1.0 + abs(fx)))
+
+
+@st.composite
+def search_case(draw, n=4, m=6):
+    """A lasso, p=4 or KL instance with a point, a diagonal metric and a grid."""
+    kind = draw(st.sampled_from(["lasso", "p4", "kl"]))
+    if kind == "kl":
+        a = np.array(draw(st.lists(
+            st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=n, max_size=n),
+            min_size=m, max_size=m)))
+        b = vec(draw, m, 0.1, 5.0)
+        x = vec(draw, n, 0.05, 5.0)
+        prob = vmfbs.CompositeProblem(
+            f=vmfbs.KLDivergence(a, b), g=vmfbs.BoxIndicator(0.0, np.inf),
+            dimension=n, domain_regime="general",
+        )
+    else:
+        a, b, x = draw(instance(n=n, m=m))
+        prob = vmfbs.CompositeProblem(
+            f=vmfbs.PNormResidual(a, b, p=2.0 if kind == "lasso" else 4.0),
+            g=vmfbs.L1Norm(0.3), dimension=n,
+        )
+    w = vec(draw, n, 0.25, 4.0)
+    cfg = vmfbs.LineSearchConfig(
+        delta=draw(st.floats(min_value=0.05, max_value=0.95)),
+        theta=draw(st.sampled_from([0.5, 0.7])),
+        gamma_max=draw(st.sampled_from([0.5, 2.0, 8.0, 64.0])),
+        sigma=0.5,
+        beta=0.5,
+    )
+    return prob, vmfbs.DiagonalMetric.from_weights(w), x, cfg
+
+
+def assert_largest(walk, out, start, prob, m, x, cfg):
+    """out sits on the grid, passes its test, and the next larger grid point fails it."""
+    gamma_walk = walk in ("ls1", "ls3", "domain")
+    assert (out.gamma if gamma_walk else out.lam) == start * cfg.theta**out.backtracks
+    assert rule_holds(walk, prob, m, x, out.gamma, out.lam, cfg)
+    if out.backtracks > 0:
+        larger = start * cfg.theta**(out.backtracks - 1)
+        gamma, lam = (larger, out.lam) if gamma_walk else (out.gamma, larger)
+        assert not rule_holds(walk, prob, m, x, gamma, lam, cfg)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(case=search_case(), rule=st.sampled_from(["ls1", "ls2", "ls3", "ls4", "tseng-yun"]))
+def test_accepted_point_is_the_largest_passing_grid_point(case, rule):
+    # as solve() runs it: in the general regime the domain walk comes first
+    # and hands over its gamma and prox point
+    prob, m, x, cfg = case
+    gamma_k, y0 = cfg.gamma_max, None
+    if prob.domain_regime == "general":
+        dom = kernel(prob, m, x, "domain", cfg, start=cfg.gamma_max, other=1.0)
+        assert_largest("domain", dom, cfg.gamma_max, prob, m, x, cfg)
+        gamma_k, y0 = dom.gamma, dom.y
+    if rule in ("ls1", "ls3"):
+        start, other = gamma_k, 1.0
+    else:
+        start, other = cfg.lam_max, gamma_k
+    out = kernel(prob, m, x, rule, cfg, start=start, other=other, y=y0)
+    assert_largest(rule, out, start, prob, m, x, cfg)

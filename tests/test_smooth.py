@@ -104,14 +104,6 @@ def test_pnorm_lipschitz_only_at_two():
     assert vmfbs.PNormResidual(a, b, p=4.0).lipschitz_bound is None
 
 
-def test_quadratic_lipschitz_op():
-    f = vmfbs.PNormResidual(np.diag([1.0, 3.0]), np.zeros(2))
-    assert vmfbs.quadratic_lipschitz(f) == pytest.approx(9.0, rel=1e-12)
-    f4 = vmfbs.PNormResidual(np.diag([1.0, 3.0]), np.zeros(2), p=4.0)
-    with pytest.raises(vmfbs.Unsupported):
-        vmfbs.quadratic_lipschitz(f4)
-
-
 # --- KL divergence -------------------------------------------------------
 
 def test_kl_pinned_value_and_gradient():

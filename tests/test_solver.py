@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vmfbs
+from vmfbs.diagnostics import check_descent_inequality
 from vmfbs.solver import fixed_step_validate, solve, stopping_check
 
 from conftest import lasso_1d, random_lasso, steep_quadratic_1d
@@ -129,7 +130,7 @@ def quad_problem(n, rng, lip_target=None):
 
 def test_fixed_step_accepts_below_bound(rng):
     prob = quad_problem(6, rng)
-    L = vmfbs.quadratic_lipschitz(prob.f)
+    L = prob.f.lipschitz_bound
     search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=1.9 / L, fixed_lam=1.0)
     report = fixed_step_validate(prob, base_config(search=search, max_iterations=10))
     assert report.passed and report.margin > 0
@@ -142,7 +143,7 @@ def test_fixed_step_accepts_below_bound(rng):
 
 def test_fixed_step_rejects_at_bound(rng):
     prob = quad_problem(5, rng)
-    L = vmfbs.quadratic_lipschitz(prob.f)
+    L = prob.f.lipschitz_bound
     search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=2.0 / L, fixed_lam=1.0)
     report = fixed_step_validate(prob, base_config(search=search))
     assert not report.passed and report.margin <= 0
@@ -153,7 +154,7 @@ def test_fixed_step_rejects_at_bound(rng):
 def test_fixed_step_metric_floor_relaxes_bound(rng):
     # weights >= 2 double the admissible gamma range
     prob = quad_problem(5, rng)
-    L = vmfbs.quadratic_lipschitz(prob.f)
+    L = prob.f.lipschitz_bound
     metrics = vmfbs.constant_schedule(np.full(5, 2.0))
     search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=3.0 / L, fixed_lam=1.0)
     report = fixed_step_validate(
@@ -348,3 +349,48 @@ def test_x0_shape_checked(rng):
     prob = random_lasso(rng)
     with pytest.raises(vmfbs.UsageError):
         solve(prob, np.zeros(prob.dimension + 1), base_config(max_iterations=3))
+
+
+# --- general domain regime ----------------------------------------------------
+
+def kl_8x5(g=None):
+    """The kl-bb-verify benchmark instance at seed 1: A = |N| + 0.1 with 3 I on
+    its top block, g the box [0, inf) unless given."""
+    rng = np.random.default_rng(1)
+    a = np.abs(rng.standard_normal((8, 5))) + 0.1
+    a[:5] += 3.0 * np.eye(5)
+    b = a @ (np.abs(rng.standard_normal(5)) + 0.5)
+    return vmfbs.CompositeProblem(f=vmfbs.KLDivergence(a, b),
+                                  g=g or vmfbs.BoxIndicator(0.0, np.inf),
+                                  dimension=5, domain_regime="general")
+
+
+def test_last_step_is_tested_like_every_other():
+    # the terminal step used to be accepted untested once ||y - x||_W fell
+    # within the tolerance; here it failed sufficient decrease (2.6e-10)
+    prob = kl_8x5()
+    res = solve(prob, np.ones(5), base_config(
+        search=vmfbs.LineSearchConfig(rule="ls4", gamma_max=8.0),
+        metrics=vmfbs.bb_schedule(5, nu=0.25, mu=4.0),
+        max_iterations=20000, tol_fixed_point=1e-6, record_states=True,
+    ))
+    assert res.termination == "fixed_point" and len(res.trace) == 59
+    assert all(report.passed for report in res.verification.values())
+    assert check_descent_inequality(res, prob).passed
+
+
+@pytest.mark.parametrize("rule", ["ls1", "ls2", "ls3", "ls4", "tseng-yun"])
+@pytest.mark.parametrize("g", [None, vmfbs.ZeroTerm()], ids=["box", "zero"])
+def test_general_regime_prox_count(rule, g):
+    # the domain walk's accepted prox point is the search's first one;
+    # without the box, large gammas leave dom f and the domain walk backtracks
+    kw = {"sigma": 0.5, "beta": 0.5} if rule == "tseng-yun" else {}
+    search = vmfbs.LineSearchConfig(rule=rule, gamma_max=8.0, **kw)
+    res = solve(kl_8x5(g), np.ones(5), base_config(
+        search=search, metrics=vmfbs.bb_schedule(5, nu=0.25, mu=4.0), max_iterations=30,
+    ))
+    t = res.trace
+    domain_backtracks = np.round(np.log(8.0 / t.domain_gamma) / np.log(1 / search.theta))
+    searched = t.backtracks if rule in ("ls1", "ls3") else 0
+    assert np.array_equal(t.prox_evals, domain_backtracks + 1 + searched)
+    assert (domain_backtracks.max() > 0) == (g is not None)
