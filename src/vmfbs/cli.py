@@ -1,6 +1,7 @@
 """Command-line experiment harness.
 
-Subcommands: ``solve`` (run one configuration, write a trace CSV),
+Subcommands: ``solve`` (run one configuration, write a trace CSV with
+every :class:`~vmfbs.solver.IterateTrace` column),
 ``compare`` (run several stepsize rules on the same problem, tabulate
 cost counters), ``validate-metrics`` (finite-horizon partial sums of a
 metric schedule), ``rate`` (solve plus k*(F_k - F*) decade tails).
@@ -46,7 +47,7 @@ from .prox import (
     zero_piece,
 )
 from .smooth import KLDivergence, PNormResidual
-from .solver import SolverConfig, solve
+from .solver import IterateTrace, SolverConfig, solve
 
 __all__ = ["main", "load_spec", "build_problem", "build_solver_config"]
 
@@ -379,16 +380,14 @@ def build_solver_config(spec: dict, n: int) -> SolverConfig:
         raise UsageError(f"{path}: {exc}") from None
 
 
-_TRACE_HEADER = "k,F,gamma,lambda,backtracks,step_norm,check_max_residual"
+# every IterateTrace column, in order; the header spells lam as "lambda"
+_TRACE_HEADER = ",".join("lambda" if name == "lam" else name for name in IterateTrace._fields)
 
 
 def _write_trace_csv(path, trace):
     with open(path, "w") as fh:
         fh.write(_TRACE_HEADER + "\n")
-        cols = (
-            trace.k, trace.F, trace.gamma, trace.lam,
-            trace.backtracks, trace.step_norm, trace.check_max_residual,
-        )
+        cols = [trace.column(name) for name in IterateTrace._fields]
         for row in zip(*cols):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 

@@ -33,6 +33,7 @@ y = x and every test passes at the first grid point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,8 @@ class StepOutcome:
     """One accepted forward-backward step.
 
     ``y`` is the unrelaxed prox point at the accepted gamma and
-    ``x_next = x + lam * (y - x)``. ``norm_sq_yx`` is ||y - x||_W^2.
+    ``x_next = x + lam * (y - x)``. ``norm_sq_yx`` is ||y - x||_W^2 and
+    ``gdot`` is <y - x, grad f(x)>.
     ``f_next``/``g_next``/``ell`` are filled when the rule evaluated
     them, so the solver can reuse instead of re-evaluating. The counters
     are the oracle calls the step made.
@@ -119,17 +121,13 @@ class StepOutcome:
     x_next: np.ndarray
     backtracks: int
     norm_sq_yx: float
+    gdot: float
     f_next: float | None = None
     g_next: float | None = None
     ell: float | None = None
     f_evals: int = 0
     grad_evals: int = 0
     prox_evals: int = 0
-
-
-def _prox_point(problem, metric, x, grad, gamma):
-    z = x - gamma * (grad / metric.weights)
-    return metric_prox(problem.g, metric, z, gamma)
 
 
 def line_search(
@@ -157,21 +155,24 @@ def line_search(
     :class:`SearchFailure` when no grid point within ``max_backtracks``
     passes.
     """
-    f = problem.f
+    f, g = problem.f, problem.g
     walks_gamma = rule in _GAMMA_WALKS
+    if walks_gamma or y is None:
+        # W^{-1} grad f(x): the forward step of every prox point is x - gamma * scaled_grad
+        scaled_grad = grad / metric.weights
     nf = ngrad = nprox = 0
     ell = g_next = None
     lhs = rhs = np.nan
     if not walks_gamma:
         gamma = other
         if y is None:
-            y = _prox_point(problem, metric, x, grad, gamma)
+            y = metric_prox(g, metric, x - gamma * scaled_grad, gamma)
             nprox += 1
         dy = y - x
         ns = metric_norm_sq(metric, dy)
         gdot = float(dy @ grad)
         if rule in ("ls4", "tseng-yun"):
-            ell = problem.g.value(y) - gx + gdot
+            ell = g.value(y) - gx + gdot
             if rule == "ls4":
                 slope = (1.0 - config.delta) * ell
             else:
@@ -183,7 +184,7 @@ def line_search(
         if walks_gamma:
             gamma, lam = t, other
             if i > 0 or y is None:
-                y = _prox_point(problem, metric, x, grad, gamma)
+                y = metric_prox(g, metric, x - gamma * scaled_grad, gamma)
                 nprox += 1
             dy = y - x
             ns = metric_norm_sq(metric, dy)
@@ -200,8 +201,8 @@ def line_search(
             grad_next = f.gradient(x_next)
             ngrad += 1
             dg = (grad_next - grad) / metric.weights
-            lhs = float(np.sqrt(metric_norm_sq(metric, dg)))
-            rhs = (config.delta / gamma) * float(np.sqrt(ns))
+            lhs = math.sqrt(metric_norm_sq(metric, dg))
+            rhs = (config.delta / gamma) * math.sqrt(ns)
         else:
             f_next = f.value(x_next)
             nf += 1
@@ -209,12 +210,12 @@ def line_search(
                 lhs = f_next - fx - lam * gdot
                 rhs = (config.delta * lam / gamma) * ns
             else:
-                g_next = problem.g.value(x_next)
+                g_next = g.value(x_next)
                 lhs = (f_next + g_next) - fgx
                 rhs = lam * slope
         if rule != "domain":
             # +inf or nan on the left is a failed trial, never an acceptance
-            accepted = np.isfinite(lhs) and lhs <= rhs + slack
+            accepted = math.isfinite(lhs) and lhs <= rhs + slack
         if accepted:
             return StepOutcome(
                 gamma=gamma,
@@ -223,6 +224,7 @@ def line_search(
                 x_next=x_next,
                 backtracks=i,
                 norm_sq_yx=ns,
+                gdot=gdot,
                 f_next=f_next,
                 g_next=g_next,
                 ell=ell,

@@ -23,6 +23,7 @@ sums and a verdict against a caller-supplied budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,7 +59,7 @@ class DiagonalMetric:
     @classmethod
     def from_weights(cls, weights) -> "DiagonalMetric":
         w = as_vector(weights)
-        if not np.all(w > 0):
+        if not (w > 0).all():
             raise ConfigurationError("metric weights must be strictly positive")
         w = w.copy()
         w.flags.writeable = False
@@ -77,18 +78,19 @@ def identity_metric(n: int) -> DiagonalMetric:
     return DiagonalMetric.from_weights(np.ones(n))
 
 
-def _check_dim(metric: DiagonalMetric, v: np.ndarray):
-    if v.size != metric.weights.size:
-        raise UsageError(
-            f"vector of length {v.size} does not match metric of dimension {metric.weights.size}"
-        )
+def _dim_error(metric: DiagonalMetric, v: np.ndarray) -> UsageError:
+    return UsageError(
+        f"vector of length {v.size} does not match metric of dimension {metric.weights.size}"
+    )
 
 
 def metric_norm_sq(metric: DiagonalMetric, v: np.ndarray) -> float:
     """||v||_W^2 = sum_i w_i v_i^2."""
     v = np.asarray(v, dtype=float)
-    _check_dim(metric, v)
-    return float(np.dot(metric.weights, v * v))
+    w = metric.weights
+    if v.size != w.size:
+        raise _dim_error(metric, v)
+    return float(w @ (v * v))
 
 
 def metric_prox(g: ProxTerm, metric: DiagonalMetric, z: np.ndarray, gamma: float) -> np.ndarray:
@@ -100,11 +102,13 @@ def metric_prox(g: ProxTerm, metric: DiagonalMetric, z: np.ndarray, gamma: float
     prox reduces to the Euclidean prox at stepsize gamma / c; the term
     itself raises :class:`ConfigurationError` otherwise.
     """
-    if gamma <= 0 or not np.isfinite(gamma):
+    if gamma <= 0 or not math.isfinite(gamma):
         raise UsageError(f"gamma must be positive and finite, got {gamma}")
     z = np.asarray(z, dtype=float)
-    _check_dim(metric, z)
-    return g.prox(z, float(gamma), metric.weights)
+    w = metric.weights
+    if z.size != w.size:
+        raise _dim_error(metric, z)
+    return g.prox(z, float(gamma), w)
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,17 @@ class MetricSchedule:
     state-dependent strategies (BB) get their state through the snapshot.
     Emitted weights are checked against the declared global bounds, with
     a small relative slack for float round-off.
+
+    ``rows`` is set by the factories of schedules whose weights do not
+    depend on the run (constant, table): the metrics emitted at
+    k = 0, 1, ..., len(rows) - 1, after which the schedule holds the last
+    one (or refuses, for a table with ``extend="error"``). It stays None
+    for BB and for any schedule built directly, which then counts as
+    reading its :class:`StepSnapshot`: the solver builds a snapshot only
+    for those, and the validators cannot judge them without a run.
     """
+
+    rows: tuple[DiagonalMetric, ...] | None = None
 
     def __init__(
         self,
@@ -152,13 +166,20 @@ class MetricSchedule:
         self.global_mu = float(global_mu)
         self.declared_regime = declared_regime
         self.kind = kind
+        slack = 1e-12
+        self._nu_floor = self.global_nu * (1 - slack)
+        self._mu_ceiling = self.global_mu * (1 + slack)
+
+    @property
+    def reads_state(self) -> bool:
+        """Whether the weights depend on the solver state (no state-free ``rows``)."""
+        return self.rows is None
 
     def metric_at(self, k: int, snapshot: StepSnapshot | None = None) -> DiagonalMetric:
         if k < 0:
             raise UsageError(f"iteration index must be nonnegative, got {k}")
         m = self._generator(k, snapshot)
-        slack = 1e-12
-        if m.nu_k < self.global_nu * (1 - slack) or m.mu_k > self.global_mu * (1 + slack):
+        if m.nu_k < self._nu_floor or m.mu_k > self._mu_ceiling:
             raise ConfigurationError(
                 f"schedule emitted weights in [{m.nu_k}, {m.mu_k}] at k={k}, outside "
                 f"declared bounds [{self.global_nu}, {self.global_mu}]"
@@ -169,13 +190,15 @@ class MetricSchedule:
 def constant_schedule(weights) -> MetricSchedule:
     """The same diagonal metric every iteration (identity when w = ones)."""
     m = DiagonalMetric.from_weights(weights)
-    return MetricSchedule(
+    sched = MetricSchedule(
         lambda k, snap: m,
         global_nu=m.nu_k,
         global_mu=m.mu_k,
         declared_regime="constant",
         kind="constant",
     )
+    sched.rows = (m,)
+    return sched
 
 
 def table_schedule(
@@ -188,7 +211,7 @@ def table_schedule(
     """
     if extend not in ("hold", "error"):
         raise ConfigurationError(f"extend must be 'hold' or 'error', got {extend!r}")
-    rows = [DiagonalMetric.from_weights(w) for w in tables]
+    rows = tuple(DiagonalMetric.from_weights(w) for w in tables)
     if not rows:
         raise ConfigurationError("table_schedule needs at least one row")
 
@@ -200,7 +223,7 @@ def table_schedule(
         raise UsageError(f"schedule table has {len(rows)} rows, asked for k={k}")
 
     sched = MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime=regime, kind="table")
-    sched.table_length = len(rows)
+    sched.rows = rows
     return sched
 
 
@@ -227,37 +250,50 @@ def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSch
         if k == 0 or snap is None:
             return DiagonalMetric.from_weights(start)
         prev = np.asarray(snap.prev_weights, dtype=float)
-        scale = float(np.max(np.abs(snap.dx))) if snap.dx.size else 0.0
+        adx = np.abs(snap.dx)
+        scale = float(adx.max()) if adx.size else 0.0
         raw = prev.copy()
-        ok = np.abs(snap.dx) > 1e-12 * (1.0 + scale)
+        ok = adx > 1e-12 * (1.0 + scale)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(ok, snap.dgrad / np.where(ok, snap.dx, 1.0), 0.0)
         good = ok & (ratio > 0) & np.isfinite(ratio)
         raw[good] = ratio[good]
-        w = np.clip(raw, nu, mu)
+        w = raw.clip(nu, mu)
         w = np.minimum(w, (1.0 + eta0 * 2.0 ** (-(k - 1))) * prev)
         return DiagonalMetric.from_weights(w)
 
     return MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime="growth", kind="bb")
 
 
-def _emit_weights(schedule: MetricSchedule, horizon: int) -> list[np.ndarray]:
+def _emit_weights(schedule: MetricSchedule, horizon: int) -> list[np.ndarray] | None:
+    """The weights of steps 0..horizon-1, or None when they depend on the run."""
     if horizon < 1:
         raise UsageError(f"horizon must be >= 1, got {horizon}")
-    # state-free emission; BB schedules fall back to their start weights
+    if schedule.reads_state:
+        return None
     return [schedule.metric_at(k, None).weights for k in range(horizon)]
+
+
+_NEEDS_RUN = "n/a: needs a run, the weights depend on the solver state"
 
 
 @dataclass
 class GrowthReport:
-    """Per-step relative growth of the weights over a finite horizon."""
+    """Per-step relative growth of the weights over a finite horizon.
+
+    For a schedule that reads the solver state ``needs_run`` is set,
+    ``eta`` is empty, ``partial_sum`` NaN and ``passed`` None.
+    """
 
     eta: np.ndarray
     partial_sum: float
     budget: float | None
     passed: bool | None
+    needs_run: bool = False
 
     def __str__(self):
+        if self.needs_run:
+            return f"growth: {_NEEDS_RUN}"
         verdict = "n/a" if self.passed is None else ("pass" if self.passed else "FAIL")
         return (
             f"growth: sum eta over {self.eta.size} steps = {self.partial_sum:.6g}"
@@ -267,14 +303,21 @@ class GrowthReport:
 
 @dataclass
 class SpreadReport:
-    """Per-step eigenvalue spread mu_k - nu_k over a finite horizon."""
+    """Per-step eigenvalue spread mu_k - nu_k over a finite horizon.
+
+    For a schedule that reads the solver state ``needs_run`` is set,
+    ``gaps`` is empty, ``partial_sum`` NaN and ``passed`` None.
+    """
 
     gaps: np.ndarray
     partial_sum: float
     budget: float | None
     passed: bool | None
+    needs_run: bool = False
 
     def __str__(self):
+        if self.needs_run:
+            return f"spread: {_NEEDS_RUN}"
         verdict = "n/a" if self.passed is None else ("pass" if self.passed else "FAIL")
         return (
             f"spread: sum (mu_k - nu_k) over {self.gaps.size} steps = {self.partial_sum:.6g}"
@@ -301,9 +344,13 @@ def validate_growth(schedule: MetricSchedule, horizon: int, budget: float | None
 
     Heuristic by nature: passing over a finite horizon does not prove the
     infinite sum converges. With ``budget=None`` only the partial sum is
-    reported.
+    reported. A schedule that reads the solver state has no weights
+    before a run, so its report says so and passes nothing.
     """
     ws = _emit_weights(schedule, horizon)
+    if ws is None:
+        return GrowthReport(eta=np.zeros(0), partial_sum=np.nan, budget=budget,
+                            passed=None, needs_run=True)
     eta = growth_from_weights(ws)
     total = float(eta.sum())
     passed = None if budget is None else bool(total <= budget)
@@ -311,8 +358,15 @@ def validate_growth(schedule: MetricSchedule, horizon: int, budget: float | None
 
 
 def validate_spread(schedule: MetricSchedule, horizon: int, budget: float | None = None) -> SpreadReport:
-    """Partial sums of the eigenvalue spread, checked against a budget."""
+    """Partial sums of the eigenvalue spread, checked against a budget.
+
+    As :func:`validate_growth`, a schedule that reads the solver state
+    gets a report that needs a run.
+    """
     ws = _emit_weights(schedule, horizon)
+    if ws is None:
+        return SpreadReport(gaps=np.zeros(0), partial_sum=np.nan, budget=budget,
+                            passed=None, needs_run=True)
     gaps = np.array([float(w.max() - w.min()) for w in ws])
     total = float(gaps.sum())
     passed = None if budget is None else bool(total <= budget)

@@ -67,7 +67,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise UsageError(f"expected a vector, got array with shape {v.shape}")
     if dim is not None and v.size != dim:
         raise UsageError(f"expected a vector of length {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise UsageError("vector has non-finite entries")
     return v
 

@@ -13,6 +13,7 @@ with per-coordinate stepsize gamma / w_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +46,7 @@ def soft_threshold(z, tau):
     """
     z = np.asarray(z, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
+    if (tau < 0).any():
         raise UsageError("soft threshold needs tau >= 0")
     out = np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
     return float(out) if out.ndim == 0 else out
@@ -56,7 +57,7 @@ def project_box(z, lo, hi):
     z = np.asarray(z, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
+    if (lo > hi).any():
         raise ConfigurationError("empty box: lo > hi somewhere")
     out = np.minimum(np.maximum(z, lo), hi)
     return float(out) if out.ndim == 0 else out
@@ -76,7 +77,7 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
     exactly constant.
     """
     z = as_vector(z)
-    if not (gamma >= 0) or not np.isfinite(gamma):
+    if not (gamma >= 0) or not math.isfinite(gamma):
         raise UsageError(f"gamma must be nonnegative and finite, got {gamma}")
     n = z.size
     if n == 1 or gamma == 0.0:
@@ -162,10 +163,9 @@ class L1Norm(ProxTerm):
         self.weight = float(weight)
 
     def value(self, x) -> float:
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def prox(self, z, gamma, weights=None):
-        z = np.asarray(z, dtype=float)
         tau = self.weight * gamma if weights is None else self.weight * gamma / weights
         return soft_threshold(z, tau)
 
@@ -198,12 +198,11 @@ class BoxIndicator(ProxTerm):
         self.hi = hi
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.0 if bool(np.all(x >= self.lo) and np.all(x <= self.hi)) else np.inf
+        return 0.0 if self.in_domain(x) else np.inf
 
     def in_domain(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        return bool((x >= self.lo).all() and (x <= self.hi).all())
 
     def prox(self, z, gamma, weights=None):
         return project_box(z, self.lo, self.hi)
@@ -342,7 +341,7 @@ class Tv1dNorm(ProxTerm):
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return self.weight * float(np.sum(np.abs(np.diff(x))))
+        return self.weight * float(np.abs(np.diff(x)).sum())
 
     def prox(self, z, gamma, weights=None):
         z = np.asarray(z, dtype=float)

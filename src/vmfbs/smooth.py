@@ -167,7 +167,7 @@ class PNormResidual(_Composite):
 
     def _value(self, ax) -> float:
         r = ax - self.b
-        return float(np.sum(np.abs(r) ** self.p) / self.p)
+        return float((np.abs(r) ** self.p).sum() / self.p)
 
     def _outer_gradient(self, ax) -> np.ndarray:
         r = ax - self.b
@@ -198,17 +198,17 @@ class KLDivergence(_Composite):
             raise ConfigurationError("KL needs b > 0 componentwise")
 
     def _value(self, ax) -> float:
-        if np.any(ax <= 0):
+        if (ax <= 0).any():
             return np.inf
-        return float(np.sum(self.b * np.log(self.b / ax) + ax - self.b))
+        return float((self.b * np.log(self.b / ax) + ax - self.b).sum())
 
     def _outer_gradient(self, ax) -> np.ndarray:
-        if np.any(ax <= 0):
+        if (ax <= 0).any():
             raise DomainError("gradient of the KL term needs (Ax)_i > 0 for every i")
         return 1.0 - self.b / ax
 
     def in_domain(self, x) -> bool:
-        return bool(np.all(self._image(x) > 0))
+        return bool((self._image(x) > 0).all())
 
     # dom f is open
     in_interior_domain = in_domain

@@ -19,6 +19,14 @@ The search tests the last step like any other; a run stops at the
 fixed-point tolerance through :func:`stopping_check` on the accepted
 step.
 
+The trace is stored by column: each iteration appends its fifteen
+values straight to fifteen lists, and :class:`Trace` turns them into
+arrays when the run ends. No per-iteration row object is built;
+``stopping_check`` reads the F column and the last scaled residual.
+The :class:`~vmfbs.metrics.StepSnapshot` a schedule may read (two
+vector differences) is built only for schedules whose weights depend
+on the run (:attr:`~vmfbs.metrics.MetricSchedule.reads_state`).
+
 The recorded per-iteration residuals (descent inequality, sufficient
 decrease) are signed; nonpositive means the inequality holds. For the
 checkers' use, fixed-step runs carry the effective delta
@@ -28,7 +36,7 @@ holds, and Tseng-Yun runs carry 1 - (1-beta) sigma.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -225,16 +233,19 @@ def _as_schedule(value, name: str) -> Callable[[int], float]:
 
 
 def _min_nu(schedule: MetricSchedule | None, horizon: int) -> float:
+    """Smallest nu_k over the first ``horizon`` steps.
+
+    A schedule with state-free ``rows`` answers from the rows the horizon
+    reaches, emitted through ``metric_at`` so that each is checked
+    against the declared bounds. One whose weights depend on the run
+    answers its declared global bound, which is conservative (nu_k >= nu
+    makes the true sup ratio smaller).
+    """
     if schedule is None:
         return 1.0
-    if schedule.kind == "constant":
-        return schedule.metric_at(0).nu_k
-    if schedule.kind == "table":
-        steps = min(horizon, schedule.table_length)
-        return min(schedule.metric_at(k).nu_k for k in range(steps))
-    # stateful or custom schedules: fall back to the declared global bound,
-    # which is conservative (nu_k >= nu makes the true sup ratio smaller)
-    return schedule.global_nu
+    if schedule.reads_state:
+        return schedule.global_nu
+    return min(schedule.metric_at(k).nu_k for k in range(min(horizon, len(schedule.rows))))
 
 
 def fixed_step_validate(problem: CompositeProblem, config: SolverConfig) -> FixedStepReport:
@@ -262,21 +273,22 @@ def fixed_step_validate(problem: CompositeProblem, config: SolverConfig) -> Fixe
     )
 
 
-def stopping_check(rows: Sequence[IterateTrace], config: SolverConfig) -> str | None:
-    """Termination reason from the trailing records, or None to continue.
+def stopping_check(F: Sequence[float], fp_scaled: float, config: SolverConfig) -> str | None:
+    """Termination reason after the last recorded row, or None to continue.
 
-    Fixed point when the last row's scaled residual is within
-    tol_fixed_point; objective stall when the F decrease across the
-    trailing stall window is below tol_objective_stall.
+    ``F`` is the trace's F column so far (one value per recorded row) and
+    ``fp_scaled`` the last row's scaled residual. Fixed point when
+    fp_scaled is within tol_fixed_point; objective stall when the F
+    decrease across the trailing stall window is below
+    tol_objective_stall.
     """
-    if len(rows) < 1:
+    if len(F) < 1:
         raise UsageError("stopping_check needs at least one recorded iterate")
-    last = rows[-1]
-    if last.fp_scaled <= config.tol_fixed_point:
+    if fp_scaled <= config.tol_fixed_point:
         return "fixed_point"
     w = config.stall_window
-    if config.tol_objective_stall > 0 and len(rows) > w:
-        if rows[-(w + 1)].F - rows[-1].F < config.tol_objective_stall:
+    if config.tol_objective_stall > 0 and len(F) > w:
+        if F[-(w + 1)] - F[-1] < config.tol_objective_stall:
             return "objective_stall"
     return None
 
@@ -351,12 +363,22 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     )
 
     cols = {name: [] for name in IterateTrace._fields}
-    tail: deque = deque(maxlen=config.stall_window + 1)
+    F_col = cols["F"]
+    (
+        add_k, add_F, add_gamma, add_lam, add_backtracks, add_step_norm, add_mapping_norm,
+        add_fp_scaled, add_descent, add_decrease, add_check_max, add_domain_gamma,
+        add_f_evals, add_grad_evals, add_prox_evals,
+    ) = (cols[name].append for name in IterateTrace._fields)
+    record_checks = config.record_checks
     record_states = config.record_states
     xs = [x.copy()] if record_states else None
     ys = [] if record_states else None
     w_rows = [] if record_states else None
 
+    f, g = problem.f, problem.g
+    metric_at = schedule.metric_at
+    reads_state = schedule.reads_state
+    walks_gamma = rule in ("ls1", "ls3")
     x_prev = None
     grad_prev = None
     w_prev = None
@@ -366,16 +388,16 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     failure = None
 
     for k in range(config.max_iterations):
-        grad = problem.f.gradient(x)
+        grad = f.gradient(x)
         nf_k, ngrad_k, nprox_k = 0, 1, 0
         snapshot = None
-        if k > 0:
+        if reads_state and k > 0:
             snapshot = StepSnapshot(dx=x - x_prev, dgrad=grad - grad_prev, prev_weights=w_prev)
-        metric = schedule.metric_at(k, snapshot)
+        metric = metric_at(k, snapshot)
         if record_states:
             w_rows.append(metric.weights)
 
-        dom_gamma = np.nan
+        dom_gamma = math.nan
         try:
             y_start = None
             if general:
@@ -387,14 +409,14 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
                 nprox_k += dom.prox_evals
             if rule == "fixed":
                 gamma, lam = ls.fixed_gamma, ls.fixed_lam
-                y = metric_prox(problem.g, metric, x - gamma * (grad / metric.weights), gamma)
+                y = metric_prox(g, metric, x - gamma * (grad / metric.weights), gamma)
                 dy = y - x
                 outcome = StepOutcome(
                     gamma=gamma, lam=lam, y=y, x_next=x + lam * dy, backtracks=0,
-                    norm_sq_yx=metric_norm_sq(metric, dy), prox_evals=1,
+                    norm_sq_yx=metric_norm_sq(metric, dy), gdot=float(dy @ grad), prox_evals=1,
                 )
             else:
-                if rule in ("ls1", "ls3"):
+                if walks_gamma:
                     other = float(lam_at(k))
                     if not (0 < other <= 1):
                         raise ConfigurationError(f"lam_schedule({k}) = {other} outside (0,1]")
@@ -409,7 +431,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
                         other = dom_gamma
                     else:
                         other = float(gamma_at(k))
-                        if not (other > 0 and np.isfinite(other)):
+                        if not (other > 0 and math.isfinite(other)):
                             raise ConfigurationError(
                                 f"gamma_schedule({k}) = {other} must be positive and finite"
                             )
@@ -433,53 +455,46 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         x_next = outcome.x_next
         f_next = outcome.f_next
         if f_next is None:
-            f_next = problem.f.value(x_next)
+            f_next = f.value(x_next)
             nf_k += 1
         g_next = outcome.g_next
         if g_next is None:
-            g_next = problem.g.value(x_next)
+            g_next = g.value(x_next)
         F_here = fx + gx
         F_next = f_next + g_next
 
-        ns = outcome.norm_sq_yx
-        root_ns = float(np.sqrt(ns))
-        step_norm = float(np.linalg.norm(x_next - x))
-        fp_scaled = root_ns / (1.0 + float(np.linalg.norm(x)))
+        gamma, lam, ns = outcome.gamma, outcome.lam, outcome.norm_sq_yx
+        root_ns = math.sqrt(ns)
+        step = x_next - x
+        step_norm = math.sqrt(step @ step)
+        fp_scaled = root_ns / (1.0 + math.sqrt(x @ x))
 
-        if config.record_checks:
+        if record_checks:
             ell = outcome.ell
             if ell is None:
                 # verification-only evaluation, kept out of the counters
-                gy = problem.g.value(outcome.y)
-                ell = gy - gx + float((outcome.y - x) @ grad)
-            descent_res = ell + ns / outcome.gamma
-            decrease_res = (1.0 - delta_eff) * outcome.lam**2 * ns - outcome.gamma * (
-                F_here - F_next
-            )
+                ell = g.value(outcome.y) - gx + outcome.gdot
+            descent_res = ell + ns / gamma
+            decrease_res = (1.0 - delta_eff) * lam**2 * ns - gamma * (F_here - F_next)
             check_max = max(descent_res, decrease_res) / (1.0 + abs(F_here))
         else:
-            descent_res = decrease_res = check_max = np.nan
+            descent_res = decrease_res = check_max = math.nan
 
-        row = IterateTrace(
-            k=k,
-            F=F_here,
-            gamma=outcome.gamma,
-            lam=outcome.lam,
-            backtracks=outcome.backtracks,
-            step_norm=step_norm,
-            mapping_norm=root_ns / outcome.gamma,
-            fp_scaled=fp_scaled,
-            descent_residual=descent_res,
-            decrease_residual=decrease_res,
-            check_max_residual=check_max,
-            domain_gamma=dom_gamma,
-            f_evals=nf_k,
-            grad_evals=ngrad_k,
-            prox_evals=nprox_k,
-        )
-        for name, value in zip(IterateTrace._fields, row):
-            cols[name].append(value)
-        tail.append(row)
+        add_k(k)
+        add_F(F_here)
+        add_gamma(gamma)
+        add_lam(lam)
+        add_backtracks(outcome.backtracks)
+        add_step_norm(step_norm)
+        add_mapping_norm(root_ns / gamma)
+        add_fp_scaled(fp_scaled)
+        add_descent(descent_res)
+        add_decrease(decrease_res)
+        add_check_max(check_max)
+        add_domain_gamma(dom_gamma)
+        add_f_evals(nf_k)
+        add_grad_evals(ngrad_k)
+        add_prox_evals(nprox_k)
         total_f += nf_k
         total_grad += ngrad_k
         total_prox += nprox_k
@@ -493,10 +508,10 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         x = x_next
         fx = f_next
         gx = g_next
-        warm_gamma = outcome.gamma
-        warm_lam = outcome.lam
+        warm_gamma = gamma
+        warm_lam = lam
 
-        reason = stopping_check(tail, config)
+        reason = stopping_check(F_col, fp_scaled, config)
         if reason is not None:
             termination = reason
             break
@@ -507,19 +522,19 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             # align: emit the metric of the next (never-run) iteration so
             # transition k can use weight rows k and k+1
             snapshot = None
-            if x_prev is not None:
-                grad_final = problem.f.gradient(x)  # verification-only
+            if reads_state and x_prev is not None:
+                grad_final = f.gradient(x)  # verification-only
                 snapshot = StepSnapshot(
                     dx=x - x_prev, dgrad=grad_final - grad_prev, prev_weights=w_prev
                 )
-            w_rows.append(schedule.metric_at(len(w_rows), snapshot).weights)
+            w_rows.append(metric_at(len(w_rows), snapshot).weights)
         states = States(
             xs=np.array(xs), ys=np.array(ys).reshape(len(ys), n), weights=np.array(w_rows)
         )
 
     trace = Trace(cols)
     verification = {}
-    if config.record_checks and len(trace) > 0:
+    if record_checks and len(trace) > 0:
         scales = 1.0 + np.abs(trace.F)
         verification["descent"] = CheckReport(
             name="descent",

@@ -1,0 +1,202 @@
+"""Golden traces of the solver paths the criterion-02 goldens do not reach.
+
+``golden.py`` pins 600 runs under the identity metric, with checks on,
+the stall rule off and states kept only for 25-iteration runs. The
+batches here pin the rest of the loop:
+
+- ``bb``: the Barzilai-Borwein schedule, on 8x5 KL problems in the
+  general domain regime (box, gamma_max 8, states kept) and on 30x20
+  lassos;
+- ``table``: a 10-row table schedule held past its end, with
+  ``tol_objective_stall > 0`` so that every run ends in
+  ``objective_stall``, on lassos (all six rules) and on KL problems;
+- ``custom``: schedules built directly with ``MetricSchedule``, one
+  reading the solver state and one ignoring it, with
+  ``record_checks=False``;
+- ``states``: constant non-identity and uniform metrics with
+  ``record_states=True``, on lassos and a TV problem;
+- ``failure``: a run that ends in ``search_failure`` at its third step,
+  with states kept.
+
+Per batch the file holds all fifteen trace columns concatenated over
+the runs, the row count, termination and dimension of each run, the
+concatenated final iterates and, for runs that keep states, the
+concatenated ``xs``, ``ys`` and ``weights`` with their row counts.
+``tests/test_golden_paths.py`` requires every array to be bitwise equal.
+The committed ``tests/golden_paths.npz`` was recorded with numpy 2.4.6
+on scipy-openblas 0.3.31 (x86-64) by:
+
+    PYTHONPATH=src:tests python tests/golden_paths.py tests/golden_paths.npz
+"""
+
+import sys
+
+import numpy as np
+
+import vmfbs
+
+FIELDS = vmfbs.IterateTrace._fields
+BACKTRACKING = ("ls1", "ls2", "ls3", "ls4", "tseng-yun")
+
+
+def lasso(seed, m=30, n=20, p=2.0):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) / np.sqrt(n)
+    b = rng.standard_normal(m)
+    f = vmfbs.PNormResidual(a, b, p=p)
+    return vmfbs.CompositeProblem(f=f, g=vmfbs.L1Norm(0.1), dimension=n), np.zeros(n)
+
+
+def kl(seed, m=8, n=5):
+    rng = np.random.default_rng(seed)
+    a = np.abs(rng.standard_normal((m, n))) + 0.1
+    a[:n] += 3.0 * np.eye(n)
+    b = a @ (np.abs(rng.standard_normal(n)) + 0.5)
+    problem = vmfbs.CompositeProblem(
+        f=vmfbs.KLDivergence(a, b), g=vmfbs.BoxIndicator(0.0, np.inf),
+        dimension=n, domain_regime="general",
+    )
+    return problem, np.ones(n)
+
+
+def tv(seed, n=40):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n + 5, n)) / np.sqrt(n)
+    b = a @ np.repeat([0.0, 1.0, -0.5, 0.5], n // 4) + 0.05 * rng.standard_normal(n + 5)
+    f = vmfbs.PNormResidual(a, b)
+    return vmfbs.CompositeProblem(f=f, g=vmfbs.Tv1dNorm(0.1), dimension=n), np.zeros(n)
+
+
+def weight_table(seed, n, rows=10):
+    rng = np.random.default_rng(seed)
+    table = [rng.uniform(0.5, 2.0, n) for _ in range(rows)]
+    return vmfbs.table_schedule(table, nu=0.5, mu=2.0, regime="growth")
+
+
+def state_schedule(n):
+    """Custom schedule reading the snapshot: weights pulled toward 1 + |dgrad| / (1 + |dgrad|)."""
+    def gen(k, snap):
+        if snap is None:
+            return vmfbs.DiagonalMetric.from_weights(np.ones(n))
+        target = 1.0 + np.abs(snap.dgrad) / (1.0 + np.abs(snap.dgrad))
+        w = snap.prev_weights + 2.0 ** (-k) * (target - snap.prev_weights)
+        return vmfbs.DiagonalMetric.from_weights(np.clip(w, 1.0, 2.0))
+    return vmfbs.MetricSchedule(gen, global_nu=1.0, global_mu=2.0, declared_regime="growth")
+
+
+def alternating_schedule(n):
+    """Custom schedule ignoring the snapshot: two fixed rows in turn."""
+    rows = [vmfbs.DiagonalMetric.from_weights(np.linspace(1.0, 1.5, n)),
+            vmfbs.DiagonalMetric.from_weights(np.linspace(1.5, 1.0, n))]
+    return vmfbs.MetricSchedule(
+        lambda k, snap: rows[k % 2], global_nu=1.0, global_mu=1.5, declared_regime="growth",
+    )
+
+
+def config(rule, schedule=None, *, problem=None, nu=1.0, search=None, **loop):
+    kw = {"rule": rule, **(search or {})}
+    if rule == "fixed":
+        kw.update(fixed_gamma=1.5 * nu / problem.f.lipschitz_bound, fixed_lam=1.0)
+    if rule == "tseng-yun":
+        kw.update(sigma=0.5, beta=0.5)
+    return vmfbs.SolverConfig(linesearch=vmfbs.LineSearchConfig(**kw), metrics=schedule, **loop)
+
+
+def runs(batch):
+    """(problem, x0, config) triples of one batch, in a fixed order."""
+    out = []
+    if batch == "bb":
+        for seed in (7, 8):
+            problem, x0 = kl(seed)
+            for rule in BACKTRACKING:
+                out.append((problem, x0, config(
+                    rule, vmfbs.bb_schedule(5, nu=0.25, mu=4.0), search={"gamma_max": 8.0},
+                    max_iterations=20000, tol_fixed_point=1e-6, record_states=True,
+                )))
+        problem, x0 = lasso(7)
+        for rule in BACKTRACKING:
+            out.append((problem, x0, config(
+                rule, vmfbs.bb_schedule(20, nu=0.25, mu=4.0), search={"warm_start": True},
+                max_iterations=20000, tol_fixed_point=1e-6,
+            )))
+    elif batch == "table":
+        problem, x0 = lasso(7)
+        for rule in BACKTRACKING + ("fixed",):
+            out.append((problem, x0, config(
+                rule, weight_table(1, 20), problem=problem, nu=0.5, search={"warm_start": True},
+                max_iterations=3000, tol_objective_stall=1e-8, stall_window=5,
+            )))
+        problem, x0 = kl(7)
+        for rule in ("ls1", "ls4"):
+            out.append((problem, x0, config(
+                rule, weight_table(2, 5), search={"gamma_max": 8.0},
+                max_iterations=3000, tol_objective_stall=1e-8, stall_window=5,
+            )))
+    elif batch == "custom":
+        problem, x0 = lasso(9, m=12, n=8, p=4.0)
+        for rule in BACKTRACKING:
+            out.append((problem, x0, config(
+                rule, state_schedule(8), max_iterations=150, tol_fixed_point=1e-7,
+                record_checks=False,
+            )))
+        problem, x0 = lasso(10, m=12, n=8)
+        for rule in ("ls2", "fixed"):
+            for schedule in (state_schedule(8), alternating_schedule(8)):
+                out.append((problem, x0, config(
+                    rule, schedule, problem=problem, max_iterations=150,
+                    tol_fixed_point=1e-7, record_checks=False,
+                )))
+    elif batch == "states":
+        problem, x0 = lasso(11, m=12, n=8)
+        weights = vmfbs.constant_schedule(np.linspace(0.5, 2.0, 8))
+        for rule in BACKTRACKING + ("fixed",):
+            out.append((problem, x0, config(
+                rule, weights, problem=problem, nu=0.5, max_iterations=80,
+                tol_fixed_point=1e-8, record_states=True,
+            )))
+        problem, x0 = tv(12)
+        for rule in ("ls1", "ls4"):
+            out.append((problem, x0, config(
+                rule, vmfbs.constant_schedule(np.full(40, 2.0)), max_iterations=300,
+                tol_fixed_point=1e-6, record_states=True,
+            )))
+    elif batch == "failure":
+        f = vmfbs.PNormResidual(np.array([[2.0]]), np.array([0.0]))
+        problem = vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=1)
+        # the weights halve each step, so gamma needs one more backtrack each step
+        shrinking = vmfbs.table_schedule([[4.0], [2.0], [1.0]], nu=1.0, mu=4.0, regime="growth")
+        out.append((problem, np.array([1.0]), config(
+            "ls1", shrinking, search={"delta": 0.3, "max_backtracks": 2}, max_iterations=10,
+            record_states=True,
+        )))
+    return out
+
+
+BATCHES = ("bb", "table", "custom", "states", "failure")
+
+
+def record(batch: str) -> dict:
+    """One batch as flat arrays, keyed ``<batch>/<name>``."""
+    results = [vmfbs.solve(problem, x0, cfg) for problem, x0, cfg in runs(batch)]
+    out = {
+        f"{batch}/{name}": np.concatenate([r.trace.column(name) for r in results])
+        for name in FIELDS
+    }
+    out[f"{batch}/rows"] = np.array([len(r.trace) for r in results])
+    out[f"{batch}/termination"] = np.array([r.termination for r in results])
+    out[f"{batch}/x_final"] = np.concatenate([r.x_final for r in results])
+    out[f"{batch}/dims"] = np.array([r.x_final.size for r in results])
+    kept = [r.states for r in results if r.states is not None]
+    if kept:
+        for name in ("xs", "ys", "weights"):
+            arrays = [getattr(s, name) for s in kept]
+            out[f"{batch}/states_{name}"] = np.concatenate([a.ravel() for a in arrays])
+            out[f"{batch}/states_{name}_shape"] = np.array([a.shape for a in arrays])
+    return out
+
+
+if __name__ == "__main__":
+    arrays = {}
+    for name in BATCHES:
+        arrays.update(record(name))
+    np.savez_compressed(sys.argv[1], **arrays)

@@ -5,10 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from vmfbs.cli import main
+import vmfbs
+from vmfbs.cli import build_problem, build_solver_config, load_spec, main
 from vmfbs.diagnostics import read_trace_csv
+from vmfbs.solver import solve
 
-TRACE_HEADER = "k,F,gamma,lambda,backtracks,step_norm,check_max_residual"
+TRACE_HEADER = (
+    "k,F,gamma,lambda,backtracks,step_norm,mapping_norm,fp_scaled,descent_residual,"
+    "decrease_residual,check_max_residual,domain_gamma,f_evals,grad_evals,prox_evals"
+)
 
 
 def write_spec(tmp_path, spec, name="exp.json"):
@@ -67,6 +72,41 @@ def test_solve_trace_roundtrip(tmp_path):
     reparsed = [f"{v:.17g}" for v in frame.F]
     raw = [ln.split(",")[1] for ln in open(out).read().splitlines()[1:]]
     assert reparsed == raw
+
+
+@pytest.mark.parametrize("regime", ["standard", "general"])
+def test_solve_trace_csv_round_trips_every_column(tmp_path, regime):
+    if regime == "standard":
+        spec_dict = random_spec(rule="ls4", warm_start=True)
+    else:  # domain walk, BB metric, checks off: the NaN-capable columns
+        spec_dict = random_spec(rule="ls1", gamma_max=8.0,
+                                metrics={"type": "bb", "nu": 0.25, "mu": 4.0})
+        spec_dict["problem"]["smooth"] = {
+            "type": "kl",
+            "matrix": {"random": {"rows": 8, "cols": 5, "seed": 3, "kind": "positive"}},
+            "b": {"random": {"size": 8, "seed": 4, "kind": "positive"}},
+        }
+        spec_dict["problem"]["regularizer"] = {"type": "box", "lo": 0.0}
+        spec_dict["problem"]["x0"] = [1.0] * 5
+        spec_dict["problem"]["domain_regime"] = "general"
+    spec_dict["output"]["checks"] = regime == "standard"
+    spec = write_spec(tmp_path, spec_dict)
+    out = str(tmp_path / "trace.csv")
+    assert main(["solve", "--spec", spec, "--out", out]) == 0
+
+    problem, x0 = build_problem(load_spec(spec))
+    trace = solve(problem, x0, build_solver_config(load_spec(spec), problem.dimension)).trace
+    frame = read_trace_csv(out)
+    assert len(frame) == len(trace) == 25
+    for name in vmfbs.IterateTrace._fields:
+        want, got = trace.column(name), frame.column(name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want, equal_nan=True), name
+    # rows index too (NaN marks the columns a run does not fill)
+    for i in (0, -1):
+        row = frame[i]
+        assert isinstance(row, vmfbs.IterateTrace)
+        assert all(a == b or (np.isnan(a) and np.isnan(b)) for a, b in zip(row, trace[i]))
 
 
 def test_solve_deterministic_byte_identical(tmp_path):
@@ -232,6 +272,20 @@ def test_validate_metrics_table(tmp_path, capsys):
     assert main(["validate-metrics", "--spec", spec, "--horizon", "10"]) == 0
     out = capsys.readouterr().out.lower()
     assert "growth" in out and "spread" in out
+
+
+def test_validate_metrics_bb_needs_a_run(tmp_path, capsys):
+    spec_dict = random_spec()
+    spec_dict["solver"]["metrics"] = {
+        "type": "bb", "nu": 0.25, "mu": 4.0, "growth_budget": 1.0, "spread_budget": 1.0,
+    }
+    spec = write_spec(tmp_path, spec_dict)
+    assert main(["validate-metrics", "--spec", spec, "--horizon", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "growth: n/a: needs a run, the weights depend on the solver state",
+        "spread: n/a: needs a run, the weights depend on the solver state",
+    ]
 
 
 def test_validate_metrics_bad_horizon(tmp_path, capsys):

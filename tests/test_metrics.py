@@ -158,3 +158,25 @@ def test_reports_render():
     sched = vmfbs.constant_schedule([1.0, 2.0])
     text = str(vmfbs.validate_spread(sched, horizon=3, budget=100.0))
     assert "spread" in text and "pass" in text
+
+
+def test_validators_need_a_run_for_state_reading_schedules():
+    # BB weights come from the solver state; the state-free start weights
+    # would report sum 0 and pass
+    bb = vmfbs.bb_schedule(5, nu=0.25, mu=4.0)
+    growth = vmfbs.validate_growth(bb, horizon=50, budget=1.0)
+    spread = vmfbs.validate_spread(bb, horizon=50, budget=1.0)
+    for report in (growth, spread):
+        assert report.passed is None and report.needs_run
+        assert np.isnan(report.partial_sum)
+        assert "n/a: needs a run" in str(report)
+    custom = vmfbs.MetricSchedule(
+        lambda k, snap: vmfbs.identity_metric(2),
+        global_nu=1.0, global_mu=1.0, declared_regime="constant",
+    )
+    assert custom.reads_state and bb.reads_state
+    assert vmfbs.validate_growth(custom, horizon=5, budget=1.0).passed is None
+    state_free = vmfbs.table_schedule([np.ones(2)], nu=1.0, mu=1.0, regime="constant")
+    assert not state_free.reads_state
+    assert not vmfbs.constant_schedule(np.ones(2)).reads_state
+    assert vmfbs.validate_growth(state_free, horizon=5, budget=1.0).passed

@@ -98,16 +98,13 @@ def test_fixed_point_tolerance_scaled():
 
 def test_stopping_check_window_semantics():
     cfg = base_config(max_iterations=10, tol_objective_stall=0.5, stall_window=2)
-
-    class Row:
-        def __init__(self, F, fp):
-            self.F = F
-            self.fp_scaled = fp
-
-    rows = [Row(10.0, 1.0), Row(9.9, 1.0), Row(9.8, 1.0)]
+    F = [10.0, 9.9, 9.8]
     # window not yet exceeded: need more than stall_window rows
-    assert stopping_check(rows[:2], cfg) is None
-    assert stopping_check(rows, cfg) == "objective_stall"
+    assert stopping_check(F[:2], 1.0, cfg) is None
+    assert stopping_check(F, 1.0, cfg) == "objective_stall"
+    assert stopping_check(F[:1], 0.0, cfg) == "fixed_point"
+    with pytest.raises(vmfbs.UsageError):
+        stopping_check([], 0.0, cfg)
 
 
 def test_search_failure_surfaces_in_result():
@@ -162,6 +159,31 @@ def test_fixed_step_metric_floor_relaxes_bound(rng):
     )
     assert report.passed
     assert report.sup_ratio == pytest.approx((3.0 / L) / 2.0)
+
+
+@pytest.mark.parametrize("case", ["constant", "table-short", "table-long", "bb"])
+def test_fixed_step_validate_min_nu_per_schedule(rng, case):
+    # each schedule answers its smallest nu_k over the horizon (max_iterations = 3)
+    prob = quad_problem(3, rng)
+    L = prob.f.lipschitz_bound
+    if case == "constant":
+        metrics, nu = vmfbs.constant_schedule([0.75, 2.0, 1.5]), 0.75
+    elif case == "table-short":  # held past its end: every row counts
+        rows = [np.full(3, 1.0), np.full(3, 0.6), np.full(3, 0.8)]
+        metrics, nu = vmfbs.table_schedule(rows[:2], nu=0.5, mu=1.0, regime="growth"), 0.6
+    elif case == "table-long":  # rows past the horizon do not count
+        rows = [np.full(3, w) for w in (1.0, 0.9, 0.8, 0.5)]
+        metrics, nu = vmfbs.table_schedule(rows, nu=0.5, mu=1.0, regime="growth"), 0.8
+    else:  # weights depend on the run: the declared global bound
+        metrics, nu = vmfbs.bb_schedule(3, nu=0.25, mu=4.0), 0.25
+    search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=0.3 / L, fixed_lam=0.9)
+    report = fixed_step_validate(
+        prob, base_config(search=search, metrics=metrics, max_iterations=3)
+    )
+    sup_ratio = (0.3 / L) * 0.9 / nu
+    assert report.sup_ratio == sup_ratio
+    assert report.margin == 2.0 / L - sup_ratio
+    assert report.passed
 
 
 def test_fixed_step_validate_usage_guard(rng):
