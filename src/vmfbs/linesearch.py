@@ -109,7 +109,9 @@ class StepOutcome:
 
     ``y`` is the unrelaxed prox point at the accepted gamma and
     ``x_next = x + lam * (y - x)``. ``norm_sq_yx`` is ||y - x||_W^2 and
-    ``gdot`` is <y - x, grad f(x)>.
+    ``gdot`` is <y - x, grad f(x)>. The domain walk fills only
+    ``gamma``, ``lam``, ``y``, ``backtracks`` and ``prox_evals``: its
+    ``x_next`` is None and its ``norm_sq_yx`` and ``gdot`` are NaN.
     ``f_next``/``g_next``/``ell`` are filled when the rule evaluated
     them, so the solver can reuse instead of re-evaluating. The counters
     are the oracle calls the step made.
@@ -118,7 +120,7 @@ class StepOutcome:
     gamma: float
     lam: float
     y: np.ndarray
-    x_next: np.ndarray
+    x_next: np.ndarray | None
     backtracks: int
     norm_sq_yx: float
     gdot: float
@@ -186,6 +188,13 @@ def line_search(
             if i > 0 or y is None:
                 y = metric_prox(g, metric, x - gamma * scaled_grad, gamma)
                 nprox += 1
+            if rule == "domain":
+                if f.in_domain(y):
+                    return StepOutcome(
+                        gamma=gamma, lam=lam, y=y, x_next=None, backtracks=i,
+                        norm_sq_yx=math.nan, gdot=math.nan, prox_evals=nprox,
+                    )
+                continue
             dy = y - x
             ns = metric_norm_sq(metric, dy)
             gdot = float(dy @ grad)
@@ -193,9 +202,7 @@ def line_search(
             lam = t
         x_next = x + lam * dy
         f_next = None
-        if rule == "domain":
-            accepted = f.in_domain(y)
-        elif rule == "ls3":
+        if rule == "ls3":
             if not f.in_interior_domain(x_next):
                 continue
             grad_next = f.gradient(x_next)
@@ -213,10 +220,8 @@ def line_search(
                 g_next = g.value(x_next)
                 lhs = (f_next + g_next) - fgx
                 rhs = lam * slope
-        if rule != "domain":
-            # +inf or nan on the left is a failed trial, never an acceptance
-            accepted = math.isfinite(lhs) and lhs <= rhs + slack
-        if accepted:
+        # +inf or nan on the left is a failed trial, never an acceptance
+        if math.isfinite(lhs) and lhs <= rhs + slack:
             return StepOutcome(
                 gamma=gamma,
                 lam=lam,

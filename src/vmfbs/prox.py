@@ -72,9 +72,14 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
     values are the path's slopes. The sweep keeps a window of feasible
     straight-line slopes from the current anchor; when the window
     empties, the path bends at whichever tube bound is binding and the
-    sweep restarts from that corner. Exact (no inner iterations); each
-    output segment is filled with a single slope value, so flat runs are
-    exactly constant.
+    sweep restarts from that corner. Exact (no inner iterations).
+
+    The sweep runs on Python floats (the tube read once with
+    ``tolist``): they are the same IEEE doubles as numpy's float64, and
+    subtraction, division by a small int and comparison round alike, so
+    the output is bitwise that of the same sweep in numpy scalars. Each
+    segment is recorded as (slope, length) and filled in one
+    ``np.repeat``, so flat runs are exactly constant.
     """
     z = as_vector(z)
     if not (gamma >= 0) or not math.isfinite(gamma):
@@ -83,16 +88,18 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
     if n == 1 or gamma == 0.0:
         return z.copy()
     r = np.cumsum(z)
-    hi = r + gamma
-    lo = r - gamma
-    hi[-1] = lo[-1] = r[-1]  # pinned right endpoint
-    y = np.empty(n)
+    hi = (r + gamma).tolist()
+    lo = (r - gamma).tolist()
+    end = hi[-1] = lo[-1] = float(r[-1])  # pinned right endpoint
+    slopes = []
+    lengths = []
+    last = n - 1
     anchor = -1  # index into the path grid {-1, 0, ..., n-1}
     aval = 0.0  # pinned left endpoint value
-    while anchor < n - 1:
-        sl_hi = np.inf  # tightest upper slope and the point attaining it
+    while anchor < last:
+        sl_hi = math.inf  # tightest upper slope and the point attaining it
         j_hi = anchor
-        sl_lo = -np.inf
+        sl_lo = -math.inf
         j_lo = anchor
         k = anchor + 1
         while True:
@@ -102,12 +109,14 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
             if sl > sl_hi:
                 # lower tube bound unreachable under the binding upper corner:
                 # bend there and restart
-                y[anchor + 1 : j_hi + 1] = sl_hi
+                slopes.append(sl_hi)
+                lengths.append(j_hi - anchor)
                 aval = hi[j_hi]
                 anchor = j_hi
                 break
             if su < sl_lo:
-                y[anchor + 1 : j_lo + 1] = sl_lo
+                slopes.append(sl_lo)
+                lengths.append(j_lo - anchor)
                 aval = lo[j_lo]
                 anchor = j_lo
                 break
@@ -117,13 +126,14 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
             if sl > sl_lo:
                 sl_lo = sl
                 j_lo = k
-            if k == n - 1:
+            if k == last:
                 # straight segment to the pinned endpoint is feasible
-                y[anchor + 1 :] = (r[-1] - aval) / run
-                anchor = n - 1
+                slopes.append((end - aval) / run)
+                lengths.append(run)
+                anchor = last
                 break
             k += 1
-    return y
+    return np.repeat(slopes, lengths)
 
 
 def prox_optimality_residual(g: ProxTerm, z, gamma: float, p, weights=None) -> float:
@@ -362,26 +372,40 @@ class Tv1dNorm(ProxTerm):
         exact (d == 0): the taut-string prox emits exact flats, and the
         subdifferential genuinely is discontinuous across any nonzero
         jump.
+
+        Edge j touches nodes j and j+1, so a maximal run of flat edges
+        a..b-1 touches nodes a..b and no other run touches them: the free
+        duals decouple into one small bounded least-squares problem per
+        run. The cost is linear in n for bounded run lengths; the largest
+        matrix built is (m+1) x m for the longest run of m flat edges.
         """
         p = as_vector(p)
         u = as_vector(u, p.size)
         t = self.weight
-        n = p.size
-        if n == 1:
+        if p.size == 1:
             return float(np.abs(u[0]))
         d = np.diff(p)
-        dt = np.zeros((n, n - 1))
-        idx = np.arange(n - 1)
-        dt[idx, idx] = -1.0
-        dt[idx + 1, idx] = 1.0
         flat = d == 0.0
         s_fixed = np.where(flat, 0.0, t * np.sign(d))
-        target = u - dt @ s_fixed
-        if not flat.any():
-            return float(np.linalg.norm(target))
-        a = dt[:, flat]
-        res = lsq_linear(a, target, bounds=(-t, t), method="bvls", tol=1e-15)
-        return float(np.linalg.norm(a @ res.x - target))
+        # u - D^T s_fixed, with (D^T s)_i = s_{i-1} - s_i
+        resid = u.copy()
+        resid[:-1] += s_fixed
+        resid[1:] -= s_fixed
+        edges = np.flatnonzero(flat)
+        if edges.size:
+            cuts = np.flatnonzero(np.diff(edges) > 1)
+            starts = np.concatenate(([edges[0]], edges[cuts + 1]))
+            stops = np.concatenate((edges[cuts], [edges[-1]])) + 1
+            for a, b in zip(starts.tolist(), stops.tolist()):
+                m = b - a
+                block = resid[a : b + 1]
+                dt = np.zeros((m + 1, m))
+                idx = np.arange(m)
+                dt[idx, idx] = -1.0
+                dt[idx + 1, idx] = 1.0
+                res = lsq_linear(dt, block, bounds=(-t, t), method="bvls", tol=1e-15)
+                resid[a : b + 1] = dt @ res.x - block
+        return float(math.sqrt(resid @ resid))
 
 
 class ZeroTerm(ProxTerm):

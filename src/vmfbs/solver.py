@@ -20,8 +20,9 @@ fixed-point tolerance through :func:`stopping_check` on the accepted
 step.
 
 The trace is stored by column: each iteration appends its fifteen
-values straight to fifteen lists, and :class:`Trace` turns them into
-arrays when the run ends. No per-iteration row object is built;
+values straight to fifteen typed arrays (``array('d')``, ``array('q')``
+for the counters, 8 bytes a value), and :class:`Trace` views them as
+numpy arrays when the run ends. No per-iteration row object is built;
 ``stopping_check`` reads the F column and the last scaled residual.
 The :class:`~vmfbs.metrics.StepSnapshot` a schedule may read (two
 vector differences) is built only for schedules whose weights depend
@@ -37,6 +38,7 @@ holds, and Tseng-Yun runs carry 1 - (1-beta) sigma.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -362,7 +364,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         "gamma_schedule",
     )
 
-    cols = {name: [] for name in IterateTrace._fields}
+    cols = {name: array("q" if name in _INT_COLUMNS else "d") for name in IterateTrace._fields}
     F_col = cols["F"]
     (
         add_k, add_F, add_gamma, add_lam, add_backtracks, add_step_norm, add_mapping_norm,

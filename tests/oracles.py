@@ -3,14 +3,15 @@
 Everything here deliberately avoids the package's own algorithms:
 prox values come from golden-section search or a box-constrained
 least-squares dual, gradients from central differences, operator norms
-from a dense SVD. Agreement between these and the library is the
-evidence the tests rest on.
+from a dense SVD, lasso optima from L-BFGS-B and a duality gap.
+Agreement between these and the library is the evidence the tests rest
+on.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import lsq_linear
+from scipy.optimize import lsq_linear, minimize
 
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,12 +90,133 @@ def prox_tv1d_oracle(z, gamma: float) -> np.ndarray:
     return z - dt @ res.x
 
 
+def prox_tv1d_reference(z, gamma: float) -> np.ndarray:
+    """The taut-string sweep exactly as ``vmfbs.prox_tv1d`` ran it on
+    numpy float64 scalars before it moved to Python floats.
+
+    Kept frozen as the reference for the bitwise differential test: the
+    library must reproduce every bit of it, tie-breaking among collinear
+    tube points included. Do not tidy it.
+    """
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    if n == 1 or gamma == 0.0:
+        return z.copy()
+    r = np.cumsum(z)
+    hi = r + gamma
+    lo = r - gamma
+    hi[-1] = lo[-1] = r[-1]  # pinned right endpoint
+    y = np.empty(n)
+    anchor = -1  # index into the path grid {-1, 0, ..., n-1}
+    aval = 0.0  # pinned left endpoint value
+    while anchor < n - 1:
+        sl_hi = np.inf  # tightest upper slope and the point attaining it
+        j_hi = anchor
+        sl_lo = -np.inf
+        j_lo = anchor
+        k = anchor + 1
+        while True:
+            run = k - anchor
+            su = (hi[k] - aval) / run
+            sl = (lo[k] - aval) / run
+            if sl > sl_hi:
+                y[anchor + 1 : j_hi + 1] = sl_hi
+                aval = hi[j_hi]
+                anchor = j_hi
+                break
+            if su < sl_lo:
+                y[anchor + 1 : j_lo + 1] = sl_lo
+                aval = lo[j_lo]
+                anchor = j_lo
+                break
+            if su < sl_hi:
+                sl_hi = su
+                j_hi = k
+            if sl > sl_lo:
+                sl_lo = sl
+                j_lo = k
+            if k == n - 1:
+                y[anchor + 1 :] = (r[-1] - aval) / run
+                anchor = n - 1
+                break
+            k += 1
+    return y
+
+
+def tv_subdiff_distance_dense(p, u, t: float) -> float:
+    """dist(u, d(t * TV)(p)) with one dense BVLS over all flat edges.
+
+    The verifier as ``Tv1dNorm.subdiff_distance`` computed it before it
+    split the dual by flat runs: an n x (n-1) matrix, so small n only.
+    """
+    p = np.asarray(p, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n = p.size
+    if n == 1:
+        return float(np.abs(u[0]))
+    d = np.diff(p)
+    dt = np.zeros((n, n - 1))
+    idx = np.arange(n - 1)
+    dt[idx, idx] = -1.0
+    dt[idx + 1, idx] = 1.0
+    flat = d == 0.0
+    s_fixed = np.where(flat, 0.0, t * np.sign(d))
+    target = u - dt @ s_fixed
+    if not flat.any():
+        return float(np.linalg.norm(target))
+    a = dt[:, flat]
+    res = lsq_linear(a, target, bounds=(-t, t), method="bvls", tol=1e-15)
+    return float(np.linalg.norm(a @ res.x - target))
+
+
 def prox_tv1d_two_point(z, gamma: float) -> np.ndarray:
     """Closed form for n = 2: the two values move toward each other by
     min(gamma, half the gap)."""
     a, b = float(z[0]), float(z[1])
     s = np.sign(a - b) * min(gamma, abs(a - b) / 2.0)
     return np.array([a - s, b + s])
+
+
+def lasso_oracle(a, b, lam: float):
+    """Certified minimizer of F(x) = 0.5 ||Ax - b||^2 + lam ||x||_1.
+
+    L-BFGS-B on the split x = u - v with u, v >= 0 identifies the support
+    and its signs; the normal equations on that support then give x*
+    to round-off. The certificate is the duality gap at the
+    dual-feasible point u = r min(1, lam / ||A^T r||_inf), r = b - A x*.
+    Returns (x*, F*, gap). Raises if the solved signs disagree with the
+    identified ones or the gap exceeds 1e-12; there is no fallback.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.shape[1]
+
+    def split_objective(w):
+        r = a @ (w[:n] - w[n:]) - b
+        g = a.T @ r
+        return 0.5 * (r @ r) + lam * w.sum(), np.concatenate((g + lam, lam - g))
+
+    res = minimize(
+        split_objective, np.zeros(2 * n), jac=True, method="L-BFGS-B",
+        bounds=[(0.0, None)] * (2 * n),
+        options={"maxiter": 10**5, "maxfun": 10**5, "ftol": 0.0, "gtol": 1e-14, "maxcor": 30},
+    )
+    x_approx = res.x[:n] - res.x[n:]
+    support = np.flatnonzero(np.abs(x_approx) > 1e-8 * (1.0 + np.abs(x_approx).max()))
+    signs = np.sign(x_approx[support])
+    a_s = a[:, support]
+    x_s = np.linalg.solve(a_s.T @ a_s, a_s.T @ b - lam * signs)
+    if not np.array_equal(np.sign(x_s), signs):
+        raise ValueError("lasso oracle: the solved signs disagree with the identified support")
+    x = np.zeros(n)
+    x[support] = x_s
+    r = b - a @ x
+    f_star = 0.5 * (r @ r) + lam * np.abs(x).sum()
+    u = r * min(1.0, lam / np.abs(a.T @ r).max())
+    gap = f_star - (u @ b - 0.5 * (u @ u))
+    if not gap <= 1e-12:
+        raise ValueError(f"lasso oracle: duality gap {gap:.3e} exceeds 1e-12")
+    return x, float(f_star), float(gap)
 
 
 def fd_gradient(fun, x, h_scale: float = 1.0) -> np.ndarray:

@@ -32,14 +32,15 @@ def search(prob, x, rule, config, *, other=1.0, start=None, metric=None):
 
 def trial(prob, metric, x, gamma, lam):
     """(y, x_next) at (gamma, lam): the domain walk accepts its first grid
-    point on a problem whose f is finite everywhere."""
+    point on a problem whose f is finite everywhere. It returns no
+    relaxed point, so x_next is formed here."""
     out = line_search(
         prob, metric, x, "domain", cfg(),
         fx=prob.f.value(x), gx=prob.g.value(x), grad=prob.f.gradient(x),
         start=gamma, other=lam,
     )
-    assert out.backtracks == 0 and out.gamma == gamma
-    return out.y, out.x_next
+    assert out.backtracks == 0 and out.gamma == gamma and out.x_next is None
+    return out.y, x + lam * (out.y - x)
 
 
 # --- config validation ---------------------------------------------------
@@ -104,10 +105,16 @@ def test_minimizer_accepts_first_grid_point(rule):
     prob = lasso_1d()
     config = cfg(rule="tseng-yun", sigma=0.5, beta=0.5) if rule == "tseng-yun" else cfg()
     out = search(prob, [2.0], rule, config)
-    assert np.array_equal(out.y, [2.0]) and np.array_equal(out.x_next, [2.0])
+    assert np.array_equal(out.y, [2.0])
     assert out.backtracks == 0
     assert out.gamma == 1.0 and out.lam == 1.0
-    assert out.norm_sq_yx == 0.0
+    if rule == "domain":
+        # the domain walk only picks gamma and y; it forms no step
+        assert out.x_next is None
+        assert np.isnan(out.norm_sq_yx) and np.isnan(out.gdot)
+    else:
+        assert np.array_equal(out.x_next, [2.0])
+        assert out.norm_sq_yx == 0.0
 
 
 # --- ls1: gamma backtracking on the descent condition ---------------------

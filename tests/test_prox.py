@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ import vmfbs
 from oracles import (
     grid_prox_oracle,
     prox_tv1d_oracle,
+    prox_tv1d_reference,
     prox_tv1d_two_point,
     scalar_prox_oracle,
+    tv_subdiff_distance_dense,
     tv_value,
 )
 
@@ -124,6 +128,86 @@ def test_prox_tv1d_objective_no_worse_than_candidates(rng):
         obj = lambda y: 0.5 * np.sum((y - z) ** 2) + gamma * tv_value(y)
         assert obj(p) <= obj(z) + 1e-12
         assert obj(p) <= obj(np.full(n, z.mean())) + 1e-12
+
+
+def tv_deblur_problem(seed, n=1000, jumps=19):
+    """A blurred piecewise-constant signal with TV weight 0.05: Gaussian
+    blur of width 3, jumps about 50 apart alternating in sign, levels in
+    [0.5, 1], noise 0.1."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    k = np.exp(-0.5 * ((i[:, None] - i[None, :]) / 3.0) ** 2)
+    k /= k.sum(axis=1, keepdims=True)
+    signs = np.where(np.arange(jumps + 1) % 2 == 1, 1.0, -1.0)
+    cuts = np.arange(1, jumps + 1) * (n // (jumps + 1)) + rng.integers(-15, 16, jumps)
+    levels = rng.uniform(0.5, 1.0, jumps + 1) * signs
+    signal = np.repeat(levels, np.diff(np.r_[0, cuts, n]))
+    b = k @ signal + 0.1 * rng.standard_normal(n)
+    return vmfbs.CompositeProblem(
+        f=vmfbs.PNormResidual(k, b), g=vmfbs.Tv1dNorm(0.05), dimension=n
+    )
+
+
+def test_prox_tv1d_replays_a_deblur_solve_bitwise(monkeypatch):
+    # the prox inputs of the first 30 iterations of an n = 1000 deblur
+    # solve, replayed against the frozen numpy-scalar sweep
+    calls = []
+    sweep = vmfbs.prox.prox_tv1d
+
+    def recording(z, gamma):
+        calls.append((np.array(z, dtype=float), gamma))
+        return sweep(z, gamma)
+
+    monkeypatch.setattr(vmfbs.prox, "prox_tv1d", recording)
+    problem = tv_deblur_problem(1)
+    vmfbs.solve(problem, np.zeros(1000), vmfbs.SolverConfig(
+        linesearch=vmfbs.LineSearchConfig(rule="ls1", warm_start=True),
+        max_iterations=30,
+        record_checks=False,
+    ))
+    assert len(calls) >= 30
+    for z, gamma in calls[:30]:
+        assert sweep(z, gamma).tobytes() == prox_tv1d_reference(z, gamma).tobytes()
+
+
+# --- TV subdifferential distance ----------------------------------------
+
+def test_tv_subdiff_distance_matches_dense_verifier(rng):
+    # per-run BVLS against the single dense BVLS, at the prox point and
+    # at arbitrary dual vectors, on plain and quantized z
+    for i in range(200):
+        n = int(rng.integers(1, 40))
+        z = rng.standard_normal(n) * 2
+        if i % 2:
+            z = np.round(z * 2) / 2
+        t = float(rng.uniform(0.2, 2))
+        g = vmfbs.Tv1dNorm(t)
+        gamma = float(rng.uniform(0.05, 3))
+        p = g.prox(z, gamma)
+        for u in ((z - p) / gamma, rng.standard_normal(n)):
+            assert g.subdiff_distance(p, u) == pytest.approx(
+                tv_subdiff_distance_dense(p, u, t), abs=1e-12
+            )
+
+
+def test_tv_subdiff_distance_scales_to_n_20000():
+    # one jump every 50 points: the per-run problems stay small, and no
+    # n x n matrix (3.2 GB here) is ever allocated
+    rng = np.random.default_rng(7)
+    n = 20000
+    levels = rng.uniform(0.5, 1.0, n // 50) * np.where(np.arange(n // 50) % 2, 1.0, -1.0)
+    z = np.repeat(levels, 50) + 0.1 * rng.standard_normal(n)
+    g = vmfbs.Tv1dNorm(1.0)
+    p = g.prox(z, 0.5)
+    tracemalloc.start()
+    try:
+        good = vmfbs.prox_optimality_residual(g, z, 0.5, p)
+        bad = vmfbs.prox_optimality_residual(g, z, 0.5, p + 1e-3 * np.sin(np.arange(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert good <= 1e-10 < 1e-3 < bad
+    assert peak < 64 * 2**20
 
 
 # --- piece catalog and separable sums ----------------------------------
