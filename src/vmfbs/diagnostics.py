@@ -167,40 +167,26 @@ def check_quasi_fejer(
     diffs = states.xs - x_star  # (T+1, n)
 
     gamma_sup = float(np.max(gammas))
-    residuals = np.empty(T)
     if branch == "growth":
         ratios = W[1:] / W[:-1]  # (T, n)
         etas = np.maximum(0.0, np.max(ratios, axis=1) - 1.0)
         eta_sup = float(np.max(etas))
         d_sq = np.einsum("ij,ij->i", W, diffs * diffs)  # ||x_k - x*||^2 in metric k
         coeff = 2.0 * gamma_sup * (1.0 + eta_sup) / (1.0 - delta)
-        for k in range(T):
-            alpha = gammas[k] * lams[k] * (1.0 + etas[k])
-            eps = coeff * (F[k] - F_next[k])
-            residuals[k] = (
-                d_sq[k + 1]
-                - (1.0 + etas[k]) * d_sq[k]
-                - 2.0 * alpha * (f_star - F_next[k])
-                - eps
-            )
+        alpha = gammas * lams * (1.0 + etas)
         details = {"branch": branch, "eta_sup": eta_sup, "gamma_sup": gamma_sup}
     else:
-        nus = np.min(W, axis=1)
+        nus = np.min(W, axis=1)  # (T+1,): the last metric enters only nu
         mus = np.max(W, axis=1)
         nu = float(np.min(nus))
-        etas = (mus - nus) / nu
+        etas = (mus[:-1] - nus[:-1]) / nu
         d_sq = np.sum(diffs * diffs, axis=1)
         coeff = 2.0 * gamma_sup / (nu * (1.0 - delta))
-        for k in range(T):
-            alpha = gammas[k] * lams[k] / nus[k]
-            eps = coeff * (F[k] - F_next[k])
-            residuals[k] = (
-                d_sq[k + 1]
-                - (1.0 + etas[k]) * d_sq[k]
-                - 2.0 * alpha * (f_star - F_next[k])
-                - eps
-            )
+        alpha = gammas * lams / nus[:-1]
         details = {"branch": branch, "nu": nu, "gamma_sup": gamma_sup}
+    # elementwise, in the order of the per-transition formula
+    eps = coeff * (F - F_next)
+    residuals = d_sq[1:] - (1.0 + etas) * d_sq[:-1] - 2.0 * alpha * (f_star - F_next) - eps
     return CheckReport(
         name="quasi_fejer",
         residuals=residuals,

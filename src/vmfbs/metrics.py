@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import ConfigurationError, ProxTerm, UsageError, as_vector
+from .problems import ConfigurationError, ProxTerm, UsageError
 
 __all__ = [
     "DiagonalMetric",
@@ -58,12 +58,21 @@ class DiagonalMetric:
 
     @classmethod
     def from_weights(cls, weights) -> "DiagonalMetric":
-        w = as_vector(weights)
-        if not (w > 0).all():
+        # the checks of as_vector and positivity, read off one min and max
+        # (a NaN propagates through both)
+        w = np.array(weights, dtype=float)
+        if w.ndim == 0:
+            w = w.reshape(1)
+        if w.ndim != 1:
+            raise UsageError(f"expected a vector, got array with shape {w.shape}")
+        lo = float(w.min())
+        hi = float(w.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UsageError("vector has non-finite entries")
+        if not lo > 0:
             raise ConfigurationError("metric weights must be strictly positive")
-        w = w.copy()
         w.flags.writeable = False
-        return cls(weights=w, nu_k=float(w.min()), mu_k=float(w.max()))
+        return cls(weights=w, nu_k=lo, mu_k=hi)
 
     @property
     def dimension(self) -> int:
@@ -151,7 +160,6 @@ class MetricSchedule:
         global_nu: float,
         global_mu: float,
         declared_regime: str,
-        kind: str = "custom",
     ):
         if not (0 < global_nu <= global_mu < np.inf):
             raise ConfigurationError(
@@ -165,7 +173,6 @@ class MetricSchedule:
         self.global_nu = float(global_nu)
         self.global_mu = float(global_mu)
         self.declared_regime = declared_regime
-        self.kind = kind
         slack = 1e-12
         self._nu_floor = self.global_nu * (1 - slack)
         self._mu_ceiling = self.global_mu * (1 + slack)
@@ -195,7 +202,6 @@ def constant_schedule(weights) -> MetricSchedule:
         global_nu=m.nu_k,
         global_mu=m.mu_k,
         declared_regime="constant",
-        kind="constant",
     )
     sched.rows = (m,)
     return sched
@@ -222,7 +228,7 @@ def table_schedule(
             return rows[-1]
         raise UsageError(f"schedule table has {len(rows)} rows, asked for k={k}")
 
-    sched = MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime=regime, kind="table")
+    sched = MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime=regime)
     sched.rows = rows
     return sched
 
@@ -252,17 +258,14 @@ def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSch
         prev = np.asarray(snap.prev_weights, dtype=float)
         adx = np.abs(snap.dx)
         scale = float(adx.max()) if adx.size else 0.0
-        raw = prev.copy()
         ok = adx > 1e-12 * (1.0 + scale)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(ok, snap.dgrad / np.where(ok, snap.dx, 1.0), 0.0)
+        ratio = np.divide(snap.dgrad, snap.dx, out=np.zeros(n), where=ok)
         good = ok & (ratio > 0) & np.isfinite(ratio)
-        raw[good] = ratio[good]
-        w = raw.clip(nu, mu)
+        w = np.where(good, ratio, prev).clip(nu, mu)
         w = np.minimum(w, (1.0 + eta0 * 2.0 ** (-(k - 1))) * prev)
         return DiagonalMetric.from_weights(w)
 
-    return MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime="growth", kind="bb")
+    return MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime="growth")
 
 
 def _emit_weights(schedule: MetricSchedule, horizon: int) -> list[np.ndarray] | None:

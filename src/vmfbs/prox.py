@@ -9,6 +9,10 @@ prox optimality residual
 can be evaluated. Separable terms accept per-coordinate diagonal
 weights, which turns the Euclidean prox into the variable-metric one
 with per-coordinate stepsize gamma / w_i.
+
+Importing this module loads only numpy. The one verifier that needs
+scipy, ``Tv1dNorm.subdiff_distance``, imports ``scipy.optimize`` on its
+first call (about 0.5 s, once per process); no solve calls it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .problems import ConfigurationError, ProxTerm, Unsupported, UsageError, as_vector
 
@@ -215,7 +218,8 @@ class BoxIndicator(ProxTerm):
         return bool((x >= self.lo).all() and (x <= self.hi).all())
 
     def prox(self, z, gamma, weights=None):
-        return project_box(z, self.lo, self.hi)
+        # the constructor rejected lo > hi, so no per-call check
+        return np.minimum(np.maximum(z, self.lo), self.hi)
 
     def subdiff_distance(self, p, u) -> float:
         p = np.asarray(p, dtype=float)
@@ -393,6 +397,10 @@ class Tv1dNorm(ProxTerm):
         resid[1:] -= s_fixed
         edges = np.flatnonzero(flat)
         if edges.size:
+            # deferred: importing scipy.optimize costs about 0.5 s and most
+            # of the resident memory of an import, and no solve needs it
+            from scipy.optimize import lsq_linear
+
             cuts = np.flatnonzero(np.diff(edges) > 1)
             starts = np.concatenate(([edges[0]], edges[cuts + 1]))
             stops = np.concatenate((edges[cuts], [edges[-1]])) + 1

@@ -25,6 +25,8 @@ in concurrent threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .problems import ConfigurationError, DomainError, SmoothTerm, as_vector
@@ -88,16 +90,20 @@ class LinearMap:
         # structured matrix is exactly orthogonal to it
         v = np.ones(n) + np.linspace(0.0, 0.1, n)
         v /= np.linalg.norm(v)
-        if np.linalg.norm(self.a.T @ (self.a @ v)) == 0.0:
+        av = self.a @ v
+        if np.linalg.norm(self.a.T @ av) == 0.0:
             # ramp start landed in the null space; a dominant row never does
             i = int(np.argmax(np.einsum("ij,ij->i", self.a, self.a)))
             v = self.a[i] / np.linalg.norm(self.a[i])
+            av = self.a @ v
         est = 0.0
         stall = 0
         for it in range(20000):
-            w = self.a.T @ (self.a @ v)
-            v = w / np.linalg.norm(w)
-            new = float(np.linalg.norm(self.a @ v))
+            # av = A v is the previous sweep's certificate product
+            w = self.a.T @ av
+            v = w / math.sqrt(w @ w)
+            av = self.a @ v
+            new = math.sqrt(av @ av)
             # the certificate is monotone up to round-off; stop on a
             # persistent stall, but only after a safety minimum of sweeps
             if new <= est * (1.0 + 1e-15):

@@ -240,3 +240,91 @@ def opnorm_oracle(a) -> float:
 def tv_value(y, weight: float = 1.0) -> float:
     y = np.asarray(y, dtype=float)
     return float(weight * np.sum(np.abs(np.diff(y))))
+
+
+def operator_norm_reference(a) -> float:
+    """``LinearMap.operator_norm`` as it ran before each sweep reused the
+    certificate product A v of the sweep before: two products with A per
+    sweep and every norm by ``np.linalg.norm``.
+
+    Kept frozen as the reference for the bitwise differential test. Do
+    not tidy it.
+    """
+    a = np.asarray(a, dtype=float)
+    if not a.any():
+        return 0.0
+    n = a.shape[1]
+    v = np.ones(n) + np.linspace(0.0, 0.1, n)
+    v /= np.linalg.norm(v)
+    if np.linalg.norm(a.T @ (a @ v)) == 0.0:
+        i = int(np.argmax(np.einsum("ij,ij->i", a, a)))
+        v = a[i] / np.linalg.norm(a[i])
+    est = 0.0
+    stall = 0
+    for it in range(20000):
+        w = a.T @ (a @ v)
+        v = w / np.linalg.norm(w)
+        new = float(np.linalg.norm(a @ v))
+        if new <= est * (1.0 + 1e-15):
+            stall += 1
+            if it >= 100 and stall >= 3:
+                break
+        else:
+            stall = 0
+        if new > est:
+            est = new
+    return est
+
+
+def quasi_fejer_residuals_reference(record, x_star, f_star: float, delta: float, branch: str):
+    """The residuals of ``check_quasi_fejer`` as its two loops over the
+    transitions k computed them, one scalar at a time.
+
+    Kept frozen as the reference for the bitwise differential test of
+    the vectorized checker. Do not tidy it.
+    """
+    trace = record.trace
+    states = record.states
+    T = len(trace)
+    F = trace.F
+    F_next = np.empty(T)
+    F_next[:-1] = F[1:]
+    F_next[-1] = record.F_final
+    gammas = trace.gamma
+    lams = trace.lam
+    W = states.weights
+    diffs = states.xs - x_star
+    gamma_sup = float(np.max(gammas))
+    residuals = np.empty(T)
+    if branch == "growth":
+        ratios = W[1:] / W[:-1]
+        etas = np.maximum(0.0, np.max(ratios, axis=1) - 1.0)
+        eta_sup = float(np.max(etas))
+        d_sq = np.einsum("ij,ij->i", W, diffs * diffs)
+        coeff = 2.0 * gamma_sup * (1.0 + eta_sup) / (1.0 - delta)
+        for k in range(T):
+            alpha = gammas[k] * lams[k] * (1.0 + etas[k])
+            eps = coeff * (F[k] - F_next[k])
+            residuals[k] = (
+                d_sq[k + 1]
+                - (1.0 + etas[k]) * d_sq[k]
+                - 2.0 * alpha * (f_star - F_next[k])
+                - eps
+            )
+    else:
+        nus = np.min(W, axis=1)
+        mus = np.max(W, axis=1)
+        nu = float(np.min(nus))
+        etas = (mus - nus) / nu
+        d_sq = np.sum(diffs * diffs, axis=1)
+        coeff = 2.0 * gamma_sup / (nu * (1.0 - delta))
+        for k in range(T):
+            alpha = gammas[k] * lams[k] / nus[k]
+            eps = coeff * (F[k] - F_next[k])
+            residuals[k] = (
+                d_sq[k + 1]
+                - (1.0 + etas[k]) * d_sq[k]
+                - 2.0 * alpha * (f_star - F_next[k])
+                - eps
+            )
+    return residuals

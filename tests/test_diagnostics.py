@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from vmfbs.diagnostics import (
 from vmfbs.solver import solve
 
 from conftest import lasso_1d, random_lasso, steep_quadratic_1d
+from oracles import quasi_fejer_residuals_reference
 
 
 def run(prob, x0, *, iters=40, rule="ls1", record_states=True, **search_kw):
@@ -128,6 +131,58 @@ def test_quasi_fejer_spread_with_alternating_metric(rng):
                                         tol_fixed_point=1e-14))
     rep = check_quasi_fejer(res, long_ref.x_final, prob, branch="spread")
     assert rep.passed
+
+
+class _Trace:
+    def __init__(self, F, gamma, lam):
+        self.F, self.gamma, self.lam = F, gamma, lam
+
+    def __len__(self):
+        return self.F.size
+
+
+class _Record:
+    """A record with random columns, enough for check_quasi_fejer."""
+
+    def __init__(self, rng, T, n):
+        self.trace = _Trace(
+            F=rng.standard_normal(T),
+            gamma=rng.uniform(0.1, 2.0, T),
+            lam=rng.uniform(0.0, 1.0, T),
+        )
+        self.states = SimpleNamespace(
+            xs=rng.standard_normal((T + 1, n)),
+            weights=rng.uniform(0.5, 3.0, (T + 1, n)),
+        )
+        self.F_final = float(rng.standard_normal())
+
+
+@pytest.mark.parametrize("branch", ["growth", "spread"])
+def test_quasi_fejer_matches_frozen_loop_bitwise(rng, branch):
+    cases = [_Record(rng, int(rng.integers(1, 40)), int(rng.integers(1, 9))) for _ in range(100)]
+    for record in cases:
+        x_star = rng.standard_normal(record.states.xs.shape[1])
+        f_star = float(rng.standard_normal())
+        delta = float(rng.uniform(0.05, 0.95))
+        rep = check_quasi_fejer(record, x_star, f_star=f_star, delta=delta, branch=branch)
+        ref = quasi_fejer_residuals_reference(record, x_star, f_star, delta, branch)
+        assert rep.residuals.tobytes() == ref.tobytes()
+    # and on solver records with a run-dependent (BB) metric
+    for _ in range(5):
+        prob = random_lasso(rng)
+        n = prob.dimension
+        cfg = vmfbs.SolverConfig(
+            linesearch=vmfbs.LineSearchConfig(),
+            metrics=vmfbs.bb_schedule(n, nu=0.5, mu=4.0),
+            max_iterations=60,
+            record_states=True,
+        )
+        res = solve(prob, np.zeros(n), cfg)
+        x_star = res.x_final
+        f_star = prob.f.value(x_star) + prob.g.value(x_star)
+        rep = check_quasi_fejer(res, x_star, prob, branch=branch)
+        ref = quasi_fejer_residuals_reference(res, x_star, f_star, res.delta_effective, branch)
+        assert rep.residuals.tobytes() == ref.tobytes()
 
 
 # --- stepsize floor ---------------------------------------------------------------

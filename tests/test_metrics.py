@@ -20,6 +20,27 @@ def test_from_weights_rejects_nonpositive():
         vmfbs.DiagonalMetric.from_weights([1.0, -2.0])
 
 
+def test_from_weights_validates_like_as_vector():
+    for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [-1.0, np.nan]):
+        with pytest.raises(vmfbs.UsageError, match="non-finite"):
+            vmfbs.DiagonalMetric.from_weights(bad)
+    with pytest.raises(vmfbs.UsageError, match="expected a vector"):
+        vmfbs.DiagonalMetric.from_weights(np.ones((2, 2)))
+    m = vmfbs.DiagonalMetric.from_weights(2.5)  # 0-d becomes length 1
+    assert m.weights.shape == (1,) and m.nu_k == m.mu_k == 2.5
+    with pytest.raises(vmfbs.ConfigurationError):
+        vmfbs.DiagonalMetric.from_weights(0.0)
+
+
+def test_from_weights_owns_a_frozen_copy():
+    w = np.array([1.0, 2.0])
+    m = vmfbs.DiagonalMetric.from_weights(w)
+    w[0] = 5.0
+    assert m.weights[0] == 1.0
+    assert not m.weights.flags.writeable
+    assert type(m.nu_k) is float and type(m.mu_k) is float
+
+
 def test_metric_norm_against_direct_sum():
     w = np.array([1.0, 2.0, 4.0])
     v = np.array([1.0, -1.0, 0.5])
@@ -51,7 +72,6 @@ def test_constant_schedule_emits_same_metric():
     m0 = sched.metric_at(0)
     m9 = sched.metric_at(9)
     assert np.array_equal(m0.weights, m9.weights)
-    assert sched.kind == "constant"
     assert sched.declared_regime == "constant"
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vmfbs
-from oracles import fd_gradient, opnorm_oracle
+from oracles import fd_gradient, operator_norm_reference, opnorm_oracle
 
 
 # --- linear maps and the operator-norm certificate ----------------------
@@ -47,10 +47,27 @@ def test_operator_norm_zero_matrix():
     assert vmfbs.LinearMap(np.zeros((3, 2))).operator_norm() == 0.0
 
 
+def _ramp_null_matrix():
+    # rows orthogonal to the normalized ramp start vector v0, so A v0 = 0
+    n = 4
+    v = np.ones(n) + np.linspace(0.0, 0.1, n)
+    v /= np.linalg.norm(v)
+    a = np.zeros((2, n))
+    a[0, 0], a[0, 1] = v[1], -v[0]
+    a[1, 2], a[1, 3] = 0.5 * v[3], -0.5 * v[2]
+    return a, v
+
+
 def test_operator_norm_rank_one_row():
-    # start-vector fallback: power iteration must survive A^T A v0 = 0
     a = vmfbs.LinearMap(np.array([[0.0, 0.0], [0.0, 5.0]]))
     assert a.operator_norm() == pytest.approx(5.0, rel=1e-13)
+
+
+def test_operator_norm_start_in_null_space():
+    # start-vector fallback: power iteration must survive A^T A v0 = 0
+    a, v0 = _ramp_null_matrix()
+    assert not (a.T @ (a @ v0)).any()
+    assert vmfbs.LinearMap(a).operator_norm() == pytest.approx(opnorm_oracle(a), rel=1e-13)
 
 
 def test_operator_norm_is_certified_lower_bound(rng):
@@ -61,6 +78,24 @@ def test_operator_norm_is_certified_lower_bound(rng):
         true = opnorm_oracle(a.a)
         assert est <= true * (1 + 1e-12)
         assert est >= true * (1 - 1e-8)
+
+
+def test_operator_norm_matches_frozen_power_iteration(rng):
+    mats = [
+        _ramp_null_matrix()[0],
+        np.zeros((3, 2)),
+        np.eye(5),
+        np.ones((4, 6)),
+        rng.uniform(0.1, 1.0, (8, 5)),  # KL-shaped: positive entries
+        np.array([[0.0, 0.0], [0.0, 5.0]]),
+    ]
+    mats += [rng.standard_normal((30, 20)) for _ in range(5)]
+    for _ in range(60):
+        mats.append(rng.standard_normal((int(rng.integers(1, 61)), int(rng.integers(1, 61)))))
+    for a in mats:
+        est = vmfbs.LinearMap(a).operator_norm()
+        assert type(est) is float
+        assert est == operator_norm_reference(a)
 
 
 def test_operator_norm_cached():
