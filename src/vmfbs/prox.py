@@ -10,9 +10,8 @@ can be evaluated. Separable terms accept per-coordinate diagonal
 weights, which turns the Euclidean prox into the variable-metric one
 with per-coordinate stepsize gamma / w_i.
 
-Importing this module loads only numpy. The one verifier that needs
-scipy, ``Tv1dNorm.subdiff_distance``, imports ``scipy.optimize`` on its
-first call (about 0.5 s, once per process); no solve calls it.
+This module needs only numpy, verifiers included: the TV residual
+reuses the taut-string prox it checks (see ``Tv1dNorm.subdiff_distance``).
 """
 
 from __future__ import annotations
@@ -369,7 +368,7 @@ class Tv1dNorm(ProxTerm):
         return prox_tv1d(z, gamma * self.weight)
 
     def subdiff_distance(self, p, u) -> float:
-        """dist(u, d(weight * TV)(p)) by bounded least squares on the dual.
+        """dist(u, d(weight * TV)(p)), one taut string per flat run.
 
         dTV(p) = {D^T s} with s_j free in [-t, t] where p is flat and
         pinned at t * sign(p_{j+1} - p_j) across jumps. Flat detection is
@@ -379,9 +378,12 @@ class Tv1dNorm(ProxTerm):
 
         Edge j touches nodes j and j+1, so a maximal run of flat edges
         a..b-1 touches nodes a..b and no other run touches them: the free
-        duals decouple into one small bounded least-squares problem per
-        run. The cost is linear in n for bounded run lengths; the largest
-        matrix built is (m+1) x m for the longest run of m flat edges.
+        duals decouple into one problem per run, min over |s| <= t of
+        ||D^T s - c|| for the run's block c of u - D^T s_fixed. The set
+        {D^T s : |s| <= t} is the subdifferential of t * TV at 0, whose
+        support function is t * TV itself, so by Moreau's identity the
+        minimizer leaves the residual -prox_{t TV}(c). The cost is that
+        of the prox sweep over every run: linear in n.
         """
         p = as_vector(p)
         u = as_vector(u, p.size)
@@ -397,22 +399,11 @@ class Tv1dNorm(ProxTerm):
         resid[1:] -= s_fixed
         edges = np.flatnonzero(flat)
         if edges.size:
-            # deferred: importing scipy.optimize costs about 0.5 s and most
-            # of the resident memory of an import, and no solve needs it
-            from scipy.optimize import lsq_linear
-
             cuts = np.flatnonzero(np.diff(edges) > 1)
             starts = np.concatenate(([edges[0]], edges[cuts + 1]))
             stops = np.concatenate((edges[cuts], [edges[-1]])) + 1
             for a, b in zip(starts.tolist(), stops.tolist()):
-                m = b - a
-                block = resid[a : b + 1]
-                dt = np.zeros((m + 1, m))
-                idx = np.arange(m)
-                dt[idx, idx] = -1.0
-                dt[idx + 1, idx] = 1.0
-                res = lsq_linear(dt, block, bounds=(-t, t), method="bvls", tol=1e-15)
-                resid[a : b + 1] = dt @ res.x - block
+                resid[a : b + 1] = -prox_tv1d(resid[a : b + 1], t)
         return float(math.sqrt(resid @ resid))
 
 

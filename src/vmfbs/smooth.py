@@ -21,6 +21,11 @@ none. A reused image is the product a fresh call would compute, so
 results are bitwise the same as without the memo. The memo is plain
 instance state: one term instance must not be shared by solves running
 in concurrent threads.
+
+``LinearMap`` stores its matrix with every subnormal entry set to +0.0,
+so no product meets a subnormal operand (slow on x86); each output of
+a product moves by at most ``np.finfo(float).tiny`` times the l1 norm
+of the vector it multiplies. See its docstring for the guard.
 """
 
 from __future__ import annotations
@@ -38,8 +43,67 @@ __all__ = [
 ]
 
 
+# entries per block of the ingest pass: its scratch stays in cache
+_INGEST_BLOCK = 1 << 16
+
+
+def _ingest(a: np.ndarray) -> np.ndarray:
+    """C-ordered copy of a finite matrix with subnormal entries set to +0.0.
+
+    One pass in blocks of ``_INGEST_BLOCK`` entries over the copy, with
+    reused scratch, so nothing of the matrix's size is allocated beside
+    it. Normal entries and signed zeros are kept bit for bit. A row or
+    column that had a nonzero entry and only subnormal ones is refused.
+    """
+    out = a.copy()  # C order for any input layout; the BLAS path and the bits follow it
+    flat = out.reshape(-1)  # a view: ``out`` is C-contiguous
+    tiny = np.finfo(float).tiny
+    big = np.finfo(float).max
+    size = min(_INGEST_BLOCK, flat.size)
+    mag = np.empty(size)
+    sub = np.empty(size, dtype=bool)
+    nonzero = np.empty(size, dtype=bool)
+    flushed = False
+    for start in range(0, flat.size, size):
+        block = flat[start : start + size]
+        m = mag[: block.size]
+        np.abs(block, out=m)
+        if not m.max() <= big:  # NaN fails the comparison too
+            raise ConfigurationError("matrix has non-finite entries")
+        s = sub[: block.size]
+        np.less(m, tiny, out=s)
+        if s.any():
+            nz = nonzero[: block.size]
+            np.greater(m, 0.0, out=nz)
+            s &= nz
+            if s.any():
+                block[s] = 0.0
+                flushed = True
+    if flushed:
+        for axis, name in ((1, "row"), (0, "column")):
+            for i in np.flatnonzero(~out.any(axis=axis)).tolist():
+                if a.take(i, axis=1 - axis).any():
+                    raise ConfigurationError(
+                        f"matrix {name} {i} has only subnormal nonzero entries; "
+                        "flushing them to zero would empty it (rescale the matrix)"
+                    )
+    return out
+
+
 class LinearMap:
     """Dense m x n matrix with a cached, certified operator-norm estimate.
+
+    The map keeps a private, read-only, C-ordered copy of the matrix in
+    which every subnormal entry (0 < |a_ij| < ``np.finfo(float).tiny``)
+    is +0.0: a product with a subnormal operand takes a slow microcode
+    path on x86 (about 100 cycles), so a Gaussian blur whose tail holds
+    0.5% of such entries paid about 30% of each product for them. The
+    stored operator differs from the caller's by at most ``tiny`` per
+    entry, so each output of ``apply(x)`` moves by at most tiny * ||x||_1
+    (and of ``adjoint(r)`` by tiny * ||r||_1). Normal entries and signed
+    zeros are stored bit for bit, and a non-finite entry is refused. A
+    row or column whose only nonzero entries are subnormal is refused
+    too, rather than silently turned into zero.
 
     ``matvecs`` counts the products taken through ``apply`` and
     ``adjoint``; the power iteration of ``operator_norm`` is not counted.
@@ -51,9 +115,7 @@ class LinearMap:
             raise ConfigurationError(f"matrix must be 2-D, got shape {a.shape}")
         if a.size == 0:
             raise ConfigurationError("matrix must be nonempty")
-        if not np.all(np.isfinite(a)):
-            raise ConfigurationError("matrix has non-finite entries")
-        self.a = a.copy()
+        self.a = _ingest(a)
         self.a.flags.writeable = False
         self._opnorm: float | None = None
         self.matvecs = 0

@@ -1,9 +1,9 @@
 """What a fresh interpreter loads on ``import vmfbs``.
 
-The package and its CLI need only numpy at import time; scipy is
-imported by the TV optimality verifier on its first call. Both checks
-run in a new interpreter, because this test process has long since
-imported scipy through the oracles.
+The package and its CLI need only numpy, at import time and after: a
+solve and the TV optimality verifier run in an interpreter that cannot
+import scipy. Both checks run in a new interpreter, because this test
+process has long since imported scipy through the oracles.
 """
 
 import os
@@ -31,19 +31,37 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_tv_verifier_imports_scipy_on_first_call():
+def test_solve_and_tv_verifier_run_without_scipy():
+    # a finder ahead of every other one makes scipy unimportable
     out = run_fresh(
         "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError('scipy is blocked in this interpreter')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('scipy imported despite the block')\n"
         "import numpy as np\n"
-        "import vmfbs\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-        "z = np.random.default_rng(7).standard_normal(60)\n"
+        "import vmfbs, vmfbs.cli\n"
+        "rng = np.random.default_rng(7)\n"
+        "n = 60\n"
+        "a = np.eye(n) + 0.1 * rng.standard_normal((n, n))\n"
+        "z = np.repeat([1.0, -0.5, 0.8], 20) + 0.1 * rng.standard_normal(n)\n"
         "g = vmfbs.Tv1dNorm(0.5)\n"
+        "problem = vmfbs.CompositeProblem(f=vmfbs.PNormResidual(a, a @ z), g=g, dimension=n)\n"
+        "res = vmfbs.solve(problem, np.zeros(n), vmfbs.SolverConfig(\n"
+        "    linesearch=vmfbs.LineSearchConfig(rule='ls1'), max_iterations=200))\n"
+        "assert np.isfinite(res.F_final)\n"
         "p = g.prox(z, 1.0)\n"
-        "assert (np.diff(p) == 0.0).any()  # flat runs reach the least-squares path\n"
+        "assert (np.diff(p) == 0.0).any()  # flat runs reach the per-run solve\n"
         "print(vmfbs.prox_optimality_residual(g, z, 1.0, p))\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    residual, loaded = out.split()
+    residual, loaded = out.split("\n", 1)
     assert float(residual) <= 1e-12
-    assert loaded == "True"
+    assert loaded.strip() == "[]"

@@ -3,6 +3,7 @@ import pytest
 
 import vmfbs
 from vmfbs.linesearch import line_search
+from vmfbs.metrics import identity_metric
 
 from conftest import lasso_1d, steep_quadratic_1d
 
@@ -12,7 +13,7 @@ def cfg(**kw):
 
 
 def identity(n=1):
-    return vmfbs.identity_metric(n)
+    return identity_metric(n)
 
 
 def search(prob, x, rule, config, *, other=1.0, start=None, metric=None):

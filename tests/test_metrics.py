@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vmfbs
-from vmfbs.metrics import StepSnapshot
+from vmfbs.metrics import StepSnapshot, growth_from_weights, identity_metric, metric_norm_sq
 
 
 def test_diagonal_metric_bounds():
@@ -10,7 +10,7 @@ def test_diagonal_metric_bounds():
     assert m.nu_k == 1.0 and m.mu_k == 3.0
     assert m.dimension == 3
     assert not m.is_uniform
-    assert vmfbs.identity_metric(2).is_uniform
+    assert identity_metric(2).is_uniform
 
 
 def test_from_weights_rejects_nonpositive():
@@ -46,12 +46,12 @@ def test_metric_norm_against_direct_sum():
     v = np.array([1.0, -1.0, 0.5])
     m = vmfbs.DiagonalMetric.from_weights(w)
     direct = float(np.sum(w * v * v))
-    assert vmfbs.metric_norm_sq(m, v) == pytest.approx(direct, rel=1e-15)
+    assert metric_norm_sq(m, v) == pytest.approx(direct, rel=1e-15)
 
 
 def test_metric_prox_identity_weights_is_plain_prox():
     g = vmfbs.L1Norm(1.0)
-    m = vmfbs.identity_metric(3)
+    m = identity_metric(3)
     z = np.array([3.0, -0.5, 2.0])
     out = vmfbs.metric_prox(g, m, z, 1.0)
     assert np.allclose(out, vmfbs.soft_threshold(z, 1.0))
@@ -132,13 +132,13 @@ def test_bb_growth_partial_sum_bounded_by_corridor():
         )
         w_prev = sched.metric_at(k, snap).weights
         rows.append(w_prev)
-    eta = vmfbs.growth_from_weights(rows)
+    eta = growth_from_weights(rows)
     assert float(eta.sum()) <= 2.0 + 1e-12
 
 
 def test_growth_from_weights_monotone_decreasing_is_zero():
     rows = [np.array([1.0 + 2.0 ** (-k)]) for k in range(10)]
-    eta = vmfbs.growth_from_weights(rows)
+    eta = growth_from_weights(rows)
     assert np.all(eta == 0.0)
 
 
@@ -191,7 +191,7 @@ def test_validators_need_a_run_for_state_reading_schedules():
         assert np.isnan(report.partial_sum)
         assert "n/a: needs a run" in str(report)
     custom = vmfbs.MetricSchedule(
-        lambda k, snap: vmfbs.identity_metric(2),
+        lambda k, snap: identity_metric(2),
         global_nu=1.0, global_mu=1.0, declared_regime="constant",
     )
     assert custom.reads_state and bb.reads_state

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import vmfbs
 from vmfbs.linesearch import line_search
-from vmfbs.metrics import metric_norm_sq, metric_prox
+from vmfbs.metrics import identity_metric, metric_norm_sq, metric_prox
 from vmfbs.prox import soft_threshold
 
 from oracles import prox_tv1d_reference, scalar_prox_oracle
@@ -122,7 +122,7 @@ def test_metric_prox_identity_weights_is_plain_prox(data, tau):
     n = 4
     z = vec(data.draw, n)
     g = vmfbs.L1Norm(0.9)
-    m = vmfbs.identity_metric(n)
+    m = identity_metric(n)
     assert np.allclose(metric_prox(g, m, z, tau), g.prox(z, tau), atol=1e-14)
 
 
@@ -133,7 +133,7 @@ def test_forward_backward_map_scalings(inst, g1, g2, lam):
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=a.shape[1]
     )
-    m = vmfbs.identity_metric(a.shape[1])
+    m = identity_metric(a.shape[1])
     lo, hi = sorted((g1, g2))
     y_lo = trial(prob, m, x, lo)
     y_hi = trial(prob, m, x, hi)
@@ -156,7 +156,7 @@ def test_tseng_yun_ls4_equivalence(inst, delta, gamma_k):
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=a.shape[1]
     )
-    m = vmfbs.identity_metric(a.shape[1])
+    m = identity_metric(a.shape[1])
     ls4 = kernel(prob, m, x, "ls4", vmfbs.LineSearchConfig(delta=delta, theta=0.5),
                  start=1.0, other=gamma_k)
     ty = kernel(
@@ -175,7 +175,7 @@ def test_condition_chain_ls3_implies_ls1_and_ls4(inst, delta):
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=n
     )
-    m = vmfbs.identity_metric(n)
+    m = identity_metric(n)
     cfg = vmfbs.LineSearchConfig(rule="ls3", delta=delta, theta=0.5, gamma_max=2.0)
     out = kernel(prob, m, x, "ls3", cfg, start=cfg.gamma_max, other=1.0)
     y, gamma, lam = out.y, out.gamma, out.lam
@@ -201,7 +201,7 @@ def test_accepted_step_always_descends(inst, delta):
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=a.shape[1]
     )
-    m = vmfbs.identity_metric(a.shape[1])
+    m = identity_metric(a.shape[1])
     out = kernel(prob, m, x, "ls1", vmfbs.LineSearchConfig(delta=delta, theta=0.5),
                  start=1.0, other=1.0)
     F = lambda v: prob.f.value(v) + prob.g.value(v)

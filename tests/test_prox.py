@@ -1,9 +1,11 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import vmfbs
+from vmfbs.prox import project_box
 from oracles import (
     grid_prox_oracle,
     prox_tv1d_oracle,
@@ -53,19 +55,19 @@ def test_soft_threshold_matches_golden_section(rng):
 
 def test_project_box_clamps():
     z = np.array([-1.0, 0.5, 2.0])
-    assert np.array_equal(vmfbs.project_box(z, 0.0, 1.0), [0.0, 0.5, 1.0])
+    assert np.array_equal(project_box(z, 0.0, 1.0), [0.0, 0.5, 1.0])
 
 
 def test_project_box_vector_bounds():
     z = np.array([5.0, -5.0])
     lo = np.array([-1.0, -2.0])
     hi = np.array([1.0, 2.0])
-    assert np.array_equal(vmfbs.project_box(z, lo, hi), [1.0, -2.0])
+    assert np.array_equal(project_box(z, lo, hi), [1.0, -2.0])
 
 
 def test_project_box_empty_box_rejected():
     with pytest.raises(vmfbs.ConfigurationError):
-        vmfbs.project_box(np.array([0.0]), 1.0, -1.0)
+        project_box(np.array([0.0]), 1.0, -1.0)
 
 
 # --- TV prox (taut string) ---------------------------------------------
@@ -208,6 +210,50 @@ def test_tv_subdiff_distance_scales_to_n_20000():
         tracemalloc.stop()
     assert good <= 1e-10 < 1e-3 < bad
     assert peak < 64 * 2**20
+
+
+
+def test_tv_subdiff_distance_sees_a_shifted_flat_run(rng):
+    # moving one flat run of a true prox output by 1e-3 must show, here
+    # and in the dense verifier
+    shifted = 0
+    for _ in range(40):
+        n = int(rng.integers(8, 60))
+        z = rng.standard_normal(n) * 2
+        t = float(rng.uniform(0.2, 2))
+        gamma = float(rng.uniform(0.05, 3))
+        g = vmfbs.Tv1dNorm(t)
+        p = g.prox(z, gamma)
+        assert vmfbs.prox_optimality_residual(g, z, gamma, p) <= 1e-12
+        edges = np.flatnonzero(np.diff(p) == 0.0)
+        if not edges.size:
+            continue
+        a = b = int(edges[rng.integers(edges.size)])
+        while a > 0 and p[a - 1] == p[a]:
+            a -= 1
+        while b + 1 < n and p[b + 1] == p[b]:
+            b += 1
+        bad = p.copy()
+        bad[a : b + 1] += 1e-3
+        got = vmfbs.prox_optimality_residual(g, z, gamma, bad)
+        assert got > 1e-6
+        assert got == pytest.approx(
+            tv_subdiff_distance_dense(bad, (z - bad) / gamma, t), abs=1e-12
+        )
+        shifted += 1
+    assert shifted >= 20
+
+
+def test_tv_subdiff_distance_all_flat_is_fast():
+    # one flat run over all 3000 nodes: the per-run solve is a taut string
+    z = np.random.default_rng(5).standard_normal(3000)
+    g = vmfbs.Tv1dNorm(1.0)
+    p = g.prox(z, 1e4)
+    assert not np.diff(p).any()
+    start = time.perf_counter()
+    residual = vmfbs.prox_optimality_residual(g, z, 1e4, p)
+    assert time.perf_counter() - start < 0.1
+    assert residual <= 1e-12
 
 
 # --- piece catalog and separable sums ----------------------------------

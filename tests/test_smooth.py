@@ -103,6 +103,162 @@ def test_operator_norm_cached():
     assert a.operator_norm() is a.operator_norm() or a.operator_norm() == 1.0
 
 
+
+# --- the ingest: a private copy without subnormal entries ---------------
+
+TINY = np.finfo(float).tiny
+BLOCK = vmfbs.smooth._INGEST_BLOCK
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _subnormal(a):
+    return (a != 0.0) & (np.abs(a) < TINY)
+
+
+def _three_block_matrix(rng):
+    # 300 x 700 = 210000 entries: three full ingest blocks and a partial one
+    a = rng.standard_normal((300, 700))
+    assert BLOCK < a.size - BLOCK and a.size % BLOCK
+    return a
+
+
+def test_ingest_keeps_a_normal_matrix_bitwise(rng):
+    a = _three_block_matrix(rng)
+    a[0, :5] = 0.0
+    a[1, :5] = -0.0
+    for src in (a, np.asfortranarray(a), a[::2, 1::3], np.asfortranarray(a)[1::2, ::-1]):
+        stored = vmfbs.LinearMap(src).a
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert stored.shape == src.shape
+        assert np.array_equal(_bits(stored), _bits(src))
+
+
+def test_ingest_flushes_subnormals_to_positive_zero(rng):
+    a = _three_block_matrix(rng)
+    flat = a.reshape(-1)
+    for i in (0, 7, BLOCK - 1, BLOCK, 2 * BLOCK + 3, a.size - 1):
+        flat[i] = 3e-310 if i % 2 else -5e-320
+    flat[[11, BLOCK + 1]] = -0.0
+    flat[[12, a.size - 2]] = 0.0
+    flat[13] = TINY  # the smallest normal number stays
+    flat[14] = -TINY
+    raw = a.copy()
+    for src in (a, np.asfortranarray(a)):
+        stored = vmfbs.LinearMap(src).a
+        sub = _subnormal(raw)
+        assert sub.sum() == 6
+        assert np.array_equal(_bits(stored)[sub], np.zeros(6, dtype=np.int64))  # +0.0
+        assert np.array_equal(_bits(stored)[~sub], _bits(raw)[~sub])  # -0.0 kept
+        assert not _subnormal(stored).any()
+    assert np.array_equal(_bits(a), _bits(raw))  # the caller's array is not written
+
+
+@pytest.mark.parametrize("where", ["first", "last", "boundary_before", "boundary_after"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ingest_refuses_non_finite_in_any_block(rng, where, value):
+    a = _three_block_matrix(rng)
+    i = {"first": 0, "last": a.size - 1, "boundary_before": BLOCK - 1, "boundary_after": BLOCK}[where]
+    a.reshape(-1)[i] = value
+    with pytest.raises(vmfbs.ConfigurationError, match="non-finite"):
+        vmfbs.LinearMap(a)
+    with pytest.raises(vmfbs.ConfigurationError, match="non-finite"):
+        vmfbs.LinearMap(np.asfortranarray(a))
+
+
+def test_ingest_refuses_rows_and_columns_it_would_empty(rng):
+    with pytest.raises(vmfbs.ConfigurationError, match="row 0 .*subnormal"):
+        vmfbs.LinearMap(np.full((3, 4), 1e-310))
+    a = rng.standard_normal((5, 6))
+    a[3] = [0.0, 1e-310, -2e-315, 0.0, -0.0, 4e-320]
+    with pytest.raises(vmfbs.ConfigurationError, match="row 3 "):
+        vmfbs.LinearMap(a)
+    a = rng.standard_normal((5, 6))
+    a[:, 4] = [1e-310, 0.0, 1e-310, -1e-312, 5e-324]
+    with pytest.raises(vmfbs.ConfigurationError, match="column 4 "):
+        vmfbs.LinearMap(a)
+    # a row that was zero all along is not the flush's doing, and a row
+    # with one normal entry survives
+    a = rng.standard_normal((5, 6))
+    a[0] = 0.0
+    a[2] = [1e-310, TINY, 0.0, 0.0, 0.0, 0.0]
+    stored = vmfbs.LinearMap(a).a
+    assert not stored[0].any() and stored[2, 1] == TINY and stored[2, 0] == 0.0
+
+
+def test_ingest_moves_products_by_at_most_tiny_times_l1(rng):
+    # entries from 1e-312 to 1e-300, about a quarter subnormal, so the
+    # flush shows in the products
+    a = rng.standard_normal((40, 50)) * 10.0 ** rng.uniform(-312, -300, (40, 50))
+    assert _subnormal(a).mean() > 0.1
+    m = vmfbs.LinearMap(a)
+    moved = 0.0
+    for _ in range(20):
+        x = rng.standard_normal(50)
+        r = rng.standard_normal(40)
+        dx = np.abs(m.apply(x) - a @ x)
+        dr = np.abs(m.adjoint(r) - a.T @ r)
+        assert dx.max() <= TINY * np.abs(x).sum()
+        assert dr.max() <= TINY * np.abs(r).sum()
+        moved = max(moved, dx.max(), dr.max())
+    assert moved > 0.0
+
+
+def test_ingest_copy_is_independent_of_the_caller(rng):
+    a = rng.standard_normal((6, 4))
+    m = vmfbs.LinearMap(a)
+    x = rng.standard_normal(4)
+    r = rng.standard_normal(6)
+    before = m.apply(x), m.adjoint(r)
+    a[:] = 7.0
+    assert m.apply(x).tobytes() == before[0].tobytes()
+    assert m.adjoint(r).tobytes() == before[1].tobytes()
+
+
+def _blur(n, width):
+    i = np.arange(n)
+    k = np.exp(-0.5 * ((i[:, None] - i[None, :]) / width) ** 2)
+    return k / k.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("rule", ["ls1", "ls4"])
+def test_ingest_leaves_a_blurred_tv_solve_bitwise(rng, rule):
+    # the Gaussian tail between |i - j| = 113 and 116 is subnormal; a map
+    # whose matrix is set back to the raw one must give the same trace
+    n = 200
+    k = _blur(n, 3.0)
+    signal = np.repeat(rng.uniform(-1.0, 1.0, 8), n // 8)
+    b = k @ signal + 0.1 * rng.standard_normal(n)
+    flushed = vmfbs.LinearMap(k)
+    raw = vmfbs.LinearMap(k)
+    raw.a = k.copy()
+    raw.a.flags.writeable = False
+    assert _subnormal(raw.a).sum() > 0 and not _subnormal(flushed.a).any()
+    config = vmfbs.SolverConfig(
+        linesearch=vmfbs.LineSearchConfig(rule=rule, warm_start=True),
+        max_iterations=400,
+    )
+    results = [
+        vmfbs.solve(
+            vmfbs.CompositeProblem(
+                f=vmfbs.PNormResidual(m, b), g=vmfbs.Tv1dNorm(0.05), dimension=n
+            ),
+            np.zeros(n),
+            config,
+        )
+        for m in (flushed, raw)
+    ]
+    got, want = results
+    assert len(got.trace) == len(want.trace) > 10
+    for name in vmfbs.IterateTrace._fields:
+        assert got.trace.column(name).tobytes() == want.trace.column(name).tobytes(), name
+    assert got.x_final.tobytes() == want.x_final.tobytes()
+    assert np.float64(got.F_final).tobytes() == np.float64(want.F_final).tobytes()
+    assert flushed.matvecs == raw.matvecs
+
+
 # --- p-norm residual -----------------------------------------------------
 
 def test_pnorm_value_quadratic():
