@@ -416,7 +416,17 @@ def cmd_solve(args) -> int:
         f"F = {result.F_final:.17g}; trace -> {out}"
     )
     if result.termination == "search_failure":
-        print(f"search failure detail: {result.failure}", file=sys.stderr)
+        # the failing iterate stays in result.failure["x"]; the text names the
+        # step that failed, not the point
+        f = result.failure
+        values = " ".join(
+            f"{key}={float(f[key]):.17g}" for key in ("gamma_last", "lam_last", "lhs", "rhs")
+        )
+        print(
+            f"search failure: rule={f['rule']} iteration={f['iteration']} {values} "
+            f"({f['message']})",
+            file=sys.stderr,
+        )
         return 3
     return 0
 

@@ -80,25 +80,56 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
     ``tolist``): they are the same IEEE doubles as numpy's float64, and
     subtraction, division by a small int and comparison round alike, so
     the output is bitwise that of the same sweep in numpy scalars. Each
-    segment is recorded as (slope, length) and filled in one
-    ``np.repeat``, so flat runs are exactly constant.
+    segment is recorded as (slope, end) and filled in one ``np.repeat``,
+    so flat runs are exactly constant.
+
+    Raises :class:`UsageError` when a partial sum of z, or a tube bound
+    r_k +- gamma, overflows: the tube would hold infinities, so the output
+    would too.
     """
+    z, tube = _tube(z, gamma)
+    if tube is None:
+        return z.copy()
+    return _cold_taut_string(*tube)[0]
+
+
+def _tube(z, gamma: float):
+    """z as a checked vector, and the tube (hi, lo) of its taut string,
+    pinned at both ends; the tube is None when the prox is the identity
+    (n = 1 or gamma = 0)."""
     z = as_vector(z)
     if not (gamma >= 0) or not math.isfinite(gamma):
         raise UsageError(f"gamma must be nonnegative and finite, got {gamma}")
-    n = z.size
-    if n == 1 or gamma == 0.0:
-        return z.copy()
+    if z.size == 1 or gamma == 0.0:
+        return z, None
     r = np.cumsum(z)
-    hi = (r + gamma).tolist()
-    lo = (r - gamma).tolist()
-    end = hi[-1] = lo[-1] = float(r[-1])  # pinned right endpoint
-    slopes = []
-    lengths = []
-    last = n - 1
-    anchor = -1  # index into the path grid {-1, 0, ..., n-1}
-    aval = 0.0  # pinned left endpoint value
-    while anchor < last:
+    if not (math.isfinite(float(r.max()) + gamma) and math.isfinite(float(r.min()) - gamma)):
+        raise UsageError("TV prox: the partial sums of z, plus or minus gamma, overflow")
+    hi = r + gamma
+    lo = r - gamma
+    hi[-1] = lo[-1] = r[-1]  # pinned right endpoint
+    return z, (hi, lo)
+
+
+def _taut_string(hi, lo, anchor, aval, slopes, ends, stops):
+    """The taut-string sweep from the path point (anchor, aval).
+
+    ``hi`` and ``lo`` are the tube as sequences of Python floats: lists,
+    or memoryviews of float64 arrays, which read the same doubles without
+    converting the whole tube. The path grid is {-1, 0, ..., n - 1}; the
+    sweep can start at any corner of the path as well as at the pinned
+    left end (anchor -1, aval 0.0), since it carries nothing across a
+    corner but the corner itself. It appends one slope and one end code
+    per segment: a corner j on the upper bound is coded j, one on the
+    lower bound ~j (-j - 1), and the final segment n - 1.
+
+    ``stops`` maps end codes to tokens. The sweep returns the token of
+    the first corner it bends at whose code (index and side) is a key,
+    and None when it reaches the pinned right end.
+    """
+    last = len(hi) - 1
+    end = hi[last]
+    while True:
         sl_hi = math.inf  # tightest upper slope and the point attaining it
         j_hi = anchor
         sl_lo = -math.inf
@@ -112,15 +143,19 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
                 # lower tube bound unreachable under the binding upper corner:
                 # bend there and restart
                 slopes.append(sl_hi)
-                lengths.append(j_hi - anchor)
+                ends.append(j_hi)
                 aval = hi[j_hi]
                 anchor = j_hi
+                if j_hi in stops:
+                    return stops[j_hi]
                 break
             if su < sl_lo:
                 slopes.append(sl_lo)
-                lengths.append(j_lo - anchor)
+                ends.append(~j_lo)
                 aval = lo[j_lo]
                 anchor = j_lo
+                if ~j_lo in stops:
+                    return stops[~j_lo]
                 break
             if su < sl_hi:
                 sl_hi = su
@@ -131,11 +166,180 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
             if k == last:
                 # straight segment to the pinned endpoint is feasible
                 slopes.append((end - aval) / run)
-                lengths.append(run)
-                anchor = last
-                break
+                ends.append(last)
+                return None
             k += 1
-    return np.repeat(slopes, lengths)
+
+
+def _cold_taut_string(hi, lo):
+    """The sweep from the pinned left end: the output and its corner codes."""
+    slopes = []
+    ends = []
+    _taut_string(hi.tolist(), lo.tolist(), -1, 0.0, slopes, ends, {})
+    return _fill(slopes, ends)
+
+
+def _fill(slopes, ends):
+    """The output of per-segment slopes and end codes, and the corner
+    codes (every end code but the final segment's) as an array."""
+    ends = np.array(ends)
+    stop = np.maximum(ends, ~ends)  # the index each segment ends at
+    lengths = stop - np.concatenate(([-1], stop[:-1]))
+    return np.repeat(slopes, lengths), ends[:-1]
+
+
+class _Corners:
+    """The corners of one taut string over n points, with the index
+    arrays that certifying them against a new tube needs.
+
+    ``codes`` are the corner codes c_0 < ... < c_{m-1} of
+    ``_taut_string``. They cut the path grid into segments s = 0..m:
+    segment s covers (a_s, c_s] from the anchor a_s = c_{s-1} (-1 for
+    s = 0), and the final segment m ends at n - 1. The per-segment
+    tables carry two virtual segments in front (anchor -1), so that the
+    certificate can read each point k of segment s from the anchors of
+    segments s, s - 1 and s - 2: rows 0, 1 and 2 of ``src``, ``run``
+    and ``flip``, which index the tables at s + 2, s + 1 and s.
+    Everything here depends on the corners and n alone.
+    """
+
+    __slots__ = ("n", "codes", "corner", "value_at", "ends", "lengths", "starts",
+                 "src", "run", "flip", "pos2", "_sweep_state")
+
+    def __init__(self, codes, n):
+        self.n = n
+        self.codes = codes
+        self.corner = corner = np.maximum(codes, ~codes)
+        upper = codes >= 0
+        m = corner.size
+        # the tube value at each corner, read from concat(hi, lo)
+        self.value_at = corner + np.where(upper, 0, n)
+        anchor = np.concatenate(([-1, -1, -1], corner))
+        self.ends = np.concatenate((corner, [n - 1]))
+        self.lengths = self.ends - anchor[2:]
+        self.starts = anchor[2:] + 1
+        # row d reads a point of segment s at table index s + 2 - d
+        self.src = np.repeat(np.arange(2, m + 3), self.lengths) - np.arange(3)[:, None]
+        pos = np.arange(n)
+        self.run = pos - anchor.astype(float)[self.src]
+        self.flip = np.concatenate(([False, False], ~upper, [False]))[self.src]
+        self.pos2 = 2 * pos
+        self._sweep_state = None
+
+    def sweep_state(self):
+        """(end codes, stops, anchors) as Python lists and a dict, for
+        ``_taut_string``: built on first use, since most hints never
+        need a sweep."""
+        if self._sweep_state is None:
+            end_list = self.codes.tolist() + [self.n - 1]
+            stops = dict(zip(end_list, range(1, len(end_list))))
+            anchors = [-1] + self.corner.tolist()
+            self._sweep_state = (end_list, stops, anchors)
+        return self._sweep_state
+
+
+def _warm_taut_string(hi, lo, hint):
+    """The taut string through the tube (hi, lo), reusing the corners
+    ``hint`` (a ``_Corners`` over the same n) of an earlier one.
+
+    Every segment gets one verdict, certified or not, from vectorised
+    replays of the sweep's own float decisions. Certified segments are
+    emitted as they are. Every other one is swept by ``_taut_string``
+    from its anchor until the sweep bends exactly at a corner of the
+    hint (same index and side), where the hint's anchor holds again. The
+    output is therefore bitwise the cold sweep's. Returns it with its
+    corners: ``hint`` itself when they did not change.
+
+    The certificate. From (a, v) the sweep forms, at each k > a,
+    U_k = (hi[k] - v) / (k - a) and L_k = (lo[k] - v) / (k - a). It keeps
+    the running minimum of U over (a, k) with its first argmin (it
+    updates on a strict <) and the running maximum of L with its first
+    argmax, and at step k it bends at the upper corner if L_k > min U,
+    else at the lower corner if U_k < max L. U_k >= L_k at every k,
+    because hi >= lo and rounding is monotone. For an upper corner c:
+
+    (A) max L over (a, c] <= U_c,
+    (B) U_c < U_i for every i in (a, c),
+    (C) some first K > c has L_K > U_c, and U_i >= U_c on (c, K).
+
+    By (B) the running minimum before c exceeds U_c and by (A) L_k <= U_c,
+    so no upper bend happens up to c; nor a lower one, as U_k >= U_c >=
+    max L. At step c the minimum moves to U_c at c. On (c, K) it stays
+    there (U_i >= U_c, and a tie does not update), L_k <= U_c is no upper
+    bend and U_k >= U_c >= max L no lower one. At K, L_K > U_c bends at
+    c on the upper side: the upper test runs first, and the lower one
+    could not fire at K anyway (both at one step need min U < max L one
+    step earlier, which already bends). So the sweep emits slope U_c on
+    (a, c] and restarts from (c, hi[c]). A lower corner is the mirror
+    image: with P = -L and O = -U in place of P = U and O = L the three
+    tests read the same, and negation is exact, so one orientation flip
+    per segment serves both sides. The final segment passes when every
+    O <= P_{n-1} and P_k > P_{n-1} before n - 1, which gives
+    max L <= min U: no bend through n - 1, slope U_{n-1}.
+
+    Row 0 (a point read from its own segment's anchor) checks (A) and
+    (B): any point with O > P_c, or with P <= P_c before c, fails its
+    segment. Rows 1 and 2 evaluate (C) on the next two segments: there a
+    point with O > P_c is a hit and one with P < P_c a miss (never both,
+    as P >= O), and (C) holds when the first hit precedes the first
+    miss. With neither in the window, (C) fails if the window reaches
+    n - 1 (K does not exist) and is unknown otherwise; either way the
+    segment is swept. One segmented minimum over event codes (2k for a
+    hit at k, 2k + 1 for a miss, 2n + 1 for none; any event in row 0
+    fails) yields all verdicts. The slopes are computed unflipped,
+    (value at c - v) / (c - a) as the sweep computes them, so signed
+    zeros match too.
+    """
+    n = hi.size
+    none = 2 * n + 1
+    at = np.concatenate((hi, lo))[hint.value_at]
+    value = np.concatenate(([0.0, 0.0, 0.0], at))
+    v = value[hint.src]
+    u = (hi - v) / hint.run
+    l = (lo - v) / hint.run
+    flip = hint.flip
+    p = np.where(flip, -l, u)
+    o = np.where(flip, -u, l)
+    pc = p[0, hint.ends]
+    p[0, hint.ends] = np.inf
+    thr = np.concatenate(([0.0, 0.0], pc))[hint.src]
+    hit = o > thr
+    miss = p < thr
+    code = np.where(hit | miss, hint.pos2 + miss, none)
+    code[0, p[0] == thr[0]] = 1
+    first = np.minimum.reduceat(code, hint.starts, axis=1)
+    ok = first[0] == none
+    # the first event past corner s: in segment s + 1 (row 1), else s + 2 (row 2)
+    past = first[1, 1:]
+    past[:-1] = np.minimum(past[:-1], first[2, 2:])
+    ok[:-1] &= past % 2 == 0
+    slopes = (np.concatenate((at, hi[-1:])) - value[2:]) / hint.lengths
+    if ok.all():
+        return np.repeat(slopes, hint.lengths), hint
+    # sweep each uncertified segment back to a corner of the hint
+    end_list, stops, anchors = hint.sweep_state()
+    hi_view = memoryview(hi)
+    lo_view = memoryview(lo)
+    avals = [0.0] + at.tolist()
+    slope_list = slopes.tolist()
+    out_slopes = []
+    out_ends = []
+    s = 0
+    for b in np.flatnonzero(~ok).tolist():
+        if b < s:
+            continue
+        out_slopes += slope_list[s:b]
+        out_ends += end_list[s:b]
+        s = _taut_string(hi_view, lo_view, anchors[b], avals[b], out_slopes, out_ends, stops)
+        if s is None:
+            break
+    else:
+        out_slopes += slope_list[s:]
+        out_ends += end_list[s:]
+    if out_ends == end_list:
+        return np.repeat(slopes, hint.lengths), hint
+    out, codes = _fill(out_slopes, out_ends)
+    return out, _Corners(codes, n)
 
 
 def prox_optimality_residual(g: ProxTerm, z, gamma: float, p, weights=None) -> float:
@@ -342,6 +546,16 @@ class Tv1dNorm(ProxTerm):
     Not separable: combinable only with uniform (multiple-of-identity)
     diagonal weights, where the metric prox is the Euclidean prox at a
     rescaled stepsize.
+
+    ``prox`` is warm-started. Forward-backward iterates settle on their
+    jump set after finitely many steps, so the taut string of one call
+    is usually that of the last one. The instance keeps the corners
+    (index and side) of its last output and certifies them segment by
+    segment against the new input, sweeping only the segments that
+    fail; outputs are bitwise those of ``prox_tv1d`` (see
+    ``_warm_taut_string``). The corners are ignored when n changes.
+    They are plain instance state: one term instance must not be shared
+    by solves running in concurrent threads.
     """
 
     separable = False
@@ -351,6 +565,7 @@ class Tv1dNorm(ProxTerm):
         if not (weight > 0) or not np.isfinite(weight):
             raise ConfigurationError(f"tv weight must be positive and finite, got {weight}")
         self.weight = float(weight)
+        self._corners = None  # _Corners of the last output
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -365,7 +580,16 @@ class Tv1dNorm(ProxTerm):
                     "TV term admits only uniform diagonal metrics (w = c * ones)"
                 )
             gamma = gamma / float(w[0])
-        return prox_tv1d(z, gamma * self.weight)
+        z, tube = _tube(z, gamma * self.weight)
+        if tube is None:
+            return z.copy()
+        hint = self._corners
+        if hint is not None and hint.n == z.size:
+            out, self._corners = _warm_taut_string(*tube, hint)
+            return out
+        out, codes = _cold_taut_string(*tube)
+        self._corners = _Corners(codes, z.size)
+        return out
 
     def subdiff_distance(self, p, u) -> float:
         """dist(u, d(weight * TV)(p)), one taut string per flat run.

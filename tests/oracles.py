@@ -143,6 +143,47 @@ def prox_tv1d_reference(z, gamma: float) -> np.ndarray:
     return y
 
 
+def taut_string_corners(z, gamma: float, last_ties: bool = False) -> np.ndarray:
+    """The corners of the reference sweep's path, coded as the library
+    codes them: j for a corner on the upper tube bound, ~j on the lower.
+
+    With ``last_ties=True`` the running extremes update on ties as well
+    (<= and >=), so a corner lands on the last of several tube points
+    that tie for it instead of the first: the corner set of a sweep with
+    the opposite tie rule, a hint that differs from the true one exactly
+    where a tie decides.
+    """
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    r = np.cumsum(z)
+    hi = r + gamma
+    lo = r - gamma
+    hi[-1] = lo[-1] = r[-1]
+    codes = []
+    anchor = -1
+    aval = 0.0
+    while anchor < n - 1:
+        sl_hi, j_hi, sl_lo, j_lo = np.inf, anchor, -np.inf, anchor
+        for k in range(anchor + 1, n):
+            su = (hi[k] - aval) / (k - anchor)
+            sl = (lo[k] - aval) / (k - anchor)
+            if sl > sl_hi:
+                codes.append(j_hi)
+                anchor, aval = j_hi, hi[j_hi]
+                break
+            if su < sl_lo:
+                codes.append(~j_lo)
+                anchor, aval = j_lo, lo[j_lo]
+                break
+            if su < sl_hi or (last_ties and su == sl_hi):
+                sl_hi, j_hi = su, k
+            if sl > sl_lo or (last_ties and sl == sl_lo):
+                sl_lo, j_lo = sl, k
+        else:
+            anchor = n - 1
+    return np.array(codes, dtype=np.int64)
+
+
 def tv_subdiff_distance_dense(p, u, t: float) -> float:
     """dist(u, d(t * TV)(p)) with one dense BVLS over all flat edges.
 

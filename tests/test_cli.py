@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -159,6 +160,28 @@ def test_solve_search_failure_exits_3(tmp_path, capsys):
     spec = write_spec(tmp_path, spec_dict, "fail.json")
     assert main(["solve", "--spec", spec, "--out", str(tmp_path / "f.csv")]) == 3
     assert "search failure" in capsys.readouterr().err
+
+
+def test_search_failure_prints_the_step_not_the_iterate(tmp_path, capsys):
+    # a 40-dimensional iterate: the message names the failing step and
+    # prints no array
+    n = 40
+    spec_dict = lasso_spec(delta=0.01, max_backtracks=1, rule="ls1")
+    spec_dict["problem"]["smooth"] = {
+        "type": "quadratic", "matrix": (2.0 * np.eye(n)).tolist(), "b": [0.0] * n,
+    }
+    spec_dict["problem"]["regularizer"] = {"type": "zero"}
+    spec_dict["problem"]["x0"] = np.linspace(1.0, 2.0, n).tolist()
+    spec = write_spec(tmp_path, spec_dict)
+    assert main(["solve", "--spec", spec, "--out", str(tmp_path / "f.csv")]) == 3
+    err = capsys.readouterr().err
+    line = next(s for s in err.splitlines() if s.startswith("search failure"))
+    fields = dict(re.findall(r"(\w+)=(\S+)", line))
+    assert fields["rule"] == "ls1" and fields["iteration"] == "0"
+    for key in ("gamma_last", "lam_last", "lhs", "rhs"):
+        float(fields[key])
+    assert float(fields["lhs"]) > float(fields["rhs"])
+    assert "[" not in err and "array" not in err and "1.025641" not in err
 
 
 # --- strict spec validation -----------------------------------------------------

@@ -1,12 +1,14 @@
-"""What a fresh interpreter loads on ``import vmfbs``.
+"""What a fresh interpreter loads on ``import vmfbs``, and what it exports.
 
 The package and its CLI need only numpy, at import time and after: a
 solve and the TV optimality verifier run in an interpreter that cannot
 import scipy. Both checks run in a new interpreter, because this test
-process has long since imported scipy through the oracles.
+process has long since imported scipy through the oracles. Every
+exported name is documented in the README.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +67,13 @@ def test_solve_and_tv_verifier_run_without_scipy():
     residual, loaded = out.split("\n", 1)
     assert float(residual) <= 1e-12
     assert loaded.strip() == "[]"
+
+
+def test_readme_names_every_public_export():
+    # the public API is what the README documents: each name in
+    # vmfbs.__all__ appears there as a whole word
+    import vmfbs
+
+    readme = (SRC.parent / "README.md").read_text()
+    missing = [n for n in vmfbs.__all__ if not re.search(rf"\b{re.escape(n)}\b", readme)]
+    assert not missing, f"exported but not in README.md: {missing}"

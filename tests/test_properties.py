@@ -9,7 +9,7 @@ from vmfbs.linesearch import line_search
 from vmfbs.metrics import identity_metric, metric_norm_sq, metric_prox
 from vmfbs.prox import soft_threshold
 
-from oracles import prox_tv1d_reference, scalar_prox_oracle
+from oracles import prox_tv1d_reference, scalar_prox_oracle, taut_string_corners
 
 SETTLE = settings(deadline=None, max_examples=40, derandomize=True)
 
@@ -101,6 +101,100 @@ def tv_case(draw):
 def test_prox_tv1d_bitwise_equals_reference_sweep(case):
     z, gamma = case
     assert vmfbs.prox_tv1d(z, gamma).tobytes() == prox_tv1d_reference(z, gamma).tobytes()
+
+
+@st.composite
+def tv_tie_case(draw):
+    """(z, gamma) with many exact and rounded ties: z on a grid of 0.1,
+    0.3 or 1/3 (times the scale) and gamma a multiple of that grid, so
+    that tube points fall on common lines."""
+    n = draw(st.integers(min_value=2, max_value=200))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    quantum = draw(st.sampled_from([0.1, 0.3, 1 / 3])) * scale
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    z = np.round(np.random.default_rng(seed).standard_normal(n) * scale / quantum) * quantum
+    return z, quantum * draw(st.integers(min_value=1, max_value=5))
+
+
+@st.composite
+def tv_hinted_case(draw):
+    """(z, gamma, hint, n_hint, z_next) for the warm-started TV prox.
+
+    z and gamma come from ``tv_case`` or ``tv_tie_case``. The hint is the
+    corner set the instance is given before the call, valid for a path
+    grid of n_hint points: the corners of the previous output (the prox
+    of a perturbed z, or of z itself) found with the sweep's tie rule or
+    the opposite one; those shifted by one, with one side flipped, with
+    corners dropped or added; no corner at all; every index with random
+    sides; or any of these for a grid of the wrong length. z_next is a
+    second input, for the corners the call leaves behind."""
+    z, gamma = draw(st.one_of(tv_case(), tv_tie_case()))
+    n = z.size
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = float(np.abs(z).max()) or 1.0
+    noise = draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.3]))
+    z_prev = z + rng.standard_normal(n) * scale * noise
+    prev = taut_string_corners(z_prev, gamma if gamma > 0 else scale, draw(st.booleans()))
+    corners = np.maximum(prev, ~prev)
+    upper = prev >= 0
+    kind = draw(st.sampled_from(
+        ["previous", "shift", "flip", "drop", "add", "empty", "every", "wrong_n"]
+    ))
+    n_hint = n
+    if kind == "wrong_n":
+        n_hint = n + int(rng.choice([-1, 1]))
+        kind = str(rng.choice(["previous", "every"]))
+    last = n_hint - 1
+    if kind == "shift" and corners.size:
+        corners = corners + rng.choice([-1, 1], corners.size) * (rng.random(corners.size) < 0.5)
+    elif kind == "flip" and corners.size:
+        upper = upper.copy()
+        upper[rng.integers(corners.size)] ^= True
+    elif kind == "drop" and corners.size:
+        keep = rng.random(corners.size) < 0.7
+        corners, upper = corners[keep], upper[keep]
+    elif kind == "add":
+        extra = rng.integers(0, max(last, 1), int(rng.integers(1, 4)))
+        corners = np.concatenate((corners, extra))
+        upper = np.concatenate((upper, rng.random(extra.size) < 0.5))
+    elif kind == "empty":
+        corners = corners[:0]
+        upper = upper[:0]
+    elif kind == "every":
+        corners = np.arange(max(last, 0))
+        upper = rng.random(corners.size) < 0.5
+    # a hint is a strictly increasing set of corners in [0, n_hint - 2]
+    corners, first = np.unique(corners, return_index=True)
+    upper = upper[first]
+    valid = (corners >= 0) & (corners < last)
+    corners = corners[valid].astype(np.int64)
+    hint = np.where(upper[valid], corners, ~corners)  # codes: j upper, ~j lower
+    z_next = z + rng.standard_normal(n) * scale * 1e-3
+    return z, gamma, hint, n_hint, z_next
+
+
+def _hinted_prox(z, gamma, hint, n_hint):
+    g = vmfbs.Tv1dNorm(1.0)
+    if n_hint >= 2:
+        g._corners = vmfbs.prox._Corners(hint, n_hint)
+    return g, g.prox(z, gamma)
+
+
+# A wrong certificate shows only on a wrong corner set, and often only
+# where a tie decides the corner: every case also tries the corners that
+# the opposite tie rule finds on z itself.
+@settings(deadline=None, max_examples=1500, derandomize=True)
+@given(case=tv_hinted_case())
+def test_hinted_tv_prox_bitwise_equals_reference_sweep(case):
+    z, gamma, hint, n_hint, z_next = case
+    want = prox_tv1d_reference(z, gamma).tobytes()
+    g, out = _hinted_prox(z, gamma, hint, n_hint)
+    assert out.tobytes() == want
+    # the corners the call left behind serve the next input as well
+    assert g.prox(z_next, gamma).tobytes() == prox_tv1d_reference(z_next, gamma).tobytes()
+    if z.size > 1 and gamma > 0:
+        ties = taut_string_corners(z, gamma, last_ties=True)
+        assert _hinted_prox(z, gamma, ties, z.size)[1].tobytes() == want
 
 
 @SETTLE

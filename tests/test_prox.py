@@ -151,16 +151,17 @@ def tv_deblur_problem(seed, n=1000, jumps=19):
 
 
 def test_prox_tv1d_replays_a_deblur_solve_bitwise(monkeypatch):
-    # the prox inputs of the first 30 iterations of an n = 1000 deblur
-    # solve, replayed against the frozen numpy-scalar sweep
+    # the first 30 prox calls of an n = 1000 deblur solve, warm-started or
+    # swept, against the frozen numpy-scalar sweep
     calls = []
-    sweep = vmfbs.prox.prox_tv1d
+    prox = vmfbs.Tv1dNorm.prox
 
-    def recording(z, gamma):
-        calls.append((np.array(z, dtype=float), gamma))
-        return sweep(z, gamma)
+    def recording(self, z, gamma, weights=None):
+        out = prox(self, z, gamma, weights)
+        calls.append((np.array(z, dtype=float), gamma * self.weight, weights, out))
+        return out
 
-    monkeypatch.setattr(vmfbs.prox, "prox_tv1d", recording)
+    monkeypatch.setattr(vmfbs.Tv1dNorm, "prox", recording)
     problem = tv_deblur_problem(1)
     vmfbs.solve(problem, np.zeros(1000), vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule="ls1", warm_start=True),
@@ -168,8 +169,29 @@ def test_prox_tv1d_replays_a_deblur_solve_bitwise(monkeypatch):
         record_checks=False,
     ))
     assert len(calls) >= 30
-    for z, gamma in calls[:30]:
-        assert sweep(z, gamma).tobytes() == prox_tv1d_reference(z, gamma).tobytes()
+    for z, gamma, weights, out in calls[:30]:
+        assert weights is None or not np.ptp(weights)
+        if weights is not None:
+            gamma = gamma / float(weights[0])
+        assert out.tobytes() == prox_tv1d_reference(z, gamma).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_prox_tv1d_reports_overflow():
+    # partial sums that overflow, and finite partial sums whose tube
+    # bound r_0 + gamma does
+    g = vmfbs.Tv1dNorm(1.0)
+    for z, gamma in (
+        (np.array([1.5e308, 1.5e308, -1.5e308, -1.5e308]), 1.0),
+        (np.array([1.5e308, 0.0, -1.5e308]), 0.5e308),
+    ):
+        with pytest.raises(vmfbs.UsageError, match="overflow"):
+            vmfbs.prox_tv1d(z, gamma)
+        with pytest.raises(vmfbs.UsageError, match="overflow"):
+            g.prox(z, gamma)
+    # inputs close to the bound still come out finite
+    out = vmfbs.prox_tv1d(np.array([4e307, 4e307, -4e307, -4e307]), 1e307)
+    assert np.isfinite(out).all()
 
 
 # --- TV subdifferential distance ----------------------------------------
