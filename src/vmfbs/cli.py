@@ -73,19 +73,17 @@ def _check_keys(block: dict, path: str, required=(), optional=()):
         raise UsageError(f"{path}: missing required key(s) {missing}")
 
 
-def _number(block, key, path, default=None, kind=float):
+def _number(block, key, path, kind=float):
     if key not in block:
-        if default is None:
-            raise UsageError(f"{path}.{key}: required")
-        return default
+        raise UsageError(f"{path}.{key}: required")
     v = block[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise UsageError(f"{path}.{key}: expected a number, got {v!r}")
     return kind(v)
 
 
-def _bool(block, key, path, default):
-    v = block.get(key, default)
+def _bool(block, key, path):
+    v = block[key]
     if not isinstance(v, bool):
         raise UsageError(f"{path}.{key}: expected true/false, got {v!r}")
     return v
@@ -98,6 +96,29 @@ def _bound(v, path, side: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise UsageError(f"{path}: expected a number or null, got {v!r}")
     return float(v)
+
+
+def _given(block: dict, keys: dict, path: str) -> dict:
+    """The keys of ``keys`` that ``block`` sets, each checked by its kind."""
+    return {
+        key: _bool(block, key, path) if kind is bool else _number(block, key, path, kind=kind)
+        for key, kind in keys.items()
+        if key in block
+    }
+
+
+# the spec keys of LineSearchConfig and SolverConfig with their kinds; a
+# key the spec leaves out keeps the dataclass default
+_LINESEARCH_KEYS = {
+    "delta": float, "theta": float, "gamma_max": float, "lam_max": float,
+    "sigma": float, "beta": float, "max_backtracks": int, "warm_start": bool,
+    "fixed_gamma": float, "fixed_lam": float,
+}
+_SOLVER_KEYS = {
+    "max_iterations": int, "tol_fixed_point": float, "tol_objective_stall": float,
+    "stall_window": int, "record_states": bool, "lam_schedule": float,
+    "gamma_schedule": float,
+}
 
 
 class _RandomCounter:
@@ -185,12 +206,7 @@ def load_spec(path, seed_override=None) -> dict:
     _check_keys(
         spec["solver"],
         "solver",
-        optional=(
-            "rule", "delta", "theta", "gamma_max", "lam_max", "sigma", "beta",
-            "max_backtracks", "fixed_gamma", "fixed_lam", "warm_start",
-            "lam_schedule", "gamma_schedule", "metrics", "max_iterations",
-            "tol_fixed_point", "tol_objective_stall", "stall_window", "record_states",
-        ),
+        optional=("rule", "metrics", *_LINESEARCH_KEYS, *_SOLVER_KEYS),
     )
     _check_keys(spec["output"], "output", optional=("trace", "checks", "f_star"))
     spec["_counter"] = _RandomCounter(seed_override)
@@ -329,53 +345,30 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
         n,
         nu=_number(m, "nu", mpath),
         mu=_number(m, "mu", mpath),
-        eta0=_number(m, "eta0", mpath, default=1.0),
+        **_given(m, {"eta0": float}, mpath),
     )
 
 
 def build_solver_config(spec: dict, n: int) -> SolverConfig:
     s = spec["solver"]
-    out = spec["output"]
     path = "solver"
-    rule = s.get("rule", "ls1")
-    if rule not in RULES:
+    rule = s.get("rule")
+    if "rule" in s and rule not in RULES:
         raise UsageError(f"{path}.rule: expected one of {list(RULES)}, got {rule!r}")
-    ls_kwargs = dict(
-        rule=rule,
-        delta=_number(s, "delta", path, default=0.5),
-        theta=_number(s, "theta", path, default=0.5),
-        gamma_max=_number(s, "gamma_max", path, default=1.0),
-        lam_max=_number(s, "lam_max", path, default=1.0),
-        sigma=_number(s, "sigma", path, default=1.0),
-        beta=_number(s, "beta", path, default=0.5),
-        max_backtracks=_number(s, "max_backtracks", path, default=60, kind=int),
-        warm_start=_bool(s, "warm_start", path, False),
-    )
-    if "fixed_gamma" in s:
-        ls_kwargs["fixed_gamma"] = _number(s, "fixed_gamma", path)
-    if "fixed_lam" in s:
-        ls_kwargs["fixed_lam"] = _number(s, "fixed_lam", path)
+    ls_kwargs = _given(s, _LINESEARCH_KEYS, path)
+    if rule is not None:
+        ls_kwargs["rule"] = rule
     try:
         ls = LineSearchConfig(**ls_kwargs)
     except (UsageError, ConfigurationError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
-    kwargs = dict(
-        linesearch=ls,
-        metrics=_build_metrics(s, n),
-        max_iterations=_number(s, "max_iterations", path, default=1000, kind=int),
-        tol_fixed_point=_number(s, "tol_fixed_point", path, default=0.0),
-        tol_objective_stall=_number(s, "tol_objective_stall", path, default=0.0),
-        stall_window=_number(s, "stall_window", path, default=50, kind=int),
-        record_checks=_bool(out, "checks", "output", True),
-        record_states=_bool(s, "record_states", path, False),
-    )
-    if "lam_schedule" in s:
-        kwargs["lam_schedule"] = _number(s, "lam_schedule", path)
-    if "gamma_schedule" in s:
-        kwargs["gamma_schedule"] = _number(s, "gamma_schedule", path)
+    metrics = _build_metrics(s, n)
+    kwargs = _given(s, _SOLVER_KEYS, path)
+    if "checks" in spec["output"]:
+        kwargs["record_checks"] = _bool(spec["output"], "checks", "output")
     try:
-        return SolverConfig(**kwargs)
+        return SolverConfig(linesearch=ls, metrics=metrics, **kwargs)
     except ConfigurationError as exc:
         raise UsageError(f"{path}: {exc}") from None
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import growth_from_weights
 from .problems import UsageError, Unsupported, as_vector
 
 __all__ = [
@@ -168,8 +169,7 @@ def check_quasi_fejer(
 
     gamma_sup = float(np.max(gammas))
     if branch == "growth":
-        ratios = W[1:] / W[:-1]  # (T, n)
-        etas = np.maximum(0.0, np.max(ratios, axis=1) - 1.0)
+        etas = growth_from_weights(W)  # (T,)
         eta_sup = float(np.max(etas))
         d_sq = np.einsum("ij,ij->i", W, diffs * diffs)  # ||x_k - x*||^2 in metric k
         coeff = 2.0 * gamma_sup * (1.0 + eta_sup) / (1.0 - delta)

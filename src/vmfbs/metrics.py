@@ -41,8 +41,7 @@ __all__ = [
     "constant_schedule",
     "table_schedule",
     "bb_schedule",
-    "GrowthReport",
-    "SpreadReport",
+    "SummabilityReport",
     "validate_growth",
     "validate_spread",
 ]
@@ -281,14 +280,18 @@ _NEEDS_RUN = "n/a: needs a run, the weights depend on the solver state"
 
 
 @dataclass
-class GrowthReport:
-    """Per-step relative growth of the weights over a finite horizon.
+class SummabilityReport:
+    """Partial sum of one per-step sequence of a schedule over a finite
+    horizon: the relative growth eta_k (``name`` "growth") or the
+    eigenvalue spread mu_k - nu_k ("spread"), one entry per step in
+    ``terms``.
 
     For a schedule that reads the solver state ``needs_run`` is set,
-    ``eta`` is empty, ``partial_sum`` NaN and ``passed`` None.
+    ``terms`` is empty, ``partial_sum`` NaN and ``passed`` None.
     """
 
-    eta: np.ndarray
+    name: str
+    terms: np.ndarray
     partial_sum: float
     budget: float | None
     passed: bool | None
@@ -296,34 +299,11 @@ class GrowthReport:
 
     def __str__(self):
         if self.needs_run:
-            return f"growth: {_NEEDS_RUN}"
+            return f"{self.name}: {_NEEDS_RUN}"
         verdict = "n/a" if self.passed is None else ("pass" if self.passed else "FAIL")
+        term = "eta" if self.name == "growth" else "(mu_k - nu_k)"
         return (
-            f"growth: sum eta over {self.eta.size} steps = {self.partial_sum:.6g}"
-            f" (budget {self.budget}, {verdict})"
-        )
-
-
-@dataclass
-class SpreadReport:
-    """Per-step eigenvalue spread mu_k - nu_k over a finite horizon.
-
-    For a schedule that reads the solver state ``needs_run`` is set,
-    ``gaps`` is empty, ``partial_sum`` NaN and ``passed`` None.
-    """
-
-    gaps: np.ndarray
-    partial_sum: float
-    budget: float | None
-    passed: bool | None
-    needs_run: bool = False
-
-    def __str__(self):
-        if self.needs_run:
-            return f"spread: {_NEEDS_RUN}"
-        verdict = "n/a" if self.passed is None else ("pass" if self.passed else "FAIL")
-        return (
-            f"spread: sum (mu_k - nu_k) over {self.gaps.size} steps = {self.partial_sum:.6g}"
+            f"{self.name}: sum {term} over {self.terms.size} steps = {self.partial_sum:.6g}"
             f" (budget {self.budget}, {verdict})"
         )
 
@@ -334,15 +314,23 @@ def growth_from_weights(weight_rows) -> np.ndarray:
     This is the tightest per-step constant with
     ||v||_{k+1}^2 <= (1 + eta_k) ||v||_k^2 for all v.
     """
-    rows = [np.asarray(w, dtype=float) for w in weight_rows]
+    rows = np.asarray(weight_rows, dtype=float)
     if len(rows) < 2:
         return np.zeros(0)
-    return np.array(
-        [max(0.0, float(np.max(rows[k + 1] / rows[k])) - 1.0) for k in range(len(rows) - 1)]
-    )
+    return np.maximum(0.0, np.max(rows[1:] / rows[:-1], axis=1) - 1.0)
 
 
-def validate_growth(schedule: MetricSchedule, horizon: int, budget: float | None = None) -> GrowthReport:
+def _summability(name, terms_of, schedule, horizon, budget) -> SummabilityReport:
+    ws = _emit_weights(schedule, horizon)
+    if ws is None:
+        return SummabilityReport(name, np.zeros(0), np.nan, budget, None, needs_run=True)
+    terms = terms_of(ws)
+    total = float(terms.sum())
+    passed = None if budget is None else bool(total <= budget)
+    return SummabilityReport(name, terms, total, budget, passed)
+
+
+def validate_growth(schedule: MetricSchedule, horizon: int, budget: float | None = None) -> SummabilityReport:
     """Partial sums of the relative-growth sequence, checked against a budget.
 
     Heuristic by nature: passing over a finite horizon does not prove the
@@ -350,27 +338,13 @@ def validate_growth(schedule: MetricSchedule, horizon: int, budget: float | None
     reported. A schedule that reads the solver state has no weights
     before a run, so its report says so and passes nothing.
     """
-    ws = _emit_weights(schedule, horizon)
-    if ws is None:
-        return GrowthReport(eta=np.zeros(0), partial_sum=np.nan, budget=budget,
-                            passed=None, needs_run=True)
-    eta = growth_from_weights(ws)
-    total = float(eta.sum())
-    passed = None if budget is None else bool(total <= budget)
-    return GrowthReport(eta=eta, partial_sum=total, budget=budget, passed=passed)
+    return _summability("growth", growth_from_weights, schedule, horizon, budget)
 
 
-def validate_spread(schedule: MetricSchedule, horizon: int, budget: float | None = None) -> SpreadReport:
+def validate_spread(schedule: MetricSchedule, horizon: int, budget: float | None = None) -> SummabilityReport:
     """Partial sums of the eigenvalue spread, checked against a budget.
 
     As :func:`validate_growth`, a schedule that reads the solver state
     gets a report that needs a run.
     """
-    ws = _emit_weights(schedule, horizon)
-    if ws is None:
-        return SpreadReport(gaps=np.zeros(0), partial_sum=np.nan, budget=budget,
-                            passed=None, needs_run=True)
-    gaps = np.array([float(w.max() - w.min()) for w in ws])
-    total = float(gaps.sum())
-    passed = None if budget is None else bool(total <= budget)
-    return SpreadReport(gaps=gaps, partial_sum=total, budget=budget, passed=passed)
+    return _summability("spread", lambda ws: np.ptp(ws, axis=1), schedule, horizon, budget)

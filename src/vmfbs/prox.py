@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .problems import ConfigurationError, ProxTerm, Unsupported, UsageError, as_vector
+from .problems import ConfigurationError, ProxTerm, UsageError, as_vector
 
 __all__ = [
     "soft_threshold",
-    "project_box",
     "prox_tv1d",
     "prox_optimality_residual",
     "L1Norm",
@@ -51,17 +49,6 @@ def soft_threshold(z, tau):
     if (tau < 0).any():
         raise UsageError("soft threshold needs tau >= 0")
     out = np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def project_box(z, lo, hi):
-    """Componentwise clamp of z into [lo, hi]; bounds may be +-inf."""
-    z = np.asarray(z, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if (lo > hi).any():
-        raise ConfigurationError("empty box: lo > hi somewhere")
-    out = np.minimum(np.maximum(z, lo), hi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -102,7 +89,8 @@ def _tube(z, gamma: float):
         raise UsageError(f"gamma must be nonnegative and finite, got {gamma}")
     if z.size == 1 or gamma == 0.0:
         return z, None
-    r = np.cumsum(z)
+    with np.errstate(over="ignore"):  # an overflow is reported below, as itself
+        r = np.cumsum(z)
     if not (math.isfinite(float(r.max()) + gamma) and math.isfinite(float(r.min()) - gamma)):
         raise UsageError("TV prox: the partial sums of z, plus or minus gamma, overflow")
     hi = r + gamma
@@ -367,6 +355,17 @@ def _interval_distances(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return np.maximum(np.maximum(below, above), 0.0)
 
 
+def _abs_interval(p: np.ndarray, t):
+    # d(t |.|)(p_i) = [lo_i, hi_i]: [-t, t] at 0, t * sign(p_i) elsewhere
+    s = t * np.sign(p)
+    return np.where(p == 0.0, -t, s), np.where(p == 0.0, t, s)
+
+
+def _cone_interval(p: np.ndarray, lo, hi):
+    # the normal cone of [lo_i, hi_i] at an interior or boundary point p_i
+    return np.where(p == lo, -np.inf, 0.0), np.where(p == hi, np.inf, 0.0)
+
+
 class L1Norm(ProxTerm):
     """g(x) = weight * ||x||_1."""
 
@@ -388,10 +387,7 @@ class L1Norm(ProxTerm):
     def subdiff_distance(self, p, u) -> float:
         p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=float)
-        t = self.weight
-        lo = np.where(p == 0.0, -t, t * np.sign(p))
-        hi = np.where(p == 0.0, t, t * np.sign(p))
-        return float(np.linalg.norm(_interval_distances(u, lo, hi)))
+        return float(np.linalg.norm(_interval_distances(u, *_abs_interval(p, self.weight))))
 
 
 class BoxIndicator(ProxTerm):
@@ -427,117 +423,100 @@ class BoxIndicator(ProxTerm):
     def subdiff_distance(self, p, u) -> float:
         p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=float)
-        lo = np.broadcast_to(self.lo, p.shape)
-        hi = np.broadcast_to(self.hi, p.shape)
-        # normal cone of the interval at p
-        a = np.where(p == lo, -np.inf, 0.0)
-        b = np.where(p == hi, np.inf, 0.0)
-        return float(np.linalg.norm(_interval_distances(u, a, b)))
+        return float(np.linalg.norm(_interval_distances(u, *_cone_interval(p, self.lo, self.hi))))
 
 
 @dataclass(frozen=True)
 class ScalarPiece:
-    """One coordinate of a separable term.
+    """One coordinate of a separable term: g_i(x) = weight * |x| on [lo, hi].
 
-    ``prox(z, tau)`` solves argmin_y value(y) + (y - z)^2 / (2 tau).
-    ``subdiff`` maps p to the interval [a, b] = d(value)(p), or None if
-    no formula is available (the optimality residual then raises).
+    ``abs_piece`` (weight > 0, no bounds), ``interval_piece`` (weight 0)
+    and ``zero_piece`` build the catalog's three cases; any weight >= 0
+    with any nonempty interval is valid, since in one dimension the
+    prox of weight * |x| plus an interval is the clamp of its soft
+    threshold.
     """
 
-    value: Callable[[float], float]
-    prox: Callable[[float, float], float]
-    subdiff: Callable[[float], tuple[float, float]] | None = None
+    weight: float = 0.0
+    lo: float = -np.inf
+    hi: float = np.inf
+
+    def __post_init__(self):
+        if not (self.weight >= 0) or not math.isfinite(self.weight):
+            raise ConfigurationError(f"piece weight must be nonnegative and finite, got {self.weight}")
+        if not self.lo <= self.hi:
+            raise ConfigurationError("empty interval: lo > hi")
 
 
 def abs_piece(weight: float = 1.0) -> ScalarPiece:
     w = float(weight)
     if not (w > 0) or not np.isfinite(w):
         raise ConfigurationError(f"abs piece weight must be positive, got {weight}")
-    return ScalarPiece(
-        value=lambda x: w * abs(x),
-        prox=lambda z, tau: float(soft_threshold(z, w * tau)),
-        subdiff=lambda p: (-w, w) if p == 0.0 else (w * np.sign(p), w * np.sign(p)),
-    )
+    return ScalarPiece(weight=w)
 
 
 def interval_piece(lo: float, hi: float) -> ScalarPiece:
-    lo, hi = float(lo), float(hi)
-    if lo > hi:
-        raise ConfigurationError("empty interval: lo > hi")
-
-    def subdiff(p):
-        a = -np.inf if p <= lo else 0.0
-        b = np.inf if p >= hi else 0.0
-        return (a, b)
-
-    return ScalarPiece(
-        value=lambda x: 0.0 if lo <= x <= hi else np.inf,
-        prox=lambda z, tau: float(min(max(z, lo), hi)),
-        subdiff=subdiff,
-    )
+    return ScalarPiece(lo=float(lo), hi=float(hi))
 
 
 def zero_piece() -> ScalarPiece:
-    return ScalarPiece(value=lambda x: 0.0, prox=lambda z, tau: float(z), subdiff=lambda p: (0.0, 0.0))
+    return ScalarPiece()
 
 
 class SeparableProx(ProxTerm):
-    """g(x) = sum_i g_i(x_i) from explicit scalar pieces.
+    """g(x) = sum_i g_i(x_i) from scalar pieces, stacked into arrays once.
 
-    With ``check_zero_min=True`` the constructor asserts g_i(0) = 0 for
-    every piece (the normalization g_i >= g_i(0) = 0 itself is a promise
-    of the caller; only the value at 0 is machine-checked).
+    The prox soft-thresholds the coordinates with weight > 0 (as
+    ``L1Norm``) and clamps into the bounds (as ``BoxIndicator``), the
+    domain is the box, and the subdifferential is the sum of the two
+    terms' intervals.
     """
 
     separable = True
     lower_bound = 0.0
 
-    def __init__(self, pieces, check_zero_min: bool = False):
+    def __init__(self, pieces):
         self.pieces = tuple(pieces)
         if not self.pieces:
             raise ConfigurationError("SeparableProx needs at least one piece")
-        if check_zero_min:
-            for i, piece in enumerate(self.pieces):
-                if piece.value(0.0) != 0.0:
-                    raise ConfigurationError(f"piece {i} has g_i(0) = {piece.value(0.0)}, not 0")
+        self.weight, lo, hi = np.array([(p.weight, p.lo, p.hi) for p in self.pieces]).T.copy()
+        self.box = BoxIndicator(lo, hi)
+        self._abs = self.weight > 0
 
     def _check_dim(self, x):
         if x.size != len(self.pieces):
             raise UsageError(f"expected {len(self.pieces)} coordinates, got {x.size}")
 
-    def value(self, x) -> float:
+    def in_domain(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         self._check_dim(x)
-        total = 0.0
-        for piece, xi in zip(self.pieces, x):
-            v = piece.value(float(xi))
-            if not v < np.inf:
-                return np.inf
-            total += v
-        return float(total)
+        return self.box.in_domain(x)
+
+    def value(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        if not self.in_domain(x):
+            return np.inf
+        # left to right, as a loop over the coordinates would add
+        return float(sum((self.weight[self._abs] * np.abs(x[self._abs])).tolist()))
 
     def prox(self, z, gamma, weights=None):
         z = np.asarray(z, dtype=float)
         self._check_dim(z)
-        if weights is None:
-            taus = np.full(z.size, float(gamma))
-        else:
-            taus = gamma / np.asarray(weights, dtype=float)
-        return np.array(
-            [piece.prox(float(zi), float(ti)) for piece, zi, ti in zip(self.pieces, z, taus)]
-        )
+        tau = gamma if weights is None else gamma / np.asarray(weights, dtype=float)
+        # the threshold only where weight > 0: at weight 0 it would turn -0.0 into +0.0
+        shrunk = np.where(self._abs, soft_threshold(z, self.weight * tau), z)
+        # the clamp with the point second: on a tie (a zero against a zero
+        # bound of the other sign) numpy returns the second operand, so the
+        # point keeps its sign, as under Python's min and max
+        return np.minimum(self.box.hi, np.maximum(self.box.lo, shrunk))
 
     def subdiff_distance(self, p, u) -> float:
         p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=float)
         self._check_dim(p)
-        lo = np.empty(p.size)
-        hi = np.empty(p.size)
-        for i, piece in enumerate(self.pieces):
-            if piece.subdiff is None:
-                raise Unsupported(f"piece {i} has no subdifferential formula")
-            lo[i], hi[i] = piece.subdiff(float(p[i]))
-        return float(np.linalg.norm(_interval_distances(u, lo, hi)))
+        a_lo, a_hi = _abs_interval(p, self.weight)
+        c_lo, c_hi = _cone_interval(p, self.box.lo, self.box.hi)
+        return float(np.linalg.norm(_interval_distances(u, a_lo + c_lo, a_hi + c_hi)))
 
 
 class Tv1dNorm(ProxTerm):

@@ -10,6 +10,8 @@ on.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
 
@@ -369,3 +371,93 @@ def quasi_fejer_residuals_reference(record, x_star, f_star: float, delta: float,
                 - eps
             )
     return residuals
+
+
+class ScalarPieceReference(NamedTuple):
+    value: Callable[[float], float]
+    prox: Callable[[float, float], float]
+    subdiff: Callable[[float], tuple]
+
+
+def _soft_threshold_scalar(z: float, tau: float) -> float:
+    z = np.asarray(z, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    return float(np.sign(z) * np.maximum(np.abs(z) - tau, 0.0))
+
+
+def abs_piece_reference(weight: float) -> ScalarPieceReference:
+    w = float(weight)
+    return ScalarPieceReference(
+        value=lambda x: w * abs(x),
+        prox=lambda z, tau: float(_soft_threshold_scalar(z, w * tau)),
+        subdiff=lambda p: (-w, w) if p == 0.0 else (w * np.sign(p), w * np.sign(p)),
+    )
+
+
+def interval_piece_reference(lo: float, hi: float) -> ScalarPieceReference:
+    lo, hi = float(lo), float(hi)
+
+    def subdiff(p):
+        a = -np.inf if p <= lo else 0.0
+        b = np.inf if p >= hi else 0.0
+        return (a, b)
+
+    return ScalarPieceReference(
+        value=lambda x: 0.0 if lo <= x <= hi else np.inf,
+        prox=lambda z, tau: float(min(max(z, lo), hi)),
+        subdiff=subdiff,
+    )
+
+
+def zero_piece_reference() -> ScalarPieceReference:
+    return ScalarPieceReference(
+        value=lambda x: 0.0, prox=lambda z, tau: float(z), subdiff=lambda p: (0.0, 0.0)
+    )
+
+
+class SeparableProxReference:
+    """``SeparableProx`` as it ran when a scalar piece was three Python
+    callables: one call per coordinate for the value, the prox and the
+    subdifferential interval, and ``in_domain`` from the value.
+
+    Kept frozen (with the scalar soft threshold and the interval
+    distance inlined) as the reference for the bitwise differential
+    test of the vectorised term. Do not tidy it.
+    """
+
+    def __init__(self, pieces):
+        self.pieces = tuple(pieces)
+
+    def value(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        total = 0.0
+        for piece, xi in zip(self.pieces, x):
+            v = piece.value(float(xi))
+            if not v < np.inf:
+                return np.inf
+            total += v
+        return float(total)
+
+    def in_domain(self, x) -> bool:
+        return bool(np.isfinite(self.value(x)))
+
+    def prox(self, z, gamma, weights=None):
+        z = np.asarray(z, dtype=float)
+        if weights is None:
+            taus = np.full(z.size, float(gamma))
+        else:
+            taus = gamma / np.asarray(weights, dtype=float)
+        return np.array(
+            [piece.prox(float(zi), float(ti)) for piece, zi, ti in zip(self.pieces, z, taus)]
+        )
+
+    def subdiff_distance(self, p, u) -> float:
+        p = np.asarray(p, dtype=float)
+        u = np.asarray(u, dtype=float)
+        lo = np.empty(p.size)
+        hi = np.empty(p.size)
+        for i, piece in enumerate(self.pieces):
+            lo[i], hi[i] = piece.subdiff(float(p[i]))
+        below = np.where(np.isfinite(lo), lo - u, -np.inf)
+        above = np.where(np.isfinite(hi), u - hi, -np.inf)
+        return float(np.linalg.norm(np.maximum(np.maximum(below, above), 0.0)))

@@ -199,6 +199,10 @@ def test_search_failure_prints_the_step_not_the_iterate(tmp_path, capsys):
         (lambda s: s["solver"].update(rule="ls9"), "solver.rule"),
         (lambda s: s["solver"].update(max_iterations=0), "solver"),
         (lambda s: s["output"].update(plot=True), "output: unknown key"),
+        (lambda s: s["solver"].update(max_backtracks="7"),
+         "solver.max_backtracks: expected a number"),
+        (lambda s: s["solver"].update(warm_start=1), "solver.warm_start: expected true/false"),
+        (lambda s: s["output"].update(checks="no"), "output.checks: expected true/false"),
     ],
 )
 def test_spec_validation_names_the_field(tmp_path, capsys, mutate, needle):
@@ -244,6 +248,74 @@ def test_infeasible_interior_start_exits_2(tmp_path, capsys):
     })
     assert main(["solve", "--spec", spec, "--out", str(tmp_path / "t.csv")]) == 2
     assert "interior" in capsys.readouterr().err
+
+
+def test_empty_solver_block_builds_the_default_config(tmp_path):
+    # the dataclasses hold the only defaults
+    spec = load_spec(write_spec(tmp_path, {"problem": lasso_spec()["problem"]}))
+    assert build_solver_config(spec, 1) == vmfbs.SolverConfig()
+
+
+def test_solver_block_passes_the_keys_it_sets(tmp_path):
+    spec = load_spec(write_spec(tmp_path, lasso_spec(
+        rule="ls3", delta=0.25, max_backtracks=7, warm_start=True, record_states=True,
+        gamma_schedule=2, tol_fixed_point=1e-9,
+    )))
+    assert build_solver_config(spec, 1) == vmfbs.SolverConfig(
+        linesearch=vmfbs.LineSearchConfig(
+            rule="ls3", delta=0.25, max_backtracks=7, warm_start=True
+        ),
+        max_iterations=5, record_states=True, gamma_schedule=2.0, tol_fixed_point=1e-9,
+    )
+
+
+SEPARABLE_PIECES = [
+    {"kind": "abs", "weight": 1.0},
+    {"kind": "interval", "lo": None, "hi": 1.0},
+    {"kind": "zero"},
+]
+
+
+def separable_spec(pieces):
+    # f = 0.5 ||x - b||^2, so one step at gamma = 1 lands on prox_g(b)
+    return {
+        "problem": {
+            "smooth": {"type": "quadratic", "matrix": np.eye(3).tolist(), "b": [3.0, 2.0, -1.5]},
+            "regularizer": {"type": "separable", "pieces": pieces},
+        },
+        "solver": {"max_iterations": 20},
+        "output": {},
+    }
+
+
+def test_solve_separable_regularizer(tmp_path, capsys):
+    path = write_spec(tmp_path, separable_spec(SEPARABLE_PIECES))
+    spec = load_spec(path)
+    problem, x0 = build_problem(spec)
+    assert problem.g.pieces == (
+        vmfbs.abs_piece(1.0), vmfbs.interval_piece(-np.inf, 1.0), vmfbs.zero_piece()
+    )
+    result = solve(problem, x0, build_solver_config(spec, problem.dimension))
+    assert result.termination == "fixed_point"
+    assert np.array_equal(result.x_final, [2.0, 1.0, -1.5])
+    assert result.F_final == 3.0
+    out = str(tmp_path / "t.csv")
+    assert main(["solve", "--spec", path, "--out", out]) == 0
+    assert open(out).read().splitlines()[0] == TRACE_HEADER
+
+
+@pytest.mark.parametrize(
+    "pieces, needle",
+    [
+        (SEPARABLE_PIECES[:2], "problem.regularizer.pieces: expected a list of length 3"),
+        (SEPARABLE_PIECES[:2] + [{"kind": "huber"}],
+         "problem.regularizer.pieces[2].kind: expected abs|interval|zero, got 'huber'"),
+    ],
+)
+def test_separable_regularizer_errors_name_the_field(tmp_path, capsys, pieces, needle):
+    spec = write_spec(tmp_path, separable_spec(pieces))
+    assert main(["solve", "--spec", spec, "--out", str(tmp_path / "t.csv")]) == 2
+    assert needle in capsys.readouterr().err
 
 
 # --- compare ----------------------------------------------------------------------

@@ -180,6 +180,30 @@ def test_reports_render():
     assert "spread" in text and "pass" in text
 
 
+def test_growth_from_weights_matches_the_per_step_formula(rng):
+    rows = rng.uniform(0.5, 2.0, size=(30, 4))
+    want = [max(0.0, float(np.max(rows[k + 1] / rows[k])) - 1.0) for k in range(29)]
+    assert growth_from_weights(rows).tolist() == want
+    assert growth_from_weights(list(rows)).tolist() == want
+    assert growth_from_weights(rows[:1]).size == 0
+
+
+def test_reports_share_one_type_and_render_exactly(rng):
+    rows = rng.uniform(0.5, 2.0, size=(12, 3))
+    report = vmfbs.validate_spread(
+        vmfbs.table_schedule(rows, nu=0.5, mu=2.0, regime="spread"), horizon=12
+    )
+    assert report.terms.tolist() == [float(r.max() - r.min()) for r in rows]
+    sched = vmfbs.table_schedule([[1.0, 1.0], [1.5, 1.0]], nu=1.0, mu=1.5, regime="growth")
+    growth = vmfbs.validate_growth(sched, horizon=3, budget=1.0)
+    spread = vmfbs.validate_spread(sched, horizon=3)
+    assert type(growth) is type(spread) is vmfbs.SummabilityReport
+    assert growth.terms.tolist() == [0.5, 0.0]
+    assert spread.terms.tolist() == [0.0, 0.5, 0.5]
+    assert str(growth) == "growth: sum eta over 2 steps = 0.5 (budget 1.0, pass)"
+    assert str(spread) == "spread: sum (mu_k - nu_k) over 3 steps = 1 (budget None, n/a)"
+
+
 def test_validators_need_a_run_for_state_reading_schedules():
     # BB weights come from the solver state; the state-free start weights
     # would report sum 0 and pass

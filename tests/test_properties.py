@@ -9,7 +9,15 @@ from vmfbs.linesearch import line_search
 from vmfbs.metrics import identity_metric, metric_norm_sq, metric_prox
 from vmfbs.prox import soft_threshold
 
-from oracles import prox_tv1d_reference, scalar_prox_oracle, taut_string_corners
+from oracles import (
+    SeparableProxReference,
+    abs_piece_reference,
+    interval_piece_reference,
+    prox_tv1d_reference,
+    scalar_prox_oracle,
+    taut_string_corners,
+    zero_piece_reference,
+)
 
 SETTLE = settings(deadline=None, max_examples=40, derandomize=True)
 
@@ -70,6 +78,73 @@ def test_prox_terms_nonexpansive(data, tau):
     for g in (vmfbs.L1Norm(0.7), vmfbs.BoxIndicator(-1.0, 2.0), vmfbs.Tv1dNorm(0.4)):
         d = np.linalg.norm(g.prox(z1, tau) - g.prox(z2, tau))
         assert d <= np.linalg.norm(z1 - z2) + 1e-10
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@st.composite
+def separable_case(draw):
+    """A random mix of abs, interval and zero pieces with the frozen
+    callables of each, and a strategy for points: Gaussian values, some
+    of them replaced by signed zeros, the finite bounds or points one
+    unit outside them."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    pieces = []
+    refs = []
+    pool = [0.0, -0.0, 3.0, -3.0]
+    for _ in range(n):
+        kind = draw(st.sampled_from(["abs", "interval", "zero"]))
+        if kind == "abs":
+            w = draw(st.one_of(st.sampled_from([1.0, 1e-300]), st.floats(0.01, 10.0)))
+            pieces.append(vmfbs.abs_piece(w))
+            refs.append(abs_piece_reference(w))
+        elif kind == "interval":
+            ends = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-5.0, 5.0))
+            lo, hi = sorted([draw(ends), draw(ends)])
+            lo = draw(st.sampled_from([lo, -np.inf]))
+            hi = draw(st.sampled_from([hi, np.inf]))
+            pieces.append(vmfbs.interval_piece(lo, hi))
+            refs.append(interval_piece_reference(lo, hi))
+            pool += [b + d for b in (lo, hi) if np.isfinite(b) for d in (-1.0, 0.0, 1.0)]
+        else:
+            pieces.append(vmfbs.zero_piece())
+            refs.append(zero_piece_reference())
+
+    @st.composite
+    def points(draw):
+        x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n) * 4.0
+        special = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        use = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return np.where(use, special, x)
+
+    return pieces, refs, points()
+
+
+# The frozen per-coordinate callables are the reference; -0.0 on an
+# interval or zero piece is what a threshold applied to every coordinate
+# would turn into +0.0.
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(data=st.data())
+def test_separable_prox_matches_frozen_callables_bitwise(data):
+    pieces, refs, points = data.draw(separable_case())
+    g = vmfbs.SeparableProx(pieces)
+    ref = SeparableProxReference(refs)
+    z = data.draw(points)
+    x = data.draw(points)
+    u = data.draw(points)
+    gamma = data.draw(st.one_of(st.sampled_from([1.0, 0.5]), small_pos))
+    w = data.draw(st.lists(st.floats(0.2, 5.0), min_size=z.size, max_size=z.size).map(np.array))
+    for weights in (None, w):
+        assert g.prox(z, gamma, weights).tobytes() == ref.prox(z, gamma, weights).tobytes()
+    assert _bits(g.value(x)) == _bits(ref.value(x))
+    assert g.in_domain(x) is ref.in_domain(x)
+    # the subdifferential exists on the box only: at prox outputs, and at
+    # points clamped onto the bounds
+    for p in (g.prox(z, gamma, w), g.box.prox(x, gamma)):
+        assert ref.in_domain(p)
+        assert _bits(g.subdiff_distance(p, u)) == _bits(ref.subdiff_distance(p, u))
 
 
 @st.composite

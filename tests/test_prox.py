@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import vmfbs
-from vmfbs.prox import project_box
 from oracles import (
     grid_prox_oracle,
     prox_tv1d_oracle,
@@ -53,21 +52,21 @@ def test_soft_threshold_matches_golden_section(rng):
 
 # --- box projection ----------------------------------------------------
 
-def test_project_box_clamps():
+def test_box_prox_clamps():
     z = np.array([-1.0, 0.5, 2.0])
-    assert np.array_equal(project_box(z, 0.0, 1.0), [0.0, 0.5, 1.0])
+    assert np.array_equal(vmfbs.BoxIndicator(0.0, 1.0).prox(z, 1.0), [0.0, 0.5, 1.0])
 
 
-def test_project_box_vector_bounds():
+def test_box_prox_vector_bounds():
     z = np.array([5.0, -5.0])
     lo = np.array([-1.0, -2.0])
     hi = np.array([1.0, 2.0])
-    assert np.array_equal(project_box(z, lo, hi), [1.0, -2.0])
+    assert np.array_equal(vmfbs.BoxIndicator(lo, hi).prox(z, 1.0), [1.0, -2.0])
 
 
-def test_project_box_empty_box_rejected():
+def test_box_empty_box_rejected():
     with pytest.raises(vmfbs.ConfigurationError):
-        project_box(np.array([0.0]), 1.0, -1.0)
+        vmfbs.BoxIndicator(1.0, -1.0)
 
 
 # --- TV prox (taut string) ---------------------------------------------
@@ -176,13 +175,15 @@ def test_prox_tv1d_replays_a_deblur_solve_bitwise(monkeypatch):
         assert out.tobytes() == prox_tv1d_reference(z, gamma).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_prox_tv1d_reports_overflow():
     # partial sums that overflow, and finite partial sums whose tube
-    # bound r_0 + gamma does
+    # bound r_0 + gamma does; the UsageError is all that is reported, no
+    # numpy warning comes before it
     g = vmfbs.Tv1dNorm(1.0)
     for z, gamma in (
         (np.array([1.5e308, 1.5e308, -1.5e308, -1.5e308]), 1.0),
+        (np.array([1e308, 1e308, 1.0]), 0.1),
         (np.array([1.5e308, 0.0, -1.5e308]), 0.5e308),
     ):
         with pytest.raises(vmfbs.UsageError, match="overflow"):
@@ -311,6 +312,41 @@ def test_separable_prox_mixed_pieces():
     assert g.value(np.array([1.0, 1.5, 0.0])) == np.inf
 
 
+def test_scalar_pieces_are_validated_records():
+    assert vmfbs.abs_piece(2.0) == vmfbs.ScalarPiece(weight=2.0)
+    assert vmfbs.interval_piece(-1, 2) == vmfbs.ScalarPiece(0.0, -1.0, 2.0)
+    assert vmfbs.zero_piece() == vmfbs.ScalarPiece(0.0, -np.inf, np.inf)
+    for bad in (dict(weight=-1.0), dict(weight=np.inf), dict(weight=np.nan),
+                dict(lo=1.0, hi=0.0), dict(lo=np.nan)):
+        with pytest.raises(vmfbs.ConfigurationError):
+            vmfbs.ScalarPiece(**bad)
+    with pytest.raises(vmfbs.ConfigurationError, match="positive"):
+        vmfbs.abs_piece(0.0)
+    with pytest.raises(vmfbs.ConfigurationError, match="empty interval"):
+        vmfbs.interval_piece(1.0, 0.0)
+
+
+def test_separable_prox_residual_zero_at_prox_point(rng):
+    # abs, interval and zero pieces, and pieces with both a weight and
+    # bounds, under Euclidean and diagonal metrics
+    for _ in range(50):
+        n = int(rng.integers(1, 10))
+        pieces = []
+        for _ in range(n):
+            lo, hi = np.sort(rng.uniform(-2, 2, size=2))
+            lo = lo if rng.random() < 0.7 else -np.inf
+            hi = hi if rng.random() < 0.7 else np.inf
+            weight = float(rng.choice([0.0, rng.uniform(0.1, 2)]))
+            pieces.append(vmfbs.ScalarPiece(weight, lo, hi))
+        g = vmfbs.SeparableProx(pieces)
+        z = rng.uniform(-4, 4, size=n)
+        gamma = float(rng.uniform(0.05, 3))
+        w = rng.uniform(0.2, 5, size=n)
+        for weights in (None, w):
+            p = g.prox(z, gamma, weights)
+            assert vmfbs.prox_optimality_residual(g, z, gamma, p, weights=weights) <= 1e-12
+
+
 def test_separable_prox_dimension_mismatch():
     g = vmfbs.SeparableProx([vmfbs.zero_piece()])
     with pytest.raises(vmfbs.UsageError):
@@ -388,10 +424,12 @@ def test_scalar_pieces_match_grid_oracle(rng):
         (vmfbs.abs_piece(2.0), None, None),
         (vmfbs.interval_piece(-1.0, 2.0), -1.0, 2.0),
         (vmfbs.zero_piece(), None, None),
+        (vmfbs.ScalarPiece(1.5, -1.0, 0.5), -1.0, 0.5),
     ]
     for piece, lo, hi in cases:
+        g = vmfbs.SeparableProx([piece])
         for _ in range(20):
             z = float(rng.uniform(-4, 4))
             tau = float(rng.uniform(0.05, 2))
-            ref = grid_prox_oracle(piece.value, z, tau, lo=lo, hi=hi)
-            assert piece.prox(z, tau) == pytest.approx(ref, abs=1e-6)
+            ref = grid_prox_oracle(lambda x: g.value(np.array([x])), z, tau, lo=lo, hi=hi)
+            assert g.prox(np.array([z]), tau)[0] == pytest.approx(ref, abs=1e-6)
