@@ -8,22 +8,18 @@ re-verify the inequalities each run is supposed to satisfy.
 
 from .diagnostics import (
     CheckReport,
-    RateEstimate,
     check_descent_inequality,
     check_quasi_fejer,
     check_stepsize_floor,
     estimate_rate,
-    read_trace_csv,
 )
 from .linesearch import RULES, LineSearchConfig
 from .metrics import (
-    DiagonalMetric,
     MetricSchedule,
     StepSnapshot,
     SummabilityReport,
     bb_schedule,
     constant_schedule,
-    metric_prox,
     table_schedule,
     validate_growth,
     validate_spread,
@@ -55,13 +51,12 @@ from .prox import (
 from .smooth import KLDivergence, LinearMap, PNormResidual
 from .solver import (
     TERMINATIONS,
-    FixedStepReport,
     IterateTrace,
     SolveResult,
     SolverConfig,
-    States,
     Trace,
     fixed_step_validate,
+    read_trace_csv,
     solve,
 )
 
@@ -70,9 +65,7 @@ __all__ = [
     "CheckReport",
     "CompositeProblem",
     "ConfigurationError",
-    "DiagonalMetric",
     "DomainError",
-    "FixedStepReport",
     "IterateTrace",
     "KLDivergence",
     "L1Norm",
@@ -82,14 +75,12 @@ __all__ = [
     "PNormResidual",
     "ProxTerm",
     "RULES",
-    "RateEstimate",
     "ScalarPiece",
     "SearchFailure",
     "SeparableProx",
     "SmoothTerm",
     "SolveResult",
     "SolverConfig",
-    "States",
     "StepSnapshot",
     "SummabilityReport",
     "TERMINATIONS",
@@ -107,7 +98,6 @@ __all__ = [
     "estimate_rate",
     "fixed_step_validate",
     "interval_piece",
-    "metric_prox",
     "prox_optimality_residual",
     "prox_tv1d",
     "read_trace_csv",

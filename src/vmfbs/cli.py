@@ -28,7 +28,14 @@ import numpy as np
 
 from .diagnostics import estimate_rate
 from .linesearch import RULES, LineSearchConfig
-from .metrics import MetricSchedule, bb_schedule, constant_schedule, table_schedule
+from .metrics import (
+    MetricSchedule,
+    bb_schedule,
+    constant_schedule,
+    table_schedule,
+    validate_growth,
+    validate_spread,
+)
 from .problems import (
     CompositeProblem,
     ConfigurationError,
@@ -47,7 +54,7 @@ from .prox import (
     zero_piece,
 )
 from .smooth import KLDivergence, PNormResidual
-from .solver import IterateTrace, SolverConfig, solve
+from .solver import SolverConfig, solve, write_trace_csv
 
 __all__ = ["main", "load_spec", "build_problem", "build_solver_config"]
 
@@ -98,6 +105,16 @@ def _bound(v, path, side: str) -> float:
     return float(v)
 
 
+def _choice(block: dict, key: str, path: str, options, default=None):
+    """``block[key]``, which must be one of ``options``; ``default`` when unset."""
+    if key not in block:
+        return default
+    v = block[key]
+    if v not in options:
+        raise UsageError(f"{path}.{key}: expected one of {list(options)}, got {v!r}")
+    return v
+
+
 def _given(block: dict, keys: dict, path: str) -> dict:
     """The keys of ``keys`` that ``block`` sets, each checked by its kind."""
     return {
@@ -119,6 +136,8 @@ _SOLVER_KEYS = {
     "stall_window": int, "record_states": bool, "lam_schedule": float,
     "gamma_schedule": float,
 }
+# the metric block's budgets, read by validate-metrics alone
+_BUDGET_KEYS = {"growth_budget": float, "spread_budget": float}
 
 
 class _RandomCounter:
@@ -136,16 +155,21 @@ class _RandomCounter:
         return np.random.default_rng(block_seed)
 
 
+def _inline(node, path, *, ndim: int) -> np.ndarray:
+    """An inline (nested) list of numbers -> ndarray of ``ndim`` dimensions."""
+    try:
+        arr = np.array(node, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: not numeric ({exc})") from None
+    if arr.ndim != ndim:
+        raise UsageError(f"{path}: expected a {ndim}-d array, got shape {arr.shape}")
+    return arr
+
+
 def _load_numeric(node, path, counter: _RandomCounter, *, ndim: int) -> np.ndarray:
     """Inline array, {"path": file}, or {"random": {...}} -> ndarray."""
     if isinstance(node, list):
-        try:
-            arr = np.array(node, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"{path}: not numeric ({exc})") from None
-        if arr.ndim != ndim:
-            raise UsageError(f"{path}: expected a {ndim}-d array, got shape {arr.shape}")
-        return arr
+        return _inline(node, path, ndim=ndim)
     if isinstance(node, dict) and "path" in node:
         _check_keys(node, path, required=("path",))
         try:
@@ -221,9 +245,7 @@ def build_problem(spec: dict):
     spath = "problem.smooth"
     if not isinstance(smooth, dict) or "type" not in smooth:
         raise UsageError(f"{spath}: needs a 'type' key")
-    stype = smooth["type"]
-    if stype not in _SMOOTH_TYPES:
-        raise UsageError(f"{spath}.type: expected one of {list(_SMOOTH_TYPES)}, got {stype!r}")
+    stype = _choice(smooth, "type", spath, _SMOOTH_TYPES)
     extra = ("p",) if stype == "pnorm" else ()
     _check_keys(smooth, spath, required=("type", "matrix", "b"), optional=extra)
     a = _load_numeric(smooth["matrix"], f"{spath}.matrix", counter, ndim=2)
@@ -240,9 +262,7 @@ def build_problem(spec: dict):
     rpath = "problem.regularizer"
     if not isinstance(reg, dict) or "type" not in reg:
         raise UsageError(f"{rpath}: needs a 'type' key")
-    rtype = reg["type"]
-    if rtype not in _REG_TYPES:
-        raise UsageError(f"{rpath}.type: expected one of {list(_REG_TYPES)}, got {rtype!r}")
+    rtype = _choice(reg, "type", rpath, _REG_TYPES)
     if rtype == "l1":
         _check_keys(reg, rpath, required=("type", "weight"))
         g = L1Norm(_number(reg, "weight", rpath))
@@ -315,16 +335,26 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
     mpath = "solver.metrics"
     if not isinstance(m, dict) or "type" not in m:
         raise UsageError(f"{mpath}: needs a 'type' key")
-    mtype = m["type"]
-    if mtype not in _METRIC_TYPES:
-        raise UsageError(f"{mpath}.type: expected one of {list(_METRIC_TYPES)}, got {mtype!r}")
-    budgets = ("growth_budget", "spread_budget")
+    mtype = _choice(m, "type", mpath, _METRIC_TYPES)
+    budgets = tuple(_BUDGET_KEYS)
+
+    def weights(node, path):
+        w = _inline(node, path, ndim=1)
+        if w.size != n:
+            raise UsageError(f"{path}: expected {n} weights (one per coordinate), got {w.size}")
+        return w
+
+    def build(factory, *args, **kwargs):
+        # the library's own refusals (non-finite or nonpositive weights,
+        # bounds) under the block's path
+        try:
+            return factory(*args, **kwargs)
+        except (UsageError, ConfigurationError) as exc:
+            raise UsageError(f"{mpath}: {exc}") from None
+
     if mtype == "constant":
         _check_keys(m, mpath, required=("type", "weights"), optional=budgets)
-        w = np.array(m["weights"], dtype=float)
-        if w.ndim != 1:
-            raise UsageError(f"{mpath}.weights: expected a flat array")
-        return constant_schedule(w)
+        return build(constant_schedule, weights(m["weights"], f"{mpath}.weights"))
     if mtype == "table":
         _check_keys(
             m, mpath, required=("type", "weights", "nu", "mu", "regime"),
@@ -333,15 +363,17 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
         rows = m["weights"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise UsageError(f"{mpath}.weights: expected a list of weight rows")
-        return table_schedule(
-            [np.array(r, dtype=float) for r in rows],
+        return build(
+            table_schedule,
+            [weights(r, f"{mpath}.weights[{i}]") for i, r in enumerate(rows)],
             nu=_number(m, "nu", mpath),
             mu=_number(m, "mu", mpath),
-            regime=m["regime"],
-            extend=m.get("extend", "hold"),
+            regime=_choice(m, "regime", mpath, ("constant", "growth", "spread")),
+            extend=_choice(m, "extend", mpath, ("hold", "error"), "hold"),
         )
     _check_keys(m, mpath, required=("type", "nu", "mu"), optional=("eta0",) + budgets)
-    return bb_schedule(
+    return build(
+        bb_schedule,
         n,
         nu=_number(m, "nu", mpath),
         mu=_number(m, "mu", mpath),
@@ -352,9 +384,7 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
 def build_solver_config(spec: dict, n: int) -> SolverConfig:
     s = spec["solver"]
     path = "solver"
-    rule = s.get("rule")
-    if "rule" in s and rule not in RULES:
-        raise UsageError(f"{path}.rule: expected one of {list(RULES)}, got {rule!r}")
+    rule = _choice(s, "rule", path, RULES)
     ls_kwargs = _given(s, _LINESEARCH_KEYS, path)
     if rule is not None:
         ls_kwargs["rule"] = rule
@@ -371,18 +401,6 @@ def build_solver_config(spec: dict, n: int) -> SolverConfig:
         return SolverConfig(linesearch=ls, metrics=metrics, **kwargs)
     except ConfigurationError as exc:
         raise UsageError(f"{path}: {exc}") from None
-
-
-# every IterateTrace column, in order; the header spells lam as "lambda"
-_TRACE_HEADER = ",".join("lambda" if name == "lam" else name for name in IterateTrace._fields)
-
-
-def _write_trace_csv(path, trace):
-    with open(path, "w") as fh:
-        fh.write(_TRACE_HEADER + "\n")
-        cols = [trace.column(name) for name in IterateTrace._fields]
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _out_path(args, spec, default_suffix: str) -> str:
@@ -403,7 +421,7 @@ def cmd_solve(args) -> int:
     config = build_solver_config(spec, problem.dimension)
     result = solve(problem, x0, config)
     out = _out_path(args, spec, "_trace.csv")
-    _write_trace_csv(out, result.trace)
+    write_trace_csv(out, result.trace)
     print(
         f"{result.termination} after {len(result.trace)} iterations, "
         f"F = {result.F_final:.17g}; trace -> {out}"
@@ -479,13 +497,9 @@ def cmd_validate_metrics(args) -> int:
     horizon = args.horizon if args.horizon is not None else 200
     if horizon < 1:
         raise UsageError(f"--horizon must be >= 1, got {horizon}")
-    mblock = spec["solver"].get("metrics", {})
-    from .metrics import validate_growth, validate_spread
-
-    g_budget = mblock.get("growth_budget")
-    s_budget = mblock.get("spread_budget")
-    print(validate_growth(schedule, horizon, g_budget))
-    print(validate_spread(schedule, horizon, s_budget))
+    budgets = _given(spec["solver"].get("metrics", {}), _BUDGET_KEYS, "solver.metrics")
+    print(validate_growth(schedule, horizon, budgets.get("growth_budget")))
+    print(validate_spread(schedule, horizon, budgets.get("spread_budget")))
     return 0
 
 

@@ -12,7 +12,6 @@ forms.
 
 from __future__ import annotations
 
-import csv as _csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "check_quasi_fejer",
     "check_stepsize_floor",
     "estimate_rate",
-    "read_trace_csv",
 ]
 
 
@@ -288,21 +286,3 @@ def estimate_rate(record, f_star: float) -> RateEstimate:
         tails[K] = float(np.max(r[mask]))
         K *= 10
     return RateEstimate(r=r, tails=tails)
-
-
-def read_trace_csv(path):
-    """Read a solver trace CSV back into a :class:`~vmfbs.solver.Trace`.
-
-    The trace holds the columns the file has; the 'lambda' header (a
-    Python keyword) becomes the column ``lam``, as in memory.
-    """
-    from .solver import Trace  # the solver imports this module
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise UsageError(f"{path}: empty trace file") from None
-        rows = [row for row in reader if row]
-    names = ["lam" if h == "lambda" else h for h in (h.strip() for h in header)]
-    return Trace({name: [float(row[j]) for row in rows] for j, name in enumerate(names)})

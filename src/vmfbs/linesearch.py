@@ -23,12 +23,16 @@ lam at a fixed gamma, so y is computed once. Only the test differs:
 - ``domain``: y lies in dom f. In the general domain regime its gamma
   replaces the backtracking start of ls1/ls3 and *is* gamma for the lam
   rules, and its y is their first prox point.
+- ``fixed``: none. The fixed step is a lam walk at gamma = ``fixed_gamma``
+  from ``fixed_lam`` that takes its first trial; the solver validated
+  the step bound before the run.
 
 A trial whose value comes back +inf (outside dom f) is an ordinary failed
 comparison. Acceptance uses "<= plus absolute slack 1e-14 * (1 + |f(x)|)"
 so that exact-tie cases (fixed points) cannot flip under round-off. Every
 step is tested, the last one of a run included: at an exact fixed point
-y = x and every test passes at the first grid point.
+y = x and every test passes at the first grid point. A grid point that
+underflows to 0.0 is no step at all: it ends the walk as a failure.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import DiagonalMetric, metric_norm_sq, metric_prox
 from .problems import CompositeProblem, ConfigurationError, SearchFailure
 
 __all__ = ["RULES", "LineSearchConfig", "StepOutcome", "line_search"]
@@ -134,7 +137,7 @@ class StepOutcome:
 
 def line_search(
     problem: CompositeProblem,
-    metric: DiagonalMetric,
+    w: np.ndarray,
     x: np.ndarray,
     rule: str,
     config: LineSearchConfig,
@@ -148,30 +151,32 @@ def line_search(
 ) -> StepOutcome:
     """Largest grid point start * theta^i passing ``rule``'s test at x.
 
-    ``rule`` is a backtracking rule of :data:`RULES` or ``"domain"``.
+    ``w`` is the weight vector of the metric, of x's length.
+    ``rule`` is a rule of :data:`RULES` or ``"domain"``.
     The gamma walks (ls1, ls3, domain) search gamma at lam = ``other``;
-    the lam walks (ls2, ls4, tseng-yun) search lam at gamma = ``other``.
+    the lam walks (ls2, ls4, tseng-yun, fixed) search lam at
+    gamma = ``other``.
     ``fx``, ``gx`` and ``grad`` are f(x), g(x) and grad f(x). ``y``, when
     given, is the prox point at the first grid gamma (gamma walks) or at
     ``other`` (lam walks) and is not recomputed. Raises
     :class:`SearchFailure` when no grid point within ``max_backtracks``
-    passes.
+    passes, or when the grid underflows to 0.0 before one does.
     """
     f, g = problem.f, problem.g
     walks_gamma = rule in _GAMMA_WALKS
     if walks_gamma or y is None:
         # W^{-1} grad f(x): the forward step of every prox point is x - gamma * scaled_grad
-        scaled_grad = grad / metric.weights
+        scaled_grad = grad / w
     nf = ngrad = nprox = 0
     ell = g_next = None
     lhs = rhs = np.nan
     if not walks_gamma:
         gamma = other
         if y is None:
-            y = metric_prox(g, metric, x - gamma * scaled_grad, gamma)
+            y = g.prox(x - gamma * scaled_grad, gamma, w)
             nprox += 1
         dy = y - x
-        ns = metric_norm_sq(metric, dy)
+        ns = float(w @ (dy * dy))
         gdot = float(dy @ grad)
         if rule in ("ls4", "tseng-yun"):
             ell = g.value(y) - gx + gdot
@@ -181,12 +186,16 @@ def line_search(
                 slope = config.sigma * (ell + (config.beta / gamma) * ns)
     fgx = fx + gx
     slack = 1e-14 * (1.0 + abs(fx))
-    for i in range(config.max_backtracks + 1):
+    trials = config.max_backtracks + 1
+    for i in range(trials):
         t = start * config.theta**i
+        if t == 0.0:
+            trials = i
+            break
         if walks_gamma:
             gamma, lam = t, other
             if i > 0 or y is None:
-                y = metric_prox(g, metric, x - gamma * scaled_grad, gamma)
+                y = g.prox(x - gamma * scaled_grad, gamma, w)
                 nprox += 1
             if rule == "domain":
                 if f.in_domain(y):
@@ -196,7 +205,7 @@ def line_search(
                     )
                 continue
             dy = y - x
-            ns = metric_norm_sq(metric, dy)
+            ns = float(w @ (dy * dy))
             gdot = float(dy @ grad)
         else:
             lam = t
@@ -207,10 +216,10 @@ def line_search(
                 continue
             grad_next = f.gradient(x_next)
             ngrad += 1
-            dg = (grad_next - grad) / metric.weights
-            lhs = math.sqrt(metric_norm_sq(metric, dg))
+            dg = (grad_next - grad) / w
+            lhs = math.sqrt(float(w @ (dg * dg)))
             rhs = (config.delta / gamma) * math.sqrt(ns)
-        else:
+        elif rule != "fixed":
             f_next = f.value(x_next)
             nf += 1
             if rule in ("ls1", "ls2"):
@@ -221,7 +230,7 @@ def line_search(
                 lhs = (f_next + g_next) - fgx
                 rhs = lam * slope
         # +inf or nan on the left is a failed trial, never an acceptance
-        if math.isfinite(lhs) and lhs <= rhs + slack:
+        if rule == "fixed" or (math.isfinite(lhs) and lhs <= rhs + slack):
             return StepOutcome(
                 gamma=gamma,
                 lam=lam,
@@ -239,9 +248,10 @@ def line_search(
             )
     budget = config.max_backtracks
     raise SearchFailure(
-        f"{rule}: no grid point accepted within {budget} backtracks",
+        f"{rule}: no grid point accepted within {budget} backtracks" if trials > budget
+        else f"{rule}: grid point {trials} underflows to 0.0, none accepted before it",
         diagnostics={
-            "rule": rule, "trials": budget + 1, "x": x,
+            "rule": rule, "trials": trials, "x": x,
             "gamma_last": gamma, "lam_last": lam, "lhs": lhs, "rhs": rhs,
         },
     )

@@ -1,13 +1,16 @@
 """Diagonal variable metrics.
 
-A metric is a positive diagonal matrix W = diag(w) inducing
+A metric is a positive diagonal matrix W = diag(w), represented by its
+weight vector w alone. It induces
 
-    <u, v>_W = sum_i w_i u_i v_i,      ||v||_W^2 = sum_i w_i v_i^2.
+    <u, v>_W = sum_i w_i u_i v_i,      ||v||_W^2 = w @ (v * v),
 
-The solver consumes a :class:`MetricSchedule`, which emits one
-:class:`DiagonalMetric` per iteration and declares global eigenvalue
-bounds 0 < nu <= nu_k <= mu_k <= mu plus the summability regime its
-weights are supposed to satisfy:
+and the prox of g in it is ``g.prox(z, gamma, w)``.
+
+The solver consumes a :class:`MetricSchedule`, which emits one weight
+vector per iteration and declares global eigenvalue bounds
+0 < nu <= nu_k <= mu_k <= mu plus the summability regime its weights
+are supposed to satisfy:
 
 - ``"constant"``: the same metric every iteration.
 - ``"growth"``: per-step relative growth is summable. With
@@ -29,13 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import ConfigurationError, ProxTerm, UsageError
+from .problems import ConfigurationError, UsageError
 
 __all__ = [
-    "DiagonalMetric",
-    "identity_metric",
-    "metric_norm_sq",
-    "metric_prox",
     "StepSnapshot",
     "MetricSchedule",
     "constant_schedule",
@@ -47,76 +46,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiagonalMetric:
-    """Positive diagonal metric with cached extreme eigenvalues."""
+def _checked(weights) -> tuple[np.ndarray, float, float]:
+    """A read-only float64 copy of a weight vector, with its extreme entries.
 
-    weights: np.ndarray
-    nu_k: float
-    mu_k: float
-
-    @classmethod
-    def from_weights(cls, weights) -> "DiagonalMetric":
-        # the checks of as_vector and positivity, read off one min and max
-        # (a NaN propagates through both)
-        w = np.array(weights, dtype=float)
-        if w.ndim == 0:
-            w = w.reshape(1)
-        if w.ndim != 1:
-            raise UsageError(f"expected a vector, got array with shape {w.shape}")
-        lo = float(w.min())
-        hi = float(w.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise UsageError("vector has non-finite entries")
-        if not lo > 0:
-            raise ConfigurationError("metric weights must be strictly positive")
-        w.flags.writeable = False
-        return cls(weights=w, nu_k=lo, mu_k=hi)
-
-    @property
-    def dimension(self) -> int:
-        return self.weights.size
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.nu_k == self.mu_k
-
-
-def identity_metric(n: int) -> DiagonalMetric:
-    return DiagonalMetric.from_weights(np.ones(n))
-
-
-def _dim_error(metric: DiagonalMetric, v: np.ndarray) -> UsageError:
-    return UsageError(
-        f"vector of length {v.size} does not match metric of dimension {metric.weights.size}"
-    )
-
-
-def metric_norm_sq(metric: DiagonalMetric, v: np.ndarray) -> float:
-    """||v||_W^2 = sum_i w_i v_i^2."""
-    v = np.asarray(v, dtype=float)
-    w = metric.weights
-    if v.size != w.size:
-        raise _dim_error(metric, v)
-    return float(w @ (v * v))
-
-
-def metric_prox(g: ProxTerm, metric: DiagonalMetric, z: np.ndarray, gamma: float) -> np.ndarray:
-    """prox in the metric: argmin_y g(y) + (1/(2 gamma)) ||y - z||_W^2.
-
-    For separable g this is the scalar prox of g_i at z_i with stepsize
-    gamma / w_i, coordinate by coordinate. A non-separable g is only
-    combinable with a uniform metric (w = c * ones), where the metric
-    prox reduces to the Euclidean prox at stepsize gamma / c; the term
-    itself raises :class:`ConfigurationError` otherwise.
+    The checks of a vector (1-D, a scalar becoming length 1, finite) and
+    of positivity are read off one min and one max: a NaN propagates
+    through both.
     """
-    if gamma <= 0 or not math.isfinite(gamma):
-        raise UsageError(f"gamma must be positive and finite, got {gamma}")
-    z = np.asarray(z, dtype=float)
-    w = metric.weights
-    if z.size != w.size:
-        raise _dim_error(metric, z)
-    return g.prox(z, float(gamma), w)
+    w = np.array(weights, dtype=float)
+    if w.ndim == 0:
+        w = w.reshape(1)
+    if w.ndim != 1:
+        raise UsageError(f"expected a vector, got array with shape {w.shape}")
+    lo = float(w.min())
+    hi = float(w.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("vector has non-finite entries")
+    if not lo > 0:
+        raise ConfigurationError("metric weights must be strictly positive")
+    w.flags.writeable = False
+    return w, lo, hi
 
 
 @dataclass(frozen=True)
@@ -134,27 +83,31 @@ class StepSnapshot:
 
 
 class MetricSchedule:
-    """Emits the diagonal metric for each iteration.
+    """Emits the weight vector of the diagonal metric of each iteration.
 
-    ``generator(k, snapshot)`` must be a pure function of its arguments;
-    state-dependent strategies (BB) get their state through the snapshot.
-    Emitted weights are checked against the declared global bounds, with
-    a small relative slack for float round-off.
+    ``generator(k, snapshot)`` returns the weights of step k as any
+    array-like and must be a pure function of its arguments;
+    state-dependent strategies (BB) get their state through the
+    snapshot. :meth:`metric_at` checks each vector once, where it is
+    emitted: 1-D, finite, positive, and inside the declared global
+    bounds with a small relative slack for float round-off.
 
     ``rows`` is set by the factories of schedules whose weights do not
-    depend on the run (constant, table): the metrics emitted at
+    depend on the run (constant, table): the weights emitted at
     k = 0, 1, ..., len(rows) - 1, after which the schedule holds the last
-    one (or refuses, for a table with ``extend="error"``). It stays None
-    for BB and for any schedule built directly, which then counts as
-    reading its :class:`StepSnapshot`: the solver builds a snapshot only
-    for those, and the validators cannot judge them without a run.
+    row (or refuses, for a table with ``extend="error"``). The factories
+    check these rows when they build the schedule, so emitting one is a
+    lookup. ``rows`` stays None for BB and for any schedule built
+    directly, which then counts as reading its :class:`StepSnapshot`:
+    the solver builds a snapshot only for those, and the validators
+    cannot judge them without a run.
     """
 
-    rows: tuple[DiagonalMetric, ...] | None = None
+    rows: tuple[np.ndarray, ...] | None = None
 
     def __init__(
         self,
-        generator: Callable[[int, StepSnapshot | None], DiagonalMetric],
+        generator: Callable[[int, StepSnapshot | None], np.ndarray],
         *,
         global_nu: float,
         global_mu: float,
@@ -181,28 +134,33 @@ class MetricSchedule:
         """Whether the weights depend on the solver state (no state-free ``rows``)."""
         return self.rows is None
 
-    def metric_at(self, k: int, snapshot: StepSnapshot | None = None) -> DiagonalMetric:
-        if k < 0:
-            raise UsageError(f"iteration index must be nonnegative, got {k}")
-        m = self._generator(k, snapshot)
-        if m.nu_k < self._nu_floor or m.mu_k > self._mu_ceiling:
+    def _bounded(self, weights, k: int) -> np.ndarray:
+        """The checked weights of step k, refused outside the declared bounds."""
+        w, lo, hi = _checked(weights)
+        if lo < self._nu_floor or hi > self._mu_ceiling:
             raise ConfigurationError(
-                f"schedule emitted weights in [{m.nu_k}, {m.mu_k}] at k={k}, outside "
+                f"schedule emitted weights in [{lo}, {hi}] at k={k}, outside "
                 f"declared bounds [{self.global_nu}, {self.global_mu}]"
             )
-        return m
+        return w
+
+    def metric_at(self, k: int, snapshot: StepSnapshot | None = None) -> np.ndarray:
+        """The weights w_k of step k: a checked, read-only float64 vector."""
+        if k < 0:
+            raise UsageError(f"iteration index must be nonnegative, got {k}")
+        if self.rows is not None:
+            # the factories checked their rows when they built the schedule
+            return self._generator(k, snapshot)
+        return self._bounded(self._generator(k, snapshot), k)
 
 
 def constant_schedule(weights) -> MetricSchedule:
     """The same diagonal metric every iteration (identity when w = ones)."""
-    m = DiagonalMetric.from_weights(weights)
+    w, lo, hi = _checked(weights)
     sched = MetricSchedule(
-        lambda k, snap: m,
-        global_nu=m.nu_k,
-        global_mu=m.mu_k,
-        declared_regime="constant",
+        lambda k, snap: w, global_nu=lo, global_mu=hi, declared_regime="constant"
     )
-    sched.rows = (m,)
+    sched.rows = (w,)
     return sched
 
 
@@ -211,14 +169,13 @@ def table_schedule(
 ) -> MetricSchedule:
     """Weights read from an explicit per-iteration table.
 
+    Row k is the weight vector of step k; every row is checked against
+    the bounds [nu, mu] here, when the table is built.
     ``extend="hold"`` repeats the last row past the end of the table;
     ``extend="error"`` makes that a usage error instead.
     """
     if extend not in ("hold", "error"):
         raise ConfigurationError(f"extend must be 'hold' or 'error', got {extend!r}")
-    rows = tuple(DiagonalMetric.from_weights(w) for w in tables)
-    if not rows:
-        raise ConfigurationError("table_schedule needs at least one row")
 
     def gen(k, snap):
         if k < len(rows):
@@ -228,6 +185,9 @@ def table_schedule(
         raise UsageError(f"schedule table has {len(rows)} rows, asked for k={k}")
 
     sched = MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime=regime)
+    rows = tuple(sched._bounded(w, k) for k, w in enumerate(tables))
+    if not rows:
+        raise ConfigurationError("table_schedule needs at least one row")
     sched.rows = rows
     return sched
 
@@ -253,7 +213,7 @@ def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSch
 
     def gen(k, snap):
         if k == 0 or snap is None:
-            return DiagonalMetric.from_weights(start)
+            return start
         prev = np.asarray(snap.prev_weights, dtype=float)
         adx = np.abs(snap.dx)
         scale = float(adx.max()) if adx.size else 0.0
@@ -261,8 +221,7 @@ def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSch
         ratio = np.divide(snap.dgrad, snap.dx, out=np.zeros(n), where=ok)
         good = ok & (ratio > 0) & np.isfinite(ratio)
         w = np.where(good, ratio, prev).clip(nu, mu)
-        w = np.minimum(w, (1.0 + eta0 * 2.0 ** (-(k - 1))) * prev)
-        return DiagonalMetric.from_weights(w)
+        return np.minimum(w, (1.0 + eta0 * 2.0 ** (-(k - 1))) * prev)
 
     return MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime="growth")
 
@@ -273,7 +232,7 @@ def _emit_weights(schedule: MetricSchedule, horizon: int) -> list[np.ndarray] | 
         raise UsageError(f"horizon must be >= 1, got {horizon}")
     if schedule.reads_state:
         return None
-    return [schedule.metric_at(k, None).weights for k in range(horizon)]
+    return [schedule.metric_at(k, None) for k in range(horizon)]
 
 
 _NEEDS_RUN = "n/a: needs a run, the weights depend on the solver state"

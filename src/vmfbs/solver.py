@@ -11,9 +11,10 @@ row, and evaluate the stopping rules. Execution is fully deterministic.
   the domain walk, produces gamma_k for the lam-backtracking rules and
   the backtracking start for ls1/ls3, and its accepted prox point is
   the search's first trial.
-- fixed-step mode computes the step inline and runs no acceptance
-  test; instead it requires a known global L with sup_k gamma lam / nu_k
-  strictly below 2/L, validated up front by :func:`fixed_step_validate`.
+- fixed-step mode is a lam walk of the same kernel that takes its
+  first trial untested; instead it requires a known global L with
+  sup_k gamma lam / nu_k strictly below 2/L, validated up front by
+  :func:`fixed_step_validate`.
 
 The search tests the last step like any other; a run stops at the
 fixed-point tolerance through :func:`stopping_check` on the accepted
@@ -37,6 +38,7 @@ holds, and Tseng-Yun runs carry 1 - (1-beta) sigma.
 
 from __future__ import annotations
 
+import csv
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -45,14 +47,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .diagnostics import CheckReport
-from .linesearch import LineSearchConfig, StepOutcome, line_search
-from .metrics import (
-    MetricSchedule,
-    StepSnapshot,
-    constant_schedule,
-    metric_norm_sq,
-    metric_prox,
-)
+from .linesearch import LineSearchConfig, line_search
+from .metrics import MetricSchedule, StepSnapshot, constant_schedule
 from .problems import (
     CompositeProblem,
     ConfigurationError,
@@ -66,6 +62,8 @@ __all__ = [
     "SolverConfig",
     "IterateTrace",
     "Trace",
+    "write_trace_csv",
+    "read_trace_csv",
     "States",
     "SolveResult",
     "FixedStepReport",
@@ -153,6 +151,37 @@ class Trace(Sequence):
         raise AttributeError(name)
 
 
+# the trace file: every IterateTrace column in order under a header that
+# spells lam as "lambda", floats with 17 significant digits so that
+# re-parsing is lossless
+_CSV_HEADER = ",".join("lambda" if name == "lam" else name for name in IterateTrace._fields)
+
+
+def write_trace_csv(path, trace: Trace) -> None:
+    """Write every column of ``trace`` to a CSV file, one line per iteration."""
+    cols = [trace.column(name) for name in IterateTrace._fields]
+    with open(path, "w") as fh:
+        fh.write(_CSV_HEADER + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(
+                str(int(v)) if isinstance(v, np.integer) else f"{float(v):.17g}" for v in row
+            ) + "\n")
+
+
+def read_trace_csv(path) -> Trace:
+    """Read a trace CSV back into a :class:`Trace`.
+
+    The trace holds the columns the file has; the 'lambda' header (a
+    Python keyword) becomes the column ``lam``, as in memory.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise UsageError(f"{path}: empty trace file")
+    names = ["lam" if h == "lambda" else h for h in (h.strip() for h in rows[0])]
+    return Trace({name: [float(row[j]) for row in rows[1:]] for j, name in enumerate(names)})
+
+
 @dataclass
 class States:
     """Full iterate history for diagnostic-grade runs.
@@ -238,16 +267,16 @@ def _min_nu(schedule: MetricSchedule | None, horizon: int) -> float:
     """Smallest nu_k over the first ``horizon`` steps.
 
     A schedule with state-free ``rows`` answers from the rows the horizon
-    reaches, emitted through ``metric_at`` so that each is checked
-    against the declared bounds. One whose weights depend on the run
-    answers its declared global bound, which is conservative (nu_k >= nu
-    makes the true sup ratio smaller).
+    reaches (checked against the declared bounds when the schedule was
+    built). One whose weights depend on the run answers its declared
+    global bound, which is conservative (nu_k >= nu makes the true sup
+    ratio smaller).
     """
     if schedule is None:
         return 1.0
     if schedule.reads_state:
         return schedule.global_nu
-    return min(schedule.metric_at(k).nu_k for k in range(min(horizon, len(schedule.rows))))
+    return min(float(w.min()) for w in schedule.rows[:horizon])
 
 
 def fixed_step_validate(problem: CompositeProblem, config: SolverConfig) -> FixedStepReport:
@@ -380,6 +409,13 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     f, g = problem.f, problem.g
     metric_at = schedule.metric_at
     reads_state = schedule.reads_state
+
+    def emit(k, snapshot):
+        w = metric_at(k, snapshot)
+        if w.size != n:
+            raise ConfigurationError(f"metric schedule emitted {w.size} weights at k={k}, n={n}")
+        return w
+
     walks_gamma = rule in ("ls1", "ls3")
     x_prev = None
     grad_prev = None
@@ -395,55 +431,48 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         snapshot = None
         if reads_state and k > 0:
             snapshot = StepSnapshot(dx=x - x_prev, dgrad=grad - grad_prev, prev_weights=w_prev)
-        metric = metric_at(k, snapshot)
+        w = emit(k, snapshot)
         if record_states:
-            w_rows.append(metric.weights)
+            w_rows.append(w)
 
         dom_gamma = math.nan
         try:
             y_start = None
             if general:
                 dom = line_search(
-                    problem, metric, x, "domain", ls,
+                    problem, w, x, "domain", ls,
                     fx=fx, gx=gx, grad=grad, start=ls.gamma_max, other=1.0,
                 )
                 dom_gamma, y_start = dom.gamma, dom.y
                 nprox_k += dom.prox_evals
             if rule == "fixed":
-                gamma, lam = ls.fixed_gamma, ls.fixed_lam
-                y = metric_prox(g, metric, x - gamma * (grad / metric.weights), gamma)
-                dy = y - x
-                outcome = StepOutcome(
-                    gamma=gamma, lam=lam, y=y, x_next=x + lam * dy, backtracks=0,
-                    norm_sq_yx=metric_norm_sq(metric, dy), gdot=float(dy @ grad), prox_evals=1,
-                )
-            else:
-                if walks_gamma:
-                    other = float(lam_at(k))
-                    if not (0 < other <= 1):
-                        raise ConfigurationError(f"lam_schedule({k}) = {other} outside (0,1]")
-                    if general:
-                        start = dom_gamma
-                    elif ls.warm_start and warm_gamma is not None:
-                        start = min(ls.gamma_max, warm_gamma / ls.theta)
-                    else:
-                        start = ls.gamma_max
+                start, other = ls.fixed_lam, float(ls.fixed_gamma)
+            elif walks_gamma:
+                other = float(lam_at(k))
+                if not (0 < other <= 1):
+                    raise ConfigurationError(f"lam_schedule({k}) = {other} outside (0,1]")
+                if general:
+                    start = dom_gamma
+                elif ls.warm_start and warm_gamma is not None:
+                    start = min(ls.gamma_max, warm_gamma / ls.theta)
                 else:
-                    if general:
-                        other = dom_gamma
-                    else:
-                        other = float(gamma_at(k))
-                        if not (other > 0 and math.isfinite(other)):
-                            raise ConfigurationError(
-                                f"gamma_schedule({k}) = {other} must be positive and finite"
-                            )
-                    start = ls.lam_max
-                    if ls.warm_start and warm_lam is not None:
-                        start = min(ls.lam_max, warm_lam / ls.theta)
-                outcome = line_search(
-                    problem, metric, x, rule, ls,
-                    fx=fx, gx=gx, grad=grad, start=start, other=other, y=y_start,
-                )
+                    start = ls.gamma_max
+            else:
+                if general:
+                    other = dom_gamma
+                else:
+                    other = float(gamma_at(k))
+                    if not (other > 0 and math.isfinite(other)):
+                        raise ConfigurationError(
+                            f"gamma_schedule({k}) = {other} must be positive and finite"
+                        )
+                start = ls.lam_max
+                if ls.warm_start and warm_lam is not None:
+                    start = min(ls.lam_max, warm_lam / ls.theta)
+            outcome = line_search(
+                problem, w, x, rule, ls,
+                fx=fx, gx=gx, grad=grad, start=start, other=other, y=y_start,
+            )
         except SearchFailure as exc:
             termination = "search_failure"
             failure = {"iteration": k, "message": str(exc)}
@@ -506,7 +535,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
 
         x_prev = x
         grad_prev = grad
-        w_prev = metric.weights
+        w_prev = w
         x = x_next
         fx = f_next
         gx = g_next
@@ -529,7 +558,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
                 snapshot = StepSnapshot(
                     dx=x - x_prev, dgrad=grad_final - grad_prev, prev_weights=w_prev
                 )
-            w_rows.append(metric_at(len(w_rows), snapshot).weights)
+            w_rows.append(emit(len(w_rows), snapshot))
         states = States(
             xs=np.array(xs), ys=np.array(ys).reshape(len(ys), n), weights=np.array(w_rows)
         )

@@ -77,17 +77,16 @@ def state_schedule(n):
     """Custom schedule reading the snapshot: weights pulled toward 1 + |dgrad| / (1 + |dgrad|)."""
     def gen(k, snap):
         if snap is None:
-            return vmfbs.DiagonalMetric.from_weights(np.ones(n))
+            return np.ones(n)
         target = 1.0 + np.abs(snap.dgrad) / (1.0 + np.abs(snap.dgrad))
         w = snap.prev_weights + 2.0 ** (-k) * (target - snap.prev_weights)
-        return vmfbs.DiagonalMetric.from_weights(np.clip(w, 1.0, 2.0))
+        return np.clip(w, 1.0, 2.0)
     return vmfbs.MetricSchedule(gen, global_nu=1.0, global_mu=2.0, declared_regime="growth")
 
 
 def alternating_schedule(n):
     """Custom schedule ignoring the snapshot: two fixed rows in turn."""
-    rows = [vmfbs.DiagonalMetric.from_weights(np.linspace(1.0, 1.5, n)),
-            vmfbs.DiagonalMetric.from_weights(np.linspace(1.5, 1.0, n))]
+    rows = [np.linspace(1.0, 1.5, n), np.linspace(1.5, 1.0, n)]
     return vmfbs.MetricSchedule(
         lambda k, snap: rows[k % 2], global_nu=1.0, global_mu=1.5, declared_regime="growth",
     )

@@ -8,8 +8,7 @@ import pytest
 
 import vmfbs
 from vmfbs.cli import build_problem, build_solver_config, load_spec, main
-from vmfbs.diagnostics import read_trace_csv
-from vmfbs.solver import solve
+from vmfbs.solver import read_trace_csv, solve
 
 TRACE_HEADER = (
     "k,F,gamma,lambda,backtracks,step_norm,mapping_norm,fp_scaled,descent_residual,"
@@ -186,6 +185,12 @@ def test_search_failure_prints_the_step_not_the_iterate(tmp_path, capsys):
 
 # --- strict spec validation -----------------------------------------------------
 
+def table_metrics(**fields):
+    """A valid metric table for the one-dimensional lasso, with ``fields`` replaced."""
+    return {"type": "table", "weights": [[1.0], [1.5]], "nu": 1.0, "mu": 1.5,
+            "regime": "growth", **fields}
+
+
 @pytest.mark.parametrize(
     "mutate, needle",
     [
@@ -203,6 +208,16 @@ def test_search_failure_prints_the_step_not_the_iterate(tmp_path, capsys):
          "solver.max_backtracks: expected a number"),
         (lambda s: s["solver"].update(warm_start=1), "solver.warm_start: expected true/false"),
         (lambda s: s["output"].update(checks="no"), "output.checks: expected true/false"),
+        (lambda s: s["solver"].update(metrics={"type": "constant", "weights": ["heavy"]}),
+         "solver.metrics.weights: not numeric"),
+        (lambda s: s["solver"].update(metrics=table_metrics(weights=[[1.0], ["x"]])),
+         "solver.metrics.weights[1]: not numeric"),
+        (lambda s: s["solver"].update(metrics=table_metrics(regime=5)),
+         "solver.metrics.regime: expected one of"),
+        (lambda s: s["solver"].update(metrics=table_metrics(extend=3)),
+         "solver.metrics.extend: expected one of"),
+        (lambda s: s["solver"].update(metrics={"type": "constant", "weights": [1.0, 2.0]}),
+         "solver.metrics.weights: expected 1 weights"),
     ],
 )
 def test_spec_validation_names_the_field(tmp_path, capsys, mutate, needle):
@@ -381,6 +396,14 @@ def test_validate_metrics_bb_needs_a_run(tmp_path, capsys):
         "growth: n/a: needs a run, the weights depend on the solver state",
         "spread: n/a: needs a run, the weights depend on the solver state",
     ]
+
+
+@pytest.mark.parametrize("budget", ["growth_budget", "spread_budget"])
+def test_validate_metrics_checks_the_budgets(tmp_path, capsys, budget):
+    spec_dict = lasso_spec(metrics=table_metrics(**{budget: "1"}))
+    spec = write_spec(tmp_path, spec_dict)
+    assert main(["validate-metrics", "--spec", spec, "--horizon", "10"]) == 2
+    assert f"solver.metrics.{budget}: expected a number" in capsys.readouterr().err
 
 
 def test_validate_metrics_bad_horizon(tmp_path, capsys):

@@ -10,9 +10,8 @@ from vmfbs.diagnostics import (
     check_quasi_fejer,
     check_stepsize_floor,
     estimate_rate,
-    read_trace_csv,
 )
-from vmfbs.solver import solve
+from vmfbs.solver import read_trace_csv, solve
 
 from conftest import lasso_1d, random_lasso, steep_quadratic_1d
 from oracles import quasi_fejer_residuals_reference

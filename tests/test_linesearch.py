@@ -3,7 +3,6 @@ import pytest
 
 import vmfbs
 from vmfbs.linesearch import line_search
-from vmfbs.metrics import identity_metric
 
 from conftest import lasso_1d, steep_quadratic_1d
 
@@ -13,10 +12,10 @@ def cfg(**kw):
 
 
 def identity(n=1):
-    return identity_metric(n)
+    return np.ones(n)
 
 
-def search(prob, x, rule, config, *, other=1.0, start=None, metric=None):
+def search(prob, x, rule, config, *, other=1.0, start=None):
     """One kernel call at x, with f(x), g(x) and grad f(x) taken fresh.
 
     ``start`` defaults to the grid top of the walked variable.
@@ -25,7 +24,7 @@ def search(prob, x, rule, config, *, other=1.0, start=None, metric=None):
     if start is None:
         start = config.gamma_max if rule in ("ls1", "ls3", "domain") else config.lam_max
     return line_search(
-        prob, metric or identity(x.size), x, rule, config,
+        prob, identity(x.size), x, rule, config,
         fx=prob.f.value(x), gx=prob.g.value(x), grad=prob.f.gradient(x),
         start=start, other=other,
     )

@@ -2,67 +2,103 @@ import numpy as np
 import pytest
 
 import vmfbs
-from vmfbs.metrics import StepSnapshot, growth_from_weights, identity_metric, metric_norm_sq
+from vmfbs.linesearch import line_search
+from vmfbs.metrics import StepSnapshot, growth_from_weights
+
+
+def emitted(weights, nu=0.5, mu=4.0):
+    """Step 0 of a schedule whose generator returns ``weights`` as given."""
+    sched = vmfbs.MetricSchedule(
+        lambda k, snap: weights, global_nu=nu, global_mu=mu, declared_regime="growth"
+    )
+    return sched.metric_at(0)
 
 
 def test_diagonal_metric_bounds():
-    m = vmfbs.DiagonalMetric.from_weights([1.0, 3.0, 2.0])
-    assert m.nu_k == 1.0 and m.mu_k == 3.0
-    assert m.dimension == 3
-    assert not m.is_uniform
-    assert identity_metric(2).is_uniform
+    # a constant schedule declares the extreme weights as its bounds
+    sched = vmfbs.constant_schedule([1.0, 3.0, 2.0])
+    assert sched.global_nu == 1.0 and sched.global_mu == 3.0
+    assert sched.metric_at(0).tolist() == [1.0, 3.0, 2.0]
 
 
-def test_from_weights_rejects_nonpositive():
-    with pytest.raises(vmfbs.ConfigurationError):
-        vmfbs.DiagonalMetric.from_weights([1.0, 0.0])
-    with pytest.raises(vmfbs.ConfigurationError):
-        vmfbs.DiagonalMetric.from_weights([1.0, -2.0])
+def test_emission_rejects_nonpositive():
+    for bad in ([1.0, 0.0], [1.0, -2.0], 0.0):
+        with pytest.raises(vmfbs.ConfigurationError, match="strictly positive"):
+            emitted(bad)
+        with pytest.raises(vmfbs.ConfigurationError, match="strictly positive"):
+            vmfbs.constant_schedule(bad)
 
 
-def test_from_weights_validates_like_as_vector():
+def test_emission_validates_like_as_vector():
     for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [-1.0, np.nan]):
         with pytest.raises(vmfbs.UsageError, match="non-finite"):
-            vmfbs.DiagonalMetric.from_weights(bad)
+            emitted(bad)
     with pytest.raises(vmfbs.UsageError, match="expected a vector"):
-        vmfbs.DiagonalMetric.from_weights(np.ones((2, 2)))
-    m = vmfbs.DiagonalMetric.from_weights(2.5)  # 0-d becomes length 1
-    assert m.weights.shape == (1,) and m.nu_k == m.mu_k == 2.5
-    with pytest.raises(vmfbs.ConfigurationError):
-        vmfbs.DiagonalMetric.from_weights(0.0)
+        emitted(np.ones((2, 2)))
+    with pytest.raises(vmfbs.UsageError, match="expected a vector"):
+        vmfbs.table_schedule([np.ones((1, 2))], nu=1.0, mu=1.0, regime="constant")
+    # 0-d becomes length 1, at emission and in a factory's rows
+    assert emitted(2.5).tolist() == [2.5]
+    assert vmfbs.constant_schedule(2.5).metric_at(3).tolist() == [2.5]
 
 
-def test_from_weights_owns_a_frozen_copy():
-    w = np.array([1.0, 2.0])
-    m = vmfbs.DiagonalMetric.from_weights(w)
-    w[0] = 5.0
-    assert m.weights[0] == 1.0
-    assert not m.weights.flags.writeable
-    assert type(m.nu_k) is float and type(m.mu_k) is float
+def test_emission_checks_the_declared_bounds_with_slack():
+    # nu = 1, mu = 2 and a relative slack of 1e-12 for round-off
+    for inside in ([1.0 - 1e-13, 2.0], [1.5, 2.0 + 1e-12]):
+        assert emitted(inside, nu=1.0, mu=2.0).tolist() == inside
+    for outside in ([1.0 - 1e-11, 2.0], [1.5, 2.0 + 1e-11]):
+        with pytest.raises(vmfbs.ConfigurationError, match=r"at k=0, outside declared bounds"):
+            emitted(outside, nu=1.0, mu=2.0)
+
+
+def test_emission_owns_a_frozen_copy():
+    w = np.array([1, 2])
+    out = emitted(w)
+    w[0] = 3
+    assert out.tolist() == [1.0, 2.0] and out.dtype == np.float64
+    assert not out.flags.writeable
+    assert not np.shares_memory(out, w)
+    # a factory's rows are frozen copies too
+    src = np.array([1.0, 2.0])
+    sched = vmfbs.table_schedule([src], nu=1.0, mu=2.0, regime="constant")
+    src[0] = 1.5
+    assert sched.metric_at(0).tolist() == [1.0, 2.0]
+    assert not sched.metric_at(0).flags.writeable
+
+
+def test_table_bounds_are_checked_when_the_table_is_built():
+    rows = [np.ones(2), np.ones(2), np.array([1.0, 3.0])]
+    with pytest.raises(vmfbs.ConfigurationError, match=r"in \[1.0, 3.0\] at k=2"):
+        vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="growth")
 
 
 def test_metric_norm_against_direct_sum():
+    # the kernel's ||y - x||_W^2 is sum_i w_i (y_i - x_i)^2
     w = np.array([1.0, 2.0, 4.0])
-    v = np.array([1.0, -1.0, 0.5])
-    m = vmfbs.DiagonalMetric.from_weights(w)
-    direct = float(np.sum(w * v * v))
-    assert metric_norm_sq(m, v) == pytest.approx(direct, rel=1e-15)
+    x = np.array([1.0, -1.0, 0.5])
+    prob = vmfbs.CompositeProblem(
+        f=vmfbs.PNormResidual(np.eye(3), np.zeros(3)), g=vmfbs.ZeroTerm(), dimension=3
+    )
+    out = line_search(
+        prob, w, x, "ls2", vmfbs.LineSearchConfig(),
+        fx=prob.f.value(x), gx=0.0, grad=prob.f.gradient(x), start=1.0, other=0.5,
+    )
+    dy = out.y - x
+    assert out.norm_sq_yx == pytest.approx(float(np.sum(w * dy * dy)), rel=1e-15)
 
 
 def test_metric_prox_identity_weights_is_plain_prox():
     g = vmfbs.L1Norm(1.0)
-    m = identity_metric(3)
     z = np.array([3.0, -0.5, 2.0])
-    out = vmfbs.metric_prox(g, m, z, 1.0)
+    out = g.prox(z, 1.0, np.ones(3))
     assert np.allclose(out, vmfbs.soft_threshold(z, 1.0))
 
 
 def test_metric_prox_separable_rescales_per_coordinate():
     # weight w_i turns the threshold into gamma/w_i per coordinate
     g = vmfbs.L1Norm(1.0)
-    m = vmfbs.DiagonalMetric.from_weights([1.0, 2.0, 4.0])
     z = np.array([3.0, -2.0, 0.4])
-    out = vmfbs.metric_prox(g, m, z, 1.0)
+    out = g.prox(z, 1.0, np.array([1.0, 2.0, 4.0]))
     expected = np.array([2.0, -1.5, 0.15])  # soft(z_i, 1/w_i)
     assert np.allclose(out, expected, atol=1e-15)
 
@@ -71,14 +107,14 @@ def test_constant_schedule_emits_same_metric():
     sched = vmfbs.constant_schedule([1.0, 2.0])
     m0 = sched.metric_at(0)
     m9 = sched.metric_at(9)
-    assert np.array_equal(m0.weights, m9.weights)
+    assert np.array_equal(m0, m9)
     assert sched.declared_regime == "constant"
 
 
 def test_table_schedule_hold_and_error():
     rows = [np.array([1.0, 1.0]), np.array([1.5, 1.0])]
     sched = vmfbs.table_schedule(rows, nu=1.0, mu=1.5, regime="growth")
-    assert np.array_equal(sched.metric_at(5).weights, rows[1])
+    assert np.array_equal(sched.metric_at(5), rows[1])
     strict = vmfbs.table_schedule(rows, nu=1.0, mu=1.5, regime="growth", extend="error")
     with pytest.raises(vmfbs.UsageError):
         strict.metric_at(2)
@@ -93,16 +129,16 @@ def test_schedule_rejects_out_of_corridor_emission():
 def test_bb_schedule_secant_and_corridor():
     sched = vmfbs.bb_schedule(2, nu=0.5, mu=4.0)
     m0 = sched.metric_at(0)
-    assert np.allclose(m0.weights, [1.0, 1.0])
+    assert np.allclose(m0, [1.0, 1.0])
     # a clean quadratic secant: dgrad = H dx with H = diag(2, 3)
     snap = StepSnapshot(
         dx=np.array([1.0, 1.0]),
         dgrad=np.array([2.0, 3.0]),
-        prev_weights=m0.weights,
+        prev_weights=m0,
     )
     m1 = sched.metric_at(1, snap)
     # corridor at k=1 allows growth up to factor 1 + eta0 = 2
-    assert np.allclose(m1.weights, [2.0, 2.0])
+    assert np.allclose(m1, [2.0, 2.0])
     assert sched.declared_regime == "growth"
 
 
@@ -112,17 +148,17 @@ def test_bb_schedule_keeps_previous_on_tiny_displacement():
     snap = StepSnapshot(
         dx=np.array([0.0, 0.0]),
         dgrad=np.array([1.0, 1.0]),
-        prev_weights=m0.weights,
+        prev_weights=m0,
     )
     m1 = sched.metric_at(1, snap)
-    assert np.array_equal(m1.weights, m0.weights)
+    assert np.array_equal(m1, m0)
 
 
 def test_bb_growth_partial_sum_bounded_by_corridor():
     # eta_k <= eta0 * 2^{-(k-1)} by construction, so the sum stays <= 2*eta0
     sched = vmfbs.bb_schedule(3, nu=0.1, mu=10.0, eta0=1.0)
     rng = np.random.default_rng(5)
-    w_prev = sched.metric_at(0).weights
+    w_prev = sched.metric_at(0)
     rows = [w_prev]
     for k in range(1, 40):
         snap = StepSnapshot(
@@ -130,7 +166,7 @@ def test_bb_growth_partial_sum_bounded_by_corridor():
             dgrad=rng.standard_normal(3) * 3,
             prev_weights=w_prev,
         )
-        w_prev = sched.metric_at(k, snap).weights
+        w_prev = sched.metric_at(k, snap)
         rows.append(w_prev)
     eta = growth_from_weights(rows)
     assert float(eta.sum()) <= 2.0 + 1e-12
@@ -215,7 +251,7 @@ def test_validators_need_a_run_for_state_reading_schedules():
         assert np.isnan(report.partial_sum)
         assert "n/a: needs a run" in str(report)
     custom = vmfbs.MetricSchedule(
-        lambda k, snap: identity_metric(2),
+        lambda k, snap: np.ones(2),
         global_nu=1.0, global_mu=1.0, declared_regime="constant",
     )
     assert custom.reads_state and bb.reads_state

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import vmfbs
 from vmfbs.linesearch import line_search
-from vmfbs.metrics import identity_metric, metric_norm_sq, metric_prox
 from vmfbs.prox import soft_threshold
 
 from oracles import (
@@ -279,10 +278,10 @@ def test_metric_norm_corridor(data):
     w = np.array(data.draw(st.lists(
         st.floats(min_value=0.2, max_value=5.0), min_size=n, max_size=n)))
     v = vec(data.draw, n)
-    m = vmfbs.DiagonalMetric.from_weights(w)
-    ns = metric_norm_sq(m, v)
+    sched = vmfbs.constant_schedule(w)
+    ns = float(sched.metric_at(0) @ (v * v))
     e = float(v @ v)
-    assert m.nu_k * e - 1e-10 <= ns <= m.mu_k * e + 1e-10
+    assert sched.global_nu * e - 1e-10 <= ns <= sched.global_mu * e + 1e-10
 
 
 @SETTLE
@@ -291,8 +290,7 @@ def test_metric_prox_identity_weights_is_plain_prox(data, tau):
     n = 4
     z = vec(data.draw, n)
     g = vmfbs.L1Norm(0.9)
-    m = identity_metric(n)
-    assert np.allclose(metric_prox(g, m, z, tau), g.prox(z, tau), atol=1e-14)
+    assert np.allclose(g.prox(z, tau, np.ones(n)), g.prox(z, tau), atol=1e-14)
 
 
 @SETTLE
@@ -302,7 +300,7 @@ def test_forward_backward_map_scalings(inst, g1, g2, lam):
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=a.shape[1]
     )
-    m = identity_metric(a.shape[1])
+    m = np.ones(a.shape[1])
     lo, hi = sorted((g1, g2))
     y_lo = trial(prob, m, x, lo)
     y_hi = trial(prob, m, x, hi)
@@ -325,7 +323,7 @@ def test_tseng_yun_ls4_equivalence(inst, delta, gamma_k):
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=a.shape[1]
     )
-    m = identity_metric(a.shape[1])
+    m = np.ones(a.shape[1])
     ls4 = kernel(prob, m, x, "ls4", vmfbs.LineSearchConfig(delta=delta, theta=0.5),
                  start=1.0, other=gamma_k)
     ty = kernel(
@@ -344,7 +342,7 @@ def test_condition_chain_ls3_implies_ls1_and_ls4(inst, delta):
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=n
     )
-    m = identity_metric(n)
+    m = np.ones(n)
     cfg = vmfbs.LineSearchConfig(rule="ls3", delta=delta, theta=0.5, gamma_max=2.0)
     out = kernel(prob, m, x, "ls3", cfg, start=cfg.gamma_max, other=1.0)
     y, gamma, lam = out.y, out.gamma, out.lam
@@ -370,7 +368,7 @@ def test_accepted_step_always_descends(inst, delta):
     prob = vmfbs.CompositeProblem(
         f=vmfbs.PNormResidual(a, b), g=vmfbs.L1Norm(0.3), dimension=a.shape[1]
     )
-    m = identity_metric(a.shape[1])
+    m = np.ones(a.shape[1])
     out = kernel(prob, m, x, "ls1", vmfbs.LineSearchConfig(delta=delta, theta=0.5),
                  start=1.0, other=1.0)
     F = lambda v: prob.f.value(v) + prob.g.value(v)
@@ -379,9 +377,9 @@ def test_accepted_step_always_descends(inst, delta):
 
 def rule_holds(rule, prob, m, x, gamma, lam, cfg):
     """The rule's acceptance inequality at (gamma, lam), recomputed from scratch."""
-    f, g, w = prob.f, prob.g, m.weights
+    f, g, w = prob.f, prob.g, m
     fx, gx, grad = f.value(x), g.value(x), f.gradient(x)
-    y = metric_prox(g, m, x - gamma * (grad / w), gamma)
+    y = g.prox(x - gamma * (grad / w), gamma, w)
     if rule == "domain":
         return f.in_domain(y)
     dy = y - x
@@ -434,7 +432,7 @@ def search_case(draw, n=4, m=6):
         sigma=0.5,
         beta=0.5,
     )
-    return prob, vmfbs.DiagonalMetric.from_weights(w), x, cfg
+    return prob, w, x, cfg
 
 
 def assert_largest(walk, out, start, prob, m, x, cfg):

@@ -256,6 +256,56 @@ def test_table_metric_consumed_in_order(rng):
     assert W[3, 0] == 1.5  # held
 
 
+def wrong_length_schedule(kind, n):
+    """A schedule whose weights at k = 1 have n + 1 entries."""
+    if kind == "constant":
+        return vmfbs.constant_schedule(np.ones(n + 1)), 0
+    if kind == "ragged-table":
+        rows = [np.ones(n), np.ones(n + 1)]
+        return vmfbs.table_schedule(rows, nu=1.0, mu=1.0, regime="constant"), 1
+    if kind == "bb":
+        return vmfbs.bb_schedule(n + 1, nu=0.5, mu=4.0), 0
+    custom = vmfbs.MetricSchedule(
+        lambda k, snap: np.ones(n if k == 0 else n + 1),
+        global_nu=1.0, global_mu=1.0, declared_regime="constant",
+    )
+    return custom, 1
+
+
+@pytest.mark.parametrize("kind", ["constant", "ragged-table", "bb", "custom"])
+def test_wrong_length_metric_is_a_configuration_error(rng, kind):
+    prob = random_lasso(rng)
+    n = prob.dimension
+    schedule, k = wrong_length_schedule(kind, n)
+    want = rf"emitted {n + 1} weights at k={k}\b.*n={n}\b"
+    with pytest.raises(vmfbs.ConfigurationError, match=want):
+        solve(prob, np.zeros(n), base_config(metrics=schedule, max_iterations=5))
+
+
+class PointDomain(vmfbs.SmoothTerm):
+    """f(x) = sum(x), finite only at x = 0: every step leaves dom f."""
+
+    def value(self, x):
+        return 0.0 if not np.any(x) else np.inf
+
+    def gradient(self, x):
+        return np.ones(x.size)
+
+
+@pytest.mark.parametrize("rule", ["ls1", "ls2", "ls4", "tseng-yun"])
+def test_grid_underflow_ends_in_search_failure(rule):
+    # theta^i underflows to 0.0 at i = 108, inside the budget of 200: the
+    # walk must fail there, neither accepting a zero step nor raising
+    prob = vmfbs.CompositeProblem(f=PointDomain(), g=vmfbs.ZeroTerm(), dimension=2)
+    search = vmfbs.LineSearchConfig(rule=rule, theta=1e-3, max_backtracks=200)
+    res = solve(prob, np.zeros(2), base_config(search=search, max_iterations=5))
+    assert res.termination == "search_failure"
+    assert "underflows to 0.0" in res.failure["message"]
+    assert res.failure["trials"] == 108
+    assert res.failure["gamma_last"] > 0 and res.failure["lam_last"] > 0
+    assert np.all(res.trace.gamma > 0) and np.all(res.trace.lam > 0)
+
+
 # --- states, counters, and regime validation --------------------------------------
 
 def test_states_alignment(rng):
