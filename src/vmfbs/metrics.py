@@ -49,15 +49,17 @@ __all__ = [
 def _checked(weights) -> tuple[np.ndarray, float, float]:
     """A read-only float64 copy of a weight vector, with its extreme entries.
 
-    The checks of a vector (1-D, a scalar becoming length 1, finite) and
-    of positivity are read off one min and one max: a NaN propagates
-    through both.
+    The checks of a vector (1-D and nonempty, a scalar becoming length
+    1, finite) and of positivity are read off one min and one max: a NaN
+    propagates through both.
     """
     w = np.array(weights, dtype=float)
     if w.ndim == 0:
         w = w.reshape(1)
     if w.ndim != 1:
         raise UsageError(f"expected a vector, got array with shape {w.shape}")
+    if w.size == 0:
+        raise UsageError("weight vector is empty")
     lo = float(w.min())
     hi = float(w.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -232,7 +234,12 @@ def _emit_weights(schedule: MetricSchedule, horizon: int) -> list[np.ndarray] | 
         raise UsageError(f"horizon must be >= 1, got {horizon}")
     if schedule.reads_state:
         return None
-    return [schedule.metric_at(k, None) for k in range(horizon)]
+    ws = [schedule.metric_at(k, None) for k in range(horizon)]
+    lengths = sorted({w.size for w in ws})
+    if len(lengths) > 1:
+        # the solver refuses such a schedule at the step that changes length
+        raise UsageError(f"schedule emits weight vectors of different lengths {lengths}")
+    return ws
 
 
 _NEEDS_RUN = "n/a: needs a run, the weights depend on the solver state"

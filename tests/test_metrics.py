@@ -72,6 +72,31 @@ def test_table_bounds_are_checked_when_the_table_is_built():
         vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="growth")
 
 
+def test_empty_weight_vector_is_a_usage_error():
+    with pytest.raises(vmfbs.UsageError, match="weight vector is empty"):
+        vmfbs.constant_schedule([])
+    with pytest.raises(vmfbs.UsageError, match="weight vector is empty"):
+        vmfbs.table_schedule([np.ones(2), []], nu=1.0, mu=1.0, regime="growth")
+    # a schedule built directly is checked where it emits
+    sched = vmfbs.MetricSchedule(
+        lambda k, snap: np.zeros(0), global_nu=1.0, global_mu=1.0, declared_regime="constant"
+    )
+    with pytest.raises(vmfbs.UsageError, match="weight vector is empty"):
+        sched.metric_at(0)
+
+
+def test_validators_refuse_weight_vectors_of_different_lengths():
+    ragged = vmfbs.table_schedule([np.ones(2), np.ones(3)], nu=1, mu=1, regime="growth")
+    for validate in (vmfbs.validate_growth, vmfbs.validate_spread):
+        with pytest.raises(vmfbs.UsageError, match=r"different lengths \[2, 3\]"):
+            validate(ragged, 5)
+    # within the horizon the rows agree
+    assert vmfbs.validate_growth(ragged, 1).partial_sum == 0.0
+    same = vmfbs.table_schedule([np.ones(3), np.ones(3)], nu=1, mu=1, regime="growth")
+    assert vmfbs.validate_growth(same, 5).partial_sum == 0.0
+    assert vmfbs.validate_spread(same, 5).partial_sum == 0.0
+
+
 def test_metric_norm_against_direct_sum():
     # the kernel's ||y - x||_W^2 is sum_i w_i (y_i - x_i)^2
     w = np.array([1.0, 2.0, 4.0])

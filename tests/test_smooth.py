@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import vmfbs
 from oracles import fd_gradient, operator_norm_reference, opnorm_oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # --- linear maps and the operator-norm certificate ----------------------
@@ -226,15 +233,16 @@ def _blur(n, width):
 @pytest.mark.parametrize("rule", ["ls1", "ls4"])
 def test_ingest_leaves_a_blurred_tv_solve_bitwise(rng, rule):
     # the Gaussian tail between |i - j| = 113 and 116 is subnormal; a map
-    # whose matrix is set back to the raw one must give the same trace
+    # whose stored (dense) matrix is set back to the raw one must give the
+    # same trace
     n = 200
     k = _blur(n, 3.0)
     signal = np.repeat(rng.uniform(-1.0, 1.0, 8), n // 8)
     b = k @ signal + 0.1 * rng.standard_normal(n)
     flushed = vmfbs.LinearMap(k)
     raw = vmfbs.LinearMap(k)
-    raw.a = k.copy()
-    raw.a.flags.writeable = False
+    raw._a = k.copy()
+    raw._a.flags.writeable = False
     assert _subnormal(raw.a).sum() > 0 and not _subnormal(flushed.a).any()
     config = vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule=rule, warm_start=True),
@@ -257,6 +265,289 @@ def test_ingest_leaves_a_blurred_tv_solve_bitwise(rng, rule):
     assert got.x_final.tobytes() == want.x_final.tobytes()
     assert np.float64(got.F_final).tobytes() == np.float64(want.F_final).tobytes()
     assert flushed.matvecs == raw.matvecs
+
+
+# --- band storage: a banded matrix keeps row blocks of its band ----------
+
+SLAB = vmfbs.smooth._BAND_SLAB
+EPS = np.finfo(float).eps
+
+
+def _spans(m):
+    return None if m._blocks is None else [block[:4] for block in m._blocks]
+
+
+def _flushed(a):
+    return np.where(_subnormal(a), 0.0, a)
+
+
+def _dense_map(a, monkeypatch):
+    """The map the dense path stores for ``a``, whatever its band."""
+    with monkeypatch.context() as patch:
+        patch.setattr(vmfbs.smooth, "_band", lambda a: None)
+        return vmfbs.LinearMap(a)
+
+
+def _block_diagonal(rng, slabs=4):
+    a = np.zeros((slabs * SLAB, slabs * SLAB))
+    for s in range(slabs):
+        a[s * SLAB : (s + 1) * SLAB, s * SLAB : (s + 1) * SLAB] = rng.standard_normal((SLAB, SLAB))
+    return a
+
+
+def test_band_of_a_blur_is_stored_as_row_blocks():
+    # half-width 112 (the Gaussian tail beyond is subnormal): 322,496 of
+    # the 10^6 entries are kept, in 8 slabs
+    k = _blur(1000, 3.0)
+    m = vmfbs.LinearMap(k)
+    spans = _spans(m)
+    assert len(spans) == 8
+    assert spans[0] == (0, 128, 0, 240) and spans[1] == (128, 256, 16, 368)
+    assert spans[-1] == (896, 1000, 784, 1000)
+    assert sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in spans) == 322496
+    for *_, block in m._blocks:
+        assert block.flags.c_contiguous and not block.flags.writeable
+        assert not _subnormal(block).any()
+    # ``a`` is the flushed matrix, built on access, read-only
+    stored = m.a
+    assert np.array_equal(_bits(stored), _bits(_flushed(k)))
+    assert not stored.flags.writeable
+    with pytest.raises(AttributeError):
+        m.a = k
+
+
+def test_band_block_diagonal_is_stored_as_blocks(rng):
+    a = _block_diagonal(rng)
+    a[2 * SLAB : 3 * SLAB] = 0.0  # a slab with no entry keeps no block
+    m = vmfbs.LinearMap(a)
+    assert _spans(m) == [(0, 128, 0, 128), (128, 256, 128, 256), (384, 512, 384, 512)]
+    assert np.array_equal(_bits(m.a), _bits(a))
+    x = rng.standard_normal(a.shape[1])
+    r = rng.standard_normal(a.shape[0])
+    y = m.apply(x)
+    assert y.tobytes() == (a @ x).tobytes()
+    assert _bits(y[2 * SLAB : 3 * SLAB]).tolist() == [0] * SLAB  # +0.0
+    assert np.allclose(m.adjoint(r), a.T @ r, rtol=0.0, atol=1e-12)
+
+
+def test_band_needs_two_slabs_and_at_most_half_the_area():
+    assert _spans(vmfbs.LinearMap(np.eye(SLAB))) is None
+    # exactly half of 256 x 256: slab 0 in columns [0, 128), slab 1 in [128, 256)
+    assert _spans(vmfbs.LinearMap(np.eye(2 * SLAB))) == [(0, 128, 0, 128), (128, 256, 128, 256)]
+    # one more entry in slab 1, at column 127, widens its block to the
+    # 4-column multiple [124, 256): just over half, so the matrix stays dense
+    a = np.eye(2 * SLAB)
+    a[SLAB, SLAB - 1] = 1.0
+    m = vmfbs.LinearMap(a)
+    assert _spans(m) is None
+    assert m.a is m.a and np.array_equal(_bits(m.a), _bits(a))
+
+
+def test_band_widths_leave_the_gemv_tail_of_the_dense_product():
+    # a block is a multiple of 4 columns wide and ends before the dense
+    # product's last (n mod 4) columns, or runs from a multiple of 4 to
+    # the last column
+    n = 1002  # the dense product's tail is columns 1000 and 1001
+    a = np.zeros((600, n))
+    a[:128, 3:10] = 1.0  # width 7 -> [3, 11)
+    a[128:256, 990:996] = 1.0  # width 6 -> [990, 998), short of the tail
+    a[256:384, 994:999] = 1.0  # width 5 -> 8 would reach the tail -> [992, 1002)
+    a[384:512, 997:1001] = 1.0  # width 4, in the tail -> [996, 1002)
+    a[512:, 1000] = 1.0  # -> [1000, 1002)
+    assert _spans(vmfbs.LinearMap(a)) == [
+        (0, 128, 3, 11), (128, 256, 990, 998), (256, 384, 992, 1002),
+        (384, 512, 996, 1002), (512, 600, 1000, 1002),
+    ]
+
+
+_APPLY_BITWISE = """
+import numpy as np, vmfbs
+from vmfbs.smooth import _BAND_SLAB
+TINY = np.finfo(float).tiny
+i = np.arange(1000)
+k = np.exp(-0.5 * ((i[:, None] - i[None, :]) / 3.0) ** 2)
+mats = [k / k.sum(axis=1, keepdims=True)]
+rng = np.random.default_rng(7)
+while {random} and len(mats) < 12:
+    m, n = (int(v) for v in rng.integers(2 * _BAND_SLAB + 1, 900, 2))
+    rows, cols = np.arange(m)[:, None], np.arange(n)[None, :]
+    width, shift = int(rng.integers(1, 100)), int(rng.integers(-40, 40))
+    band = np.abs(cols - rows * n / m - shift) <= width
+    mats.append(np.where(band, rng.standard_normal((m, n)), 0.0))
+banded = 0
+for a in mats:
+    lm = vmfbs.LinearMap(a)
+    banded += lm._blocks is not None
+    flushed = np.where(np.abs(a) < TINY, 0.0, a)
+    for _ in range(50):
+        x = rng.standard_normal(a.shape[1])
+        assert lm.apply(x).tobytes() == (flushed @ x).tobytes()
+print(banded, len(mats))
+"""
+
+
+@pytest.mark.parametrize(("threads", "random"), [("1", True), ("2", False)])
+def test_band_apply_is_the_flushed_dense_product_bitwise(threads, random):
+    # Each output sums the terms of the dense product in its order: bitwise
+    # with a single-threaded OpenBLAS gemv, and threaded where the threads
+    # split the dense rows at multiples of 4 (the n = 1000 blur at two
+    # threads, as the tv-deblur benchmark runs it). A fresh interpreter
+    # fixes the BLAS thread count.
+    env = dict(
+        os.environ, PYTHONPATH=str(SRC),
+        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _APPLY_BITWISE.format(random=random)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    banded, total = map(int, out.stdout.split())
+    assert banded > total // 2 if random else banded == total == 1
+
+
+def test_band_adjoint_within_round_off(rng, monkeypatch):
+    # the blocks' transposed products are added column range by column
+    # range, which rounds differently from the dense product: each output
+    # stays within 2 k eps (|A|^T |r|)_j, k the nonzero terms of column j
+    for a in (_blur(1000, 3.0), _block_diagonal(rng)):
+        m = vmfbs.LinearMap(a)
+        dense = _dense_map(a, monkeypatch)
+        assert m._blocks is not None and dense._blocks is None
+        flushed = dense.a
+        k = np.count_nonzero(flushed, axis=0)
+        moved = 0.0
+        for _ in range(50):
+            r = rng.standard_normal(a.shape[0])
+            got, want = m.adjoint(r), dense.adjoint(r)
+            bound = 2.0 * k * EPS * (np.abs(flushed).T @ np.abs(r))
+            assert np.all(np.abs(got - want) <= bound)
+            moved = max(moved, float(np.abs(got - want).max()))
+        # the blur's columns meet two slabs, so the rounding does change;
+        # a block-diagonal column meets one and keeps the dense sum
+        assert (moved > 0.0) == (a.shape[0] == 1000)
+
+
+def _refusal(a):
+    try:
+        vmfbs.LinearMap(a)
+    except vmfbs.ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
+def test_band_refusals_match_the_dense_path(rng, monkeypatch):
+    def refused(a, want):
+        assert vmfbs.smooth._band(a) is not None
+        got = _refusal(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(vmfbs.smooth, "_band", lambda a: None)
+            assert _refusal(a) == got
+        assert got is not None and want in got, got
+
+    base = _block_diagonal(rng)
+    for i, j, value in ((5, 7, np.nan), (300, 300, np.inf), (5, 500, -np.inf), (511, 0, np.nan)):
+        a = base.copy()
+        a[i, j] = value  # inside the band, or outside it (which widens it)
+        refused(a, "non-finite")
+    a = base.copy()
+    a[200, 128:256] = 1e-310  # subnormal only, inside the band
+    refused(a, "matrix row 200 has only subnormal")
+    a = base.copy()
+    a[300, 256:384] = 0.0
+    a[300, 10] = -3e-320  # subnormal only, outside the band
+    refused(a, "matrix row 300 has only subnormal")
+    a = base.copy()
+    a[:, 130] = 0.0
+    a[128:256, 130] = 5e-324
+    refused(a, "matrix column 130 has only subnormal")
+    a = base.copy()
+    a[:, 255] = 0.0
+    a[200, 255] = 1e-310  # the band's last column, subnormal only
+    refused(a, "matrix column 255 has only subnormal")
+
+
+def test_band_edge_column_subnormal_in_one_slab_only(rng, monkeypatch):
+    # column 256 is subnormal throughout slab 1, where it lies beside the
+    # band, and normal in slab 2: it is not emptied, so nothing is refused
+    a = _block_diagonal(rng)
+    a[SLAB : 2 * SLAB, 2 * SLAB] = 1e-310
+    m = vmfbs.LinearMap(a)
+    assert _spans(m)[1] == (128, 256, 128, 256)
+    assert np.array_equal(_bits(m.a), _bits(_flushed(a)))
+    assert np.array_equal(_bits(m.a), _bits(_dense_map(a, monkeypatch).a))
+
+
+def test_band_operator_norm_runs_on_the_blocks(rng, monkeypatch):
+    a = _block_diagonal(rng)
+    m = vmfbs.LinearMap(a)
+    est = m.operator_norm()
+    true = opnorm_oracle(a)
+    assert true * (1 - 1e-8) <= est <= true * (1 + 1e-12)
+    assert m.matvecs == 0
+    # the ramp start in the null space: the fallback takes the dominant
+    # row from the blocks
+    v = np.ones(2 * SLAB) + np.linspace(0.0, 0.1, 2 * SLAB)
+    v /= np.linalg.norm(v)
+    a = np.zeros((2 * SLAB, 2 * SLAB))
+    a[0, 0], a[0, 1] = v[1], -v[0]
+    a[200, 200], a[200, 201] = 0.5 * v[201], -0.5 * v[200]
+    m = vmfbs.LinearMap(a)
+    assert _spans(m) == [(0, 128, 0, 4), (128, 256, 200, 204)]
+    assert not (a @ v).any()
+    assert m.operator_norm() == pytest.approx(opnorm_oracle(a), rel=1e-13)
+    assert m.operator_norm() == pytest.approx(_dense_map(a, monkeypatch).operator_norm(), rel=1e-13)
+    assert vmfbs.LinearMap(np.zeros((2 * SLAB, 8))).operator_norm() == 0.0
+
+
+def test_band_kl_accepts_a_banded_nonnegative_matrix(rng, monkeypatch):
+    k = _blur(1000, 3.0)
+    b = k @ rng.uniform(0.5, 1.5, 1000)
+    f = vmfbs.KLDivergence(k, b)
+    dense = vmfbs.KLDivergence(_dense_map(k, monkeypatch), b)
+    assert f.a._blocks is not None
+    x = rng.uniform(0.5, 1.5, 1000)
+    assert f.value(x) == pytest.approx(dense.value(x), rel=1e-13)
+    assert np.allclose(f.gradient(x), dense.gradient(x), rtol=0.0, atol=1e-13)
+    a = np.abs(_block_diagonal(rng))
+    a[3, 3] = -1.0
+    with pytest.raises(vmfbs.ConfigurationError, match="nonnegative"):
+        vmfbs.KLDivergence(a, np.ones(a.shape[0]))
+    a = np.abs(_block_diagonal(rng))
+    a[300] = 0.0
+    with pytest.raises(vmfbs.ConfigurationError, match="all-zero row"):
+        vmfbs.KLDivergence(a, np.ones(a.shape[0]))
+
+
+@pytest.mark.parametrize("rule", ["ls1", "ls4"])
+def test_band_solve_keeps_the_dense_matvecs_and_decisions(rng, monkeypatch, rule):
+    # a tv-deblur case: the adjoint's rounding moves F by round-off, but
+    # the solve takes the same steps and the same products
+    n = 1000
+    k = _blur(n, 3.0)
+    cuts = np.arange(1, 20) * 50 + rng.integers(-15, 16, 19)
+    levels = rng.uniform(0.5, 1.0, 20) * np.where(np.arange(20) % 2, 1.0, -1.0)
+    b = k @ np.repeat(levels, np.diff(np.r_[0, cuts, n])) + 0.1 * rng.standard_normal(n)
+    maps = [vmfbs.LinearMap(k), _dense_map(k, monkeypatch)]
+    assert maps[0]._blocks is not None and maps[1]._blocks is None
+    config = vmfbs.SolverConfig(
+        linesearch=vmfbs.LineSearchConfig(rule=rule, warm_start=True),
+        max_iterations=5000,
+        tol_fixed_point=1e-4,
+    )
+    got, want = (
+        vmfbs.solve(
+            vmfbs.CompositeProblem(f=vmfbs.PNormResidual(m, b), g=vmfbs.Tv1dNorm(0.05), dimension=n),
+            np.zeros(n),
+            config,
+        )
+        for m in maps
+    )
+    assert 10 < len(got.trace) == len(want.trace) < 5000
+    assert maps[0].matvecs == maps[1].matvecs
+    for name in ("gamma", "lam", "backtracks"):
+        assert np.array_equal(got.trace.column(name), want.trace.column(name)), name
+    assert abs(got.F_final - want.F_final) <= 1e-12 * abs(want.F_final)
 
 
 # --- p-norm residual -----------------------------------------------------
