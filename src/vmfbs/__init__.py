@@ -37,16 +37,12 @@ from .problems import (
 from .prox import (
     BoxIndicator,
     L1Norm,
-    ScalarPiece,
     SeparableProx,
     Tv1dNorm,
     ZeroTerm,
-    abs_piece,
-    interval_piece,
     prox_optimality_residual,
     prox_tv1d,
     soft_threshold,
-    zero_piece,
 )
 from .smooth import KLDivergence, LinearMap, PNormResidual
 from .solver import (
@@ -75,7 +71,6 @@ __all__ = [
     "PNormResidual",
     "ProxTerm",
     "RULES",
-    "ScalarPiece",
     "SearchFailure",
     "SeparableProx",
     "SmoothTerm",
@@ -89,7 +84,6 @@ __all__ = [
     "Unsupported",
     "UsageError",
     "ZeroTerm",
-    "abs_piece",
     "bb_schedule",
     "check_descent_inequality",
     "check_quasi_fejer",
@@ -97,7 +91,6 @@ __all__ = [
     "constant_schedule",
     "estimate_rate",
     "fixed_step_validate",
-    "interval_piece",
     "prox_optimality_residual",
     "prox_tv1d",
     "read_trace_csv",
@@ -106,5 +99,4 @@ __all__ = [
     "table_schedule",
     "validate_growth",
     "validate_spread",
-    "zero_piece",
 ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,16 +44,7 @@ from .problems import (
     Unsupported,
     as_vector,
 )
-from .prox import (
-    BoxIndicator,
-    L1Norm,
-    SeparableProx,
-    Tv1dNorm,
-    ZeroTerm,
-    abs_piece,
-    interval_piece,
-    zero_piece,
-)
+from .prox import BoxIndicator, L1Norm, SeparableProx, Tv1dNorm, ZeroTerm
 from .smooth import KLDivergence, PNormResidual
 from .solver import SolverConfig, solve, write_trace_csv
 
@@ -113,6 +105,15 @@ def _choice(block: dict, key: str, path: str, options, default=None):
     if v not in options:
         raise UsageError(f"{path}.{key}: expected one of {list(options)}, got {v!r}")
     return v
+
+
+def _build(path: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, with the library's own refusals
+    (a bad weight, bound, exponent or matrix) under ``path``."""
+    try:
+        return factory(*args, **kwargs)
+    except (UsageError, ConfigurationError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _given(block: dict, keys: dict, path: str) -> dict:
@@ -251,11 +252,11 @@ def build_problem(spec: dict):
     a = _load_numeric(smooth["matrix"], f"{spath}.matrix", counter, ndim=2)
     b = _load_numeric(smooth["b"], f"{spath}.b", counter, ndim=1)
     if stype == "quadratic":
-        f = PNormResidual(a, b, p=2.0)
+        f = _build(spath, PNormResidual, a, b, p=2.0)
     elif stype == "pnorm":
-        f = PNormResidual(a, b, p=_number(smooth, "p", spath))
+        f = _build(spath, PNormResidual, a, b, p=_number(smooth, "p", spath))
     else:
-        f = KLDivergence(a, b)
+        f = _build(spath, KLDivergence, a, b)
     n = a.shape[1]
 
     reg = block["regularizer"]
@@ -265,7 +266,7 @@ def build_problem(spec: dict):
     rtype = _choice(reg, "type", rpath, _REG_TYPES)
     if rtype == "l1":
         _check_keys(reg, rpath, required=("type", "weight"))
-        g = L1Norm(_number(reg, "weight", rpath))
+        g = _build(rpath, L1Norm, _number(reg, "weight", rpath))
     elif rtype == "box":
         _check_keys(reg, rpath, required=("type",), optional=("lo", "hi"))
         lo = reg.get("lo")
@@ -280,10 +281,10 @@ def build_problem(spec: dict):
             if isinstance(hi, list)
             else _bound(hi, f"{rpath}.hi", "hi")
         )
-        g = BoxIndicator(lo, hi)
+        g = _build(rpath, BoxIndicator, lo, hi)
     elif rtype == "tv1d":
         _check_keys(reg, rpath, required=("type", "weight"))
-        g = Tv1dNorm(_number(reg, "weight", rpath))
+        g = _build(rpath, Tv1dNorm, _number(reg, "weight", rpath))
     elif rtype == "zero":
         _check_keys(reg, rpath, required=("type",))
         g = ZeroTerm()
@@ -294,6 +295,7 @@ def build_problem(spec: dict):
             raise UsageError(
                 f"{rpath}.pieces: expected a list of length {n} (one per coordinate)"
             )
+        # one (weight, lo, hi) per coordinate
         pieces = []
         for i, p in enumerate(pieces_spec):
             ppath = f"{rpath}.pieces[{i}]"
@@ -302,27 +304,29 @@ def build_problem(spec: dict):
             kind = p["kind"]
             if kind == "abs":
                 _check_keys(p, ppath, required=("kind", "weight"))
-                pieces.append(abs_piece(_number(p, "weight", ppath)))
+                w = _number(p, "weight", ppath)
+                if not (w > 0) or not math.isfinite(w):
+                    raise UsageError(
+                        f"{ppath}.weight: abs weight must be positive and finite, got {w}"
+                    )
+                pieces.append((w, -np.inf, np.inf))
             elif kind == "interval":
                 _check_keys(p, ppath, required=("kind",), optional=("lo", "hi"))
-                pieces.append(
-                    interval_piece(_bound(p.get("lo"), f"{ppath}.lo", "lo"),
-                                   _bound(p.get("hi"), f"{ppath}.hi", "hi"))
-                )
+                pieces.append((0.0, _bound(p.get("lo"), f"{ppath}.lo", "lo"),
+                               _bound(p.get("hi"), f"{ppath}.hi", "hi")))
             elif kind == "zero":
                 _check_keys(p, ppath, required=("kind",))
-                pieces.append(zero_piece())
+                pieces.append((0.0, -np.inf, np.inf))
             else:
                 raise UsageError(f"{ppath}.kind: expected abs|interval|zero, got {kind!r}")
-        g = SeparableProx(pieces)
+        g = _build(rpath, SeparableProx, *zip(*pieces))
 
     regime = block.get("domain_regime", "standard")
-    problem = CompositeProblem(f=f, g=g, dimension=n, domain_regime=regime)
+    problem = _build("problem", CompositeProblem, f=f, g=g, dimension=n, domain_regime=regime)
 
     if "x0" in block:
-        x0 = as_vector(
-            _load_numeric(block["x0"], "problem.x0", counter, ndim=1), n
-        )
+        x0 = _build("problem.x0", as_vector,
+                    _load_numeric(block["x0"], "problem.x0", counter, ndim=1), n)
     else:
         x0 = np.zeros(n)
     return problem, x0
@@ -344,17 +348,9 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
             raise UsageError(f"{path}: expected {n} weights (one per coordinate), got {w.size}")
         return w
 
-    def build(factory, *args, **kwargs):
-        # the library's own refusals (non-finite or nonpositive weights,
-        # bounds) under the block's path
-        try:
-            return factory(*args, **kwargs)
-        except (UsageError, ConfigurationError) as exc:
-            raise UsageError(f"{mpath}: {exc}") from None
-
     if mtype == "constant":
         _check_keys(m, mpath, required=("type", "weights"), optional=budgets)
-        return build(constant_schedule, weights(m["weights"], f"{mpath}.weights"))
+        return _build(mpath, constant_schedule, weights(m["weights"], f"{mpath}.weights"))
     if mtype == "table":
         _check_keys(
             m, mpath, required=("type", "weights", "nu", "mu", "regime"),
@@ -363,7 +359,8 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
         rows = m["weights"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise UsageError(f"{mpath}.weights: expected a list of weight rows")
-        return build(
+        return _build(
+            mpath,
             table_schedule,
             [weights(r, f"{mpath}.weights[{i}]") for i, r in enumerate(rows)],
             nu=_number(m, "nu", mpath),
@@ -372,7 +369,8 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
             extend=_choice(m, "extend", mpath, ("hold", "error"), "hold"),
         )
     _check_keys(m, mpath, required=("type", "nu", "mu"), optional=("eta0",) + budgets)
-    return build(
+    return _build(
+        mpath,
         bb_schedule,
         n,
         nu=_number(m, "nu", mpath),
@@ -388,19 +386,13 @@ def build_solver_config(spec: dict, n: int) -> SolverConfig:
     ls_kwargs = _given(s, _LINESEARCH_KEYS, path)
     if rule is not None:
         ls_kwargs["rule"] = rule
-    try:
-        ls = LineSearchConfig(**ls_kwargs)
-    except (UsageError, ConfigurationError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
+    ls = _build(path, LineSearchConfig, **ls_kwargs)
 
     metrics = _build_metrics(s, n)
     kwargs = _given(s, _SOLVER_KEYS, path)
     if "checks" in spec["output"]:
         kwargs["record_checks"] = _bool(spec["output"], "checks", "output")
-    try:
-        return SolverConfig(linesearch=ls, metrics=metrics, **kwargs)
-    except ConfigurationError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+    return _build(path, SolverConfig, linesearch=ls, metrics=metrics, **kwargs)
 
 
 def _out_path(args, spec, default_suffix: str) -> str:

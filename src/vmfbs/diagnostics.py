@@ -261,9 +261,6 @@ class RateEstimate:
     r: np.ndarray
     tails: dict
 
-    def tail_values(self) -> list:
-        return [self.tails[K] for K in sorted(self.tails)]
-
 
 def estimate_rate(record, f_star: float) -> RateEstimate:
     trace = _trace_of(record)

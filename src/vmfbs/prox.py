@@ -17,7 +17,6 @@ reuses the taut-string prox it checks (see ``Tv1dNorm.subdiff_distance``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +28,6 @@ __all__ = [
     "prox_optimality_residual",
     "L1Norm",
     "BoxIndicator",
-    "ScalarPiece",
-    "abs_piece",
-    "interval_piece",
-    "zero_piece",
     "SeparableProx",
     "Tv1dNorm",
     "ZeroTerm",
@@ -426,45 +421,16 @@ class BoxIndicator(ProxTerm):
         return float(np.linalg.norm(_interval_distances(u, *_cone_interval(p, self.lo, self.hi))))
 
 
-@dataclass(frozen=True)
-class ScalarPiece:
-    """One coordinate of a separable term: g_i(x) = weight * |x| on [lo, hi].
-
-    ``abs_piece`` (weight > 0, no bounds), ``interval_piece`` (weight 0)
-    and ``zero_piece`` build the catalog's three cases; any weight >= 0
-    with any nonempty interval is valid, since in one dimension the
-    prox of weight * |x| plus an interval is the clamp of its soft
-    threshold.
-    """
-
-    weight: float = 0.0
-    lo: float = -np.inf
-    hi: float = np.inf
-
-    def __post_init__(self):
-        if not (self.weight >= 0) or not math.isfinite(self.weight):
-            raise ConfigurationError(f"piece weight must be nonnegative and finite, got {self.weight}")
-        if not self.lo <= self.hi:
-            raise ConfigurationError("empty interval: lo > hi")
-
-
-def abs_piece(weight: float = 1.0) -> ScalarPiece:
-    w = float(weight)
-    if not (w > 0) or not np.isfinite(w):
-        raise ConfigurationError(f"abs piece weight must be positive, got {weight}")
-    return ScalarPiece(weight=w)
-
-
-def interval_piece(lo: float, hi: float) -> ScalarPiece:
-    return ScalarPiece(lo=float(lo), hi=float(hi))
-
-
-def zero_piece() -> ScalarPiece:
-    return ScalarPiece()
-
-
 class SeparableProx(ProxTerm):
-    """g(x) = sum_i g_i(x_i) from scalar pieces, stacked into arrays once.
+    """g(x) = sum_i weight_i * |x_i| on the box [lo, hi].
+
+    ``weight``, ``lo`` and ``hi`` are scalars or vectors that broadcast
+    to one vector of length n >= 1 (at least one of them a vector):
+    weight >= 0 and finite, lo <= hi, bounds may be infinite. Weight w
+    with no bounds is w * |x_i|, weight 0 on [lo, hi] the interval's
+    indicator, weight 0 with no bounds the zero function; in one
+    dimension the prox of weight * |x| plus an interval is the clamp of
+    its soft threshold, so any mix is valid.
 
     The prox soft-thresholds the coordinates with weight > 0 (as
     ``L1Norm``) and clamps into the bounds (as ``BoxIndicator``), the
@@ -475,17 +441,35 @@ class SeparableProx(ProxTerm):
     separable = True
     lower_bound = 0.0
 
-    def __init__(self, pieces):
-        self.pieces = tuple(pieces)
-        if not self.pieces:
-            raise ConfigurationError("SeparableProx needs at least one piece")
-        self.weight, lo, hi = np.array([(p.weight, p.lo, p.hi) for p in self.pieces]).T.copy()
+    def __init__(self, weight=0.0, lo=-np.inf, hi=np.inf):
+        arrays = [np.asarray(v, dtype=float) for v in (weight, lo, hi)]
+        try:
+            weight, lo, hi = (a.copy() for a in np.broadcast_arrays(*arrays))
+            ok = weight.ndim == 1 and weight.size > 0
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ConfigurationError(
+                "weight, lo and hi must broadcast to one vector of length n >= 1, "
+                f"got shapes {[a.shape for a in arrays]}"
+            )
+        bad = ~((weight >= 0) & np.isfinite(weight))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ConfigurationError(
+                f"weight must be nonnegative and finite, got {weight[i]} at coordinate {i}"
+            )
+        bad = ~(lo <= hi)  # NaN bounds too
+        if bad.any():
+            i = int(bad.argmax())
+            raise ConfigurationError(f"empty interval [{lo[i]}, {hi[i]}] at coordinate {i}")
+        self.weight = weight
         self.box = BoxIndicator(lo, hi)
-        self._abs = self.weight > 0
+        self._abs = weight > 0
 
     def _check_dim(self, x):
-        if x.size != len(self.pieces):
-            raise UsageError(f"expected {len(self.pieces)} coordinates, got {x.size}")
+        if x.size != self.weight.size:
+            raise UsageError(f"expected {self.weight.size} coordinates, got {x.size}")
 
     def in_domain(self, x) -> bool:
         x = np.asarray(x, dtype=float)

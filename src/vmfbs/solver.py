@@ -256,7 +256,7 @@ class FixedStepReport:
     lipschitz: float
 
 
-def _as_schedule(value, name: str) -> Callable[[int], float]:
+def _as_schedule(value) -> Callable[[int], float]:
     if callable(value):
         return value
     v = float(value)
@@ -387,10 +387,9 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             )
     delta_eff = _delta_effective(ls, fixed_report)
 
-    lam_at = _as_schedule(config.lam_schedule, "lam_schedule")
+    lam_at = _as_schedule(config.lam_schedule)
     gamma_at = _as_schedule(
-        ls.gamma_max if config.gamma_schedule is None else config.gamma_schedule,
-        "gamma_schedule",
+        ls.gamma_max if config.gamma_schedule is None else config.gamma_schedule
     )
 
     cols = {name: array("q" if name in _INT_COLUMNS else "d") for name in IterateTrace._fields}

@@ -401,11 +401,8 @@ def test_criterion_10_prox_correctness():
 
     for _ in range(100):  # separable mix
         w = float(rng.uniform(0.1, 1.5))
-        g = vmfbs.SeparableProx([
-            vmfbs.abs_piece(w),
-            vmfbs.interval_piece(-1.0, 1.0),
-            vmfbs.zero_piece(),
-        ])
+        # w |x|, the interval [-1, 1], the zero function
+        g = vmfbs.SeparableProx([w, 0.0, 0.0], [-np.inf, -1.0, -np.inf], [np.inf, 1.0, np.inf])
         tau = float(rng.uniform(0.05, 3.0))
         z = 2.0 * rng.standard_normal(3)
         p = g.prox(z, tau)

@@ -218,6 +218,22 @@ def table_metrics(**fields):
          "solver.metrics.extend: expected one of"),
         (lambda s: s["solver"].update(metrics={"type": "constant", "weights": [1.0, 2.0]}),
          "solver.metrics.weights: expected 1 weights"),
+        # the library's own refusals, under the block that was refused
+        (lambda s: s["problem"]["smooth"].update(type="pnorm", p=0.5),
+         "problem.smooth: p must be a finite real > 1, got 0.5"),
+        (lambda s: s["problem"]["smooth"].update(type="kl", matrix=[[-1.0]]),
+         "problem.smooth: KL needs a nonnegative matrix"),
+        (lambda s: s["problem"].update(domain_regime="weird"),
+         "problem: domain_regime must be 'standard' or 'general', got 'weird'"),
+        (lambda s: s["problem"]["regularizer"].update(weight=-1),
+         "problem.regularizer: l1 weight must be positive and finite, got -1.0"),
+        (lambda s: s["problem"].update(regularizer={"type": "box", "lo": 1.0, "hi": 0.0}),
+         "problem.regularizer: empty box"),
+        (lambda s: s["problem"].update(
+            regularizer={"type": "separable", "pieces": [{"kind": "abs", "weight": 0}]}),
+         "problem.regularizer.pieces[0].weight: abs weight must be positive and finite, got 0.0"),
+        (lambda s: s["problem"].update(x0=[0.0, 1.0]),
+         "problem.x0: expected a vector of length 1, got 2"),
     ],
 )
 def test_spec_validation_names_the_field(tmp_path, capsys, mutate, needle):
@@ -307,9 +323,9 @@ def test_solve_separable_regularizer(tmp_path, capsys):
     path = write_spec(tmp_path, separable_spec(SEPARABLE_PIECES))
     spec = load_spec(path)
     problem, x0 = build_problem(spec)
-    assert problem.g.pieces == (
-        vmfbs.abs_piece(1.0), vmfbs.interval_piece(-np.inf, 1.0), vmfbs.zero_piece()
-    )
+    assert np.array_equal(problem.g.weight, [1.0, 0.0, 0.0])
+    assert np.array_equal(problem.g.box.lo, [-np.inf, -np.inf, -np.inf])
+    assert np.array_equal(problem.g.box.hi, [np.inf, 1.0, np.inf])
     result = solve(problem, x0, build_solver_config(spec, problem.dimension))
     assert result.termination == "fixed_point"
     assert np.array_equal(result.x_final, [2.0, 1.0, -1.5])
@@ -325,6 +341,8 @@ def test_solve_separable_regularizer(tmp_path, capsys):
         (SEPARABLE_PIECES[:2], "problem.regularizer.pieces: expected a list of length 3"),
         (SEPARABLE_PIECES[:2] + [{"kind": "huber"}],
          "problem.regularizer.pieces[2].kind: expected abs|interval|zero, got 'huber'"),
+        (SEPARABLE_PIECES[:1] + [{"kind": "interval", "lo": 2.0, "hi": 1.0}, {"kind": "zero"}],
+         "problem.regularizer: empty interval [2.0, 1.0] at coordinate 1"),
     ],
 )
 def test_separable_regularizer_errors_name_the_field(tmp_path, capsys, pieces, needle):

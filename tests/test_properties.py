@@ -85,30 +85,30 @@ def _bits(v) -> bytes:
 
 @st.composite
 def separable_case(draw):
-    """A random mix of abs, interval and zero pieces with the frozen
-    callables of each, and a strategy for points: Gaussian values, some
-    of them replaced by signed zeros, the finite bounds or points one
-    unit outside them."""
+    """A random mix of abs, interval and zero pieces as (weight, lo, hi)
+    triples with the frozen callables of each, and a strategy for points:
+    Gaussian values, some of them replaced by signed zeros, the finite
+    bounds or points one unit outside them."""
     n = draw(st.integers(min_value=1, max_value=40))
-    pieces = []
+    triples = []
     refs = []
     pool = [0.0, -0.0, 3.0, -3.0]
     for _ in range(n):
         kind = draw(st.sampled_from(["abs", "interval", "zero"]))
         if kind == "abs":
             w = draw(st.one_of(st.sampled_from([1.0, 1e-300]), st.floats(0.01, 10.0)))
-            pieces.append(vmfbs.abs_piece(w))
+            triples.append((w, -np.inf, np.inf))
             refs.append(abs_piece_reference(w))
         elif kind == "interval":
             ends = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-5.0, 5.0))
             lo, hi = sorted([draw(ends), draw(ends)])
             lo = draw(st.sampled_from([lo, -np.inf]))
             hi = draw(st.sampled_from([hi, np.inf]))
-            pieces.append(vmfbs.interval_piece(lo, hi))
+            triples.append((0.0, lo, hi))
             refs.append(interval_piece_reference(lo, hi))
             pool += [b + d for b in (lo, hi) if np.isfinite(b) for d in (-1.0, 0.0, 1.0)]
         else:
-            pieces.append(vmfbs.zero_piece())
+            triples.append((0.0, -np.inf, np.inf))
             refs.append(zero_piece_reference())
 
     @st.composite
@@ -118,7 +118,7 @@ def separable_case(draw):
         use = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         return np.where(use, special, x)
 
-    return pieces, refs, points()
+    return triples, refs, points()
 
 
 # The frozen per-coordinate callables are the reference; -0.0 on an
@@ -127,8 +127,8 @@ def separable_case(draw):
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(data=st.data())
 def test_separable_prox_matches_frozen_callables_bitwise(data):
-    pieces, refs, points = data.draw(separable_case())
-    g = vmfbs.SeparableProx(pieces)
+    triples, refs, points = data.draw(separable_case())
+    g = vmfbs.SeparableProx(*np.array(triples).T)
     ref = SeparableProxReference(refs)
     z = data.draw(points)
     x = data.draw(points)

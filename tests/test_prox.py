@@ -302,9 +302,9 @@ def test_box_indicator_value_and_prox():
 
 
 def test_separable_prox_mixed_pieces():
-    g = vmfbs.SeparableProx(
-        [vmfbs.abs_piece(1.0), vmfbs.interval_piece(0.0, 1.0), vmfbs.zero_piece()]
-    )
+    # |x| with no bounds, the interval [0, 1], the zero function
+    g = vmfbs.SeparableProx(weight=[1.0, 0.0, 0.0], lo=[-np.inf, 0.0, -np.inf],
+                            hi=[np.inf, 1.0, np.inf])
     z = np.array([3.0, 1.7, -2.5])
     out = g.prox(z, 1.0)
     assert np.allclose(out, [2.0, 1.0, -2.5])
@@ -312,18 +312,26 @@ def test_separable_prox_mixed_pieces():
     assert g.value(np.array([1.0, 1.5, 0.0])) == np.inf
 
 
-def test_scalar_pieces_are_validated_records():
-    assert vmfbs.abs_piece(2.0) == vmfbs.ScalarPiece(weight=2.0)
-    assert vmfbs.interval_piece(-1, 2) == vmfbs.ScalarPiece(0.0, -1.0, 2.0)
-    assert vmfbs.zero_piece() == vmfbs.ScalarPiece(0.0, -np.inf, np.inf)
-    for bad in (dict(weight=-1.0), dict(weight=np.inf), dict(weight=np.nan),
-                dict(lo=1.0, hi=0.0), dict(lo=np.nan)):
-        with pytest.raises(vmfbs.ConfigurationError):
-            vmfbs.ScalarPiece(**bad)
-    with pytest.raises(vmfbs.ConfigurationError, match="positive"):
-        vmfbs.abs_piece(0.0)
-    with pytest.raises(vmfbs.ConfigurationError, match="empty interval"):
-        vmfbs.interval_piece(1.0, 0.0)
+def test_separable_arrays_broadcast_and_are_validated():
+    g = vmfbs.SeparableProx(weight=[2.0, 0.0, 0.0], lo=-1.0)
+    assert np.array_equal(g.weight, [2.0, 0.0, 0.0])
+    assert np.array_equal(g.box.lo, [-1.0] * 3) and np.array_equal(g.box.hi, [np.inf] * 3)
+    # each refusal names the first bad coordinate
+    for kwargs, needle in [
+        (dict(weight=[1.0, -1.0, -2.0]), "nonnegative and finite, got -1.0 at coordinate 1"),
+        (dict(weight=[0.0, 1.0, np.inf]), "nonnegative and finite, got inf at coordinate 2"),
+        (dict(weight=[np.nan, -1.0]), "nonnegative and finite, got nan at coordinate 0"),
+        (dict(lo=[0.0, 1.0, 2.0], hi=[0.0, 0.0, 1.0]), "empty interval [1.0, 0.0] at coordinate 1"),
+        (dict(lo=[0.0, np.nan], hi=1.0), "empty interval [nan, 1.0] at coordinate 1"),
+        (dict(weight=[0.0], hi=[np.nan]), "empty interval [-inf, nan] at coordinate 0"),
+        (dict(weight=[]), "one vector of length n >= 1, got shapes [(0,), (), ()]"),
+        (dict(weight=[1.0, 2.0], lo=[0.0, 0.0, 0.0]), "got shapes [(2,), (3,), ()]"),
+        (dict(), "one vector of length n >= 1, got shapes [(), (), ()]"),
+        (dict(weight=np.ones((2, 2))), "got shapes [(2, 2), (), ()]"),
+    ]:
+        with pytest.raises(vmfbs.ConfigurationError) as err:
+            vmfbs.SeparableProx(**kwargs)
+        assert needle in str(err.value)
 
 
 def test_separable_prox_residual_zero_at_prox_point(rng):
@@ -331,14 +339,14 @@ def test_separable_prox_residual_zero_at_prox_point(rng):
     # bounds, under Euclidean and diagonal metrics
     for _ in range(50):
         n = int(rng.integers(1, 10))
-        pieces = []
+        triples = []
         for _ in range(n):
             lo, hi = np.sort(rng.uniform(-2, 2, size=2))
             lo = lo if rng.random() < 0.7 else -np.inf
             hi = hi if rng.random() < 0.7 else np.inf
             weight = float(rng.choice([0.0, rng.uniform(0.1, 2)]))
-            pieces.append(vmfbs.ScalarPiece(weight, lo, hi))
-        g = vmfbs.SeparableProx(pieces)
+            triples.append((weight, lo, hi))
+        g = vmfbs.SeparableProx(*np.array(triples).T)
         z = rng.uniform(-4, 4, size=n)
         gamma = float(rng.uniform(0.05, 3))
         w = rng.uniform(0.2, 5, size=n)
@@ -348,7 +356,7 @@ def test_separable_prox_residual_zero_at_prox_point(rng):
 
 
 def test_separable_prox_dimension_mismatch():
-    g = vmfbs.SeparableProx([vmfbs.zero_piece()])
+    g = vmfbs.SeparableProx(weight=[0.0])
     with pytest.raises(vmfbs.UsageError):
         g.prox(np.array([1.0, 2.0]), 1.0)
 
@@ -420,14 +428,15 @@ def test_prox_residual_tv(rng):
 
 
 def test_scalar_pieces_match_grid_oracle(rng):
+    # (weight, lo, hi) of one coordinate, and the oracle's bounds
     cases = [
-        (vmfbs.abs_piece(2.0), None, None),
-        (vmfbs.interval_piece(-1.0, 2.0), -1.0, 2.0),
-        (vmfbs.zero_piece(), None, None),
-        (vmfbs.ScalarPiece(1.5, -1.0, 0.5), -1.0, 0.5),
+        ((2.0, -np.inf, np.inf), None, None),
+        ((0.0, -1.0, 2.0), -1.0, 2.0),
+        ((0.0, -np.inf, np.inf), None, None),
+        ((1.5, -1.0, 0.5), -1.0, 0.5),
     ]
-    for piece, lo, hi in cases:
-        g = vmfbs.SeparableProx([piece])
+    for (weight, lo_, hi_), lo, hi in cases:
+        g = vmfbs.SeparableProx([weight], lo_, hi_)
         for _ in range(20):
             z = float(rng.uniform(-4, 4))
             tau = float(rng.uniform(0.05, 2))
