@@ -26,7 +26,6 @@ from .metrics import (
 )
 from .problems import (
     CompositeProblem,
-    ConfigurationError,
     DomainError,
     ProxTerm,
     SearchFailure,
@@ -60,7 +59,6 @@ __all__ = [
     "BoxIndicator",
     "CheckReport",
     "CompositeProblem",
-    "ConfigurationError",
     "DomainError",
     "IterateTrace",
     "KLDivergence",

@@ -39,7 +39,6 @@ from .metrics import (
 )
 from .problems import (
     CompositeProblem,
-    ConfigurationError,
     UsageError,
     Unsupported,
     as_vector,
@@ -97,10 +96,10 @@ def _bound(v, path, side: str) -> float:
     return float(v)
 
 
-def _choice(block: dict, key: str, path: str, options, default=None):
-    """``block[key]``, which must be one of ``options``; ``default`` when unset."""
+def _choice(block: dict, key: str, path: str, options):
+    """``block[key]``, which must be one of ``options``; None when unset."""
     if key not in block:
-        return default
+        return None
     v = block[key]
     if v not in options:
         raise UsageError(f"{path}.{key}: expected one of {list(options)}, got {v!r}")
@@ -112,7 +111,7 @@ def _build(path: str, factory, *args, **kwargs):
     (a bad weight, bound, exponent or matrix) under ``path``."""
     try:
         return factory(*args, **kwargs)
-    except (UsageError, ConfigurationError) as exc:
+    except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -352,10 +351,7 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
         _check_keys(m, mpath, required=("type", "weights"), optional=budgets)
         return _build(mpath, constant_schedule, weights(m["weights"], f"{mpath}.weights"))
     if mtype == "table":
-        _check_keys(
-            m, mpath, required=("type", "weights", "nu", "mu", "regime"),
-            optional=("extend",) + budgets,
-        )
+        _check_keys(m, mpath, required=("type", "weights", "nu", "mu", "regime"), optional=budgets)
         rows = m["weights"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise UsageError(f"{mpath}.weights: expected a list of weight rows")
@@ -366,7 +362,6 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
             nu=_number(m, "nu", mpath),
             mu=_number(m, "mu", mpath),
             regime=_choice(m, "regime", mpath, ("constant", "growth", "spread")),
-            extend=_choice(m, "extend", mpath, ("hold", "error"), "hold"),
         )
     _check_keys(m, mpath, required=("type", "nu", "mu"), optional=("eta0",) + budgets)
     return _build(
@@ -469,7 +464,7 @@ def cmd_compare(args) -> int:
                 _fmt(float(np.min(trace.lam)) if len(trace) else np.nan),
                 _fmt(result.F_final),
             ]))
-        except (UsageError, ConfigurationError, Unsupported) as exc:
+        except (UsageError, Unsupported) as exc:
             lines.append(",".join([rule, f"error: {exc}".replace(",", ";"),
                                    "0", "0", "0", "0", "nan", "nan", "nan"]))
     table = "\n".join(lines) + "\n"
@@ -567,7 +562,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ConfigurationError, Unsupported) as exc:
+    except (UsageError, Unsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import CompositeProblem, ConfigurationError, SearchFailure
+from .problems import CompositeProblem, SearchFailure, UsageError
 
 __all__ = ["RULES", "LineSearchConfig", "StepOutcome", "line_search"]
 
@@ -76,34 +76,34 @@ class LineSearchConfig:
 
     def __post_init__(self):
         if self.rule not in RULES:
-            raise ConfigurationError(f"rule must be one of {RULES}, got {self.rule!r}")
+            raise UsageError(f"rule must be one of {RULES}, got {self.rule!r}")
         if not (0 < self.delta < 1):
-            raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
+            raise UsageError(f"delta must lie in (0,1), got {self.delta}")
         if not (0 < self.theta < 1):
-            raise ConfigurationError(f"theta must lie in (0,1), got {self.theta}")
+            raise UsageError(f"theta must lie in (0,1), got {self.theta}")
         if not (self.gamma_max > 0) or not np.isfinite(self.gamma_max):
-            raise ConfigurationError(f"gamma_max must be positive and finite, got {self.gamma_max}")
+            raise UsageError(f"gamma_max must be positive and finite, got {self.gamma_max}")
         if not (0 < self.lam_max <= 1):
-            raise ConfigurationError(f"lam_max must lie in (0,1], got {self.lam_max}")
+            raise UsageError(f"lam_max must lie in (0,1], got {self.lam_max}")
         if self.max_backtracks < 1:
-            raise ConfigurationError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
+            raise UsageError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
         if self.rule == "tseng-yun":
             sigma, beta = self.sigma, self.beta
             if not (0 < sigma <= 1):
-                raise ConfigurationError(f"sigma must lie in (0,1], got {sigma}")
+                raise UsageError(f"sigma must lie in (0,1], got {sigma}")
             if not (0 <= beta <= 1):
-                raise ConfigurationError(f"beta must lie in [0,1], got {beta}")
+                raise UsageError(f"beta must lie in [0,1], got {beta}")
             if not (0 < (1 - beta) * sigma < 1):
-                raise ConfigurationError(
+                raise UsageError(
                     f"need 0 < (1-beta)*sigma < 1, got (1-{beta})*{sigma} = {(1 - beta) * sigma}"
                 )
         if self.rule == "fixed":
             if self.fixed_gamma is None or self.fixed_lam is None:
-                raise ConfigurationError("fixed-step mode needs fixed_gamma and fixed_lam")
+                raise UsageError("fixed-step mode needs fixed_gamma and fixed_lam")
             if not (self.fixed_gamma > 0):
-                raise ConfigurationError(f"fixed_gamma must be positive, got {self.fixed_gamma}")
+                raise UsageError(f"fixed_gamma must be positive, got {self.fixed_gamma}")
             if not (0 < self.fixed_lam <= 1):
-                raise ConfigurationError(f"fixed_lam must lie in (0,1], got {self.fixed_lam}")
+                raise UsageError(f"fixed_lam must lie in (0,1], got {self.fixed_lam}")
 
 
 @dataclass

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import ConfigurationError, UsageError
+from .problems import UsageError
 
 __all__ = [
     "StepSnapshot",
@@ -65,7 +65,7 @@ def _checked(weights) -> tuple[np.ndarray, float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError("vector has non-finite entries")
     if not lo > 0:
-        raise ConfigurationError("metric weights must be strictly positive")
+        raise UsageError("metric weights must be strictly positive")
     w.flags.writeable = False
     return w, lo, hi
 
@@ -87,40 +87,39 @@ class StepSnapshot:
 class MetricSchedule:
     """Emits the weight vector of the diagonal metric of each iteration.
 
-    ``generator(k, snapshot)`` returns the weights of step k as any
-    array-like and must be a pure function of its arguments;
-    state-dependent strategies (BB) get their state through the
-    snapshot. :meth:`metric_at` checks each vector once, where it is
-    emitted: 1-D, finite, positive, and inside the declared global
-    bounds with a small relative slack for float round-off.
+    A schedule has exactly one of two sources:
 
-    ``rows`` is set by the factories of schedules whose weights do not
-    depend on the run (constant, table): the weights emitted at
-    k = 0, 1, ..., len(rows) - 1, after which the schedule holds the last
-    row (or refuses, for a table with ``extend="error"``). The factories
-    check these rows when they build the schedule, so emitting one is a
-    lookup. ``rows`` stays None for BB and for any schedule built
-    directly, which then counts as reading its :class:`StepSnapshot`:
-    the solver builds a snapshot only for those, and the validators
-    cannot judge them without a run.
+    - ``rows``, for weights that do not depend on the run: the weights
+      emitted at k = 0, 1, ..., len(rows) - 1, after which the last row
+      holds. Every row is checked once, here: 1-D, finite, positive and
+      inside the declared global bounds with a small relative slack for
+      float round-off; an empty table and rows of different lengths are
+      refused. Emitting a row is a lookup that returns the same
+      read-only array each time.
+    - ``generator(k, snapshot)``, which returns the weights of step k as
+      any array-like and must be a pure function of its arguments;
+      state-dependent strategies (BB) get their state through the
+      snapshot. :meth:`metric_at` checks each vector as above, where it
+      is emitted. Such a schedule counts as reading its
+      :class:`StepSnapshot`: the solver builds a snapshot only for
+      these, and the validators cannot judge them without a run.
     """
-
-    rows: tuple[np.ndarray, ...] | None = None
 
     def __init__(
         self,
-        generator: Callable[[int, StepSnapshot | None], np.ndarray],
+        generator: Callable[[int, StepSnapshot | None], np.ndarray] | None = None,
         *,
+        rows=None,
         global_nu: float,
         global_mu: float,
         declared_regime: str,
     ):
+        if (generator is None) == (rows is None):
+            raise UsageError("a metric schedule needs exactly one of a generator and rows")
         if not (0 < global_nu <= global_mu < np.inf):
-            raise ConfigurationError(
-                f"need 0 < nu <= mu < inf, got nu={global_nu}, mu={global_mu}"
-            )
+            raise UsageError(f"need 0 < nu <= mu < inf, got nu={global_nu}, mu={global_mu}")
         if declared_regime not in ("constant", "growth", "spread"):
-            raise ConfigurationError(
+            raise UsageError(
                 f"declared_regime must be 'constant', 'growth' or 'spread', got {declared_regime!r}"
             )
         self._generator = generator
@@ -130,17 +129,25 @@ class MetricSchedule:
         slack = 1e-12
         self._nu_floor = self.global_nu * (1 - slack)
         self._mu_ceiling = self.global_mu * (1 + slack)
+        if rows is not None:
+            rows = tuple(self._bounded(w, k) for k, w in enumerate(rows))
+            if not rows:
+                raise UsageError("a schedule table needs at least one row")
+            lengths = sorted({w.size for w in rows})
+            if len(lengths) > 1:
+                raise UsageError(f"schedule rows have different lengths {lengths}")
+        self.rows: tuple[np.ndarray, ...] | None = rows
 
     @property
     def reads_state(self) -> bool:
-        """Whether the weights depend on the solver state (no state-free ``rows``)."""
+        """Whether the weights depend on the solver state (a generator, no ``rows``)."""
         return self.rows is None
 
     def _bounded(self, weights, k: int) -> np.ndarray:
         """The checked weights of step k, refused outside the declared bounds."""
         w, lo, hi = _checked(weights)
         if lo < self._nu_floor or hi > self._mu_ceiling:
-            raise ConfigurationError(
+            raise UsageError(
                 f"schedule emitted weights in [{lo}, {hi}] at k={k}, outside "
                 f"declared bounds [{self.global_nu}, {self.global_mu}]"
             )
@@ -150,48 +157,26 @@ class MetricSchedule:
         """The weights w_k of step k: a checked, read-only float64 vector."""
         if k < 0:
             raise UsageError(f"iteration index must be nonnegative, got {k}")
-        if self.rows is not None:
-            # the factories checked their rows when they built the schedule
-            return self._generator(k, snapshot)
+        rows = self.rows
+        if rows is not None:
+            return rows[k] if k < len(rows) else rows[-1]
         return self._bounded(self._generator(k, snapshot), k)
 
 
 def constant_schedule(weights) -> MetricSchedule:
     """The same diagonal metric every iteration (identity when w = ones)."""
     w, lo, hi = _checked(weights)
-    sched = MetricSchedule(
-        lambda k, snap: w, global_nu=lo, global_mu=hi, declared_regime="constant"
-    )
-    sched.rows = (w,)
-    return sched
+    return MetricSchedule(rows=(w,), global_nu=lo, global_mu=hi, declared_regime="constant")
 
 
-def table_schedule(
-    tables, *, nu: float, mu: float, regime: str, extend: str = "hold"
-) -> MetricSchedule:
+def table_schedule(tables, *, nu: float, mu: float, regime: str) -> MetricSchedule:
     """Weights read from an explicit per-iteration table.
 
-    Row k is the weight vector of step k; every row is checked against
-    the bounds [nu, mu] here, when the table is built.
-    ``extend="hold"`` repeats the last row past the end of the table;
-    ``extend="error"`` makes that a usage error instead.
+    Row k is the weight vector of step k, and the last row holds past the
+    end of the table; every row is checked against the bounds [nu, mu]
+    when the table is built.
     """
-    if extend not in ("hold", "error"):
-        raise ConfigurationError(f"extend must be 'hold' or 'error', got {extend!r}")
-
-    def gen(k, snap):
-        if k < len(rows):
-            return rows[k]
-        if extend == "hold":
-            return rows[-1]
-        raise UsageError(f"schedule table has {len(rows)} rows, asked for k={k}")
-
-    sched = MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime=regime)
-    rows = tuple(sched._bounded(w, k) for k, w in enumerate(tables))
-    if not rows:
-        raise ConfigurationError("table_schedule needs at least one row")
-    sched.rows = rows
-    return sched
+    return MetricSchedule(rows=tables, global_nu=nu, global_mu=mu, declared_regime=regime)
 
 
 def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSchedule:
@@ -208,9 +193,9 @@ def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSch
     sums bounded by 2 * eta0), hence the declared regime "growth".
     """
     if eta0 < 0:
-        raise ConfigurationError(f"eta0 must be nonnegative, got {eta0}")
+        raise UsageError(f"eta0 must be nonnegative, got {eta0}")
     if not (0 < nu <= mu):
-        raise ConfigurationError(f"bb_schedule needs 0 < nu <= mu, got nu={nu}, mu={mu}")
+        raise UsageError(f"bb_schedule needs 0 < nu <= mu, got nu={nu}, mu={mu}")
     start = np.clip(np.ones(n), nu, mu)
 
     def gen(k, snap):
@@ -234,12 +219,7 @@ def _emit_weights(schedule: MetricSchedule, horizon: int) -> list[np.ndarray] | 
         raise UsageError(f"horizon must be >= 1, got {horizon}")
     if schedule.reads_state:
         return None
-    ws = [schedule.metric_at(k, None) for k in range(horizon)]
-    lengths = sorted({w.size for w in ws})
-    if len(lengths) > 1:
-        # the solver refuses such a schedule at the step that changes length
-        raise UsageError(f"schedule emits weight vectors of different lengths {lengths}")
-    return ws
+    return [schedule.metric_at(k) for k in range(horizon)]
 
 
 _NEEDS_RUN = "n/a: needs a run, the weights depend on the solver state"

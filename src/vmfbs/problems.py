@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "UsageError",
     "DomainError",
-    "ConfigurationError",
     "SearchFailure",
     "Unsupported",
     "as_vector",
@@ -27,15 +26,12 @@ __all__ = [
 
 
 class UsageError(ValueError):
-    """The caller broke a documented precondition (dimensions, feasibility)."""
+    """The caller broke a documented precondition (dimensions, feasibility)
+    or gave an inconsistent or unusable configuration."""
 
 
 class DomainError(RuntimeError):
     """A gradient was requested outside the interior of the smooth domain."""
-
-
-class ConfigurationError(ValueError):
-    """Inconsistent or unusable configuration."""
 
 
 class SearchFailure(RuntimeError):
@@ -108,7 +104,7 @@ class ProxTerm:
     with ``weights=None`` meaning the Euclidean case (all ones). Separable
     terms handle arbitrary positive diagonal weights coordinatewise; a
     non-separable term must reject non-uniform weights with
-    :class:`ConfigurationError`.
+    :class:`UsageError`.
 
     ``subdiff_distance(p, u)`` is the Euclidean distance from u to the
     subdifferential of g at p, used by the prox optimality residual.
@@ -153,8 +149,8 @@ class CompositeProblem:
 
     def __post_init__(self):
         if self.domain_regime not in ("standard", "general"):
-            raise ConfigurationError(
+            raise UsageError(
                 f"domain_regime must be 'standard' or 'general', got {self.domain_regime!r}"
             )
         if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise ConfigurationError(f"dimension must be a positive int, got {self.dimension!r}")
+            raise UsageError(f"dimension must be a positive int, got {self.dimension!r}")

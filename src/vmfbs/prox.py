@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .problems import ConfigurationError, ProxTerm, UsageError, as_vector
+from .problems import ProxTerm, UsageError, as_vector
 
 __all__ = [
     "soft_threshold",
@@ -369,7 +369,7 @@ class L1Norm(ProxTerm):
 
     def __init__(self, weight: float = 1.0):
         if not (weight > 0) or not np.isfinite(weight):
-            raise ConfigurationError(f"l1 weight must be positive and finite, got {weight}")
+            raise UsageError(f"l1 weight must be positive and finite, got {weight}")
         self.weight = float(weight)
 
     def value(self, x) -> float:
@@ -399,8 +399,8 @@ class BoxIndicator(ProxTerm):
     def __init__(self, lo=-np.inf, hi=np.inf):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if np.any(lo > hi):
-            raise ConfigurationError("empty box: lo > hi somewhere")
+        if not np.all(lo <= hi):  # NaN bounds too
+            raise UsageError("empty box: lo > hi or a NaN bound somewhere")
         self.lo = lo
         self.hi = hi
 
@@ -412,7 +412,7 @@ class BoxIndicator(ProxTerm):
         return bool((x >= self.lo).all() and (x <= self.hi).all())
 
     def prox(self, z, gamma, weights=None):
-        # the constructor rejected lo > hi, so no per-call check
+        # the constructor rejected lo > hi and NaN bounds, so no per-call check
         return np.minimum(np.maximum(z, self.lo), self.hi)
 
     def subdiff_distance(self, p, u) -> float:
@@ -449,20 +449,20 @@ class SeparableProx(ProxTerm):
         except ValueError:
             ok = False
         if not ok:
-            raise ConfigurationError(
+            raise UsageError(
                 "weight, lo and hi must broadcast to one vector of length n >= 1, "
                 f"got shapes {[a.shape for a in arrays]}"
             )
         bad = ~((weight >= 0) & np.isfinite(weight))
         if bad.any():
             i = int(bad.argmax())
-            raise ConfigurationError(
+            raise UsageError(
                 f"weight must be nonnegative and finite, got {weight[i]} at coordinate {i}"
             )
         bad = ~(lo <= hi)  # NaN bounds too
         if bad.any():
             i = int(bad.argmax())
-            raise ConfigurationError(f"empty interval [{lo[i]}, {hi[i]}] at coordinate {i}")
+            raise UsageError(f"empty interval [{lo[i]}, {hi[i]}] at coordinate {i}")
         self.weight = weight
         self.box = BoxIndicator(lo, hi)
         self._abs = weight > 0
@@ -526,7 +526,7 @@ class Tv1dNorm(ProxTerm):
 
     def __init__(self, weight: float = 1.0):
         if not (weight > 0) or not np.isfinite(weight):
-            raise ConfigurationError(f"tv weight must be positive and finite, got {weight}")
+            raise UsageError(f"tv weight must be positive and finite, got {weight}")
         self.weight = float(weight)
         self._corners = None  # _Corners of the last output
 
@@ -539,7 +539,7 @@ class Tv1dNorm(ProxTerm):
         if weights is not None:
             w = np.asarray(weights, dtype=float)
             if w.max() != w.min():
-                raise ConfigurationError(
+                raise UsageError(
                     "TV term admits only uniform diagonal metrics (w = c * ones)"
                 )
             gamma = gamma / float(w[0])

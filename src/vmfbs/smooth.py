@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .problems import ConfigurationError, DomainError, SmoothTerm, as_vector
+from .problems import DomainError, SmoothTerm, UsageError, as_vector
 
 __all__ = [
     "LinearMap",
@@ -74,7 +74,7 @@ def _ingest(a: np.ndarray) -> tuple[np.ndarray, bool]:
         m = mag[: block.size]
         np.abs(block, out=m)
         if not m.max() <= big:  # NaN fails the comparison too
-            raise ConfigurationError("matrix has non-finite entries")
+            raise UsageError("matrix has non-finite entries")
         s = sub[: block.size]
         np.less(m, tiny, out=s)
         if s.any():
@@ -104,7 +104,7 @@ def _refuse_emptied(a: np.ndarray, parts) -> None:
     for live, axis, name in ((row_live, 0, "row"), (col_live, 1, "column")):
         for i in np.flatnonzero(~live).tolist():
             if a.take(i, axis=axis).any():
-                raise ConfigurationError(
+                raise UsageError(
                     f"matrix {name} {i} has only subnormal nonzero entries; "
                     "flushing them to zero would empty it (rescale the matrix)"
                 )
@@ -201,9 +201,9 @@ class LinearMap:
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2:
-            raise ConfigurationError(f"matrix must be 2-D, got shape {a.shape}")
+            raise UsageError(f"matrix must be 2-D, got shape {a.shape}")
         if a.size == 0:
-            raise ConfigurationError("matrix must be nonempty")
+            raise UsageError("matrix must be nonempty")
         m, n = self._shape = a.shape
         spans = _band(a)
         parts = []
@@ -365,7 +365,7 @@ class PNormResidual(_Composite):
         self.a = a
         self.b = as_vector(b, a.shape[0])
         if not (p > 1) or not np.isfinite(p):
-            raise ConfigurationError(f"p must be a finite real > 1, got {p}")
+            raise UsageError(f"p must be a finite real > 1, got {p}")
         self.p = float(p)
 
     @property
@@ -399,13 +399,13 @@ class KLDivergence(_Composite):
             a = LinearMap(a)
         stored = a.a  # a banded map builds it on each access
         if np.any(stored < 0):
-            raise ConfigurationError("KL needs a nonnegative matrix")
+            raise UsageError("KL needs a nonnegative matrix")
         if not np.all(stored.any(axis=1)):
-            raise ConfigurationError("KL matrix has an all-zero row; the domain would be empty")
+            raise UsageError("KL matrix has an all-zero row; the domain would be empty")
         self.a = a
         self.b = as_vector(b, a.shape[0])
         if not np.all(self.b > 0):
-            raise ConfigurationError("KL needs b > 0 componentwise")
+            raise UsageError("KL needs b > 0 componentwise")
 
     def _value(self, ax) -> float:
         if (ax <= 0).any():

@@ -51,7 +51,6 @@ from .linesearch import LineSearchConfig, line_search
 from .metrics import MetricSchedule, StepSnapshot, constant_schedule
 from .problems import (
     CompositeProblem,
-    ConfigurationError,
     SearchFailure,
     UsageError,
     as_vector,
@@ -223,13 +222,13 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise UsageError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.tol_fixed_point < 0:
-            raise ConfigurationError("tol_fixed_point must be nonnegative")
+            raise UsageError("tol_fixed_point must be nonnegative")
         if self.tol_objective_stall < 0:
-            raise ConfigurationError("tol_objective_stall must be nonnegative")
+            raise UsageError("tol_objective_stall must be nonnegative")
         if self.stall_window < 1:
-            raise ConfigurationError(f"stall_window must be >= 1, got {self.stall_window}")
+            raise UsageError(f"stall_window must be >= 1, got {self.stall_window}")
 
 
 @dataclass
@@ -286,7 +285,7 @@ def fixed_step_validate(problem: CompositeProblem, config: SolverConfig) -> Fixe
         raise UsageError("fixed_step_validate applies to fixed-step configurations")
     L = problem.f.lipschitz_bound
     if L is None:
-        raise ConfigurationError(
+        raise UsageError(
             "fixed-step mode needs a smooth term with a known global gradient "
             "Lipschitz constant; use a backtracking rule instead"
         )
@@ -335,11 +334,10 @@ def _delta_effective(ls: LineSearchConfig, fixed_report: FixedStepReport | None)
 def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> SolveResult:
     """Run VM-FBS from x0 under the given configuration.
 
-    Raises :class:`UsageError` for an infeasible start and
-    :class:`ConfigurationError` for unusable configurations; an
-    exhausted backtracking budget does not raise but terminates with
-    ``termination="search_failure"`` and the offending iteration in
-    ``result.failure``.
+    Raises :class:`UsageError` for an infeasible start or an unusable
+    configuration; an exhausted backtracking budget does not raise but
+    terminates with ``termination="search_failure"`` and the offending
+    iteration in ``result.failure``.
     """
     if config is None:
         config = SolverConfig()
@@ -356,11 +354,11 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         if not problem.f.in_interior_domain(x):
             raise UsageError("x0 must lie in the interior of dom f in the general regime")
         if problem.f.lower_bound is None or problem.g.lower_bound is None:
-            raise ConfigurationError(
+            raise UsageError(
                 "the general regime needs declared lower bounds on both f and g"
             )
         if rule == "fixed":
-            raise ConfigurationError(
+            raise UsageError(
                 "fixed-step mode requires the standard domain regime; the step bound "
                 "has no meaning without a global L on dom g"
             )
@@ -380,7 +378,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     if rule == "fixed":
         fixed_report = fixed_step_validate(problem, config)
         if not fixed_report.passed:
-            raise ConfigurationError(
+            raise UsageError(
                 f"fixed-step parameters violate the strict step bound: "
                 f"sup gamma*lam/nu = {fixed_report.sup_ratio:.17g} >= "
                 f"{fixed_report.bound:.17g} = 2/L"
@@ -412,7 +410,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     def emit(k, snapshot):
         w = metric_at(k, snapshot)
         if w.size != n:
-            raise ConfigurationError(f"metric schedule emitted {w.size} weights at k={k}, n={n}")
+            raise UsageError(f"metric schedule emitted {w.size} weights at k={k}, n={n}")
         return w
 
     walks_gamma = rule in ("ls1", "ls3")
@@ -449,7 +447,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             elif walks_gamma:
                 other = float(lam_at(k))
                 if not (0 < other <= 1):
-                    raise ConfigurationError(f"lam_schedule({k}) = {other} outside (0,1]")
+                    raise UsageError(f"lam_schedule({k}) = {other} outside (0,1]")
                 if general:
                     start = dom_gamma
                 elif ls.warm_start and warm_gamma is not None:
@@ -462,7 +460,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
                 else:
                     other = float(gamma_at(k))
                     if not (other > 0 and math.isfinite(other)):
-                        raise ConfigurationError(
+                        raise UsageError(
                             f"gamma_schedule({k}) = {other} must be positive and finite"
                         )
                 start = ls.lam_max

@@ -214,8 +214,8 @@ def table_metrics(**fields):
          "solver.metrics.weights[1]: not numeric"),
         (lambda s: s["solver"].update(metrics=table_metrics(regime=5)),
          "solver.metrics.regime: expected one of"),
-        (lambda s: s["solver"].update(metrics=table_metrics(extend=3)),
-         "solver.metrics.extend: expected one of"),
+        (lambda s: s["solver"].update(metrics=table_metrics(extend="hold")),
+         "solver.metrics: unknown key(s) ['extend']"),
         (lambda s: s["solver"].update(metrics={"type": "constant", "weights": [1.0, 2.0]}),
          "solver.metrics.weights: expected 1 weights"),
         # the library's own refusals, under the block that was refused
@@ -229,6 +229,8 @@ def table_metrics(**fields):
          "problem.regularizer: l1 weight must be positive and finite, got -1.0"),
         (lambda s: s["problem"].update(regularizer={"type": "box", "lo": 1.0, "hi": 0.0}),
          "problem.regularizer: empty box"),
+        (lambda s: s["problem"].update(regularizer={"type": "box", "lo": float("nan"), "hi": 2.0}),
+         "problem.regularizer: empty box: lo > hi or a NaN bound"),
         (lambda s: s["problem"].update(
             regularizer={"type": "separable", "pieces": [{"kind": "abs", "weight": 0}]}),
          "problem.regularizer.pieces[0].weight: abs weight must be positive and finite, got 0.0"),

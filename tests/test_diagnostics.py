@@ -118,8 +118,7 @@ def test_quasi_fejer_spread_with_alternating_metric(rng):
     rows = [np.full(n, 1.0 if k % 2 == 0 else 1.3) for k in range(60)]
     cfg = vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(),
-        metrics=vmfbs.table_schedule(rows, nu=1.0, mu=1.3, regime="spread",
-                                     extend="hold"),
+        metrics=vmfbs.table_schedule(rows, nu=1.0, mu=1.3, regime="spread"),
         max_iterations=50,
         record_states=True,
     )

@@ -46,31 +46,31 @@ def trial(prob, metric, x, gamma, lam):
 # --- config validation ---------------------------------------------------
 
 def test_config_validates_ranges():
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(delta=0.0)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(delta=1.0)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(theta=1.0)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(gamma_max=0.0)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(lam_max=1.5)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(max_backtracks=0)
 
 
 def test_config_tseng_yun_constraint():
     # 0 < (1-beta) sigma < 1 must hold
     cfg(rule="tseng-yun", sigma=1.0, beta=0.5)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(rule="tseng-yun", sigma=1.0, beta=0.0)  # (1-0)*1 = 1, not < 1
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(rule="tseng-yun", sigma=1.0, beta=1.0)  # product 0
 
 
 def test_config_fixed_needs_both_steps():
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         cfg(rule="fixed", fixed_gamma=0.1)
     c = cfg(rule="fixed", fixed_gamma=0.1, fixed_lam=1.0)
     assert c.fixed_gamma == 0.1

@@ -23,9 +23,9 @@ def test_diagonal_metric_bounds():
 
 def test_emission_rejects_nonpositive():
     for bad in ([1.0, 0.0], [1.0, -2.0], 0.0):
-        with pytest.raises(vmfbs.ConfigurationError, match="strictly positive"):
+        with pytest.raises(vmfbs.UsageError, match="strictly positive"):
             emitted(bad)
-        with pytest.raises(vmfbs.ConfigurationError, match="strictly positive"):
+        with pytest.raises(vmfbs.UsageError, match="strictly positive"):
             vmfbs.constant_schedule(bad)
 
 
@@ -47,7 +47,7 @@ def test_emission_checks_the_declared_bounds_with_slack():
     for inside in ([1.0 - 1e-13, 2.0], [1.5, 2.0 + 1e-12]):
         assert emitted(inside, nu=1.0, mu=2.0).tolist() == inside
     for outside in ([1.0 - 1e-11, 2.0], [1.5, 2.0 + 1e-11]):
-        with pytest.raises(vmfbs.ConfigurationError, match=r"at k=0, outside declared bounds"):
+        with pytest.raises(vmfbs.UsageError, match=r"at k=0, outside declared bounds"):
             emitted(outside, nu=1.0, mu=2.0)
 
 
@@ -68,7 +68,7 @@ def test_emission_owns_a_frozen_copy():
 
 def test_table_bounds_are_checked_when_the_table_is_built():
     rows = [np.ones(2), np.ones(2), np.array([1.0, 3.0])]
-    with pytest.raises(vmfbs.ConfigurationError, match=r"in \[1.0, 3.0\] at k=2"):
+    with pytest.raises(vmfbs.UsageError, match=r"in \[1.0, 3.0\] at k=2"):
         vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="growth")
 
 
@@ -85,16 +85,24 @@ def test_empty_weight_vector_is_a_usage_error():
         sched.metric_at(0)
 
 
-def test_validators_refuse_weight_vectors_of_different_lengths():
-    ragged = vmfbs.table_schedule([np.ones(2), np.ones(3)], nu=1, mu=1, regime="growth")
-    for validate in (vmfbs.validate_growth, vmfbs.validate_spread):
-        with pytest.raises(vmfbs.UsageError, match=r"different lengths \[2, 3\]"):
-            validate(ragged, 5)
-    # within the horizon the rows agree
-    assert vmfbs.validate_growth(ragged, 1).partial_sum == 0.0
+def test_ragged_table_is_refused_when_built():
+    with pytest.raises(vmfbs.UsageError, match=r"different lengths \[2, 3\]"):
+        vmfbs.table_schedule([np.ones(2), np.ones(3)], nu=1, mu=1, regime="growth")
     same = vmfbs.table_schedule([np.ones(3), np.ones(3)], nu=1, mu=1, regime="growth")
     assert vmfbs.validate_growth(same, 5).partial_sum == 0.0
     assert vmfbs.validate_spread(same, 5).partial_sum == 0.0
+
+
+def test_schedule_needs_exactly_one_source():
+    bounds = dict(global_nu=1.0, global_mu=1.0, declared_regime="constant")
+    with pytest.raises(vmfbs.UsageError, match="exactly one of a generator and rows"):
+        vmfbs.MetricSchedule(lambda k, snap: np.ones(2), rows=[np.ones(2)], **bounds)
+    with pytest.raises(vmfbs.UsageError, match="exactly one of a generator and rows"):
+        vmfbs.MetricSchedule(**bounds)
+    with pytest.raises(vmfbs.UsageError, match="at least one row"):
+        vmfbs.MetricSchedule(rows=[], **bounds)
+    sched = vmfbs.MetricSchedule(rows=[[1.0, 1.0]], **bounds)
+    assert not sched.reads_state and sched.metric_at(3).tolist() == [1.0, 1.0]
 
 
 def test_metric_norm_against_direct_sum():
@@ -136,18 +144,24 @@ def test_constant_schedule_emits_same_metric():
     assert sched.declared_regime == "constant"
 
 
-def test_table_schedule_hold_and_error():
+def test_table_schedule_holds_its_last_row():
     rows = [np.array([1.0, 1.0]), np.array([1.5, 1.0])]
     sched = vmfbs.table_schedule(rows, nu=1.0, mu=1.5, regime="growth")
+    assert np.array_equal(sched.metric_at(0), rows[0])
     assert np.array_equal(sched.metric_at(5), rows[1])
-    strict = vmfbs.table_schedule(rows, nu=1.0, mu=1.5, regime="growth", extend="error")
-    with pytest.raises(vmfbs.UsageError):
-        strict.metric_at(2)
+
+
+def test_metric_at_returns_the_same_last_row_past_the_table():
+    sched = vmfbs.table_schedule([np.ones(2), np.full(2, 1.5)], nu=1.0, mu=1.5, regime="growth")
+    last = sched.metric_at(1)
+    assert last is sched.rows[-1] and not last.flags.writeable
+    assert all(sched.metric_at(k) is last for k in (2, 3, 10, 10**9))
+    assert sched.metric_at(0) is sched.metric_at(0)
 
 
 def test_schedule_rejects_out_of_corridor_emission():
     rows = [np.array([3.0])]
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="growth").metric_at(0)
 
 

@@ -25,13 +25,13 @@ def test_as_vector_rejects_bad_inputs():
 
 def test_composite_problem_validates_regime():
     f = vmfbs.PNormResidual(np.array([[1.0]]), np.array([0.0]))
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=1, domain_regime="open")
 
 
 def test_composite_problem_validates_dimension():
     f = vmfbs.PNormResidual(np.array([[1.0]]), np.array([0.0]))
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=0)
 
 
@@ -46,7 +46,6 @@ def test_kl_gradient_outside_domain_raises():
 def test_exception_hierarchy():
     # callers filter on ValueError vs RuntimeError, keep that split stable
     assert issubclass(vmfbs.UsageError, ValueError)
-    assert issubclass(vmfbs.ConfigurationError, ValueError)
     assert issubclass(vmfbs.Unsupported, ValueError)
     assert issubclass(vmfbs.DomainError, RuntimeError)
     assert issubclass(vmfbs.SearchFailure, RuntimeError)

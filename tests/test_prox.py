@@ -65,8 +65,20 @@ def test_box_prox_vector_bounds():
 
 
 def test_box_empty_box_rejected():
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.BoxIndicator(1.0, -1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (np.nan, 2.0),
+    (0.0, np.nan),
+    (np.array([0.0, np.nan]), 1.0),
+    (np.array([0.0, 1.0]), np.array([1.0, np.nan])),
+])
+def test_box_nan_bound_rejected(lo, hi):
+    # a NaN bound compares false both ways: it would project onto NaN
+    with pytest.raises(vmfbs.UsageError, match="NaN bound"):
+        vmfbs.BoxIndicator(lo, hi)
 
 
 # --- TV prox (taut string) ---------------------------------------------
@@ -329,7 +341,7 @@ def test_separable_arrays_broadcast_and_are_validated():
         (dict(), "one vector of length n >= 1, got shapes [(), (), ()]"),
         (dict(weight=np.ones((2, 2))), "got shapes [(2, 2), (), ()]"),
     ]:
-        with pytest.raises(vmfbs.ConfigurationError) as err:
+        with pytest.raises(vmfbs.UsageError) as err:
             vmfbs.SeparableProx(**kwargs)
         assert needle in str(err.value)
 
@@ -373,7 +385,7 @@ def test_tv1d_norm_scales_weight_and_rejects_nonuniform_metric():
     z = np.array([1.0, 0.0])
     # effective threshold is weight * gamma = 0.5: merge
     assert np.allclose(g.prox(z, 0.25), [0.5, 0.5])
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         g.prox(z, 0.25, weights=np.array([1.0, 2.0]))
     # uniform non-identity weights rescale gamma by 1/w
     out = g.prox(z, 0.25, weights=np.array([4.0, 4.0]))

@@ -33,9 +33,9 @@ def test_linear_map_counts_products():
 
 
 def test_linear_map_validates_input():
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.LinearMap(np.array([1.0, 2.0]))
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.LinearMap(np.array([[np.inf, 0.0]]))
 
 
@@ -169,22 +169,22 @@ def test_ingest_refuses_non_finite_in_any_block(rng, where, value):
     a = _three_block_matrix(rng)
     i = {"first": 0, "last": a.size - 1, "boundary_before": BLOCK - 1, "boundary_after": BLOCK}[where]
     a.reshape(-1)[i] = value
-    with pytest.raises(vmfbs.ConfigurationError, match="non-finite"):
+    with pytest.raises(vmfbs.UsageError, match="non-finite"):
         vmfbs.LinearMap(a)
-    with pytest.raises(vmfbs.ConfigurationError, match="non-finite"):
+    with pytest.raises(vmfbs.UsageError, match="non-finite"):
         vmfbs.LinearMap(np.asfortranarray(a))
 
 
 def test_ingest_refuses_rows_and_columns_it_would_empty(rng):
-    with pytest.raises(vmfbs.ConfigurationError, match="row 0 .*subnormal"):
+    with pytest.raises(vmfbs.UsageError, match="row 0 .*subnormal"):
         vmfbs.LinearMap(np.full((3, 4), 1e-310))
     a = rng.standard_normal((5, 6))
     a[3] = [0.0, 1e-310, -2e-315, 0.0, -0.0, 4e-320]
-    with pytest.raises(vmfbs.ConfigurationError, match="row 3 "):
+    with pytest.raises(vmfbs.UsageError, match="row 3 "):
         vmfbs.LinearMap(a)
     a = rng.standard_normal((5, 6))
     a[:, 4] = [1e-310, 0.0, 1e-310, -1e-312, 5e-324]
-    with pytest.raises(vmfbs.ConfigurationError, match="column 4 "):
+    with pytest.raises(vmfbs.UsageError, match="column 4 "):
         vmfbs.LinearMap(a)
     # a row that was zero all along is not the flush's doing, and a row
     # with one normal entry survives
@@ -431,7 +431,7 @@ def test_band_adjoint_within_round_off(rng, monkeypatch):
 def _refusal(a):
     try:
         vmfbs.LinearMap(a)
-    except vmfbs.ConfigurationError as exc:
+    except vmfbs.UsageError as exc:
         return str(exc)
     return None
 
@@ -511,11 +511,11 @@ def test_band_kl_accepts_a_banded_nonnegative_matrix(rng, monkeypatch):
     assert np.allclose(f.gradient(x), dense.gradient(x), rtol=0.0, atol=1e-13)
     a = np.abs(_block_diagonal(rng))
     a[3, 3] = -1.0
-    with pytest.raises(vmfbs.ConfigurationError, match="nonnegative"):
+    with pytest.raises(vmfbs.UsageError, match="nonnegative"):
         vmfbs.KLDivergence(a, np.ones(a.shape[0]))
     a = np.abs(_block_diagonal(rng))
     a[300] = 0.0
-    with pytest.raises(vmfbs.ConfigurationError, match="all-zero row"):
+    with pytest.raises(vmfbs.UsageError, match="all-zero row"):
         vmfbs.KLDivergence(a, np.ones(a.shape[0]))
 
 
@@ -575,7 +575,7 @@ def test_pnorm_rejects_bad_p():
     a = np.array([[1.0]])
     b = np.array([0.0])
     for p in (1.0, 0.5, np.inf):
-        with pytest.raises(vmfbs.ConfigurationError):
+        with pytest.raises(vmfbs.UsageError):
             vmfbs.PNormResidual(a, b, p=p)
 
 
@@ -623,11 +623,11 @@ def test_kl_grad_matches_fd(rng):
 
 
 def test_kl_validates_data():
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.KLDivergence(np.array([[-1.0]]), np.array([1.0]))  # negative matrix
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.KLDivergence(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))  # zero row
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         vmfbs.KLDivergence(np.array([[1.0]]), np.array([0.0]))  # b must be positive
 
 

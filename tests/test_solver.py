@@ -144,7 +144,7 @@ def test_fixed_step_rejects_at_bound(rng):
     search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=2.0 / L, fixed_lam=1.0)
     report = fixed_step_validate(prob, base_config(search=search))
     assert not report.passed and report.margin <= 0
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         solve(prob, np.zeros(5), base_config(search=search, max_iterations=10))
 
 
@@ -196,7 +196,7 @@ def test_fixed_step_needs_lipschitz_bound():
     f = vmfbs.PNormResidual(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2), p=4)
     prob = vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=2)
     search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=0.1, fixed_lam=1.0)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         fixed_step_validate(prob, base_config(search=search))
 
 
@@ -228,7 +228,7 @@ def test_gamma_schedule_seeds_search(rng):
 def test_lam_schedule_out_of_range_rejected(rng):
     prob = random_lasso(rng)
     res_cfg = base_config(lam_schedule=lambda k: 1.5, max_iterations=4)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         solve(prob, np.zeros(prob.dimension), res_cfg)
 
 
@@ -248,7 +248,7 @@ def test_table_metric_consumed_in_order(rng):
     prob = random_lasso(rng)
     n = prob.dimension
     tab = vmfbs.table_schedule([np.full(n, w) for w in (1.0, 1.25, 1.5)],
-                               nu=1.0, mu=1.5, regime="growth", extend="hold")
+                               nu=1.0, mu=1.5, regime="growth")
     res = solve(prob, np.zeros(n),
                 base_config(metrics=tab, max_iterations=5, record_states=True))
     W = res.states.weights
@@ -260,9 +260,6 @@ def wrong_length_schedule(kind, n):
     """A schedule whose weights at k = 1 have n + 1 entries."""
     if kind == "constant":
         return vmfbs.constant_schedule(np.ones(n + 1)), 0
-    if kind == "ragged-table":
-        rows = [np.ones(n), np.ones(n + 1)]
-        return vmfbs.table_schedule(rows, nu=1.0, mu=1.0, regime="constant"), 1
     if kind == "bb":
         return vmfbs.bb_schedule(n + 1, nu=0.5, mu=4.0), 0
     custom = vmfbs.MetricSchedule(
@@ -272,13 +269,13 @@ def wrong_length_schedule(kind, n):
     return custom, 1
 
 
-@pytest.mark.parametrize("kind", ["constant", "ragged-table", "bb", "custom"])
+@pytest.mark.parametrize("kind", ["constant", "bb", "custom"])
 def test_wrong_length_metric_is_a_configuration_error(rng, kind):
     prob = random_lasso(rng)
     n = prob.dimension
     schedule, k = wrong_length_schedule(kind, n)
     want = rf"emitted {n + 1} weights at k={k}\b.*n={n}\b"
-    with pytest.raises(vmfbs.ConfigurationError, match=want):
+    with pytest.raises(vmfbs.UsageError, match=want):
         solve(prob, np.zeros(n), base_config(metrics=schedule, max_iterations=5))
 
 
@@ -351,7 +348,7 @@ def test_general_regime_rejects_fixed_rule():
     prob = vmfbs.CompositeProblem(f=f, g=vmfbs.BoxIndicator(0.0, np.inf),
                                   dimension=1, domain_regime="general")
     search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=0.1, fixed_lam=1.0)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         solve(prob, np.array([2.0]), base_config(search=search, max_iterations=5))
 
 
@@ -409,11 +406,11 @@ def test_warm_start_reuses_last_gamma(rng):
 
 
 def test_config_validation():
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         base_config(max_iterations=0)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         base_config(tol_fixed_point=-1.0)
-    with pytest.raises(vmfbs.ConfigurationError):
+    with pytest.raises(vmfbs.UsageError):
         base_config(stall_window=0)
 
 
