@@ -77,6 +77,8 @@ def _number(block, key, path, kind=float):
     v = block[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise UsageError(f"{path}.{key}: expected a number, got {v!r}")
+    if kind is int and isinstance(v, float) and not v.is_integer():
+        raise UsageError(f"{path}.{key}: expected an integer, got {v!r}")
     return kind(v)
 
 

@@ -267,6 +267,8 @@ def estimate_rate(record, f_star: float) -> RateEstimate:
     if len(trace) == 0:
         raise UsageError("empty trace")
     f_star = float(f_star)
+    if not np.isfinite(f_star):
+        raise UsageError(f"F_star must be finite, got {f_star!r}")
     F = trace.F
     if f_star > float(np.min(F)):
         raise UsageError(

@@ -20,12 +20,15 @@ lam at a fixed gamma, so y is computed once. Only the test differs:
 - ``tseng-yun``: (f+g)(J) - (f+g)(x) <= sigma lam (ell + (beta/gamma) ||y - x||_W^2),
   needing 0 < (1 - beta) sigma < 1; beta = 0, sigma = 1 - delta
   reproduces the Armijo rule exactly.
-- ``domain``: y lies in dom f. In the general domain regime its gamma
+- ``domain``: y lies in int dom f. In the general domain regime its gamma
   replaces the backtracking start of ls1/ls3 and *is* gamma for the lam
   rules, and its y is their first prox point.
 - ``fixed``: none. The fixed step is a lam walk at gamma = ``fixed_gamma``
   from ``fixed_lam`` that takes its first trial; the solver validated
   the step bound before the run.
+
+An accepted step comes back with f and g at x_next, evaluated on
+acceptance where its test did not need them (the f call is counted).
 
 A trial whose value comes back +inf (outside dom f) is an ordinary failed
 comparison. Acceptance uses "<= plus absolute slack 1e-14 * (1 + |f(x)|)"
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import CompositeProblem, SearchFailure, UsageError
+from .problems import CompositeProblem, SearchFailure, UsageError, check_count
 
 __all__ = ["RULES", "LineSearchConfig", "StepOutcome", "line_search"]
 
@@ -85,8 +88,7 @@ class LineSearchConfig:
             raise UsageError(f"gamma_max must be positive and finite, got {self.gamma_max}")
         if not (0 < self.lam_max <= 1):
             raise UsageError(f"lam_max must lie in (0,1], got {self.lam_max}")
-        if self.max_backtracks < 1:
-            raise UsageError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
+        check_count("max_backtracks", self.max_backtracks)
         if self.rule == "tseng-yun":
             sigma, beta = self.sigma, self.beta
             if not (0 < sigma <= 1):
@@ -111,13 +113,13 @@ class StepOutcome:
     """One accepted forward-backward step.
 
     ``y`` is the unrelaxed prox point at the accepted gamma and
-    ``x_next = x + lam * (y - x)``. ``norm_sq_yx`` is ||y - x||_W^2 and
-    ``gdot`` is <y - x, grad f(x)>. The domain walk fills only
-    ``gamma``, ``lam``, ``y``, ``backtracks`` and ``prox_evals``: its
-    ``x_next`` is None and its ``norm_sq_yx`` and ``gdot`` are NaN.
-    ``f_next``/``g_next``/``ell`` are filled when the rule evaluated
-    them, so the solver can reuse instead of re-evaluating. The counters
-    are the oracle calls the step made.
+    ``x_next = x + lam * (y - x)``; ``f_next`` and ``g_next`` are f and g
+    at x_next. ``norm_sq_yx`` is ||y - x||_W^2 and ``gdot`` is
+    <y - x, grad f(x)>. The domain walk fills only ``gamma``, ``lam``,
+    ``y``, ``backtracks`` and ``prox_evals``: its ``x_next`` is None and
+    its ``norm_sq_yx``, ``gdot``, ``f_next`` and ``g_next`` are NaN.
+    ``ell`` is filled when the rule evaluated it (ls4, tseng-yun). The
+    counters are the oracle calls the step made.
     """
 
     gamma: float
@@ -127,8 +129,8 @@ class StepOutcome:
     backtracks: int
     norm_sq_yx: float
     gdot: float
-    f_next: float | None = None
-    g_next: float | None = None
+    f_next: float = math.nan
+    g_next: float = math.nan
     ell: float | None = None
     f_evals: int = 0
     grad_evals: int = 0
@@ -168,7 +170,7 @@ def line_search(
         # W^{-1} grad f(x): the forward step of every prox point is x - gamma * scaled_grad
         scaled_grad = grad / w
     nf = ngrad = nprox = 0
-    ell = g_next = None
+    ell = None
     lhs = rhs = np.nan
     if not walks_gamma:
         gamma = other
@@ -210,9 +212,9 @@ def line_search(
         else:
             lam = t
         x_next = x + lam * dy
-        f_next = None
+        f_next = g_next = None
         if rule == "ls3":
-            if not f.in_interior_domain(x_next):
+            if not f.in_domain(x_next):
                 continue
             grad_next = f.gradient(x_next)
             ngrad += 1
@@ -231,20 +233,16 @@ def line_search(
                 rhs = lam * slope
         # +inf or nan on the left is a failed trial, never an acceptance
         if rule == "fixed" or (math.isfinite(lhs) and lhs <= rhs + slack):
+            # finish the step: f and g at x_next where the test did not need them
+            if f_next is None:
+                f_next = f.value(x_next)
+                nf += 1
+            if g_next is None:
+                g_next = g.value(x_next)
             return StepOutcome(
-                gamma=gamma,
-                lam=lam,
-                y=y,
-                x_next=x_next,
-                backtracks=i,
-                norm_sq_yx=ns,
-                gdot=gdot,
-                f_next=f_next,
-                g_next=g_next,
-                ell=ell,
-                f_evals=nf,
-                grad_evals=ngrad,
-                prox_evals=nprox,
+                gamma=gamma, lam=lam, y=y, x_next=x_next, backtracks=i, norm_sq_yx=ns,
+                gdot=gdot, f_next=f_next, g_next=g_next, ell=ell,
+                f_evals=nf, grad_evals=ngrad, prox_evals=nprox,
             )
     budget = config.max_backtracks
     raise SearchFailure(

@@ -19,6 +19,7 @@ __all__ = [
     "SearchFailure",
     "Unsupported",
     "as_vector",
+    "check_count",
     "SmoothTerm",
     "ProxTerm",
     "CompositeProblem",
@@ -68,11 +69,20 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def check_count(name: str, value) -> None:
+    """Refuse ``value`` unless it is an int or numpy integer (not a bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+
+
 class SmoothTerm:
     """Differentiable term f.
 
     ``value`` returns ``inf`` outside dom f. ``gradient`` is only defined
     on the interior of dom f and raises :class:`DomainError` elsewhere.
+    ``in_domain`` is the one domain question the solver asks of f.
     ``lipschitz_bound`` is a global Lipschitz constant of the gradient
     when one is known, else None.
     """
@@ -88,9 +98,7 @@ class SmoothTerm:
         raise NotImplementedError
 
     def in_domain(self, x: np.ndarray) -> bool:
-        return True
-
-    def in_interior_domain(self, x: np.ndarray) -> bool:
+        """Whether x lies in int dom f, where f is finite and differentiable."""
         return True
 
 

@@ -418,7 +418,5 @@ class KLDivergence(_Composite):
         return 1.0 - self.b / ax
 
     def in_domain(self, x) -> bool:
+        # dom f is open, so this is also int dom f
         return bool((self._image(x) > 0).all())
-
-    # dom f is open
-    in_interior_domain = in_domain

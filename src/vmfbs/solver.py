@@ -54,6 +54,7 @@ from .problems import (
     SearchFailure,
     UsageError,
     as_vector,
+    check_count,
 )
 
 __all__ = [
@@ -171,14 +172,28 @@ def read_trace_csv(path) -> Trace:
     """Read a trace CSV back into a :class:`Trace`.
 
     The trace holds the columns the file has; the 'lambda' header (a
-    Python keyword) becomes the column ``lam``, as in memory.
+    Python keyword) becomes the column ``lam``, as in memory. A short,
+    long or non-numeric row, or a counter that is not a whole number,
+    is refused with its line number.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
+        reader = csv.reader(fh)
+        lines = [(reader.line_num, row) for row in reader if row]
+    if not lines:
         raise UsageError(f"{path}: empty trace file")
-    names = ["lam" if h == "lambda" else h for h in (h.strip() for h in rows[0])]
-    return Trace({name: [float(row[j]) for row in rows[1:]] for j, name in enumerate(names)})
+    names = ["lam" if h == "lambda" else h for h in (h.strip() for h in lines[0][1])]
+    rows = []
+    for line, row in lines[1:]:
+        try:
+            if len(row) != len(names):
+                raise ValueError(f"{len(row)} field(s) under a header of {len(names)}")
+            rows.append([float(v) for v in row])
+            for name, v in zip(names, rows[-1]):
+                if name in _INT_COLUMNS and not v.is_integer():
+                    raise ValueError(f"{name} = {v!r} is not an integer")
+        except ValueError as exc:
+            raise UsageError(f"{path}, line {line}: {exc}") from None
+    return Trace({name: [row[j] for row in rows] for j, name in enumerate(names)})
 
 
 @dataclass
@@ -221,18 +236,19 @@ class SolverConfig:
     record_states: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise UsageError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.tol_fixed_point < 0:
-            raise UsageError("tol_fixed_point must be nonnegative")
-        if self.tol_objective_stall < 0:
-            raise UsageError("tol_objective_stall must be nonnegative")
-        if self.stall_window < 1:
-            raise UsageError(f"stall_window must be >= 1, got {self.stall_window}")
+        check_count("max_iterations", self.max_iterations)
+        check_count("stall_window", self.stall_window)
+        for name in ("tol_fixed_point", "tol_objective_stall"):
+            # a NaN tolerance would switch its stopping rule off unseen
+            if not (getattr(self, name) >= 0):
+                raise UsageError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
 class SolveResult:
+    """What :func:`solve` returns; its oracle counters sum the trace's
+    columns, and ``f_evals`` adds the call at x0."""
+
     x_final: np.ndarray
     F_final: float
     termination: str
@@ -241,9 +257,18 @@ class SolveResult:
     states: States | None = None
     failure: dict | None = None
     delta_effective: float = np.nan
-    f_evals: int = 0
-    grad_evals: int = 0
-    prox_evals: int = 0
+
+    @property
+    def f_evals(self) -> int:
+        return 1 + int(self.trace.f_evals.sum())
+
+    @property
+    def grad_evals(self) -> int:
+        return int(self.trace.grad_evals.sum())
+
+    @property
+    def prox_evals(self) -> int:
+        return int(self.trace.prox_evals.sum())
 
 
 @dataclass
@@ -351,7 +376,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     if not problem.g.in_domain(x):
         raise UsageError("x0 lies outside dom g")
     if general:
-        if not problem.f.in_interior_domain(x):
+        if not problem.f.in_domain(x):
             raise UsageError("x0 must lie in the interior of dom f in the general regime")
         if problem.f.lower_bound is None or problem.g.lower_bound is None:
             raise UsageError(
@@ -364,7 +389,6 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             )
 
     fx = problem.f.value(x)
-    total_f, total_grad, total_prox = 1, 0, 0
     if not np.isfinite(fx):
         raise UsageError(
             "f(x0) is not finite although x0 is in dom g; "
@@ -417,14 +441,15 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     x_prev = None
     grad_prev = None
     w_prev = None
-    warm_gamma = None
-    warm_lam = None
+    # the last accepted gamma (gamma walks) or lam (lam walks); the fixed
+    # step and the general regime's gamma walks keep their grid top
+    warm_start = ls.warm_start and rule != "fixed" and not (general and walks_gamma)
+    warm = None
     termination = "max_iter"
     failure = None
 
     for k in range(config.max_iterations):
         grad = f.gradient(x)
-        nf_k, ngrad_k, nprox_k = 0, 1, 0
         snapshot = None
         if reads_state and k > 0:
             snapshot = StepSnapshot(dx=x - x_prev, dgrad=grad - grad_prev, prev_weights=w_prev)
@@ -433,6 +458,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             w_rows.append(w)
 
         dom_gamma = math.nan
+        dom_prox = 0
         try:
             y_start = None
             if general:
@@ -440,32 +466,21 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
                     problem, w, x, "domain", ls,
                     fx=fx, gx=gx, grad=grad, start=ls.gamma_max, other=1.0,
                 )
-                dom_gamma, y_start = dom.gamma, dom.y
-                nprox_k += dom.prox_evals
+                dom_gamma, y_start, dom_prox = dom.gamma, dom.y, dom.prox_evals
             if rule == "fixed":
-                start, other = ls.fixed_lam, float(ls.fixed_gamma)
+                top, other = ls.fixed_lam, float(ls.fixed_gamma)
             elif walks_gamma:
+                top = dom_gamma if general else ls.gamma_max
                 other = float(lam_at(k))
                 if not (0 < other <= 1):
                     raise UsageError(f"lam_schedule({k}) = {other} outside (0,1]")
-                if general:
-                    start = dom_gamma
-                elif ls.warm_start and warm_gamma is not None:
-                    start = min(ls.gamma_max, warm_gamma / ls.theta)
-                else:
-                    start = ls.gamma_max
+            elif general:
+                top, other = ls.lam_max, dom_gamma
             else:
-                if general:
-                    other = dom_gamma
-                else:
-                    other = float(gamma_at(k))
-                    if not (other > 0 and math.isfinite(other)):
-                        raise UsageError(
-                            f"gamma_schedule({k}) = {other} must be positive and finite"
-                        )
-                start = ls.lam_max
-                if ls.warm_start and warm_lam is not None:
-                    start = min(ls.lam_max, warm_lam / ls.theta)
+                top, other = ls.lam_max, float(gamma_at(k))
+                if not (other > 0 and math.isfinite(other)):
+                    raise UsageError(f"gamma_schedule({k}) = {other} must be positive and finite")
+            start = top if warm is None else min(top, warm / ls.theta)
             outcome = line_search(
                 problem, w, x, rule, ls,
                 fx=fx, gx=gx, grad=grad, start=start, other=other, y=y_start,
@@ -476,20 +491,9 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             failure.update(exc.diagnostics)
             break
 
-        nf_k += outcome.f_evals
-        ngrad_k += outcome.grad_evals
-        nprox_k += outcome.prox_evals
-
         x_next = outcome.x_next
-        f_next = outcome.f_next
-        if f_next is None:
-            f_next = f.value(x_next)
-            nf_k += 1
-        g_next = outcome.g_next
-        if g_next is None:
-            g_next = g.value(x_next)
         F_here = fx + gx
-        F_next = f_next + g_next
+        F_next = outcome.f_next + outcome.g_next
 
         gamma, lam, ns = outcome.gamma, outcome.lam, outcome.norm_sq_yx
         root_ns = math.sqrt(ns)
@@ -520,12 +524,9 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         add_decrease(decrease_res)
         add_check_max(check_max)
         add_domain_gamma(dom_gamma)
-        add_f_evals(nf_k)
-        add_grad_evals(ngrad_k)
-        add_prox_evals(nprox_k)
-        total_f += nf_k
-        total_grad += ngrad_k
-        total_prox += nprox_k
+        add_f_evals(outcome.f_evals)
+        add_grad_evals(1 + outcome.grad_evals)
+        add_prox_evals(dom_prox + outcome.prox_evals)
         if record_states:
             xs.append(x_next.copy())
             ys.append(outcome.y.copy())
@@ -534,10 +535,10 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         grad_prev = grad
         w_prev = w
         x = x_next
-        fx = f_next
-        gx = g_next
-        warm_gamma = gamma
-        warm_lam = lam
+        fx = outcome.f_next
+        gx = outcome.g_next
+        if warm_start:
+            warm = gamma if walks_gamma else lam
 
         reason = stopping_check(F_col, fp_scaled, config)
         if reason is not None:
@@ -564,18 +565,11 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     verification = {}
     if record_checks and len(trace) > 0:
         scales = 1.0 + np.abs(trace.F)
-        verification["descent"] = CheckReport(
-            name="descent",
-            residuals=trace.descent_residual,
-            scales=scales,
-            tolerance=1e-10,
-        )
-        verification["sufficient_decrease"] = CheckReport(
-            name="sufficient_decrease",
-            residuals=trace.decrease_residual,
-            scales=scales,
-            tolerance=1e-10,
-        )
+        for name, column in (("descent", "descent_residual"),
+                             ("sufficient_decrease", "decrease_residual")):
+            verification[name] = CheckReport(
+                name=name, residuals=trace.column(column), scales=scales, tolerance=1e-10
+            )
 
     return SolveResult(
         x_final=x,
@@ -586,7 +580,4 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         states=states,
         failure=failure,
         delta_effective=delta_eff,
-        f_evals=total_f,
-        grad_evals=total_grad,
-        prox_evals=total_prox,
     )

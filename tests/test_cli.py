@@ -236,6 +236,18 @@ def table_metrics(**fields):
          "problem.regularizer.pieces[0].weight: abs weight must be positive and finite, got 0.0"),
         (lambda s: s["problem"].update(x0=[0.0, 1.0]),
          "problem.x0: expected a vector of length 1, got 2"),
+        # a count must be an integer: 3.7 used to run 3 iterations and exit 0
+        (lambda s: s["solver"].update(max_iterations=3.7),
+         "solver.max_iterations: expected an integer, got 3.7"),
+        (lambda s: s["solver"].update(max_backtracks=2.5),
+         "solver.max_backtracks: expected an integer, got 2.5"),
+        (lambda s: s["solver"].update(stall_window=2.5, tol_objective_stall=1e-3),
+         "solver.stall_window: expected an integer, got 2.5"),
+        (lambda s: s["problem"]["smooth"].update(matrix={"random": {"rows": 1.5, "cols": 1}}),
+         "problem.smooth.matrix.random.rows: expected an integer, got 1.5"),
+        # json writes and reads the NaN literal
+        (lambda s: s["solver"].update(tol_fixed_point=float("nan")),
+         "solver: tol_fixed_point must be nonnegative, got nan"),
     ],
 )
 def test_spec_validation_names_the_field(tmp_path, capsys, mutate, needle):
@@ -450,6 +462,16 @@ def test_rate_requires_fstar(tmp_path, capsys):
     spec = write_spec(tmp_path, lasso_spec())
     assert main(["rate", "--spec", spec]) == 2
     assert "--fstar" in capsys.readouterr().err
+
+
+def test_rate_rejects_a_nan_reference(tmp_path, capsys):
+    # a NaN F* used to print nan tails and exit 0
+    spec = write_spec(tmp_path, lasso_spec())
+    fstar = tmp_path / "fstar.txt"
+    fstar.write_text("nan\n")
+    assert main(["rate", "--spec", spec, "--fstar", str(fstar),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert "F_star must be finite, got nan" in capsys.readouterr().err
 
 
 def test_rate_rejects_reference_above_trace(tmp_path, capsys):

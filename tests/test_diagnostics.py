@@ -279,6 +279,14 @@ def test_estimate_rate_rejects_bad_reference(rng):
         estimate_rate(res, float(np.min(res.trace.F)) + 1.0)
 
 
+@pytest.mark.parametrize("f_star", [np.nan, -np.inf, np.inf])
+def test_estimate_rate_refuses_a_non_finite_reference(rng, f_star):
+    prob = random_lasso(rng)
+    res = run(prob, np.zeros(prob.dimension), iters=20, record_states=False)
+    with pytest.raises(vmfbs.UsageError, match="F_star must be finite"):
+        estimate_rate(res, f_star)
+
+
 # --- trace csv round-trip ---------------------------------------------------------------
 
 def test_read_trace_csv(tmp_path):
@@ -296,6 +304,26 @@ def test_read_trace_csv(tmp_path):
     assert frame.lam.tolist() == [1.0, 1.0]
     assert frame.F.tolist() == [4.5, 2.5]
     assert frame.step_norm[0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "body, needle",
+    [
+        ("k,F\n0,4.5\n1\n", "line 3: 1 field(s) under a header of 2"),
+        ("k,F\n0,4.5\n1,2.5,9\n", "line 3: 3 field(s) under a header of 2"),
+        # a blank line is skipped but still counted
+        ("k,F\n\n0,4.5\n1,abc\n", "line 4: could not convert string to float: 'abc'"),
+        # the counter columns hold whole numbers, never truncated
+        ("k,F,backtracks\n0,4.5,2.7\n", "line 2: backtracks = 2.7 is not an integer"),
+        ("k,F\n0,4.5\nnan,2.5\n", "line 3: k = nan is not an integer"),
+    ],
+)
+def test_read_trace_csv_names_the_malformed_line(tmp_path, body, needle):
+    p = tmp_path / "t.csv"
+    p.write_text(body)
+    with pytest.raises(vmfbs.UsageError) as err:
+        read_trace_csv(p)
+    assert str(err.value) == f"{p}, {needle}"
 
 
 def test_read_trace_csv_missing_file(tmp_path):

@@ -55,8 +55,6 @@ class FreshTerm(vmfbs.SmoothTerm):
             return True
         return bool(np.all(self.a @ np.asarray(x, dtype=float) > 0))
 
-    in_interior_domain = in_domain
-
 
 def lasso(f, n):
     return vmfbs.CompositeProblem(f=f, g=vmfbs.L1Norm(0.1), dimension=n)

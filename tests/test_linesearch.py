@@ -287,6 +287,31 @@ def test_domain_search_exhaustion_fails():
     assert err.value.diagnostics["rule"] == "domain"
 
 
+# --- the finished step ----------------------------------------------------------
+
+@pytest.mark.parametrize("rule", vmfbs.RULES + ("domain",))
+def test_accepted_step_carries_f_and_g_at_x_next(rng, rule):
+    # every rule hands back f(x_next) and g(x_next); ls3 and the fixed step
+    # do not test f at x_next, so the walk evaluates it on acceptance and
+    # counts that call; the domain walk forms no x_next
+    prob = vmfbs.CompositeProblem(
+        f=vmfbs.PNormResidual(rng.standard_normal((8, 5)), rng.standard_normal(8)),
+        g=vmfbs.L1Norm(0.3),
+        dimension=5,
+    )
+    if rule == "fixed":
+        c, other = cfg(rule="fixed", fixed_gamma=0.05, fixed_lam=0.5), 0.05
+    else:
+        c, other = cfg(gamma_max=4.0), 1.0
+    out = search(prob, rng.standard_normal(5), rule, c, other=other)
+    if rule == "domain":
+        assert np.isnan(out.f_next) and np.isnan(out.g_next) and out.f_evals == 0
+        return
+    assert out.f_next == prob.f.value(out.x_next)
+    assert out.g_next == prob.g.value(out.x_next) and out.g_next > 0
+    assert out.f_evals == (1 if rule in ("ls3", "fixed") else out.backtracks + 1)
+
+
 # --- shared invariants -------------------------------------------------------
 
 def test_step_norm_monotone_in_gamma(rng):

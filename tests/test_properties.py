@@ -386,7 +386,7 @@ def rule_holds(rule, prob, m, x, gamma, lam, cfg):
     ns = float(np.dot(w, dy * dy))
     x1 = x + lam * dy
     if rule == "ls3":
-        if not f.in_interior_domain(x1):
+        if not f.in_domain(x1):
             return False
         dg = (f.gradient(x1) - grad) / w
         lhs = float(np.sqrt(np.dot(w, dg * dg)))

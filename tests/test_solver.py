@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,35 @@ def test_eval_counters_match_trace_totals(rng):
     assert res.f_evals > 0 and res.grad_evals > 0 and res.prox_evals > 0
 
 
+@pytest.mark.parametrize("case", ["search-failure", "general-ls3", "fixed"])
+def test_counters_are_trace_column_sums(rng, case):
+    # SolveResult counts nothing of its own: each counter sums its trace
+    # column, and f_evals adds the call at x0; a failing iteration records
+    # no row, so its calls are in neither
+    if case == "search-failure":
+        # gamma jumps to 1e3 at k = 5, where two lam cuts cannot pass ls2
+        prob, x0 = random_lasso(rng), np.zeros(8)
+        config = base_config(search=vmfbs.LineSearchConfig(rule="ls2", max_backtracks=2),
+                             gamma_schedule=lambda k: 0.01 if k < 5 else 1e3,
+                             max_iterations=40)
+    elif case == "general-ls3":
+        prob, x0 = kl_8x5(), np.ones(5)
+        config = base_config(search=vmfbs.LineSearchConfig(rule="ls3", gamma_max=8.0),
+                             max_iterations=30)
+    else:
+        prob, x0 = random_lasso(rng), np.zeros(8)
+        search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=0.01, fixed_lam=1.0,
+                                        warm_start=True)
+        config = base_config(search=search, max_iterations=15)
+    res = solve(prob, x0, config)
+    t = res.trace
+    assert (res.f_evals, res.grad_evals, res.prox_evals) == (
+        1 + t.f_evals.sum(), t.grad_evals.sum(), t.prox_evals.sum())
+    assert len(t) > 0 and (res.termination == "search_failure") == (case == "search-failure")
+    if case == "search-failure":
+        assert res.failure["iteration"] == len(t) == 5
+
+
 def test_grad_eval_cost_signature(rng):
     # ls3 pays a gradient per trial, ls1 only one per iteration
     prob = random_lasso(rng)
@@ -414,6 +445,32 @@ def test_config_validation():
         base_config(stall_window=0)
 
 
+@pytest.mark.parametrize(
+    "kw, needle",
+    [
+        # a NaN tolerance would switch its stopping rule off and run to max_iter
+        (dict(tol_fixed_point=np.nan), "tol_fixed_point must be nonnegative, got nan"),
+        (dict(tol_objective_stall=np.nan), "tol_objective_stall must be nonnegative, got nan"),
+        # a non-integer count used to end the solve in a TypeError
+        (dict(max_iterations=5.5), "max_iterations must be an integer, got 5.5"),
+        (dict(max_iterations=True), "max_iterations must be an integer, got True"),
+        (dict(stall_window=2.5, tol_objective_stall=1e-3), "stall_window must be an integer, got 2.5"),
+        (dict(search_kw=dict(max_backtracks=2.5)), "max_backtracks must be an integer, got 2.5"),
+        (dict(search_kw=dict(max_backtracks=4.0)), "max_backtracks must be an integer, got 4.0"),
+    ],
+)
+def test_config_refuses_nan_tolerances_and_non_integer_counts(kw, needle):
+    with pytest.raises(vmfbs.UsageError, match=re.escape(needle)):
+        base_config(**kw)
+
+
+def test_config_takes_numpy_integer_counts():
+    config = base_config(max_iterations=np.int64(3), stall_window=np.int32(2),
+                         tol_objective_stall=1e-3, search_kw=dict(max_backtracks=np.int64(4)))
+    res = solve(lasso_1d(), np.zeros(1), config)
+    assert res.termination == "fixed_point" and len(res.trace) == 2
+
+
 def test_x0_shape_checked(rng):
     prob = random_lasso(rng)
     with pytest.raises(vmfbs.UsageError):
@@ -432,6 +489,40 @@ def kl_8x5(g=None):
     return vmfbs.CompositeProblem(f=vmfbs.KLDivergence(a, b),
                                   g=g or vmfbs.BoxIndicator(0.0, np.inf),
                                   dimension=5, domain_regime="general")
+
+
+class KLThroughDomainOnly(vmfbs.SmoothTerm):
+    """A KL term seen through the SmoothTerm interface alone: value,
+    gradient, in_domain and the lower bound, no other domain oracle."""
+
+    def __init__(self, f):
+        self.f = f
+        self.lower_bound = f.lower_bound
+
+    def value(self, x):
+        return self.f.value(x)
+
+    def gradient(self, x):
+        return self.f.gradient(x)
+
+    def in_domain(self, x):
+        return self.f.in_domain(x)
+
+
+def test_in_domain_alone_serves_ls3_in_the_general_regime():
+    # the x0 check, the domain walk and the ls3 trial all ask in_domain;
+    # without the box the domain walk backtracks
+    ref = kl_8x5(vmfbs.ZeroTerm())
+    prob = vmfbs.CompositeProblem(f=KLThroughDomainOnly(ref.f), g=ref.g, dimension=5,
+                                  domain_regime="general")
+    config = base_config(search=vmfbs.LineSearchConfig(rule="ls3", gamma_max=8.0),
+                         max_iterations=200, tol_fixed_point=1e-8)
+    res, want = solve(prob, np.ones(5), config), solve(ref, np.ones(5), config)
+    assert res.termination == "fixed_point" and res.trace.domain_gamma.min() < 8.0
+    for name in vmfbs.IterateTrace._fields:
+        assert np.array_equal(res.trace.column(name), want.trace.column(name), equal_nan=True)
+    with pytest.raises(vmfbs.UsageError, match="interior of dom f"):
+        solve(prob, np.zeros(5), config)
 
 
 def test_last_step_is_tested_like_every_other():
