@@ -26,11 +26,9 @@ from .metrics import (
 )
 from .problems import (
     CompositeProblem,
-    DomainError,
     ProxTerm,
     SearchFailure,
     SmoothTerm,
-    Unsupported,
     UsageError,
 )
 from .prox import (
@@ -59,7 +57,6 @@ __all__ = [
     "BoxIndicator",
     "CheckReport",
     "CompositeProblem",
-    "DomainError",
     "IterateTrace",
     "KLDivergence",
     "L1Norm",
@@ -79,7 +76,6 @@ __all__ = [
     "TERMINATIONS",
     "Trace",
     "Tv1dNorm",
-    "Unsupported",
     "UsageError",
     "ZeroTerm",
     "bb_schedule",

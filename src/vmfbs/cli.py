@@ -37,27 +37,16 @@ from .metrics import (
     validate_growth,
     validate_spread,
 )
-from .problems import (
-    CompositeProblem,
-    UsageError,
-    Unsupported,
-    as_vector,
-)
+from .problems import CompositeProblem, UsageError, as_vector
 from .prox import BoxIndicator, L1Norm, SeparableProx, Tv1dNorm, ZeroTerm
 from .smooth import KLDivergence, PNormResidual
-from .solver import SolverConfig, solve, write_trace_csv
+from .solver import SolverConfig, _fmt, solve, write_trace_csv
 
 __all__ = ["main", "load_spec", "build_problem", "build_solver_config"]
 
 _SMOOTH_TYPES = ("quadratic", "pnorm", "kl")
 _REG_TYPES = ("l1", "box", "tv1d", "zero", "separable")
 _METRIC_TYPES = ("constant", "table", "bb")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
 
 
 def _check_keys(block: dict, path: str, required=(), optional=()):
@@ -89,13 +78,28 @@ def _bool(block, key, path):
     return v
 
 
-def _bound(v, path, side: str) -> float:
-    # null stands for the missing bound (JSON has no infinity literal)
-    if v is None:
-        return -np.inf if side == "lo" else np.inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise UsageError(f"{path}: expected a number or null, got {v!r}")
-    return float(v)
+def _per_coordinate(block: dict, key: str, path: str, n: int, default: float,
+                    null: bool) -> np.ndarray:
+    """``block[key]`` as n per-coordinate values: one number for all of
+    them or a list of n. A missing key is ``default``, and so is a null
+    where ``null`` allows it (JSON has no infinity literal)."""
+    path = f"{path}.{key}"
+
+    def value(p, v):
+        if v is None and null:
+            return default
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise UsageError(f"{p}: expected a number{' or null' if null else ''}, got {v!r}")
+        return float(v)
+
+    if key not in block:
+        return np.full(n, default)
+    v = block[key]
+    if not isinstance(v, list):
+        return np.full(n, value(path, v))
+    if len(v) != n:
+        raise UsageError(f"{path}: expected {n} values (one per coordinate), got {len(v)}")
+    return np.array([value(f"{path}[{i}]", e) for i, e in enumerate(v)])
 
 
 def _choice(block: dict, key: str, path: str, options):
@@ -268,59 +272,22 @@ def build_problem(spec: dict):
     if rtype == "l1":
         _check_keys(reg, rpath, required=("type", "weight"))
         g = _build(rpath, L1Norm, _number(reg, "weight", rpath))
-    elif rtype == "box":
-        _check_keys(reg, rpath, required=("type",), optional=("lo", "hi"))
-        lo = reg.get("lo")
-        hi = reg.get("hi")
-        lo = (
-            np.array([_bound(v, f"{rpath}.lo[{i}]", "lo") for i, v in enumerate(lo)])
-            if isinstance(lo, list)
-            else _bound(lo, f"{rpath}.lo", "lo")
-        )
-        hi = (
-            np.array([_bound(v, f"{rpath}.hi[{i}]", "hi") for i, v in enumerate(hi)])
-            if isinstance(hi, list)
-            else _bound(hi, f"{rpath}.hi", "hi")
-        )
-        g = _build(rpath, BoxIndicator, lo, hi)
+    elif rtype in ("box", "separable"):
+        weight = ("weight",) if rtype == "separable" else ()
+        _check_keys(reg, rpath, required=("type",), optional=(*weight, "lo", "hi"))
+        bounds = (_per_coordinate(reg, "lo", rpath, n, -np.inf, null=True),
+                  _per_coordinate(reg, "hi", rpath, n, np.inf, null=True))
+        if weight:
+            g = _build(rpath, SeparableProx,
+                       _per_coordinate(reg, "weight", rpath, n, 0.0, null=False), *bounds)
+        else:
+            g = _build(rpath, BoxIndicator, *bounds)
     elif rtype == "tv1d":
         _check_keys(reg, rpath, required=("type", "weight"))
         g = _build(rpath, Tv1dNorm, _number(reg, "weight", rpath))
-    elif rtype == "zero":
+    else:
         _check_keys(reg, rpath, required=("type",))
         g = ZeroTerm()
-    else:
-        _check_keys(reg, rpath, required=("type", "pieces"))
-        pieces_spec = reg["pieces"]
-        if not isinstance(pieces_spec, list) or len(pieces_spec) != n:
-            raise UsageError(
-                f"{rpath}.pieces: expected a list of length {n} (one per coordinate)"
-            )
-        # one (weight, lo, hi) per coordinate
-        pieces = []
-        for i, p in enumerate(pieces_spec):
-            ppath = f"{rpath}.pieces[{i}]"
-            if not isinstance(p, dict) or "kind" not in p:
-                raise UsageError(f"{ppath}: needs a 'kind' key")
-            kind = p["kind"]
-            if kind == "abs":
-                _check_keys(p, ppath, required=("kind", "weight"))
-                w = _number(p, "weight", ppath)
-                if not (w > 0) or not math.isfinite(w):
-                    raise UsageError(
-                        f"{ppath}.weight: abs weight must be positive and finite, got {w}"
-                    )
-                pieces.append((w, -np.inf, np.inf))
-            elif kind == "interval":
-                _check_keys(p, ppath, required=("kind",), optional=("lo", "hi"))
-                pieces.append((0.0, _bound(p.get("lo"), f"{ppath}.lo", "lo"),
-                               _bound(p.get("hi"), f"{ppath}.hi", "hi")))
-            elif kind == "zero":
-                _check_keys(p, ppath, required=("kind",))
-                pieces.append((0.0, -np.inf, np.inf))
-            else:
-                raise UsageError(f"{ppath}.kind: expected abs|interval|zero, got {kind!r}")
-        g = _build(rpath, SeparableProx, *zip(*pieces))
 
     regime = block.get("domain_regime", "standard")
     problem = _build("problem", CompositeProblem, f=f, g=g, dimension=n, domain_regime=regime)
@@ -443,7 +410,7 @@ def cmd_compare(args) -> int:
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     else:
-        rules = ["ls1", "ls2", "ls3", "ls4", "tseng-yun"]
+        rules = [r for r in RULES if r != "fixed"]
     for r in rules:
         if r not in RULES:
             raise UsageError(f"--rules: expected names from {list(RULES)}, got {r!r}")
@@ -466,7 +433,7 @@ def cmd_compare(args) -> int:
                 _fmt(float(np.min(trace.lam)) if len(trace) else np.nan),
                 _fmt(result.F_final),
             ]))
-        except (UsageError, Unsupported) as exc:
+        except UsageError as exc:
             lines.append(",".join([rule, f"error: {exc}".replace(",", ";"),
                                    "0", "0", "0", "0", "nan", "nan", "nan"]))
     table = "\n".join(lines) + "\n"
@@ -502,6 +469,8 @@ def cmd_rate(args) -> int:
         raise UsageError(f"cannot read --fstar: {exc}") from None
     except ValueError:
         raise UsageError(f"--fstar file does not hold a single number") from None
+    if not math.isfinite(f_star):
+        raise UsageError(f"--fstar must be finite, got {f_star!r}")
     spec = load_spec(args.spec, seed_override=args.seed)
     problem, x0 = build_problem(spec)
     config = build_solver_config(spec, problem.dimension)
@@ -564,10 +533,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, Unsupported) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

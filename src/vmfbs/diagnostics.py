@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import growth_from_weights
-from .problems import UsageError, Unsupported, as_vector
+from .problems import UsageError, as_vector
 
 __all__ = [
     "CheckReport",
@@ -220,9 +220,9 @@ def check_stepsize_floor(
     default tolerance is zero.
     """
     if rule not in _FLOOR_RULES:
-        raise Unsupported(f"no stepsize floor is available for rule {rule!r}")
+        raise UsageError(f"no stepsize floor is available for rule {rule!r}")
     if lipschitz is None:
-        raise Unsupported("the stepsize floor needs a global gradient Lipschitz constant")
+        raise UsageError("the stepsize floor needs a global gradient Lipschitz constant")
     L = float(lipschitz)
     if L <= 0:
         raise UsageError(f"lipschitz must be positive, got {L}")

@@ -15,9 +15,7 @@ import numpy as np
 
 __all__ = [
     "UsageError",
-    "DomainError",
     "SearchFailure",
-    "Unsupported",
     "as_vector",
     "check_count",
     "SmoothTerm",
@@ -27,12 +25,9 @@ __all__ = [
 
 
 class UsageError(ValueError):
-    """The caller broke a documented precondition (dimensions, feasibility)
-    or gave an inconsistent or unusable configuration."""
-
-
-class DomainError(RuntimeError):
-    """A gradient was requested outside the interior of the smooth domain."""
+    """The caller broke a documented precondition (dimensions, feasibility,
+    a gradient outside int dom f), gave an inconsistent or unusable
+    configuration, or asked for an operation with no formula for the term."""
 
 
 class SearchFailure(RuntimeError):
@@ -45,10 +40,6 @@ class SearchFailure(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
-
-
-class Unsupported(ValueError):
-    """The operation has no formula for this term."""
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -81,7 +72,7 @@ class SmoothTerm:
     """Differentiable term f.
 
     ``value`` returns ``inf`` outside dom f. ``gradient`` is only defined
-    on the interior of dom f and raises :class:`DomainError` elsewhere.
+    on the interior of dom f and raises :class:`UsageError` elsewhere.
     ``in_domain`` is the one domain question the solver asks of f.
     ``lipschitz_bound`` is a global Lipschitz constant of the gradient
     when one is known, else None.
@@ -116,7 +107,7 @@ class ProxTerm:
 
     ``subdiff_distance(p, u)`` is the Euclidean distance from u to the
     subdifferential of g at p, used by the prox optimality residual.
-    Terms without a formula raise :class:`Unsupported`.
+    Terms without a formula raise :class:`UsageError`.
     """
 
     #: whether g splits as a sum of scalar terms, one per coordinate
@@ -133,7 +124,7 @@ class ProxTerm:
         return bool(np.isfinite(self.value(x)))
 
     def subdiff_distance(self, p: np.ndarray, u: np.ndarray) -> float:
-        raise Unsupported(f"{type(self).__name__} has no subdifferential formula")
+        raise UsageError(f"{type(self).__name__} has no subdifferential formula")
 
 
 @dataclass

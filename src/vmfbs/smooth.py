@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .problems import DomainError, SmoothTerm, UsageError, as_vector
+from .problems import SmoothTerm, UsageError, as_vector
 
 __all__ = [
     "LinearMap",
@@ -414,7 +414,7 @@ class KLDivergence(_Composite):
 
     def _outer_gradient(self, ax) -> np.ndarray:
         if (ax <= 0).any():
-            raise DomainError("gradient of the KL term needs (Ax)_i > 0 for every i")
+            raise UsageError("gradient of the KL term needs (Ax)_i > 0 for every i")
         return 1.0 - self.b / ax
 
     def in_domain(self, x) -> bool:

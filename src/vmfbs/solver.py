@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .diagnostics import CheckReport
-from .linesearch import LineSearchConfig, line_search
+from .linesearch import _GAMMA_WALKS, LineSearchConfig, line_search
 from .metrics import MetricSchedule, StepSnapshot, constant_schedule
 from .problems import (
     CompositeProblem,
@@ -157,15 +157,20 @@ class Trace(Sequence):
 _CSV_HEADER = ",".join("lambda" if name == "lam" else name for name in IterateTrace._fields)
 
 
+def _fmt(v) -> str:
+    """One CSV number: an integer as itself, a float with 17 significant digits."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
+
+
 def write_trace_csv(path, trace: Trace) -> None:
     """Write every column of ``trace`` to a CSV file, one line per iteration."""
     cols = [trace.column(name) for name in IterateTrace._fields]
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
         for row in zip(*cols):
-            fh.write(",".join(
-                str(int(v)) if isinstance(v, np.integer) else f"{float(v):.17g}" for v in row
-            ) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def read_trace_csv(path) -> Trace:
@@ -242,6 +247,12 @@ class SolverConfig:
             # a NaN tolerance would switch its stopping rule off unseen
             if not (getattr(self, name) >= 0):
                 raise UsageError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        # a constant schedule is checked here, a callable per k in the loop
+        lam, gamma = self.lam_schedule, self.gamma_schedule
+        if not callable(lam) and not (0 < lam <= 1):
+            raise UsageError(f"lam_schedule must lie in (0,1], got {lam}")
+        if not (gamma is None or callable(gamma) or 0 < gamma < math.inf):
+            raise UsageError(f"gamma_schedule must be positive and finite, got {gamma}")
 
 
 @dataclass
@@ -437,7 +448,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             raise UsageError(f"metric schedule emitted {w.size} weights at k={k}, n={n}")
         return w
 
-    walks_gamma = rule in ("ls1", "ls3")
+    walks_gamma = rule in _GAMMA_WALKS
     x_prev = None
     grad_prev = None
     w_prev = None

@@ -8,7 +8,7 @@ import pytest
 
 import vmfbs
 from vmfbs.cli import build_problem, build_solver_config, load_spec, main
-from vmfbs.solver import read_trace_csv, solve
+from vmfbs.solver import read_trace_csv, solve, write_trace_csv
 
 TRACE_HEADER = (
     "k,F,gamma,lambda,backtracks,step_norm,mapping_norm,fp_scaled,descent_residual,"
@@ -231,9 +231,10 @@ def table_metrics(**fields):
          "problem.regularizer: empty box"),
         (lambda s: s["problem"].update(regularizer={"type": "box", "lo": float("nan"), "hi": 2.0}),
          "problem.regularizer: empty box: lo > hi or a NaN bound"),
-        (lambda s: s["problem"].update(
-            regularizer={"type": "separable", "pieces": [{"kind": "abs", "weight": 0}]}),
-         "problem.regularizer.pieces[0].weight: abs weight must be positive and finite, got 0.0"),
+        (lambda s: s["problem"].update(regularizer={"type": "box", "lo": [0.0, 1.0]}),
+         "problem.regularizer.lo: expected 1 values (one per coordinate), got 2"),
+        (lambda s: s["problem"].update(regularizer={"type": "box", "hi": [True]}),
+         "problem.regularizer.hi[0]: expected a number or null, got True"),
         (lambda s: s["problem"].update(x0=[0.0, 1.0]),
          "problem.x0: expected a vector of length 1, got 2"),
         # a count must be an integer: 3.7 used to run 3 iterations and exit 0
@@ -248,6 +249,11 @@ def table_metrics(**fields):
         # json writes and reads the NaN literal
         (lambda s: s["solver"].update(tol_fixed_point=float("nan")),
          "solver: tol_fixed_point must be nonnegative, got nan"),
+        # a constant schedule is refused before the run, under its block
+        (lambda s: s["solver"].update(lam_schedule=float("nan")),
+         "solver: lam_schedule must lie in (0,1], got nan"),
+        (lambda s: s["solver"].update(gamma_schedule=0),
+         "solver: gamma_schedule must be positive and finite, got 0.0"),
     ],
 )
 def test_spec_validation_names_the_field(tmp_path, capsys, mutate, needle):
@@ -314,53 +320,96 @@ def test_solver_block_passes_the_keys_it_sets(tmp_path):
     )
 
 
-SEPARABLE_PIECES = [
-    {"kind": "abs", "weight": 1.0},
-    {"kind": "interval", "lo": None, "hi": 1.0},
-    {"kind": "zero"},
-]
-
-
-def separable_spec(pieces):
+def separable_spec(**regularizer):
     # f = 0.5 ||x - b||^2, so one step at gamma = 1 lands on prox_g(b)
     return {
         "problem": {
-            "smooth": {"type": "quadratic", "matrix": np.eye(3).tolist(), "b": [3.0, 2.0, -1.5]},
-            "regularizer": {"type": "separable", "pieces": pieces},
+            "smooth": {"type": "quadratic", "matrix": np.eye(4).tolist(),
+                       "b": [3.0, 2.0, -1.5, 3.0]},
+            "regularizer": {"type": "separable", **regularizer},
         },
         "solver": {"max_iterations": 20},
         "output": {},
     }
 
 
-def test_solve_separable_regularizer(tmp_path, capsys):
-    path = write_spec(tmp_path, separable_spec(SEPARABLE_PIECES))
+# |x_0|, x_1 <= 1, nothing on x_2, and |x_3| on [-1, 1.5]
+SEPARABLE = {"weight": [1.0, 0, 0, 1], "lo": [None, None, None, -1],
+             "hi": [None, 1, None, 1.5]}
+
+
+def test_solve_separable_regularizer(tmp_path):
+    path = write_spec(tmp_path, separable_spec(**SEPARABLE))
     spec = load_spec(path)
     problem, x0 = build_problem(spec)
-    assert np.array_equal(problem.g.weight, [1.0, 0.0, 0.0])
-    assert np.array_equal(problem.g.box.lo, [-np.inf, -np.inf, -np.inf])
-    assert np.array_equal(problem.g.box.hi, [np.inf, 1.0, np.inf])
+    assert np.array_equal(problem.g.weight, [1.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(problem.g.box.lo, [-np.inf, -np.inf, -np.inf, -1.0])
+    assert np.array_equal(problem.g.box.hi, [np.inf, 1.0, np.inf, 1.5])
     result = solve(problem, x0, build_solver_config(spec, problem.dimension))
     assert result.termination == "fixed_point"
-    assert np.array_equal(result.x_final, [2.0, 1.0, -1.5])
-    assert result.F_final == 3.0
-    out = str(tmp_path / "t.csv")
+    # the last coordinate is both: soft threshold 3 -> 2, then clamp to 1.5
+    assert np.array_equal(result.x_final, [2.0, 1.0, -1.5, 1.5])
+    assert result.F_final == 0.5 * (1.0 + 1.0 + 0.0 + 2.25) + 2.0 + 1.5
+
+
+def test_separable_scalars_and_missing_keys(tmp_path):
+    # a number serves every coordinate; a missing weight is 0, a missing
+    # or null bound is infinite, and a weight of 0 is allowed
+    g = build_problem(load_spec(write_spec(tmp_path, separable_spec(lo=-1.0, hi=None))))[0].g
+    assert np.array_equal(g.weight, np.zeros(4))
+    assert np.array_equal(g.box.lo, [-1.0] * 4) and np.array_equal(g.box.hi, [np.inf] * 4)
+    g = build_problem(load_spec(write_spec(tmp_path, separable_spec(weight=0))))[0].g
+    assert np.array_equal(g.weight, np.zeros(4)) and np.array_equal(g.box.lo, [-np.inf] * 4)
+
+
+def test_separable_trace_is_the_library_trace(tmp_path):
+    # the CLI's trace, byte for byte, is a library solve's with the same term
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((6, 4)), rng.standard_normal(6)
+    # x_2 carries a weight and an interval and ends on its lower bound
+    spec_dict = separable_spec(weight=[0.3, 0.0, 0.05, 0.0], lo=[None, -0.2, -0.02, None],
+                               hi=[None, 0.2, 0.1, 0.1])
+    spec_dict["problem"]["smooth"].update(matrix=a.tolist(), b=b.tolist())
+    spec_dict["solver"].update(rule="ls3", max_iterations=40, gamma_max=4.0)
+    path = write_spec(tmp_path, spec_dict)
+    out = str(tmp_path / "cli.csv")
     assert main(["solve", "--spec", path, "--out", out]) == 0
-    assert open(out).read().splitlines()[0] == TRACE_HEADER
+
+    g = vmfbs.SeparableProx([0.3, 0.0, 0.05, 0.0], [-np.inf, -0.2, -0.02, -np.inf],
+                            [np.inf, 0.2, 0.1, 0.1])
+    problem = vmfbs.CompositeProblem(f=vmfbs.PNormResidual(a, b, p=2.0), g=g, dimension=4)
+    config = vmfbs.SolverConfig(linesearch=vmfbs.LineSearchConfig(rule="ls3", gamma_max=4.0),
+                                max_iterations=40)
+    lib = str(tmp_path / "lib.csv")
+    result = solve(problem, np.zeros(4), config)
+    assert np.array_equal(result.x_final, [0.0, -0.2, -0.02, 0.1])
+    write_trace_csv(lib, result.trace)
+    assert open(out, "rb").read() == open(lib, "rb").read()
+    assert len(result.trace) == 8
 
 
 @pytest.mark.parametrize(
-    "pieces, needle",
+    "regularizer, needle",
     [
-        (SEPARABLE_PIECES[:2], "problem.regularizer.pieces: expected a list of length 3"),
-        (SEPARABLE_PIECES[:2] + [{"kind": "huber"}],
-         "problem.regularizer.pieces[2].kind: expected abs|interval|zero, got 'huber'"),
-        (SEPARABLE_PIECES[:1] + [{"kind": "interval", "lo": 2.0, "hi": 1.0}, {"kind": "zero"}],
+        ({**SEPARABLE, "lo": [None, 0.0]},
+         "problem.regularizer.lo: expected 4 values (one per coordinate), got 2"),
+        ({**SEPARABLE, "weight": None},
+         "problem.regularizer.weight: expected a number, got None"),
+        ({**SEPARABLE, "weight": [1.0, None, 0, 0]},
+         "problem.regularizer.weight[1]: expected a number, got None"),
+        ({**SEPARABLE, "hi": [None, "one", None, 1.5]},
+         "problem.regularizer.hi[1]: expected a number or null, got 'one'"),
+        # the values themselves are refused by SeparableProx
+        ({**SEPARABLE, "weight": -1},
+         "problem.regularizer: weight must be nonnegative and finite, got -1.0 at coordinate 0"),
+        ({**SEPARABLE, "lo": [None, 2.0, None, None]},
          "problem.regularizer: empty interval [2.0, 1.0] at coordinate 1"),
+        ({"pieces": [{"kind": "abs", "weight": 1.0}]},
+         "problem.regularizer: unknown key(s) ['pieces']"),
     ],
 )
-def test_separable_regularizer_errors_name_the_field(tmp_path, capsys, pieces, needle):
-    spec = write_spec(tmp_path, separable_spec(pieces))
+def test_separable_regularizer_errors_name_the_field(tmp_path, capsys, regularizer, needle):
+    spec = write_spec(tmp_path, separable_spec(**regularizer))
     assert main(["solve", "--spec", spec, "--out", str(tmp_path / "t.csv")]) == 2
     assert needle in capsys.readouterr().err
 
@@ -464,14 +513,20 @@ def test_rate_requires_fstar(tmp_path, capsys):
     assert "--fstar" in capsys.readouterr().err
 
 
-def test_rate_rejects_a_nan_reference(tmp_path, capsys):
-    # a NaN F* used to print nan tails and exit 0
+def test_rate_rejects_a_nan_reference(tmp_path, capsys, monkeypatch):
+    # a NaN F* used to print nan tails and exit 0; a non-finite F* is now
+    # refused when it is read, before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called for a non-finite F*")
+
+    monkeypatch.setattr("vmfbs.cli.solve", no_solve)
     spec = write_spec(tmp_path, lasso_spec())
     fstar = tmp_path / "fstar.txt"
-    fstar.write_text("nan\n")
-    assert main(["rate", "--spec", spec, "--fstar", str(fstar),
-                 "--out", str(tmp_path / "r.csv")]) == 2
-    assert "F_star must be finite, got nan" in capsys.readouterr().err
+    for text in ("nan", "inf", "-inf"):
+        fstar.write_text(text + "\n")
+        assert main(["rate", "--spec", spec, "--fstar", str(fstar),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"--fstar must be finite, got {float(text)!r}" in capsys.readouterr().err
 
 
 def test_rate_rejects_reference_above_trace(tmp_path, capsys):

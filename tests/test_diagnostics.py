@@ -224,9 +224,9 @@ def test_floor_flags_understated_lipschitz():
 
 def test_floor_unsupported_cases():
     res = floor_run("ls1")
-    with pytest.raises(vmfbs.Unsupported):
+    with pytest.raises(vmfbs.UsageError, match="no stepsize floor is available"):
         check_stepsize_floor(res, "tseng-yun", 0.9, 0.5, 1.0, 1.0, 1.0, 4.0)
-    with pytest.raises(vmfbs.Unsupported):
+    with pytest.raises(vmfbs.UsageError, match="needs a global gradient Lipschitz"):
         check_stepsize_floor(res, "ls1", 0.9, 0.5, 1.0, 1.0, 1.0, None)
 
 

@@ -47,7 +47,7 @@ class FreshTerm(vmfbs.SmoothTerm):
             r = ax - self.b
             return self.a.T @ (np.abs(r) ** (self.p - 1.0) * np.sign(r))
         if np.any(ax <= 0):
-            raise vmfbs.DomainError("outside the KL domain")
+            raise vmfbs.UsageError("outside the KL domain")
         return self.a.T @ (1.0 - self.b / ax)
 
     def in_domain(self, x):

@@ -39,16 +39,24 @@ def test_kl_gradient_outside_domain_raises():
     prob = random_kl(np.random.default_rng(3))
     bad = -np.ones(prob.dimension)
     assert not prob.f.in_domain(bad)
-    with pytest.raises(vmfbs.DomainError):
+    with pytest.raises(vmfbs.UsageError, match=r"needs \(Ax\)_i > 0"):
         prob.f.gradient(bad)
+
+
+def test_subdiff_distance_without_a_formula_raises():
+    class Plain(vmfbs.ProxTerm):
+        pass
+
+    with pytest.raises(vmfbs.UsageError, match="Plain has no subdifferential formula"):
+        Plain().subdiff_distance(np.zeros(2), np.zeros(2))
 
 
 def test_exception_hierarchy():
     # callers filter on ValueError vs RuntimeError, keep that split stable
     assert issubclass(vmfbs.UsageError, ValueError)
-    assert issubclass(vmfbs.Unsupported, ValueError)
-    assert issubclass(vmfbs.DomainError, RuntimeError)
     assert issubclass(vmfbs.SearchFailure, RuntimeError)
+    # one refusal type: the domain and no-formula errors are UsageError
+    assert not hasattr(vmfbs, "DomainError") and not hasattr(vmfbs, "Unsupported")
 
 
 def test_search_failure_carries_diagnostics():

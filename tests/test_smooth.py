@@ -679,10 +679,10 @@ def test_memo_kl_gradient_outside_domain_always_raises():
     f = vmfbs.KLDivergence(np.array([[1.0, 1.0]]), np.array([1.0]))
     bad = np.array([-1.0, 0.5])
     for _ in range(2):
-        with pytest.raises(vmfbs.DomainError):
+        with pytest.raises(vmfbs.UsageError):
             f.gradient(bad)
     assert f.value(bad) == np.inf
     assert not f.in_domain(bad)
-    with pytest.raises(vmfbs.DomainError):
+    with pytest.raises(vmfbs.UsageError):
         f.gradient(bad)
     assert f.a.matvecs == 1

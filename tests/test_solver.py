@@ -464,6 +464,23 @@ def test_config_refuses_nan_tolerances_and_non_integer_counts(kw, needle):
         base_config(**kw)
 
 
+@pytest.mark.parametrize(
+    "kw, needle",
+    [
+        (dict(lam_schedule=np.nan), "lam_schedule must lie in (0,1], got nan"),
+        (dict(lam_schedule=0.0), "lam_schedule must lie in (0,1], got 0.0"),
+        (dict(lam_schedule=1.5), "lam_schedule must lie in (0,1], got 1.5"),
+        (dict(gamma_schedule=np.nan), "gamma_schedule must be positive and finite, got nan"),
+        (dict(gamma_schedule=0), "gamma_schedule must be positive and finite, got 0"),
+        (dict(gamma_schedule=np.inf), "gamma_schedule must be positive and finite, got inf"),
+    ],
+)
+def test_config_refuses_a_constant_schedule_out_of_range(kw, needle):
+    # refused when the config is built, not when iteration 0 reads it
+    with pytest.raises(vmfbs.UsageError, match=re.escape(needle)):
+        base_config(**kw)
+
+
 def test_config_takes_numpy_integer_counts():
     config = base_config(max_iterations=np.int64(3), stall_window=np.int32(2),
                          tol_objective_stall=1e-3, search_kw=dict(max_backtracks=np.int64(4)))
