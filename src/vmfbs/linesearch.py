@@ -27,6 +27,12 @@ lam at a fixed gamma, so y is computed once. Only the test differs:
   from ``fixed_lam`` that takes its first trial; the solver validated
   the step bound before the run.
 
+A lam walk of ls2, ls4 or Tseng-Yun evaluates f at its trials through
+``SmoothTerm.along(x, y - x)``. For f = h(A.) that takes one product
+A (y - x) per walk, and each trial's image is Ax + lam A(y - x), not a
+fresh product A(x + lam (y - x)). The gamma walks and the fixed step
+evaluate f at each point.
+
 An accepted step comes back with f and g at x_next, evaluated on
 acceptance where its test did not need them (the f call is counted).
 
@@ -180,6 +186,8 @@ def line_search(
         dy = y - x
         ns = float(w @ (dy * dy))
         gdot = float(dy @ grad)
+        if rule != "fixed":
+            f_along = f.along(x, dy)
         if rule in ("ls4", "tseng-yun"):
             ell = g.value(y) - gx + gdot
             if rule == "ls4":
@@ -211,8 +219,12 @@ def line_search(
             gdot = float(dy @ grad)
         else:
             lam = t
-        x_next = x + lam * dy
         f_next = g_next = None
+        if walks_gamma or rule == "fixed":
+            x_next = x + lam * dy
+        else:
+            x_next, f_next = f_along(lam)
+            nf += 1
         if rule == "ls3":
             if not f.in_domain(x_next):
                 continue
@@ -222,8 +234,9 @@ def line_search(
             lhs = math.sqrt(float(w @ (dg * dg)))
             rhs = (config.delta / gamma) * math.sqrt(ns)
         elif rule != "fixed":
-            f_next = f.value(x_next)
-            nf += 1
+            if rule == "ls1":
+                f_next = f.value(x_next)
+                nf += 1
             if rule in ("ls1", "ls2"):
                 lhs = f_next - fx - lam * gdot
                 rhs = (config.delta * lam / gamma) * ns

@@ -74,6 +74,7 @@ class SmoothTerm:
     ``value`` returns ``inf`` outside dom f. ``gradient`` is only defined
     on the interior of dom f and raises :class:`UsageError` elsewhere.
     ``in_domain`` is the one domain question the solver asks of f.
+    ``along`` evaluates f on the points of one lam walk.
     ``lipschitz_bound`` is a global Lipschitz constant of the gradient
     when one is known, else None.
     """
@@ -91,6 +92,18 @@ class SmoothTerm:
     def in_domain(self, x: np.ndarray) -> bool:
         """Whether x lies in int dom f, where f is finite and differentiable."""
         return True
+
+    def along(self, x: np.ndarray, dy: np.ndarray):
+        """f on the segment from x in the direction dy, as ``at(lam) -> (point, f(point))``.
+
+        ``point`` is x + lam * dy. A lam walk calls ``along`` once and
+        ``at`` for each trial, so a term may compute once what the trials
+        share. This default evaluates ``value`` at each point.
+        """
+        def at(lam):
+            point = x + lam * dy
+            return point, self.value(point)
+        return at
 
 
 class ProxTerm:

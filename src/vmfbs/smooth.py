@@ -17,10 +17,19 @@ Both terms remember the last point queried: its image Ax and, once
 asked for, its gradient. ``value``, ``gradient`` and ``in_domain`` at
 that same point (same bytes, same shape) reuse them, so the gradient
 at an accepted trial point costs one A^T product and a repeated query
-none. A reused image is the product a fresh call would compute, so
-results are bitwise the same as without the memo. The memo is plain
-instance state: one term instance must not be shared by solves running
-in concurrent threads.
+none. For these three the memo is bit-transparent: a reused image is
+the product a fresh call would compute.
+
+The segment evaluation ``along(x, dy)`` recombines instead. It takes
+one product A dy and evaluates each point x + lam dy of a lam walk at
+the image Ax + lam (A dy), with Ax the image that gave f(x) and
+grad f(x): the terms keep the image of the last gradient query beside
+the memo, so a query at another point in between (the domain walk's
+at y) does not move it. The recombined image is stored as the image of
+its point, so f, grad f and the domain test there all come from that
+one image; it differs from A(x + lam dy) in the last bits. The memo is
+plain instance state: one term instance must not be shared by solves
+running in concurrent threads.
 
 ``LinearMap`` stores its matrix with every subnormal entry set to +0.0,
 so no product meets a subnormal operand (slow on x86); each output of
@@ -321,24 +330,31 @@ class LinearMap:
         return est
 
 
+def _key(x: np.ndarray) -> tuple:
+    return x.shape, x.tobytes()
+
+
 class _Composite(SmoothTerm):
     """f(x) = h(Ax) for a ``LinearMap`` A, remembering the last point queried.
 
     The memo holds one entry: the point's shape and bytes as the key, its
     image Ax, and its gradient once computed. Keying on bytes makes -0.0
     and 0.0 distinct points and lets an array changed in place miss.
-    Subclasses supply h as ``_value(ax)`` and its gradient as
-    ``_outer_gradient(ax)``, so that grad f(x) = A^T grad h(Ax).
+    Beside it, ``_base`` keeps the key and image of the last gradient
+    query, the base of the next segment. Subclasses supply h as
+    ``_value(ax)`` and its gradient as ``_outer_gradient(ax)``, so that
+    grad f(x) = A^T grad h(Ax).
     """
 
     a: LinearMap
     _key: tuple | None = None
     _ax: np.ndarray | None = None
     _grad: np.ndarray | None = None
+    _base: tuple | None = None
 
     def _image(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
+        key = _key(x)
         if key != self._key:
             ax = self.a.apply(x)
             self._key, self._ax, self._grad = key, ax, None
@@ -351,7 +367,21 @@ class _Composite(SmoothTerm):
         ax = self._image(x)
         if self._grad is None:
             self._grad = self.a.adjoint(self._outer_gradient(ax))
+        self._base = (self._key, ax)
         return self._grad.copy()
+
+    def along(self, x, dy):
+        x = np.asarray(x, dtype=float)
+        base = self._base
+        ax = base[1] if base is not None and base[0] == _key(x) else self._image(x)
+        ady = self.a.apply(np.asarray(dy, dtype=float))
+
+        def at(lam):
+            point = x + lam * dy
+            image = ax + lam * ady
+            self._key, self._ax, self._grad = _key(point), image, None
+            return point, self._value(image)
+        return at
 
 
 class PNormResidual(_Composite):

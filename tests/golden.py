@@ -12,10 +12,11 @@ and the concatenated final iterates. The objective column ``F``, which
 does not compress, is kept per run as its last value plus a BLAKE2b
 digest of the bytes of all the rows before it.
 
-The committed ``tests/golden_traces.npz`` was recorded with the five
-separate search functions that preceded ``linesearch.line_search``;
-``tests/test_golden.py`` states the two differences it allows. Recorded
-with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64) by:
+The committed ``tests/golden_traces.npz`` was recorded with the one
+grid-walk kernel ``linesearch.line_search``, whose lam walks (ls2, ls4,
+tseng-yun) evaluate f through ``SmoothTerm.along``, and
+``tests/test_golden.py`` requires every array to be bitwise equal.
+Recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64) by:
 
     PYTHONPATH=src:tests python tests/golden.py tests/golden_traces.npz
 

@@ -1,10 +1,14 @@
-"""Reuse of the last image Ax inside the composite smooth terms.
+"""Reuse of images Ax inside the composite smooth terms.
 
-The terms remember the image and gradient of the last point queried. A
-reused image is the product a fresh call would compute, so every solve
-must match, bit for bit, a solve with a reference term that takes a
-fresh ``a @ x`` on every call; and the products saved must show in the
-matvec counter.
+The terms remember the image and gradient of the last point queried,
+and a lam walk (ls2, ls4, tseng-yun) evaluates its trials through
+``along``: one product A dy per walk, each trial at the image
+Ax + lam A dy, stored as the image of its point. Every solve must
+match, bit for bit, a solve with a reference term written in plain
+numpy: a fresh ``a @ x`` on every call, except that its segment
+evaluation keeps the current iterate's image and takes one ``a @ dy``
+per walk in the same way. The products saved must show in the matvec
+counter.
 """
 
 import numpy as np
@@ -14,10 +18,17 @@ import vmfbs
 from vmfbs.solver import IterateTrace, solve
 
 BACKTRACKING = ("ls1", "ls2", "ls3", "ls4", "tseng-yun")
+LAM_WALKS = ("ls2", "ls4", "tseng-yun")
 
 
 class FreshTerm(vmfbs.SmoothTerm):
-    """The lp residual or KL term, a fresh product on every call, no memo."""
+    """The lp residual or KL term in plain numpy, with no memo.
+
+    Each call takes a fresh product ``a @ x``, except at the last point
+    of a segment: there the image is the segment's Ax + lam A dy, so the
+    accepted trial of a lam walk, the next iterate, keeps the image its
+    f-value came from.
+    """
 
     lower_bound = 0.0
 
@@ -27,13 +38,19 @@ class FreshTerm(vmfbs.SmoothTerm):
         self.b = np.array(b, dtype=float)
         self.p = float(p)
         self._lipschitz = vmfbs.LinearMap(a).operator_norm() ** 2
+        self._segment = None  # (bytes of the last segment point, its image)
 
     @property
     def lipschitz_bound(self):
         return self._lipschitz if self.kind == "lp" and self.p == 2.0 else None
 
-    def value(self, x):
-        ax = self.a @ np.asarray(x, dtype=float)
+    def _image(self, x):
+        x = np.asarray(x, dtype=float)
+        if self._segment is not None and self._segment[0] == x.tobytes():
+            return self._segment[1]
+        return self.a @ x
+
+    def _h(self, ax):
         if self.kind == "lp":
             r = ax - self.b
             return float(np.sum(np.abs(r) ** self.p) / self.p)
@@ -41,8 +58,11 @@ class FreshTerm(vmfbs.SmoothTerm):
             return np.inf
         return float(np.sum(self.b * np.log(self.b / ax) + ax - self.b))
 
+    def value(self, x):
+        return self._h(self._image(x))
+
     def gradient(self, x):
-        ax = self.a @ np.asarray(x, dtype=float)
+        ax = self._image(x)
         if self.kind == "lp":
             r = ax - self.b
             return self.a.T @ (np.abs(r) ** (self.p - 1.0) * np.sign(r))
@@ -53,7 +73,18 @@ class FreshTerm(vmfbs.SmoothTerm):
     def in_domain(self, x):
         if self.kind == "lp":
             return True
-        return bool(np.all(self.a @ np.asarray(x, dtype=float) > 0))
+        return bool(np.all(self._image(x) > 0))
+
+    def along(self, x, dy):
+        ax = self._image(x)
+        ady = self.a @ dy
+
+        def at(lam):
+            point = x + lam * dy
+            image = ax + lam * ady
+            self._segment = (point.tobytes(), image)
+            return point, self._h(image)
+        return at
 
 
 def lasso(f, n):
@@ -91,16 +122,36 @@ def assert_bitwise_equal(res, ref):
 
 # --- the matvec count ----------------------------------------------------------
 
-@pytest.mark.parametrize("rule", ["ls1", "ls2", "ls4", "tseng-yun", "fixed"])
-def test_one_matvec_per_oracle_call(rule):
-    # the gradient at x_{k+1} reuses the image of its f-value: A^T only
+def matvec_run(rule):
     a, b = lasso_data(7)
     f = vmfbs.PNormResidual(a, b)
     config = vmfbs.SolverConfig(
         linesearch=search(rule, f.lipschitz_bound), max_iterations=400, tol_fixed_point=1e-8)
     res = solve(lasso(f, a.shape[1]), np.zeros(a.shape[1]), config)
     assert len(res.trace) > 250  # tseng-yun runs to the cap, the rest stop earlier
+    return f, res
+
+
+@pytest.mark.parametrize("rule", ["ls1", "fixed"])
+def test_one_matvec_per_oracle_call(rule):
+    # the gradient at x_{k+1} reuses the image of its f-value: A^T only
+    f, res = matvec_run(rule)
     assert f.a.matvecs == res.f_evals + res.grad_evals
+
+
+@pytest.mark.parametrize("rule", LAM_WALKS)
+def test_one_matvec_per_lam_walk(rule):
+    # f(x0), then per iteration one A dy for the whole walk and A^T for
+    # each gradient; the trials' images are recombined, not products
+    f, res = matvec_run(rule)
+    assert f.a.matvecs == 1 + len(res.trace) + res.grad_evals
+    assert res.f_evals > len(res.trace) + 1  # the walks backtracked
+
+
+def test_ls2_matvec_count_pinned():
+    f, res = matvec_run("ls2")
+    # 781 products when every trial took its own
+    assert (len(res.trace), res.f_evals, res.grad_evals, f.a.matvecs) == (293, 488, 293, 587)
 
 
 def test_ls3_matvec_count_pinned():
@@ -153,3 +204,36 @@ def test_kl_general_regime_bitwise_equal_to_fresh_products(rule):
     assert_bitwise_equal(*runs)
     # the searches backtracked and tested the domain, so the memo saw misses
     assert runs[0].trace.backtracks.sum() > 0
+
+
+# --- the base of a segment ----------------------------------------------------------
+
+def test_segment_base_is_the_image_of_the_last_gradient():
+    # x1 is the accepted point of one lam walk, so f(x1) and grad f(x1) come
+    # from the recombined image; the domain test at y overwrites the memo,
+    # as the general regime's domain walk does before the next lam walk.
+    # That walk must start from the same image: at lam = 0 it gives f(x1)
+    # bit for bit, where a fresh A x1 would move the last bits and turn a
+    # tie at a fixed point into a failed search.
+    rng = np.random.default_rng(5)
+    a = np.abs(rng.standard_normal((8, 5))) + 0.1
+    b = a @ (np.abs(rng.standard_normal(5)) + 0.5)
+    f = vmfbs.KLDivergence(a, b)
+    x0, dy = np.ones(5), 0.1 * rng.standard_normal(5)
+    bits = lambda v: np.float64(v).tobytes()
+    # the first trial of a halving walk whose value a fresh A x1 would change
+    for lam in 0.5 ** np.arange(10):
+        f.gradient(x0)
+        x1, f1 = f.along(x0, dy)(lam)
+        if bits(vmfbs.KLDivergence(a, b).value(x1)) != bits(f1):
+            break
+    else:
+        raise AssertionError("every trial's recombined value equals the fresh one")
+    f.gradient(x1)
+    y = x1 + 0.3 * np.abs(rng.standard_normal(5))
+    assert f.in_domain(y)
+    before = f.a.matvecs
+    point, value = f.along(x1, y - x1)(0.0)
+    assert f.a.matvecs == before + 1  # A dy alone
+    assert point.tobytes() == x1.tobytes()
+    assert bits(value) == bits(f1)
