@@ -202,6 +202,7 @@ def line_search(
         if t == 0.0:
             trials = i
             break
+        f_next = g_next = None
         if walks_gamma:
             gamma, lam = t, other
             if i > 0 or y is None:
@@ -217,14 +218,17 @@ def line_search(
             dy = y - x
             ns = float(w @ (dy * dy))
             gdot = float(dy @ grad)
+            x_next = x + lam * dy
+            if rule == "ls1":
+                f_next = f.value(x_next)
+                nf += 1
         else:
             lam = t
-        f_next = g_next = None
-        if walks_gamma or rule == "fixed":
-            x_next = x + lam * dy
-        else:
-            x_next, f_next = f_along(lam)
-            nf += 1
+            if rule == "fixed":
+                x_next = x + lam * dy
+            else:
+                x_next, f_next = f_along(lam)
+                nf += 1
         if rule == "ls3":
             if not f.in_domain(x_next):
                 continue
@@ -233,17 +237,13 @@ def line_search(
             dg = (grad_next - grad) / w
             lhs = math.sqrt(float(w @ (dg * dg)))
             rhs = (config.delta / gamma) * math.sqrt(ns)
+        elif rule in ("ls1", "ls2"):
+            lhs = f_next - fx - lam * gdot
+            rhs = (config.delta * lam / gamma) * ns
         elif rule != "fixed":
-            if rule == "ls1":
-                f_next = f.value(x_next)
-                nf += 1
-            if rule in ("ls1", "ls2"):
-                lhs = f_next - fx - lam * gdot
-                rhs = (config.delta * lam / gamma) * ns
-            else:
-                g_next = g.value(x_next)
-                lhs = (f_next + g_next) - fgx
-                rhs = lam * slope
+            g_next = g.value(x_next)
+            lhs = (f_next + g_next) - fgx
+            rhs = lam * slope
         # +inf or nan on the left is a failed trial, never an acceptance
         if rule == "fixed" or (math.isfinite(lhs) and lhs <= rhs + slack):
             # finish the step: f and g at x_next where the test did not need them

@@ -330,7 +330,7 @@ class LinearMap:
         return est
 
 
-def _key(x: np.ndarray) -> tuple:
+def _point_key(x: np.ndarray) -> tuple:
     return x.shape, x.tobytes()
 
 
@@ -354,7 +354,7 @@ class _Composite(SmoothTerm):
 
     def _image(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        key = _key(x)
+        key = _point_key(x)
         if key != self._key:
             ax = self.a.apply(x)
             self._key, self._ax, self._grad = key, ax, None
@@ -372,14 +372,15 @@ class _Composite(SmoothTerm):
 
     def along(self, x, dy):
         x = np.asarray(x, dtype=float)
+        dy = np.asarray(dy, dtype=float)
         base = self._base
-        ax = base[1] if base is not None and base[0] == _key(x) else self._image(x)
-        ady = self.a.apply(np.asarray(dy, dtype=float))
+        ax = base[1] if base is not None and base[0] == _point_key(x) else self._image(x)
+        ady = self.a.apply(dy)
 
         def at(lam):
             point = x + lam * dy
             image = ax + lam * ady
-            self._key, self._ax, self._grad = _key(point), image, None
+            self._key, self._ax, self._grad = _point_key(point), image, None
             return point, self._value(image)
         return at
 

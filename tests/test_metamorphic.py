@@ -26,7 +26,7 @@ The BB relation has one inexact part: the acceptance slack
 1e-14 (1 + |f(x)|) does not scale with f, so near a solution, where a
 comparison is decided by the slack alone, the two sides can part. On
 seeds 7 to 16, with the box or the L1 term, the first such step came
-at k = 32 or later (seed 8, box, ls2); the BB runs stop after
+at k = 30 or later (seed 8, box); the BB runs stop after
 ``BB_ITERATIONS`` = 25 steps, the constant-metric runs (whose f and
 slack do not move) after ``ITERATIONS``. Both run at tolerance 0, so
 both sides of a relation take the same number of steps.
@@ -117,11 +117,6 @@ def run(problem, x0, linesearch, schedule, iterations=ITERATIONS):
     return vmfbs.solve(problem, x0, config)
 
 
-def scaled(column, factor):
-    """``column * factor``, and whether that product is exact (a power of two)."""
-    return column * factor, math.log2(factor).is_integer()
-
-
 def assert_related(res, ref, *, gamma, value, metric):
     """``res`` is ``ref`` with gamma, f and g, and W scaled by the given factors."""
     assert res.termination == ref.termination
@@ -141,9 +136,9 @@ def assert_related(res, ref, *, gamma, value, metric):
     for name in UNSCALED:
         assert res.trace.column(name).tobytes() == ref.trace.column(name).tobytes(), name
     for name, factor in factors.items():
-        want, exact = scaled(ref.trace.column(name), factor)
+        want = ref.trace.column(name) * factor
         got = res.trace.column(name)
-        if exact:
+        if math.log2(factor).is_integer():  # a power of two: the product is exact
             assert np.array_equal(got, want, equal_nan=True), name
         else:
             np.testing.assert_allclose(got, want, rtol=ROUNDOFF, err_msg=name)
