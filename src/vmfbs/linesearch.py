@@ -30,8 +30,9 @@ lam at a fixed gamma, so y is computed once. Only the test differs:
 A lam walk of ls2, ls4 or Tseng-Yun evaluates f at its trials through
 ``SmoothTerm.along(x, y - x)``. For f = h(A.) that takes one product
 A (y - x) per walk, and each trial's image is Ax + lam A(y - x), not a
-fresh product A(x + lam (y - x)). The gamma walks and the fixed step
-evaluate f at each point.
+fresh product A(x + lam (y - x)); a wrapper around such a term that
+passes ``value`` on keeps that. ls1 evaluates f at each point, and
+ls3 and the fixed step only at the accepted one.
 
 An accepted step comes back with f and g at x_next, evaluated on
 acceptance where its test did not need them (the f call is counted).
@@ -143,6 +144,14 @@ class StepOutcome:
     prox_evals: int = 0
 
 
+def _at_points(f, x, dy):
+    """``at(lam) -> (point, f(point))`` on x + lam * dy, each point a plain ``value`` call."""
+    def at(lam):
+        point = x + lam * dy
+        return point, f.value(point)
+    return at
+
+
 def line_search(
     problem: CompositeProblem,
     w: np.ndarray,
@@ -218,17 +227,15 @@ def line_search(
             dy = y - x
             ns = float(w @ (dy * dy))
             gdot = float(dy @ grad)
-            x_next = x + lam * dy
             if rule == "ls1":
-                f_next = f.value(x_next)
-                nf += 1
+                f_along = _at_points(f, x, dy)
         else:
             lam = t
-            if rule == "fixed":
-                x_next = x + lam * dy
-            else:
-                x_next, f_next = f_along(lam)
-                nf += 1
+        if rule in ("ls3", "fixed"):
+            x_next = x + lam * dy
+        else:
+            x_next, f_next = f_along(lam)
+            nf += 1
         if rule == "ls3":
             if not f.in_domain(x_next):
                 continue

@@ -9,6 +9,7 @@ trial as an ordinary failed comparison.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ __all__ = [
     "SearchFailure",
     "as_vector",
     "check_count",
+    "Walk",
+    "walk_at",
     "SmoothTerm",
     "ProxTerm",
     "CompositeProblem",
@@ -97,13 +100,47 @@ class SmoothTerm:
         """f on the segment from x in the direction dy, as ``at(lam) -> (point, f(point))``.
 
         ``point`` is x + lam * dy. A lam walk calls ``along`` once and
-        ``at`` for each trial, so a term may compute once what the trials
-        share. This default evaluates ``value`` at each point.
+        ``at`` for each trial. ``at`` calls ``value(point)`` with the
+        walk current, so a term (or the term behind a wrapper that passes
+        ``value`` on) may evaluate the point from what the trials share:
+        see :func:`walk_at`. A term that does not ask evaluates ``point``
+        as any other.
         """
+        walk = Walk(x, dy)
+
         def at(lam):
-            point = x + lam * dy
-            return point, self.value(point)
+            point = walk.point = x + lam * dy
+            walk.lam = lam
+            token = _CURRENT_WALK.set(walk)
+            try:
+                return point, self.value(point)
+            finally:
+                _CURRENT_WALK.reset(token)
         return at
+
+
+class Walk:
+    """One lam walk: the points x + lam * dy, and its current trial ``(lam, point)``."""
+
+    __slots__ = ("x", "dy", "lam", "point")
+
+    def __init__(self, x: np.ndarray, dy: np.ndarray):
+        self.x, self.dy = x, dy
+        self.lam = self.point = None
+
+
+_CURRENT_WALK: ContextVar[Walk | None] = ContextVar("vmfbs_current_walk", default=None)
+
+
+def walk_at(point) -> Walk | None:
+    """The lam walk whose current trial is ``point`` (the same array object), or None.
+
+    Set only inside ``SmoothTerm.along``'s ``at`` and per thread, so a
+    term asked for ``value(point)`` by a delegating wrapper still sees
+    the walk, and a query at any other array sees none.
+    """
+    walk = _CURRENT_WALK.get()
+    return walk if walk is not None and walk.point is point else None
 
 
 class ProxTerm:

@@ -20,16 +20,19 @@ at an accepted trial point costs one A^T product and a repeated query
 none. For these three the memo is bit-transparent: a reused image is
 the product a fresh call would compute.
 
-The segment evaluation ``along(x, dy)`` recombines instead. It takes
-one product A dy and evaluates each point x + lam dy of a lam walk at
-the image Ax + lam (A dy), with Ax the image that gave f(x) and
-grad f(x): the terms keep the image of the last gradient query beside
-the memo, so a query at another point in between (the domain walk's
-at y) does not move it. The recombined image is stored as the image of
-its point, so f, grad f and the domain test there all come from that
-one image; it differs from A(x + lam dy) in the last bits. The memo is
-plain instance state: one term instance must not be shared by solves
-running in concurrent threads.
+The trials of a lam walk recombine instead. ``SmoothTerm.along(x, dy)``
+asks ``value`` at each point x + lam dy with the walk current
+(``problems.walk_at``); the terms then take one product A dy per walk
+and evaluate the point at the image Ax + lam (A dy), with Ax the image
+that gave f(x) and grad f(x): they keep the image of the last gradient
+query beside the memo, so a query at another point in between (the
+domain walk's at y) does not move it. The recombined image is stored
+as the image of its point, so f, grad f and the domain test there all
+come from that one image; it differs from A(x + lam dy) in the last
+bits. A wrapper that passes ``value`` on inherits ``along`` and gets
+the same bits and products as the term itself. The memo is plain
+instance state: one term instance must not be shared by solves running
+in concurrent threads.
 
 ``LinearMap`` stores its matrix with every subnormal entry set to +0.0,
 so no product meets a subnormal operand (slow on x86); each output of
@@ -44,7 +47,7 @@ import math
 
 import numpy as np
 
-from .problems import SmoothTerm, UsageError, as_vector
+from .problems import SmoothTerm, UsageError, as_vector, walk_at
 
 __all__ = [
     "LinearMap",
@@ -341,7 +344,8 @@ class _Composite(SmoothTerm):
     image Ax, and its gradient once computed. Keying on bytes makes -0.0
     and 0.0 distinct points and lets an array changed in place miss.
     Beside it, ``_base`` keeps the key and image of the last gradient
-    query, the base of the next segment. Subclasses supply h as
+    query, the base of the next segment, and ``_segment`` the current
+    lam walk with its base image and A dy. Subclasses supply h as
     ``_value(ax)`` and its gradient as ``_outer_gradient(ax)``, so that
     grad f(x) = A^T grad h(Ax).
     """
@@ -351,14 +355,29 @@ class _Composite(SmoothTerm):
     _ax: np.ndarray | None = None
     _grad: np.ndarray | None = None
     _base: tuple | None = None
+    _segment: tuple | None = None
 
     def _image(self, x) -> np.ndarray:
+        walk = walk_at(x)
+        if walk is not None:
+            self._key, self._ax, self._grad = _point_key(x), self._recombine(walk), None
+            return self._ax
         x = np.asarray(x, dtype=float)
         key = _point_key(x)
         if key != self._key:
             ax = self.a.apply(x)
             self._key, self._ax, self._grad = key, ax, None
         return self._ax
+
+    def _recombine(self, walk) -> np.ndarray:
+        """The image Ax + lam (A dy) of the walk's current trial."""
+        seg = self._segment
+        if seg is None or seg[0] is not walk:
+            base = self._base
+            x = np.asarray(walk.x, dtype=float)
+            ax = base[1] if base is not None and base[0] == _point_key(x) else self._image(x)
+            seg = self._segment = (walk, ax, self.a.apply(np.asarray(walk.dy, dtype=float)))
+        return seg[1] + walk.lam * seg[2]
 
     def value(self, x) -> float:
         return self._value(self._image(x))
@@ -369,20 +388,6 @@ class _Composite(SmoothTerm):
             self._grad = self.a.adjoint(self._outer_gradient(ax))
         self._base = (self._key, ax)
         return self._grad.copy()
-
-    def along(self, x, dy):
-        x = np.asarray(x, dtype=float)
-        dy = np.asarray(dy, dtype=float)
-        base = self._base
-        ax = base[1] if base is not None and base[0] == _point_key(x) else self._image(x)
-        ady = self.a.apply(dy)
-
-        def at(lam):
-            point = x + lam * dy
-            image = ax + lam * ady
-            self._key, self._ax, self._grad = _point_key(point), image, None
-            return point, self._value(image)
-        return at
 
 
 class PNormResidual(_Composite):

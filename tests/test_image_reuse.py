@@ -8,7 +8,9 @@ match, bit for bit, a solve with a reference term written in plain
 numpy: a fresh ``a @ x`` on every call, except that its segment
 evaluation keeps the current iterate's image and takes one ``a @ dy``
 per walk in the same way. The products saved must show in the matvec
-counter.
+counter. A wrapper that passes ``value``, ``gradient`` and
+``in_domain`` on, and inherits ``along``, must solve bit for bit as the
+term it wraps, with the same products.
 """
 
 import numpy as np
@@ -223,3 +225,84 @@ def test_segment_base_is_the_image_of_the_last_gradient():
     assert f.a.matvecs == before + 1  # A dy alone
     assert point.tobytes() == x1.tobytes()
     assert bits(value) == bits(f1)
+
+
+# --- a term behind a delegating wrapper -----------------------------------------
+
+class Delegating(vmfbs.SmoothTerm):
+    """Passes ``value``, ``gradient`` and ``in_domain`` on, and nothing else."""
+
+    def __init__(self, f):
+        self._f = f
+        self.lower_bound = f.lower_bound
+
+    @property
+    def lipschitz_bound(self):
+        return self._f.lipschitz_bound
+
+    def value(self, x):
+        return self._f.value(x)
+
+    def gradient(self, x):
+        return self._f.gradient(x)
+
+    def in_domain(self, x):
+        return self._f.in_domain(x)
+
+
+@pytest.mark.parametrize("rule", BACKTRACKING + ("fixed",))
+def test_wrapped_term_solves_bitwise_as_the_term(rule):
+    # the wrapper inherits SmoothTerm.along, whose trials reach the term's
+    # value with the walk current: the term recombines the same images,
+    # with the same products, as when the solver holds it directly
+    a, b = lasso_data(11)
+    n = a.shape[1]
+    runs, matvecs = [], []
+    for wrap in (lambda f: f, Delegating):
+        f = vmfbs.PNormResidual(a, b)
+        config = vmfbs.SolverConfig(
+            linesearch=search(rule, f.lipschitz_bound), max_iterations=300,
+            tol_fixed_point=1e-9, record_states=True)
+        runs.append(solve(lasso(wrap(f), n), np.zeros(n), config))
+        matvecs.append(f.a.matvecs)
+    assert_bitwise_equal(*runs)
+    assert matvecs[0] == matvecs[1]
+
+
+@pytest.mark.parametrize("rule", LAM_WALKS)
+def test_wrapped_kl_general_regime_solves_bitwise_as_the_term(rule):
+    rng = np.random.default_rng(5)
+    m, n = 8, 5
+    a = np.abs(rng.standard_normal((m, n))) + 0.1
+    b = a @ (np.abs(rng.standard_normal(n)) + 0.5)
+    runs, matvecs = [], []
+    for wrap in (lambda f: f, Delegating):
+        f = vmfbs.KLDivergence(a, b)
+        problem = vmfbs.CompositeProblem(
+            f=wrap(f), g=vmfbs.BoxIndicator(0.0, np.inf), dimension=n, domain_regime="general")
+        config = vmfbs.SolverConfig(
+            linesearch=vmfbs.LineSearchConfig(rule=rule, gamma_max=8.0),
+            metrics=vmfbs.bb_schedule(n, nu=0.25, mu=4.0),
+            max_iterations=300, tol_fixed_point=1e-7, record_states=True)
+        runs.append(solve(problem, np.ones(n), config))
+        matvecs.append(f.a.matvecs)
+    assert_bitwise_equal(*runs)
+    assert matvecs[0] == matvecs[1]
+
+
+def test_walk_is_seen_only_at_its_trial_point():
+    # outside a trial the walk is not current, so a query at another point
+    # of the segment is a fresh product
+    a, b = lasso_data(3)
+    f = vmfbs.PNormResidual(a, b)
+    x, dy = np.ones(a.shape[1]), np.linspace(-1.0, 1.0, a.shape[1])
+    f.gradient(x)
+    at = f.along(x, dy)
+    before = f.a.matvecs
+    point, _ = at(0.5)
+    assert f.a.matvecs == before + 1  # A dy alone
+    assert vmfbs.problems.walk_at(point) is None
+    other = x + 0.25 * dy
+    bits = lambda v: np.float64(v).tobytes()
+    assert bits(f.value(other)) == bits(vmfbs.PNormResidual(a, b).value(other))
+    assert f.a.matvecs == before + 2
