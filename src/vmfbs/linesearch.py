@@ -231,6 +231,8 @@ def line_search(
                 f_along = _at_points(f, x, dy)
         else:
             lam = t
+        # ls1 and the lam walks test f at every trial; ls3 and the fixed
+        # step need it at the accepted point only
         if rule in ("ls3", "fixed"):
             x_next = x + lam * dy
         else:

@@ -19,8 +19,6 @@ __all__ = [
     "SearchFailure",
     "as_vector",
     "check_count",
-    "Walk",
-    "walk_at",
     "SmoothTerm",
     "ProxTerm",
     "CompositeProblem",
@@ -101,12 +99,12 @@ class SmoothTerm:
 
         ``point`` is x + lam * dy. A lam walk calls ``along`` once and
         ``at`` for each trial. ``at`` calls ``value(point)`` with the
-        walk current, so a term (or the term behind a wrapper that passes
-        ``value`` on) may evaluate the point from what the trials share:
-        see :func:`walk_at`. A term that does not ask evaluates ``point``
-        as any other.
+        walk current, so the library's composite terms, also behind a
+        wrapper that passes ``value`` on, evaluate the point from what
+        the trials share; any other term evaluates ``point`` as any
+        other point. A term may override ``along`` instead.
         """
-        walk = Walk(x, dy)
+        walk = _Walk(x, dy)
 
         def at(lam):
             point = walk.point = x + lam * dy
@@ -119,7 +117,7 @@ class SmoothTerm:
         return at
 
 
-class Walk:
+class _Walk:
     """One lam walk: the points x + lam * dy, and its current trial ``(lam, point)``."""
 
     __slots__ = ("x", "dy", "lam", "point")
@@ -129,18 +127,11 @@ class Walk:
         self.lam = self.point = None
 
 
-_CURRENT_WALK: ContextVar[Walk | None] = ContextVar("vmfbs_current_walk", default=None)
-
-
-def walk_at(point) -> Walk | None:
-    """The lam walk whose current trial is ``point`` (the same array object), or None.
-
-    Set only inside ``SmoothTerm.along``'s ``at`` and per thread, so a
-    term asked for ``value(point)`` by a delegating wrapper still sees
-    the walk, and a query at any other array sees none.
-    """
-    walk = _CURRENT_WALK.get()
-    return walk if walk is not None and walk.point is point else None
+# The walk whose trial ``at`` is evaluating, per thread. A term reads it
+# in ``value(point)``: a wrapper that passes ``value`` on (and inherits
+# ``along``) hands the term the trial's own array, so the term can tell
+# a trial point (``walk.point is point``) from any other query.
+_CURRENT_WALK: ContextVar[_Walk | None] = ContextVar("vmfbs_current_walk", default=None)
 
 
 class ProxTerm:

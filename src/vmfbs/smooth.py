@@ -21,8 +21,8 @@ none. For these three the memo is bit-transparent: a reused image is
 the product a fresh call would compute.
 
 The trials of a lam walk recombine instead. ``SmoothTerm.along(x, dy)``
-asks ``value`` at each point x + lam dy with the walk current
-(``problems.walk_at``); the terms then take one product A dy per walk
+asks ``value`` at each point x + lam dy with the walk current; the
+terms recognise the trial's own array and take one product A dy per walk
 and evaluate the point at the image Ax + lam (A dy), with Ax the image
 that gave f(x) and grad f(x): they keep the image of the last gradient
 query beside the memo, so a query at another point in between (the
@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .problems import SmoothTerm, UsageError, as_vector, walk_at
+from .problems import _CURRENT_WALK, SmoothTerm, UsageError, as_vector
 
 __all__ = [
     "LinearMap",
@@ -358,26 +358,28 @@ class _Composite(SmoothTerm):
     _segment: tuple | None = None
 
     def _image(self, x) -> np.ndarray:
-        walk = walk_at(x)
-        if walk is not None:
-            self._key, self._ax, self._grad = _point_key(x), self._recombine(walk), None
-            return self._ax
-        x = np.asarray(x, dtype=float)
-        key = _point_key(x)
-        if key != self._key:
+        walk = _CURRENT_WALK.get()
+        if walk is not None and walk.point is x:
+            seg = self._segment
+            if seg is None or seg[0] is not walk:
+                seg = self._segment = (walk, self._base_image(walk.x), self.a.apply(walk.dy))
+            ax = seg[1] + walk.lam * seg[2]
+            key = (x.shape, x.tobytes())
+        else:
+            x = np.asarray(x, dtype=float)
+            key = _point_key(x)
+            if key == self._key:
+                return self._ax
             ax = self.a.apply(x)
-            self._key, self._ax, self._grad = key, ax, None
-        return self._ax
+        self._key, self._ax, self._grad = key, ax, None
+        return ax
 
-    def _recombine(self, walk) -> np.ndarray:
-        """The image Ax + lam (A dy) of the walk's current trial."""
-        seg = self._segment
-        if seg is None or seg[0] is not walk:
-            base = self._base
-            x = np.asarray(walk.x, dtype=float)
-            ax = base[1] if base is not None and base[0] == _point_key(x) else self._image(x)
-            seg = self._segment = (walk, ax, self.a.apply(np.asarray(walk.dy, dtype=float)))
-        return seg[1] + walk.lam * seg[2]
+    def _base_image(self, x) -> np.ndarray:
+        """Ax for the start x of a walk: the last gradient query's image when x is its point."""
+        base = self._base
+        if base is not None and base[0] == _point_key(x):
+            return base[1]
+        return self._image(x)
 
     def value(self, x) -> float:
         return self._value(self._image(x))

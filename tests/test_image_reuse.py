@@ -13,6 +13,9 @@ counter. A wrapper that passes ``value``, ``gradient`` and
 term it wraps, with the same products.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -299,10 +302,43 @@ def test_walk_is_seen_only_at_its_trial_point():
     f.gradient(x)
     at = f.along(x, dy)
     before = f.a.matvecs
-    point, _ = at(0.5)
+    at(0.5)
     assert f.a.matvecs == before + 1  # A dy alone
-    assert vmfbs.problems.walk_at(point) is None
     other = x + 0.25 * dy
     bits = lambda v: np.float64(v).tobytes()
     assert bits(f.value(other)) == bits(vmfbs.PNormResidual(a, b).value(other))
     assert f.a.matvecs == before + 2
+
+
+def test_concurrent_solves_each_see_their_own_walk():
+    # the current walk is per thread: solves of separate terms running in
+    # threads that switch every few microseconds give the sequential bits
+    a, b = lasso_data(11)
+    n = a.shape[1]
+
+    def run():
+        f = vmfbs.PNormResidual(a, b)
+        config = vmfbs.SolverConfig(
+            linesearch=search("ls2"), max_iterations=300, tol_fixed_point=1e-9)
+        return solve(lasso(f, n), np.zeros(n), config)
+
+    ref = run()
+    results = [None] * 4
+
+    def work(i):
+        results[i] = run()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for res in results:
+        assert res.x_final.tobytes() == ref.x_final.tobytes()
+        assert res.trace.column("F").tobytes() == ref.trace.column("F").tobytes()
