@@ -27,12 +27,15 @@ lam at a fixed gamma, so y is computed once. Only the test differs:
   from ``fixed_lam`` that takes its first trial; the solver validated
   the step bound before the run.
 
-A lam walk of ls2, ls4 or Tseng-Yun evaluates f at its trials through
-``SmoothTerm.along(x, y - x)``. For f = h(A.) that takes one product
-A (y - x) per walk, and each trial's image is Ax + lam A(y - x), not a
-fresh product A(x + lam (y - x)); a wrapper around such a term that
-passes ``value`` on keeps that. ls1 evaluates f at each point, and
-ls3 and the fixed step only at the accepted one.
+Every trial is the point x_next = x + lam * (y - x), and f is evaluated
+there in one place. ls1 and the lam walks evaluate it at each trial,
+ls3 and the fixed step only at the accepted one. A lam walk of ls2, ls4
+or Tseng-Yun is current (``problems._CURRENT_WALK``) while its grid is
+walked, its trial point set before each ``f.value``: for f = h(A.) that
+takes one product A (y - x) per walk, and each trial's image is
+Ax + lam A(y - x), not a fresh product A(x + lam (y - x)); a wrapper
+around such a term that passes ``value`` on keeps that. No walk is
+current once the call returns or raises.
 
 An accepted step comes back with f and g at x_next, evaluated on
 acceptance where its test did not need them (the f call is counted).
@@ -52,7 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import CompositeProblem, SearchFailure, UsageError, check_count
+from .problems import (
+    _CURRENT_WALK, CompositeProblem, SearchFailure, UsageError, _Walk, check_count,
+)
 
 __all__ = ["RULES", "LineSearchConfig", "StepOutcome", "line_search"]
 
@@ -144,14 +149,6 @@ class StepOutcome:
     prox_evals: int = 0
 
 
-def _at_points(f, x, dy):
-    """``at(lam) -> (point, f(point))`` on x + lam * dy, each point a plain ``value`` call."""
-    def at(lam):
-        point = x + lam * dy
-        return point, f.value(point)
-    return at
-
-
 def line_search(
     problem: CompositeProblem,
     w: np.ndarray,
@@ -187,6 +184,7 @@ def line_search(
     nf = ngrad = nprox = 0
     ell = None
     lhs = rhs = np.nan
+    walk = None
     if not walks_gamma:
         gamma = other
         if y is None:
@@ -196,7 +194,7 @@ def line_search(
         ns = float(w @ (dy * dy))
         gdot = float(dy @ grad)
         if rule != "fixed":
-            f_along = f.along(x, dy)
+            walk = _Walk(x, dy)
         if rule in ("ls4", "tseng-yun"):
             ell = g.value(y) - gx + gdot
             if rule == "ls4":
@@ -206,72 +204,75 @@ def line_search(
     fgx = fx + gx
     slack = 1e-14 * (1.0 + abs(fx))
     trials = config.max_backtracks + 1
-    for i in range(trials):
-        t = start * config.theta**i
-        if t == 0.0:
-            trials = i
-            break
-        f_next = g_next = None
-        if walks_gamma:
-            gamma, lam = t, other
-            if i > 0 or y is None:
-                y = g.prox(x - gamma * scaled_grad, gamma, w)
-                nprox += 1
-            if rule == "domain":
-                if f.in_domain(y):
-                    return StepOutcome(
-                        gamma=gamma, lam=lam, y=y, x_next=None, backtracks=i,
-                        norm_sq_yx=math.nan, gdot=math.nan, prox_evals=nprox,
-                    )
-                continue
-            dy = y - x
-            ns = float(w @ (dy * dy))
-            gdot = float(dy @ grad)
-            if rule == "ls1":
-                f_along = _at_points(f, x, dy)
-        else:
-            lam = t
-        # ls1 and the lam walks test f at every trial; ls3 and the fixed
-        # step need it at the accepted point only
-        if rule in ("ls3", "fixed"):
+    token = _CURRENT_WALK.set(walk)
+    try:
+        for i in range(trials):
+            t = start * config.theta**i
+            if t == 0.0:
+                trials = i
+                break
+            f_next = g_next = None
+            if walks_gamma:
+                gamma, lam = t, other
+                if i > 0 or y is None:
+                    y = g.prox(x - gamma * scaled_grad, gamma, w)
+                    nprox += 1
+                if rule == "domain":
+                    if f.in_domain(y):
+                        return StepOutcome(
+                            gamma=gamma, lam=lam, y=y, x_next=None, backtracks=i,
+                            norm_sq_yx=math.nan, gdot=math.nan, prox_evals=nprox,
+                        )
+                    continue
+                dy = y - x
+                ns = float(w @ (dy * dy))
+                gdot = float(dy @ grad)
+            else:
+                lam = t
             x_next = x + lam * dy
-        else:
-            x_next, f_next = f_along(lam)
-            nf += 1
-        if rule == "ls3":
-            if not f.in_domain(x_next):
-                continue
-            grad_next = f.gradient(x_next)
-            ngrad += 1
-            dg = (grad_next - grad) / w
-            lhs = math.sqrt(float(w @ (dg * dg)))
-            rhs = (config.delta / gamma) * math.sqrt(ns)
-        elif rule in ("ls1", "ls2"):
-            lhs = f_next - fx - lam * gdot
-            rhs = (config.delta * lam / gamma) * ns
-        elif rule != "fixed":
-            g_next = g.value(x_next)
-            lhs = (f_next + g_next) - fgx
-            rhs = lam * slope
-        # +inf or nan on the left is a failed trial, never an acceptance
-        if rule == "fixed" or (math.isfinite(lhs) and lhs <= rhs + slack):
-            # finish the step: f and g at x_next where the test did not need them
-            if f_next is None:
+            if walk is not None:
+                walk.lam, walk.point = lam, x_next
+            # ls1 and the lam walks test f at every trial; ls3 and the fixed
+            # step need it at the accepted point only
+            if rule not in ("ls3", "fixed"):
                 f_next = f.value(x_next)
                 nf += 1
-            if g_next is None:
+            if rule == "ls3":
+                if not f.in_domain(x_next):
+                    continue
+                grad_next = f.gradient(x_next)
+                ngrad += 1
+                dg = (grad_next - grad) / w
+                lhs = math.sqrt(float(w @ (dg * dg)))
+                rhs = (config.delta / gamma) * math.sqrt(ns)
+            elif rule in ("ls1", "ls2"):
+                lhs = f_next - fx - lam * gdot
+                rhs = (config.delta * lam / gamma) * ns
+            elif rule != "fixed":
                 g_next = g.value(x_next)
-            return StepOutcome(
-                gamma=gamma, lam=lam, y=y, x_next=x_next, backtracks=i, norm_sq_yx=ns,
-                gdot=gdot, f_next=f_next, g_next=g_next, ell=ell,
-                f_evals=nf, grad_evals=ngrad, prox_evals=nprox,
-            )
-    budget = config.max_backtracks
-    raise SearchFailure(
-        f"{rule}: no grid point accepted within {budget} backtracks" if trials > budget
-        else f"{rule}: grid point {trials} underflows to 0.0, none accepted before it",
-        diagnostics={
-            "rule": rule, "trials": trials, "x": x,
-            "gamma_last": gamma, "lam_last": lam, "lhs": lhs, "rhs": rhs,
-        },
-    )
+                lhs = (f_next + g_next) - fgx
+                rhs = lam * slope
+            # +inf or nan on the left is a failed trial, never an acceptance
+            if rule == "fixed" or (math.isfinite(lhs) and lhs <= rhs + slack):
+                # finish the step: f and g at x_next where the test did not need them
+                if f_next is None:
+                    f_next = f.value(x_next)
+                    nf += 1
+                if g_next is None:
+                    g_next = g.value(x_next)
+                return StepOutcome(
+                    gamma=gamma, lam=lam, y=y, x_next=x_next, backtracks=i, norm_sq_yx=ns,
+                    gdot=gdot, f_next=f_next, g_next=g_next, ell=ell,
+                    f_evals=nf, grad_evals=ngrad, prox_evals=nprox,
+                )
+        budget = config.max_backtracks
+        raise SearchFailure(
+            f"{rule}: no grid point accepted within {budget} backtracks" if trials > budget
+            else f"{rule}: grid point {trials} underflows to 0.0, none accepted before it",
+            diagnostics={
+                "rule": rule, "trials": trials, "x": x,
+                "gamma_last": gamma, "lam_last": lam, "lhs": lhs, "rhs": rhs,
+            },
+        )
+    finally:
+        _CURRENT_WALK.reset(token)

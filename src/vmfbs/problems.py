@@ -75,7 +75,6 @@ class SmoothTerm:
     ``value`` returns ``inf`` outside dom f. ``gradient`` is only defined
     on the interior of dom f and raises :class:`UsageError` elsewhere.
     ``in_domain`` is the one domain question the solver asks of f.
-    ``along`` evaluates f on the points of one lam walk.
     ``lipschitz_bound`` is a global Lipschitz constant of the gradient
     when one is known, else None.
     """
@@ -94,28 +93,6 @@ class SmoothTerm:
         """Whether x lies in int dom f, where f is finite and differentiable."""
         return True
 
-    def along(self, x: np.ndarray, dy: np.ndarray):
-        """f on the segment from x in the direction dy, as ``at(lam) -> (point, f(point))``.
-
-        ``point`` is x + lam * dy. A lam walk calls ``along`` once and
-        ``at`` for each trial. ``at`` calls ``value(point)`` with the
-        walk current, so the library's composite terms, also behind a
-        wrapper that passes ``value`` on, evaluate the point from what
-        the trials share; any other term evaluates ``point`` as any
-        other point. A term may override ``along`` instead.
-        """
-        walk = _Walk(x, dy)
-
-        def at(lam):
-            point = walk.point = x + lam * dy
-            walk.lam = lam
-            token = _CURRENT_WALK.set(walk)
-            try:
-                return point, self.value(point)
-            finally:
-                _CURRENT_WALK.reset(token)
-        return at
-
 
 class _Walk:
     """One lam walk: the points x + lam * dy, and its current trial ``(lam, point)``."""
@@ -127,10 +104,10 @@ class _Walk:
         self.lam = self.point = None
 
 
-# The walk whose trial ``at`` is evaluating, per thread. A term reads it
-# in ``value(point)``: a wrapper that passes ``value`` on (and inherits
-# ``along``) hands the term the trial's own array, so the term can tell
-# a trial point (``walk.point is point``) from any other query.
+# The lam walk that ``line_search`` is running, per thread, or None. A
+# term reads it in ``value(point)``: a wrapper that passes ``value`` on
+# hands the term the trial's own array, so the term can tell a trial
+# point (``walk.point is point``) from any other query.
 _CURRENT_WALK: ContextVar[_Walk | None] = ContextVar("vmfbs_current_walk", default=None)
 
 

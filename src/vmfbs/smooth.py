@@ -20,16 +20,16 @@ at an accepted trial point costs one A^T product and a repeated query
 none. For these three the memo is bit-transparent: a reused image is
 the product a fresh call would compute.
 
-The trials of a lam walk recombine instead. ``SmoothTerm.along(x, dy)``
-asks ``value`` at each point x + lam dy with the walk current; the
-terms recognise the trial's own array and take one product A dy per walk
-and evaluate the point at the image Ax + lam (A dy), with Ax the image
-that gave f(x) and grad f(x): they keep the image of the last gradient
-query beside the memo, so a query at another point in between (the
-domain walk's at y) does not move it. The recombined image is stored
-as the image of its point, so f, grad f and the domain test there all
-come from that one image; it differs from A(x + lam dy) in the last
-bits. A wrapper that passes ``value`` on inherits ``along`` and gets
+The trials of a lam walk recombine instead. ``line_search`` makes its
+walk from x in the direction dy current and asks ``value`` at each
+trial point x + lam dy; the terms recognise the trial's own array and
+take one product A dy per walk and evaluate the point at the image
+Ax + lam (A dy), with Ax the image that gave f(x) and grad f(x): they
+keep the image of the last gradient query beside the memo, so a query
+at another point in between (the domain walk's at y) does not move it.
+The recombined image is stored as the image of its point, so f, grad f
+and the domain test there all come from that one image; it differs from
+A(x + lam dy) in the last bits. A wrapper that passes ``value`` on gets
 the same bits and products as the term itself. The memo is plain
 instance state: one term instance must not be shared by solves running
 in concurrent threads.

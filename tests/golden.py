@@ -10,11 +10,13 @@ Per batch the file holds the trace columns in ``COLUMNS`` concatenated
 over the runs, the row count, termination and dimension of each run,
 and the concatenated final iterates. The objective column ``F``, which
 does not compress, is kept per run as its last value plus a BLAKE2b
-digest of the bytes of all the rows before it.
+digest of the bytes of all the rows before it, one row of 16 ``uint8``
+per run (a numpy ``S16`` element would drop a digest's trailing NUL
+bytes when read).
 
 The committed ``tests/golden_traces.npz`` was recorded with the one
 grid-walk kernel ``linesearch.line_search``, whose lam walks (ls2, ls4,
-tseng-yun) evaluate f through ``SmoothTerm.along``, and
+tseng-yun) evaluate each trial at Ax + lam A dy, and
 ``tests/test_golden.py`` requires every array to be bitwise equal.
 Recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64) by:
 
@@ -63,6 +65,11 @@ def head_digest(column: np.ndarray) -> bytes:
     return hashlib.blake2b(np.ascontiguousarray(column[:-1]).tobytes(), digest_size=16).digest()
 
 
+def head_digests(columns) -> np.ndarray:
+    """``head_digest`` of each column, one row of 16 ``uint8`` per column."""
+    return np.array([np.frombuffer(head_digest(c), np.uint8) for c in columns]).reshape(-1, 16)
+
+
 def record(batch: str, count: int = 200) -> dict:
     """One batch as flat arrays, keyed ``<batch>/<name>``."""
     runs = [batch_run(i, **BATCHES[batch]) for i in range(count)]
@@ -71,7 +78,7 @@ def record(batch: str, count: int = 200) -> dict:
         f"{batch}/{name}": np.concatenate([r.trace.column(name) for r in results])
         for name in COLUMNS
     }
-    out[f"{batch}/F_head"] = np.array([head_digest(r.trace.F) for r in results])
+    out[f"{batch}/F_head"] = head_digests([r.trace.F for r in results])
     out[f"{batch}/F_last"] = np.array([r.trace.F[-1] for r in results])
     out[f"{batch}/rows"] = np.array([len(r.trace) for r in results])
     out[f"{batch}/termination"] = np.array([r.termination for r in results])

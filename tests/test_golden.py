@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from golden import BATCHES, head_digest, record
+from golden import BATCHES, batch_run, head_digest, head_digests, record
 
 GOLDEN = np.load(Path(__file__).with_name("golden_traces.npz"))
 
@@ -33,3 +33,13 @@ def test_head_digest_sees_one_bit():
     flipped[0] = np.nextafter(1.0, 2.0)
     assert head_digest(col) != head_digest(flipped)
     assert head_digest(col) == head_digest(np.array([1.0, 2.0, -7.0]))
+
+
+def test_digest_ending_in_nul_reads_back_per_run():
+    # run 162 of b02 has the one digest of the file that ends in 0x00: it
+    # must read back with all 16 bytes, per run, as recorded and as new
+    _, res = batch_run(162, **BATCHES["b02"])
+    digest = head_digest(res.trace.F)
+    assert len(digest) == 16 and digest[-1] == 0
+    assert GOLDEN["b02/F_head"][162].tobytes() == digest
+    assert head_digests([res.trace.F])[0].tobytes() == digest

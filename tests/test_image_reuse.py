@@ -1,18 +1,19 @@
 """Reuse of images Ax inside the composite smooth terms.
 
-The terms remember the image and gradient of the last point queried,
-and a lam walk (ls2, ls4, tseng-yun) evaluates its trials through
-``along``: one product A dy per walk, each trial at the image
-Ax + lam A dy, stored as the image of its point. Every solve must
-match, bit for bit, a solve with a reference term written in plain
-numpy: a fresh ``a @ x`` on every call, except that its segment
-evaluation keeps the current iterate's image and takes one ``a @ dy``
-per walk in the same way. The products saved must show in the matvec
-counter. A wrapper that passes ``value``, ``gradient`` and
-``in_domain`` on, and inherits ``along``, must solve bit for bit as the
-term it wraps, with the same products.
+The terms remember the image and gradient of the last point queried.
+A lam walk (ls2, ls4, tseng-yun) is current while ``line_search`` runs
+it, and the terms recognise its trial points: one product A dy per
+walk, each trial at the image Ax + lam A dy, stored as the image of its
+point. Every solve must match, bit for bit, a solve with a reference
+term written in plain numpy: a fresh ``a @ x`` on every call, except
+that it reads the current walk in the same way, keeps the current
+iterate's image and takes one ``a @ dy`` per walk. The products saved
+must show in the matvec counter. A wrapper that passes ``value``,
+``gradient`` and ``in_domain`` on must solve bit for bit as the term it
+wraps, with the same products.
 """
 
+import contextlib
 import sys
 import threading
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import vmfbs
+from vmfbs import problems
 from vmfbs.solver import IterateTrace, solve
 
 BACKTRACKING = ("ls1", "ls2", "ls3", "ls4", "tseng-yun")
@@ -29,10 +31,11 @@ LAM_WALKS = ("ls2", "ls4", "tseng-yun")
 class FreshTerm(vmfbs.SmoothTerm):
     """The lp residual or KL term in plain numpy, with no memo.
 
-    Each call takes a fresh product ``a @ x``, except at the last point
-    of a segment: there the image is the segment's Ax + lam A dy, so the
-    accepted trial of a lam walk, the next iterate, keeps the image its
-    f-value came from.
+    Each call takes a fresh product ``a @ x``, except at the trial point
+    of the current lam walk and at the last such point: there the image
+    is the walk's Ax + lam A dy, with Ax and A dy taken once per walk,
+    so the accepted trial of a lam walk, the next iterate, keeps the
+    image its f-value came from.
     """
 
     lower_bound = 0.0
@@ -43,13 +46,21 @@ class FreshTerm(vmfbs.SmoothTerm):
         self.b = np.array(b, dtype=float)
         self.p = float(p)
         self._lipschitz = vmfbs.LinearMap(a).operator_norm() ** 2
-        self._segment = None  # (bytes of the last segment point, its image)
+        self._walk = None  # (the current walk, its Ax, its A dy)
+        self._segment = None  # (bytes of the last trial point, its image)
 
     @property
     def lipschitz_bound(self):
         return self._lipschitz if self.kind == "lp" and self.p == 2.0 else None
 
     def _image(self, x):
+        walk = problems._CURRENT_WALK.get()
+        if walk is not None and walk.point is x:
+            if self._walk is None or self._walk[0] is not walk:
+                self._walk = (walk, self._image(walk.x), self.a @ walk.dy)
+            image = self._walk[1] + walk.lam * self._walk[2]
+            self._segment = (x.tobytes(), image)
+            return image
         x = np.asarray(x, dtype=float)
         if self._segment is not None and self._segment[0] == x.tobytes():
             return self._segment[1]
@@ -79,17 +90,6 @@ class FreshTerm(vmfbs.SmoothTerm):
         if self.kind == "lp":
             return True
         return bool(np.all(self._image(x) > 0))
-
-    def along(self, x, dy):
-        ax = self._image(x)
-        ady = self.a @ dy
-
-        def at(lam):
-            point = x + lam * dy
-            image = ax + lam * ady
-            self._segment = (point.tobytes(), image)
-            return point, self._h(image)
-        return at
 
 
 def lasso(f, n):
@@ -199,6 +199,27 @@ def test_kl_general_regime_bitwise_equal_to_fresh_products(rule):
 
 # --- the base of a segment ----------------------------------------------------------
 
+@contextlib.contextmanager
+def lam_walk(x, dy):
+    """What ``line_search`` does around a lam walk from x in the direction dy.
+
+    The walk is current until the block ends; ``trial(f, lam)`` sets its
+    trial point x + lam * dy and calls ``f.value`` there, returning
+    ``(point, value)``.
+    """
+    walk = problems._Walk(x, dy)
+    token = problems._CURRENT_WALK.set(walk)
+
+    def trial(f, lam):
+        point = x + lam * dy
+        walk.lam, walk.point = lam, point
+        return point, f.value(point)
+    try:
+        yield trial
+    finally:
+        problems._CURRENT_WALK.reset(token)
+
+
 def test_segment_base_is_the_image_of_the_last_gradient():
     # x1 is the accepted point of one lam walk, so f(x1) and grad f(x1) come
     # from the recombined image; the domain test at y overwrites the memo,
@@ -215,7 +236,8 @@ def test_segment_base_is_the_image_of_the_last_gradient():
     # the first trial of a halving walk whose value a fresh A x1 would change
     for lam in 0.5 ** np.arange(10):
         f.gradient(x0)
-        x1, f1 = f.along(x0, dy)(lam)
+        with lam_walk(x0, dy) as trial:
+            x1, f1 = trial(f, lam)
         if bits(vmfbs.KLDivergence(a, b).value(x1)) != bits(f1):
             break
     else:
@@ -224,7 +246,8 @@ def test_segment_base_is_the_image_of_the_last_gradient():
     y = x1 + 0.3 * np.abs(rng.standard_normal(5))
     assert f.in_domain(y)
     before = f.a.matvecs
-    point, value = f.along(x1, y - x1)(0.0)
+    with lam_walk(x1, y - x1) as trial:
+        point, value = trial(f, 0.0)
     assert f.a.matvecs == before + 1  # A dy alone
     assert point.tobytes() == x1.tobytes()
     assert bits(value) == bits(f1)
@@ -255,9 +278,9 @@ class Delegating(vmfbs.SmoothTerm):
 
 @pytest.mark.parametrize("rule", BACKTRACKING + ("fixed",))
 def test_wrapped_term_solves_bitwise_as_the_term(rule):
-    # the wrapper inherits SmoothTerm.along, whose trials reach the term's
-    # value with the walk current: the term recombines the same images,
-    # with the same products, as when the solver holds it directly
+    # the walk is current while the wrapper passes each trial's value on:
+    # the term recombines the same images, with the same products, as
+    # when the solver holds it directly
     a, b = lasso_data(11)
     n = a.shape[1]
     runs, matvecs = [], []
@@ -294,20 +317,21 @@ def test_wrapped_kl_general_regime_solves_bitwise_as_the_term(rule):
 
 
 def test_walk_is_seen_only_at_its_trial_point():
-    # outside a trial the walk is not current, so a query at another point
-    # of the segment is a fresh product
+    # the walk stays current for the whole search, but only its trial
+    # point recombines: a query at another point of the segment is a
+    # fresh product
     a, b = lasso_data(3)
     f = vmfbs.PNormResidual(a, b)
     x, dy = np.ones(a.shape[1]), np.linspace(-1.0, 1.0, a.shape[1])
     f.gradient(x)
-    at = f.along(x, dy)
-    before = f.a.matvecs
-    at(0.5)
-    assert f.a.matvecs == before + 1  # A dy alone
-    other = x + 0.25 * dy
     bits = lambda v: np.float64(v).tobytes()
-    assert bits(f.value(other)) == bits(vmfbs.PNormResidual(a, b).value(other))
-    assert f.a.matvecs == before + 2
+    with lam_walk(x, dy) as trial:
+        before = f.a.matvecs
+        trial(f, 0.5)
+        assert f.a.matvecs == before + 1  # A dy alone
+        other = x + 0.25 * dy
+        assert bits(f.value(other)) == bits(vmfbs.PNormResidual(a, b).value(other))
+        assert f.a.matvecs == before + 2
 
 
 def test_concurrent_solves_each_see_their_own_walk():

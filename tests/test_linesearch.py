@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vmfbs
+from vmfbs import problems
 from vmfbs.linesearch import line_search
 
 from conftest import lasso_1d, steep_quadratic_1d
@@ -285,6 +286,25 @@ def test_domain_search_exhaustion_fails():
         search(prob, [2.0], "domain", cfg(gamma_max=1e6, theta=0.5, max_backtracks=3))
     assert err.value.diagnostics["trials"] == 4
     assert err.value.diagnostics["rule"] == "domain"
+
+
+# --- the lam walk's lifetime ---------------------------------------------------
+
+@pytest.mark.parametrize("rule", vmfbs.RULES + ("domain",))
+def test_no_walk_outlives_an_accepted_search(rule):
+    # a lam walk is current only inside line_search: a term queried after
+    # the call must not see its trial state
+    search(steep_quadratic_1d(), [1.0], rule, cfg(delta=0.9, theta=0.5))
+    assert problems._CURRENT_WALK.get() is None
+
+
+@pytest.mark.parametrize("rule", ["ls2", "ls4", "tseng-yun"])
+def test_no_walk_outlives_a_failed_search(rule):
+    # the walk accepts lam = 0.25 after two cuts, beyond a budget of one
+    with pytest.raises(vmfbs.SearchFailure):
+        search(steep_quadratic_1d(), [1.0], rule,
+               cfg(delta=0.9, theta=0.5, max_backtracks=1))
+    assert problems._CURRENT_WALK.get() is None
 
 
 # --- the finished step ----------------------------------------------------------
