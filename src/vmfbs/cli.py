@@ -133,8 +133,8 @@ def _given(block: dict, keys: dict, path: str) -> dict:
 # the spec keys of LineSearchConfig and SolverConfig with their kinds; a
 # key the spec leaves out keeps the dataclass default
 _LINESEARCH_KEYS = {
-    "delta": float, "theta": float, "gamma_max": float, "lam_max": float,
-    "sigma": float, "beta": float, "max_backtracks": int, "warm_start": bool,
+    "delta": float, "theta": float, "gamma_max": float, "sigma": float,
+    "beta": float, "max_backtracks": int, "warm_start": bool,
     "fixed_gamma": float, "fixed_lam": float,
 }
 _SOLVER_KEYS = {
@@ -214,7 +214,7 @@ def _load_numeric(node, path, counter: _RandomCounter, *, ndim: int) -> np.ndarr
     raise UsageError(f"{path}: expected an inline array, {{\"path\": ...}} or {{\"random\": ...}}")
 
 
-def load_spec(path, seed_override=None) -> dict:
+def load_spec(path) -> dict:
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -239,13 +239,13 @@ def load_spec(path, seed_override=None) -> dict:
         optional=("rule", "metrics", *_LINESEARCH_KEYS, *_SOLVER_KEYS),
     )
     _check_keys(spec["output"], "output", optional=("trace", "checks", "f_star"))
-    spec["_counter"] = _RandomCounter(seed_override)
     return spec
 
 
-def build_problem(spec: dict):
+def build_problem(spec: dict, seed=None):
+    """The problem and x0 of a spec; a ``seed`` N seeds its i-th random block with N + i."""
     block = spec["problem"]
-    counter = spec["_counter"]
+    counter = _RandomCounter(seed)
 
     smooth = block["smooth"]
     spath = "problem.smooth"
@@ -372,8 +372,8 @@ def _out_path(args, spec, default_suffix: str) -> str:
 
 
 def cmd_solve(args) -> int:
-    spec = load_spec(args.spec, seed_override=args.seed)
-    problem, x0 = build_problem(spec)
+    spec = load_spec(args.spec)
+    problem, x0 = build_problem(spec, args.seed)
     config = build_solver_config(spec, problem.dimension)
     result = solve(problem, x0, config)
     out = _out_path(args, spec, "_trace.csv")
@@ -404,8 +404,8 @@ _COMPARE_HEADER = (
 
 
 def cmd_compare(args) -> int:
-    spec = load_spec(args.spec, seed_override=args.seed)
-    problem, x0 = build_problem(spec)
+    spec = load_spec(args.spec)
+    problem, x0 = build_problem(spec, args.seed)
     base = build_solver_config(spec, problem.dimension)
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
@@ -445,8 +445,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate_metrics(args) -> int:
-    spec = load_spec(args.spec, seed_override=args.seed)
-    problem, _ = build_problem(spec)
+    spec = load_spec(args.spec)
+    problem, _ = build_problem(spec, args.seed)
     schedule = _build_metrics(spec["solver"], problem.dimension)
     if schedule is None:
         schedule = constant_schedule(np.ones(problem.dimension))
@@ -471,8 +471,8 @@ def cmd_rate(args) -> int:
         raise UsageError(f"--fstar file does not hold a single number") from None
     if not math.isfinite(f_star):
         raise UsageError(f"--fstar must be finite, got {f_star!r}")
-    spec = load_spec(args.spec, seed_override=args.seed)
-    problem, x0 = build_problem(spec)
+    spec = load_spec(args.spec)
+    problem, x0 = build_problem(spec, args.seed)
     config = build_solver_config(spec, problem.dimension)
     result = solve(problem, x0, config)
     est = estimate_rate(result, f_star)

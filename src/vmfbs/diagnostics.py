@@ -215,7 +215,8 @@ def check_stepsize_floor(
     min(gamma_max, c * delta * theta * nu / (L * sup_k lam_k)) with
     c = 2 for ls1 and c = 1 for ls3 (whose acceptance condition is not
     squared); for the lam-backtracking rules the floor on lam_k is
-    min(lam_max, 2 * delta * theta * nu / (L * sup_k gamma_k)). The sup
+    min(lam_max, 2 * delta * theta * nu / (L * sup_k gamma_k)), with
+    lam_max = 1 for the library's lam walks, which start at 1. The sup
     is taken over the recorded run. Grid values are exact powers, so the
     default tolerance is zero.
     """

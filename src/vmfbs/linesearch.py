@@ -8,7 +8,8 @@ and every rule accepts the largest point t = start * theta^i,
 i = 0..max_backtracks, of one geometric grid that passes its test.
 :func:`line_search` walks that grid. ls1, ls3 and the general-regime
 domain walk search gamma at a fixed lam; ls2, ls4 and Tseng-Yun search
-lam at a fixed gamma, so y is computed once. Only the test differs:
+lam in (0, 1], from 1, at a fixed gamma, so y and its segment y - x are
+formed at the first trial only. Only the test differs:
 
 - ``ls1``/``ls2``: the descent condition
   f(J) - f(x) - <J - x, grad f(x)> <= (delta/(gamma lam)) ||J - x||_W^2.
@@ -69,19 +70,18 @@ _GAMMA_WALKS = ("ls1", "ls3", "domain")
 class LineSearchConfig:
     """Constants shared by all rules.
 
-    ``gamma_max`` and ``lam_max`` are the grid tops; ``sigma``/``beta``
-    only matter for the Tseng-Yun rule; ``fixed_gamma``/``fixed_lam``
-    only for fixed-step mode. ``warm_start`` starts each backtracking at
-    the previously accepted value divided by theta (capped at the grid
-    top) instead of the grid top itself; off by default because the
-    rules' "largest grid point" semantics assume a restart.
+    ``gamma_max`` tops the gamma grid (the lam grid starts at 1);
+    ``sigma``/``beta`` only matter for the Tseng-Yun rule;
+    ``fixed_gamma``/``fixed_lam`` only for fixed-step mode. ``warm_start``
+    starts each backtracking at the previously accepted value divided by
+    theta (capped at the grid top) instead of the grid top itself; off by
+    default because the rules' "largest grid point" semantics assume a restart.
     """
 
     rule: str = "ls1"
     delta: float = 0.5
     theta: float = 0.5
     gamma_max: float = 1.0
-    lam_max: float = 1.0
     sigma: float = 1.0
     beta: float = 0.5
     max_backtracks: int = 60
@@ -98,8 +98,6 @@ class LineSearchConfig:
             raise UsageError(f"theta must lie in (0,1), got {self.theta}")
         if not (self.gamma_max > 0) or not np.isfinite(self.gamma_max):
             raise UsageError(f"gamma_max must be positive and finite, got {self.gamma_max}")
-        if not (0 < self.lam_max <= 1):
-            raise UsageError(f"lam_max must lie in (0,1], got {self.lam_max}")
         check_count("max_backtracks", self.max_backtracks)
         if self.rule == "tseng-yun":
             sigma, beta = self.sigma, self.beta
@@ -185,26 +183,11 @@ def line_search(
     ell = None
     lhs = rhs = np.nan
     walk = None
-    if not walks_gamma:
-        gamma = other
-        if y is None:
-            y = g.prox(x - gamma * scaled_grad, gamma, w)
-            nprox += 1
-        dy = y - x
-        ns = float(w @ (dy * dy))
-        gdot = float(dy @ grad)
-        if rule != "fixed":
-            walk = _Walk(x, dy)
-        if rule in ("ls4", "tseng-yun"):
-            ell = g.value(y) - gx + gdot
-            if rule == "ls4":
-                slope = (1.0 - config.delta) * ell
-            else:
-                slope = config.sigma * (ell + (config.beta / gamma) * ns)
+    gamma, lam = (start, other) if walks_gamma else (other, start)
     fgx = fx + gx
     slack = 1e-14 * (1.0 + abs(fx))
     trials = config.max_backtracks + 1
-    token = _CURRENT_WALK.set(walk)
+    token = _CURRENT_WALK.set(None)
     try:
         for i in range(trials):
             t = start * config.theta**i
@@ -212,8 +195,9 @@ def line_search(
                 trials = i
                 break
             f_next = g_next = None
-            if walks_gamma:
-                gamma, lam = t, other
+            gamma, lam = (t, lam) if walks_gamma else (gamma, t)
+            # y and its segment: at each trial of a gamma walk, the first of a lam walk
+            if walks_gamma or i == 0:
                 if i > 0 or y is None:
                     y = g.prox(x - gamma * scaled_grad, gamma, w)
                     nprox += 1
@@ -227,8 +211,15 @@ def line_search(
                 dy = y - x
                 ns = float(w @ (dy * dy))
                 gdot = float(dy @ grad)
-            else:
-                lam = t
+                if rule in ("ls2", "ls4", "tseng-yun"):
+                    walk = _Walk(x, dy)
+                    _CURRENT_WALK.set(walk)
+                if rule in ("ls4", "tseng-yun"):
+                    ell = g.value(y) - gx + gdot
+                    if rule == "ls4":
+                        slope = (1.0 - config.delta) * ell
+                    else:
+                        slope = config.sigma * (ell + (config.beta / gamma) * ns)
             x_next = x + lam * dy
             if walk is not None:
                 walk.lam, walk.point = lam, x_next

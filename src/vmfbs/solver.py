@@ -111,26 +111,29 @@ _INT_COLUMNS = {"k", "backtracks", "f_evals", "grad_evals", "prox_evals"}
 class Trace(Sequence):
     """Per-iteration records, stored columnar, viewed as IterateTrace rows.
 
-    ``trace[i]`` materializes row i; ``trace.F``, ``trace.gamma`` etc.
+    ``columns`` maps every IterateTrace field, and no other name, to its
+    values. ``trace[i]`` materializes row i; ``trace.F``, ``trace.gamma`` etc.
     expose whole columns as arrays (cheap even for million-row runs).
     """
 
     def __init__(self, columns: dict):
+        missing = [name for name in IterateTrace._fields if name not in columns]
+        unknown = sorted(set(columns) - set(IterateTrace._fields))
+        if missing or unknown:
+            raise UsageError(f"trace columns: missing {missing}, unknown {unknown}")
         self._columns = {
-            name: np.asarray(vals, dtype=int if name in _INT_COLUMNS else float)
-            for name, vals in columns.items()
+            name: np.asarray(columns[name], dtype=int if name in _INT_COLUMNS else float)
+            for name in IterateTrace._fields
         }
         lengths = {len(c) for c in self._columns.values()}
         if len(lengths) > 1:
             raise UsageError("trace columns have inconsistent lengths")
-        self._n = lengths.pop() if lengths else 0
+        self._n = lengths.pop()
 
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._n))]
+    def __getitem__(self, i: int) -> IterateTrace:
         if i < 0:
             i += self._n
         if not 0 <= i < self._n:
@@ -174,19 +177,22 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 
 def read_trace_csv(path) -> Trace:
-    """Read a trace CSV back into a :class:`Trace`.
+    """Read a trace CSV written by :func:`write_trace_csv` back into a :class:`Trace`.
 
-    The trace holds the columns the file has; the 'lambda' header (a
-    Python keyword) becomes the column ``lam``, as in memory. A short,
-    long or non-numeric row, or a counter that is not a whole number,
-    is refused with its line number.
+    The header must be the one :func:`write_trace_csv` writes, every
+    IterateTrace column in order with lam spelled 'lambda' (a Python
+    keyword). A different header, a short, long or non-numeric row, or
+    a counter that is not a whole number is refused with its line number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         lines = [(reader.line_num, row) for row in reader if row]
     if not lines:
         raise UsageError(f"{path}: empty trace file")
-    names = ["lam" if h == "lambda" else h for h in (h.strip() for h in lines[0][1])]
+    line, header = lines[0]
+    if ",".join(h.strip() for h in header) != _CSV_HEADER:
+        raise UsageError(f"{path}, line {line}: expected the trace header {_CSV_HEADER}")
+    names = IterateTrace._fields
     rows = []
     for line, row in lines[1:]:
         try:
@@ -486,9 +492,9 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
                 if not (0 < other <= 1):
                     raise UsageError(f"lam_schedule({k}) = {other} outside (0,1]")
             elif general:
-                top, other = ls.lam_max, dom_gamma
+                top, other = 1.0, dom_gamma
             else:
-                top, other = ls.lam_max, float(gamma_at(k))
+                top, other = 1.0, float(gamma_at(k))
                 if not (other > 0 and math.isfinite(other)):
                     raise UsageError(f"gamma_schedule({k}) = {other} must be positive and finite")
             start = top if warm is None else min(top, warm / ls.theta)

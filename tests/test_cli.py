@@ -128,6 +128,17 @@ def test_seed_override_is_deterministic_and_distinct(tmp_path):
     assert runs["s7"] != runs["s8"]
 
 
+def test_build_problem_takes_a_spec_built_by_hand():
+    # the spec carries no state of its own: a dict never read from a file
+    # builds, and a seed N stands for the seeds N, N+1, ... of the random
+    # blocks in the order they are read
+    x = np.linspace(-1.0, 1.0, 4)
+    seeded, _ = build_problem(random_spec(), seed=7)
+    as_given, _ = build_problem(random_spec(seed_a=7, seed_b=8))
+    assert seeded.f.value(x) == as_given.f.value(x)
+    assert build_problem(random_spec())[0].f.value(x) != seeded.f.value(x)
+
+
 def test_solve_uses_output_trace_field(tmp_path):
     spec_dict = lasso_spec()
     spec_dict["output"]["trace"] = str(tmp_path / "configured.csv")
@@ -254,6 +265,8 @@ def table_metrics(**fields):
          "solver: lam_schedule must lie in (0,1], got nan"),
         (lambda s: s["solver"].update(gamma_schedule=0),
          "solver: gamma_schedule must be positive and finite, got 0.0"),
+        # the lam walks start at 1: there is no lam grid top to set
+        (lambda s: s["solver"].update(lam_max=1.0), "solver: unknown key(s) ['lam_max']"),
     ],
 )
 def test_spec_validation_names_the_field(tmp_path, capsys, mutate, needle):

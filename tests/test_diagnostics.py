@@ -188,7 +188,7 @@ def test_quasi_fejer_matches_frozen_loop_bitwise(rng, branch):
 def floor_run(rule):
     prob = steep_quadratic_1d()  # L = 4 exactly
     return run(prob, np.array([1.0]), iters=12, rule=rule,
-               delta=0.9, theta=0.5, gamma_max=1.0, lam_max=1.0)
+               delta=0.9, theta=0.5, gamma_max=1.0)
 
 
 def test_floor_ls1_pinned():
@@ -289,13 +289,18 @@ def test_estimate_rate_refuses_a_non_finite_reference(rng, f_star):
 
 # --- trace csv round-trip ---------------------------------------------------------------
 
+# the one header read_trace_csv accepts, as write_trace_csv writes it
+HEADER = (
+    "k,F,gamma,lambda,backtracks,step_norm,mapping_norm,fp_scaled,descent_residual,"
+    "decrease_residual,check_max_residual,domain_gamma,f_evals,grad_evals,prox_evals\n"
+)
+ROW0 = "0,4.5,1,1,0,2,3,0.5,-1,-2,-0.25,1,2,1,1\n"
+ROW1 = "1,2.5,0.5,1,1,0,0,0,0,0,0,1,2,1,2\n"
+
+
 def test_read_trace_csv(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text(
-        "k,F,gamma,lambda,backtracks,step_norm,check_max_residual\n"
-        "0,4.5,1,1,0,2,0\n"
-        "1,2.5,0.5,1,1,0,0\n"
-    )
+    p.write_text(HEADER + ROW0 + ROW1)
     frame = read_trace_csv(p)
     assert isinstance(frame, vmfbs.Trace)
     assert len(frame) == 2
@@ -304,18 +309,30 @@ def test_read_trace_csv(tmp_path):
     assert frame.lam.tolist() == [1.0, 1.0]
     assert frame.F.tolist() == [4.5, 2.5]
     assert frame.step_norm[0] == 2.0
+    # every row reads back whole
+    assert list(frame) == [frame[0], frame[-1]]
+    assert frame[0].mapping_norm == 3.0 and frame[1].prox_evals == 2
 
 
 @pytest.mark.parametrize(
     "body, needle",
     [
-        ("k,F\n0,4.5\n1\n", "line 3: 1 field(s) under a header of 2"),
-        ("k,F\n0,4.5\n1,2.5,9\n", "line 3: 3 field(s) under a header of 2"),
+        pytest.param(HEADER + ROW0 + "1\n", "line 3: 1 field(s) under a header of 15",
+                     id="short-row"),
+        pytest.param(HEADER + ROW0 + ROW1.replace("\n", ",9\n"),
+                     "line 3: 16 field(s) under a header of 15", id="long-row"),
         # a blank line is skipped but still counted
-        ("k,F\n\n0,4.5\n1,abc\n", "line 4: could not convert string to float: 'abc'"),
+        pytest.param(HEADER + "\n" + ROW0 + ROW1.replace("2.5", "abc"),
+                     "line 4: could not convert string to float: 'abc'",
+                     id="blank-line-then-non-numeric"),
         # the counter columns hold whole numbers, never truncated
-        ("k,F,backtracks\n0,4.5,2.7\n", "line 2: backtracks = 2.7 is not an integer"),
-        ("k,F\n0,4.5\nnan,2.5\n", "line 3: k = nan is not an integer"),
+        pytest.param(HEADER + ROW0.replace(",1,0,2,", ",1,2.7,2,"),
+                     "line 2: backtracks = 2.7 is not an integer", id="non-integer-counter"),
+        pytest.param(HEADER + ROW0 + ROW1.replace("1,", "nan,", 1),
+                     "line 3: k = nan is not an integer", id="nan-k"),
+        # a file holds every trace column or is no trace file
+        pytest.param("k,F\n0,4.5\n", f"line 1: expected the trace header {HEADER.strip()}",
+                     id="partial-header"),
     ],
 )
 def test_read_trace_csv_names_the_malformed_line(tmp_path, body, needle):
@@ -324,6 +341,16 @@ def test_read_trace_csv_names_the_malformed_line(tmp_path, body, needle):
     with pytest.raises(vmfbs.UsageError) as err:
         read_trace_csv(p)
     assert str(err.value) == f"{p}, {needle}"
+
+
+def test_trace_holds_exactly_the_iterate_columns():
+    full = {name: [0] for name in vmfbs.IterateTrace._fields}
+    partial = {"k": [0], "F": [4.5]}
+    with pytest.raises(vmfbs.UsageError, match="missing .'gamma', 'lam'"):
+        vmfbs.Trace(partial)
+    with pytest.raises(vmfbs.UsageError, match=r"unknown \['extra'\]"):
+        vmfbs.Trace({**full, "extra": [0]})
+    assert len(vmfbs.Trace(full)) == 1
 
 
 def test_read_trace_csv_missing_file(tmp_path):

@@ -23,7 +23,7 @@ def search(prob, x, rule, config, *, other=1.0, start=None):
     """
     x = np.asarray(x, dtype=float)
     if start is None:
-        start = config.gamma_max if rule in ("ls1", "ls3", "domain") else config.lam_max
+        start = config.gamma_max if rule in ("ls1", "ls3", "domain") else 1.0
     return line_search(
         prob, identity(x.size), x, rule, config,
         fx=prob.f.value(x), gx=prob.g.value(x), grad=prob.f.gradient(x),
@@ -55,8 +55,6 @@ def test_config_validates_ranges():
         cfg(theta=1.0)
     with pytest.raises(vmfbs.UsageError):
         cfg(gamma_max=0.0)
-    with pytest.raises(vmfbs.UsageError):
-        cfg(lam_max=1.5)
     with pytest.raises(vmfbs.UsageError):
         cfg(max_backtracks=0)
 
@@ -150,6 +148,21 @@ def test_ls1_search_failure_carries_diagnostics():
     assert d["gamma_last"] == 0.5 and d["lhs"] > d["rhs"]
 
 
+@pytest.mark.parametrize("rule", vmfbs.RULES + ("domain",))
+def test_grid_starting_at_zero_is_a_search_failure(rule):
+    # the first grid point is 0.0, no step at all: the walk fails before
+    # any trial, and its diagnostics carry the step sizes it was given
+    with pytest.raises(vmfbs.SearchFailure,
+                       match="grid point 0 underflows to 0.0, none accepted before it") as err:
+        search(steep_quadratic_1d(), [1.0], rule, cfg(delta=0.9, theta=0.5),
+               start=0.0, other=0.5)
+    d = err.value.diagnostics
+    assert d["rule"] == rule and d["trials"] == 0
+    walks_gamma = rule in ("ls1", "ls3", "domain")
+    assert (d["gamma_last"], d["lam_last"]) == ((0.0, 0.5) if walks_gamma else (0.5, 0.0))
+    assert problems._CURRENT_WALK.get() is None
+
+
 def test_ls1_reuses_fx_and_reports_f_next():
     prob = steep_quadratic_1d()
     out = search(prob, [1.0], "ls1", cfg(delta=0.9, theta=0.5, gamma_max=1.0))
@@ -162,7 +175,7 @@ def test_ls1_reuses_fx_and_reports_f_next():
 
 def test_ls2_steep_quadratic_pinned():
     prob = steep_quadratic_1d()
-    out = search(prob, [1.0], "ls2", cfg(delta=0.9, theta=0.5, lam_max=1.0), other=1.0)
+    out = search(prob, [1.0], "ls2", cfg(delta=0.9, theta=0.5), other=1.0)
     assert out.lam == 0.25 and out.backtracks == 2
     assert out.gamma == 1.0
     # y computed once: a single prox evaluation
@@ -171,7 +184,7 @@ def test_ls2_steep_quadratic_pinned():
 
 def test_ls2_small_gamma_accepts_lam_max():
     prob = steep_quadratic_1d()
-    out = search(prob, [1.0], "ls2", cfg(delta=0.9, theta=0.5, lam_max=1.0), other=0.25)
+    out = search(prob, [1.0], "ls2", cfg(delta=0.9, theta=0.5), other=0.25)
     assert out.lam == 1.0 and out.backtracks == 0
 
 
@@ -208,7 +221,7 @@ def test_ls3_gentle_quadratic():
 
 def test_ls4_steep_quadratic_pinned():
     prob = steep_quadratic_1d()
-    out = search(prob, [1.0], "ls4", cfg(delta=0.9, theta=0.5, lam_max=1.0), other=1.0)
+    out = search(prob, [1.0], "ls4", cfg(delta=0.9, theta=0.5), other=1.0)
     assert out.lam == 0.25 and out.backtracks == 2
     assert out.ell == pytest.approx(-16.0)
     assert out.g_next == 0.0
@@ -218,8 +231,8 @@ def test_ls4_monotone_in_delta():
     # gamma = 0.6 puts the lambda threshold at delta/1.2: the grid
     # accepts 0.25 at delta=0.5 but 0.5 as delta approaches 1
     prob = steep_quadratic_1d()
-    lo = search(prob, [1.0], "ls4", cfg(delta=0.5, theta=0.5, lam_max=1.0), other=0.6)
-    hi = search(prob, [1.0], "ls4", cfg(delta=0.99, theta=0.5, lam_max=1.0), other=0.6)
+    lo = search(prob, [1.0], "ls4", cfg(delta=0.5, theta=0.5), other=0.6)
+    hi = search(prob, [1.0], "ls4", cfg(delta=0.99, theta=0.5), other=0.6)
     assert lo.lam == 0.25 and hi.lam == 0.5
     assert hi.lam > lo.lam
 
@@ -229,7 +242,7 @@ def test_ls4_monotone_in_delta():
 def test_tseng_yun_pinned():
     prob = steep_quadratic_1d()
     out = search(prob, [1.0], "tseng-yun",
-                 cfg(rule="tseng-yun", sigma=1.0, beta=0.5, theta=0.5, lam_max=1.0),
+                 cfg(rule="tseng-yun", sigma=1.0, beta=0.5, theta=0.5),
                  other=1.0)
     assert out.lam == 0.25 and out.backtracks == 2
 

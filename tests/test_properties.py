@@ -44,8 +44,11 @@ def trial(prob, m, x, gamma):
 
 @st.composite
 def instance(draw, n=4, m=6):
+    # no subnormal entries: a matrix row holding only subnormal ones is
+    # refused when the smooth term is built (LinearMap flushes them)
     a = np.array(draw(st.lists(
-        st.lists(st.floats(min_value=-3, max_value=3), min_size=n, max_size=n),
+        st.lists(st.floats(min_value=-3, max_value=3, allow_subnormal=False),
+                 min_size=n, max_size=n),
         min_size=m, max_size=m)))
     b = vec(draw, m, -3, 3)
     x = vec(draw, n, -5, 5)
@@ -460,6 +463,6 @@ def test_accepted_point_is_the_largest_passing_grid_point(case, rule):
     if rule in ("ls1", "ls3"):
         start, other = gamma_k, 1.0
     else:
-        start, other = cfg.lam_max, gamma_k
+        start, other = 1.0, gamma_k
     out = kernel(prob, m, x, rule, cfg, start=start, other=other, y=y0)
     assert_largest(rule, out, start, prob, m, x, cfg)

@@ -6,7 +6,7 @@ import pytest
 
 import vmfbs
 from oracles import (
-    grid_prox_oracle,
+    golden_section,
     prox_tv1d_oracle,
     prox_tv1d_reference,
     prox_tv1d_two_point,
@@ -440,17 +440,21 @@ def test_prox_residual_tv(rng):
 
 
 def test_scalar_pieces_match_grid_oracle(rng):
-    # (weight, lo, hi) of one coordinate, and the oracle's bounds
-    cases = [
-        ((2.0, -np.inf, np.inf), None, None),
-        ((0.0, -1.0, 2.0), -1.0, 2.0),
-        ((0.0, -np.inf, np.inf), None, None),
-        ((1.5, -1.0, 0.5), -1.0, 0.5),
-    ]
-    for (weight, lo_, hi_), lo, hi in cases:
-        g = vmfbs.SeparableProx([weight], lo_, hi_)
+    # oracles.grid_prox_oracle with its coarse grid in one numpy
+    # expression: on [lo, hi] the piece is weight |p|, then golden section
+    # on g.value between the best grid point's neighbours
+    cases = [(2.0, -np.inf, np.inf), (0.0, -1.0, 2.0), (0.0, -np.inf, np.inf), (1.5, -1.0, 0.5)]
+    points = 20001
+    for weight, lo, hi in cases:
+        g = vmfbs.SeparableProx([weight], lo, hi)
         for _ in range(20):
             z = float(rng.uniform(-4, 4))
             tau = float(rng.uniform(0.05, 2))
-            ref = grid_prox_oracle(lambda x: g.value(np.array([x])), z, tau, lo=lo, hi=hi)
+            span = 10.0 * (1.0 + abs(z))
+            grid = np.linspace(max(z - span, lo), min(z + span, hi), points)
+            i = int(np.argmin(weight * np.abs(grid) + (grid - z) ** 2 / (2.0 * tau)))
+            ref = golden_section(
+                lambda p: g.value(np.array([p])) + (p - z) ** 2 / (2.0 * tau),
+                grid[max(i - 1, 0)], grid[min(i + 1, points - 1)],
+            )
             assert g.prox(np.array([z]), tau)[0] == pytest.approx(ref, abs=1e-6)
