@@ -7,13 +7,19 @@ cost counters), ``validate-metrics`` (finite-horizon partial sums of a
 metric schedule), ``rate`` (solve plus k*(F_k - F*) decade tails).
 
 Experiment files are JSON with three blocks (problem, solver, output).
-Validation is strict: unknown keys are rejected and every message names
-the offending field path. Matrices and vectors are inline arrays,
-whitespace-delimited numeric files ({"path": ...}), or generated
-({"random": {...}}); generation is deterministic from the block's seed,
-and --seed N overrides the i-th random block's seed with N+i.
+Every command loads the whole spec along one path (``_load``), so each
+refuses what ``solve`` refuses. Validation is strict: unknown keys are
+rejected and every message names the offending field path. Matrices and
+vectors are inline arrays, whitespace-delimited numeric files
+({"path": ...}), or generated ({"random": {...}}); generation is
+deterministic from the block's seed, and --seed N overrides the i-th
+random block's seed with N+i. The output block takes ``trace`` (the
+output path when --out is not given) and ``checks`` (SolverConfig's
+``record_checks``); without either path, ``solve`` writes
+``<spec stem>_trace.csv`` and ``rate`` ``<spec stem>_rate.csv``.
 
-Exit codes: 0 clean, 2 spec or usage error, 3 search failure.
+Exit codes: 0 clean, 2 spec or usage error, 3 search failure. ``solve``
+and ``rate`` print a search failure's step to stderr in one format.
 CSV floats carry 17 significant digits so re-parsing is lossless.
 """
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -61,21 +68,19 @@ def _check_keys(block: dict, path: str, required=(), optional=()):
 
 
 def _number(block, key, path, kind=float):
+    """``block[key]`` as a ``kind``: float, int (a whole number) or bool."""
     if key not in block:
         raise UsageError(f"{path}.{key}: required")
     v = block[key]
+    if kind is bool:
+        if not isinstance(v, bool):
+            raise UsageError(f"{path}.{key}: expected true/false, got {v!r}")
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise UsageError(f"{path}.{key}: expected a number, got {v!r}")
     if kind is int and isinstance(v, float) and not v.is_integer():
         raise UsageError(f"{path}.{key}: expected an integer, got {v!r}")
     return kind(v)
-
-
-def _bool(block, key, path):
-    v = block[key]
-    if not isinstance(v, bool):
-        raise UsageError(f"{path}.{key}: expected true/false, got {v!r}")
-    return v
 
 
 def _per_coordinate(block: dict, key: str, path: str, n: int, default: float,
@@ -112,6 +117,13 @@ def _choice(block: dict, key: str, path: str, options):
     return v
 
 
+def _type(block, path: str, options) -> str:
+    """The ``type`` of a typed block (smooth, regularizer, metrics), one of ``options``."""
+    if not isinstance(block, dict) or "type" not in block:
+        raise UsageError(f"{path}: needs a 'type' key")
+    return _choice(block, "type", path, options)
+
+
 def _build(path: str, factory, *args, **kwargs):
     """``factory(*args, **kwargs)``, with the library's own refusals
     (a bad weight, bound, exponent or matrix) under ``path``."""
@@ -123,11 +135,7 @@ def _build(path: str, factory, *args, **kwargs):
 
 def _given(block: dict, keys: dict, path: str) -> dict:
     """The keys of ``keys`` that ``block`` sets, each checked by its kind."""
-    return {
-        key: _bool(block, key, path) if kind is bool else _number(block, key, path, kind=kind)
-        for key, kind in keys.items()
-        if key in block
-    }
+    return {key: _number(block, key, path, kind=kind) for key, kind in keys.items() if key in block}
 
 
 # the spec keys of LineSearchConfig and SolverConfig with their kinds; a
@@ -146,21 +154,6 @@ _SOLVER_KEYS = {
 _BUDGET_KEYS = {"growth_budget": float, "spread_budget": float}
 
 
-class _RandomCounter:
-    def __init__(self, override):
-        self.override = override
-        self.count = 0
-
-    def rng(self, block_seed, path) -> np.random.Generator:
-        i = self.count
-        self.count += 1
-        if self.override is not None:
-            return np.random.default_rng(self.override + i)
-        if block_seed is None:
-            raise UsageError(f"{path}.seed: required (or pass --seed)")
-        return np.random.default_rng(block_seed)
-
-
 def _inline(node, path, *, ndim: int) -> np.ndarray:
     """An inline (nested) list of numbers -> ndarray of ``ndim`` dimensions."""
     try:
@@ -172,8 +165,10 @@ def _inline(node, path, *, ndim: int) -> np.ndarray:
     return arr
 
 
-def _load_numeric(node, path, counter: _RandomCounter, *, ndim: int) -> np.ndarray:
-    """Inline array, {"path": file}, or {"random": {...}} -> ndarray."""
+def _load_numeric(node, path, seeds, *, ndim: int) -> np.ndarray:
+    """Inline array, {"path": file}, or {"random": {...}} -> ndarray. A
+    random block draws its seed from ``seeds`` (N, N + 1, ... under
+    ``--seed N``) or, when ``seeds`` is None, reads its own ``seed`` key."""
     if isinstance(node, list):
         return _inline(node, path, ndim=ndim)
     if isinstance(node, dict) and "path" in node:
@@ -204,8 +199,10 @@ def _load_numeric(node, path, counter: _RandomCounter, *, ndim: int) -> np.ndarr
         kind = spec.get("kind", "gaussian")
         if kind not in ("gaussian", "nonnegative", "positive"):
             raise UsageError(f"{rpath}.kind: expected gaussian|nonnegative|positive, got {kind!r}")
-        rng = counter.rng(spec.get("seed"), rpath)
-        arr = rng.standard_normal(shape)
+        seed = spec.get("seed") if seeds is None else next(seeds)
+        if seed is None:
+            raise UsageError(f"{rpath}.seed: required (or pass --seed)")
+        arr = np.random.default_rng(seed).standard_normal(shape)
         if kind == "nonnegative":
             arr = np.abs(arr)
         elif kind == "positive":
@@ -238,24 +235,22 @@ def load_spec(path) -> dict:
         "solver",
         optional=("rule", "metrics", *_LINESEARCH_KEYS, *_SOLVER_KEYS),
     )
-    _check_keys(spec["output"], "output", optional=("trace", "checks", "f_star"))
+    _check_keys(spec["output"], "output", optional=("trace", "checks"))
     return spec
 
 
 def build_problem(spec: dict, seed=None):
     """The problem and x0 of a spec; a ``seed`` N seeds its i-th random block with N + i."""
     block = spec["problem"]
-    counter = _RandomCounter(seed)
+    seeds = None if seed is None else itertools.count(seed)
 
     smooth = block["smooth"]
     spath = "problem.smooth"
-    if not isinstance(smooth, dict) or "type" not in smooth:
-        raise UsageError(f"{spath}: needs a 'type' key")
-    stype = _choice(smooth, "type", spath, _SMOOTH_TYPES)
+    stype = _type(smooth, spath, _SMOOTH_TYPES)
     extra = ("p",) if stype == "pnorm" else ()
     _check_keys(smooth, spath, required=("type", "matrix", "b"), optional=extra)
-    a = _load_numeric(smooth["matrix"], f"{spath}.matrix", counter, ndim=2)
-    b = _load_numeric(smooth["b"], f"{spath}.b", counter, ndim=1)
+    a = _load_numeric(smooth["matrix"], f"{spath}.matrix", seeds, ndim=2)
+    b = _load_numeric(smooth["b"], f"{spath}.b", seeds, ndim=1)
     if stype == "quadratic":
         f = _build(spath, PNormResidual, a, b, p=2.0)
     elif stype == "pnorm":
@@ -266,9 +261,7 @@ def build_problem(spec: dict, seed=None):
 
     reg = block["regularizer"]
     rpath = "problem.regularizer"
-    if not isinstance(reg, dict) or "type" not in reg:
-        raise UsageError(f"{rpath}: needs a 'type' key")
-    rtype = _choice(reg, "type", rpath, _REG_TYPES)
+    rtype = _type(reg, rpath, _REG_TYPES)
     if rtype == "l1":
         _check_keys(reg, rpath, required=("type", "weight"))
         g = _build(rpath, L1Norm, _number(reg, "weight", rpath))
@@ -294,7 +287,7 @@ def build_problem(spec: dict, seed=None):
 
     if "x0" in block:
         x0 = _build("problem.x0", as_vector,
-                    _load_numeric(block["x0"], "problem.x0", counter, ndim=1), n)
+                    _load_numeric(block["x0"], "problem.x0", seeds, ndim=1), n)
     else:
         x0 = np.zeros(n)
     return problem, x0
@@ -305,9 +298,7 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
         return None
     m = solver_block["metrics"]
     mpath = "solver.metrics"
-    if not isinstance(m, dict) or "type" not in m:
-        raise UsageError(f"{mpath}: needs a 'type' key")
-    mtype = _choice(m, "type", mpath, _METRIC_TYPES)
+    mtype = _type(m, mpath, _METRIC_TYPES)
     budgets = tuple(_BUDGET_KEYS)
 
     def weights(node, path):
@@ -355,26 +346,44 @@ def build_solver_config(spec: dict, n: int) -> SolverConfig:
     metrics = _build_metrics(s, n)
     kwargs = _given(s, _SOLVER_KEYS, path)
     if "checks" in spec["output"]:
-        kwargs["record_checks"] = _bool(spec["output"], "checks", "output")
+        kwargs["record_checks"] = _number(spec["output"], "checks", "output", kind=bool)
     return _build(path, SolverConfig, linesearch=ls, metrics=metrics, **kwargs)
 
 
 def _out_path(args, spec, default_suffix: str) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    configured = spec["output"].get("trace")
-    if configured:
-        return configured
-    stem = args.spec
-    if stem.endswith(".json"):
-        stem = stem[: -len(".json")]
-    return stem + default_suffix
+    """--out, else output.trace, else the spec's path less ``.json`` plus ``default_suffix``."""
+    default = args.spec.removesuffix(".json") + default_suffix
+    return getattr(args, "out", None) or spec["output"].get("trace") or default
+
+
+def _load(args):
+    """The spec of --spec, its problem and x0 under --seed, and its solver config."""
+    spec = load_spec(args.spec)
+    problem, x0 = build_problem(spec, args.seed)
+    return spec, problem, x0, build_solver_config(spec, problem.dimension)
+
+
+def _report_failure(result) -> int:
+    """The exit code of a run: 3 after a search failure, whose step it
+    prints to stderr, else 0."""
+    if result.termination != "search_failure":
+        return 0
+    # the failing iterate stays in result.failure["x"]; the text names the
+    # step that failed, not the point
+    f = result.failure
+    values = " ".join(
+        f"{key}={float(f[key]):.17g}" for key in ("gamma_last", "lam_last", "lhs", "rhs")
+    )
+    print(
+        f"search failure: rule={f['rule']} iteration={f['iteration']} {values} "
+        f"({f['message']})",
+        file=sys.stderr,
+    )
+    return 3
 
 
 def cmd_solve(args) -> int:
-    spec = load_spec(args.spec)
-    problem, x0 = build_problem(spec, args.seed)
-    config = build_solver_config(spec, problem.dimension)
+    spec, problem, x0, config = _load(args)
     result = solve(problem, x0, config)
     out = _out_path(args, spec, "_trace.csv")
     write_trace_csv(out, result.trace)
@@ -382,20 +391,7 @@ def cmd_solve(args) -> int:
         f"{result.termination} after {len(result.trace)} iterations, "
         f"F = {result.F_final:.17g}; trace -> {out}"
     )
-    if result.termination == "search_failure":
-        # the failing iterate stays in result.failure["x"]; the text names the
-        # step that failed, not the point
-        f = result.failure
-        values = " ".join(
-            f"{key}={float(f[key]):.17g}" for key in ("gamma_last", "lam_last", "lhs", "rhs")
-        )
-        print(
-            f"search failure: rule={f['rule']} iteration={f['iteration']} {values} "
-            f"({f['message']})",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _report_failure(result)
 
 
 _COMPARE_HEADER = (
@@ -404,9 +400,7 @@ _COMPARE_HEADER = (
 
 
 def cmd_compare(args) -> int:
-    spec = load_spec(args.spec)
-    problem, x0 = build_problem(spec, args.seed)
-    base = build_solver_config(spec, problem.dimension)
+    _, problem, x0, base = _load(args)
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     else:
@@ -445,11 +439,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate_metrics(args) -> int:
-    spec = load_spec(args.spec)
-    problem, _ = build_problem(spec, args.seed)
-    schedule = _build_metrics(spec["solver"], problem.dimension)
-    if schedule is None:
-        schedule = constant_schedule(np.ones(problem.dimension))
+    spec, problem, _, config = _load(args)
+    schedule = config.metrics or constant_schedule(np.ones(problem.dimension))
     horizon = args.horizon if args.horizon is not None else 200
     if horizon < 1:
         raise UsageError(f"--horizon must be >= 1, got {horizon}")
@@ -471,20 +462,22 @@ def cmd_rate(args) -> int:
         raise UsageError(f"--fstar file does not hold a single number") from None
     if not math.isfinite(f_star):
         raise UsageError(f"--fstar must be finite, got {f_star!r}")
-    spec = load_spec(args.spec)
-    problem, x0 = build_problem(spec, args.seed)
-    config = build_solver_config(spec, problem.dimension)
+    spec, problem, x0, config = _load(args)
     result = solve(problem, x0, config)
-    est = estimate_rate(result, f_star)
+    # a first search that fails leaves no row to rate: the table is its header
+    r, tails = (), {}
+    if len(result.trace):
+        est = estimate_rate(result, f_star)
+        r, tails = est.r, est.tails
     out = _out_path(args, spec, "_rate.csv")
     with open(out, "w") as fh:
         fh.write("k,F,r\n")
-        for k, F, r in zip(result.trace.k, result.trace.F, est.r):
-            fh.write(f"{int(k)},{_fmt(F)},{_fmt(r)}\n")
-    for K in sorted(est.tails):
-        print(f"sup_{{k>={K}}} k*(F_k - F*) = {est.tails[K]:.17g}")
+        for k, F, r_k in zip(result.trace.k, result.trace.F, r):
+            fh.write(f"{int(k)},{_fmt(F)},{_fmt(r_k)}\n")
+    for K in sorted(tails):
+        print(f"sup_{{k>={K}}} k*(F_k - F*) = {tails[K]:.17g}")
     print(f"rate table -> {out}")
-    return 3 if result.termination == "search_failure" else 0
+    return _report_failure(result)
 
 
 def _add_common(p, *, out=False, rules=False, horizon=False, fstar=False):

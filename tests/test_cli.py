@@ -194,6 +194,57 @@ def test_search_failure_prints_the_step_not_the_iterate(tmp_path, capsys):
     assert "[" not in err and "array" not in err and "1.025641" not in err
 
 
+def test_solve_tv1d_regularizer(tmp_path, capsys):
+    spec_dict = lasso_spec()
+    spec_dict["problem"] = {
+        "smooth": {"type": "quadratic", "matrix": np.eye(4).tolist(), "b": [0, 0.1, 1, 1.1]},
+        "regularizer": {"type": "tv1d", "weight": 0.2},
+    }
+    spec = write_spec(tmp_path, spec_dict)
+    assert main(["solve", "--spec", spec, "--out", str(tmp_path / "t.csv")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "fixed_point after 2 iterations, F = 0.18500000000000003;")
+
+
+@pytest.mark.parametrize("command, suffix", [("solve", "_trace.csv"), ("rate", "_rate.csv")])
+def test_default_output_path_is_the_spec_stem(tmp_path, capsys, command, suffix):
+    # neither --out nor output.trace: the file sits beside the spec
+    spec = write_spec(tmp_path, lasso_spec(), "run.json")
+    fstar = tmp_path / "fstar.txt"
+    fstar.write_text("2.5\n")
+    extra = ["--fstar", str(fstar)] if command == "rate" else []
+    assert main([command, "--spec", spec, *extra]) == 0
+    out = tmp_path / f"run{suffix}"
+    assert out.exists()
+    assert capsys.readouterr().out.endswith(f"-> {out}\n")
+
+
+# a first search that fails: at x0 = (100, -100) the p = 4 residual's
+# gradient is about 1e10, and none of ls1's three trials passes its test
+FIRST_SEARCH_FAILS = {
+    "problem": {
+        "smooth": {"type": "pnorm", "p": 4, "matrix": [[10, 0], [0, 10]], "b": [1, -1]},
+        "regularizer": {"type": "l1", "weight": 0.1},
+        "x0": [100, -100],
+    },
+    "solver": {"rule": "ls1", "max_backtracks": 2, "max_iterations": 5},
+}
+
+# the third search fails: the run of the failure batch of golden_paths.py
+THIRD_SEARCH_FAILS = {
+    "problem": {
+        "smooth": {"type": "quadratic", "matrix": [[2.0]], "b": [0.0]},
+        "regularizer": {"type": "zero"},
+        "x0": [1.0],
+    },
+    "solver": {
+        "rule": "ls1", "delta": 0.3, "max_backtracks": 2, "max_iterations": 10,
+        "metrics": {"type": "table", "weights": [[4.0], [2.0], [1.0]], "nu": 1.0, "mu": 4.0,
+                    "regime": "growth"},
+    },
+}
+
+
 # --- strict spec validation -----------------------------------------------------
 
 def table_metrics(**fields):
@@ -265,6 +316,8 @@ def table_metrics(**fields):
          "solver: lam_schedule must lie in (0,1], got nan"),
         (lambda s: s["solver"].update(gamma_schedule=0),
          "solver: gamma_schedule must be positive and finite, got 0.0"),
+        # F* comes from rate's --fstar alone
+        (lambda s: s["output"].update(f_star=0), "output: unknown key(s) ['f_star']"),
         # the lam walks start at 1: there is no lam grid top to set
         (lambda s: s["solver"].update(lam_max=1.0), "solver: unknown key(s) ['lam_max']"),
     ],
@@ -454,6 +507,14 @@ def test_compare_rule_subset_and_out(tmp_path, capsys):
     assert len(rows) == 3 and rows[1].startswith("ls1,") and rows[2].startswith("ls3,")
 
 
+def test_compare_writes_an_error_row_for_a_refused_rule(tmp_path, capsys):
+    spec = write_spec(tmp_path, lasso_spec())
+    assert main(["compare", "--spec", spec, "--rules", "ls1,fixed"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("ls1,fixed_point,")
+    assert rows[2] == "fixed,error: fixed-step mode needs fixed_gamma and fixed_lam,0,0,0,0,nan,nan,nan"
+
+
 def test_compare_rejects_unknown_rule(tmp_path, capsys):
     spec = write_spec(tmp_path, random_spec())
     assert main(["compare", "--spec", spec, "--rules", "ls1,armijo"]) == 2
@@ -500,6 +561,24 @@ def test_validate_metrics_checks_the_budgets(tmp_path, capsys, budget):
     assert f"solver.metrics.{budget}: expected a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "solver, needle",
+    [
+        ({"rule": "ls9"}, "solver.rule: expected one of"),
+        ({"delta": 5}, "solver: delta must lie in (0,1), got 5.0"),
+        ({"max_iterations": 2.5}, "solver.max_iterations: expected an integer, got 2.5"),
+    ],
+)
+def test_validate_metrics_refuses_what_solve_refuses(tmp_path, capsys, solver, needle):
+    # every command builds the whole solver block; these used to pass here
+    spec = write_spec(tmp_path, lasso_spec(metrics=table_metrics(), **solver))
+    assert main(["solve", "--spec", spec, "--out", str(tmp_path / "t.csv")]) == 2
+    solve_err = capsys.readouterr().err
+    assert needle in solve_err
+    assert main(["validate-metrics", "--spec", spec]) == 2
+    assert capsys.readouterr().err == solve_err
+
+
 def test_validate_metrics_bad_horizon(tmp_path, capsys):
     spec = write_spec(tmp_path, random_spec())
     assert main(["validate-metrics", "--spec", spec, "--horizon", "0"]) == 2
@@ -524,6 +603,41 @@ def test_rate_requires_fstar(tmp_path, capsys):
     spec = write_spec(tmp_path, lasso_spec())
     assert main(["rate", "--spec", spec]) == 2
     assert "--fstar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [(None, "cannot read --fstar"), ("1 2\n", "--fstar file does not hold a single number"),
+     ("", "--fstar file does not hold a single number")],
+)
+def test_rate_refuses_an_unreadable_reference(tmp_path, capsys, content, needle):
+    spec = write_spec(tmp_path, lasso_spec())
+    fstar = tmp_path / "fstar.txt"
+    if content is not None:
+        fstar.write_text(content)
+    assert main(["rate", "--spec", spec, "--fstar", str(fstar),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec_dict, rows", [(FIRST_SEARCH_FAILS, 0), (THIRD_SEARCH_FAILS, 2)])
+def test_rate_reports_a_search_failure_as_solve_does(tmp_path, capsys, spec_dict, rows):
+    # exit 3 and solve's stderr line; a first search that fails leaves the
+    # table its header alone (it used to exit 2 with "empty trace")
+    spec = write_spec(tmp_path, spec_dict)
+    fstar = tmp_path / "fstar.txt"
+    fstar.write_text("0\n")
+    assert main(["solve", "--spec", spec, "--out", str(tmp_path / "t.csv")]) == 3
+    solve_err = capsys.readouterr().err
+    assert solve_err.startswith("search failure: rule=ls1 iteration=")
+    out = tmp_path / "r.csv"
+    assert main(["rate", "--spec", spec, "--fstar", str(fstar), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == solve_err
+    lines = out.read_text().splitlines()
+    assert lines[0] == "k,F,r" and len(lines) == 1 + rows
+    assert captured.out.endswith(f"rate table -> {out}\n")
+    assert ("sup_{k>=1}" in captured.out) == (rows > 0)
 
 
 def test_rate_rejects_a_nan_reference(tmp_path, capsys, monkeypatch):

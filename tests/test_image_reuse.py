@@ -22,6 +22,7 @@ import pytest
 
 import vmfbs
 from vmfbs import problems
+from vmfbs.linesearch import line_search
 from vmfbs.solver import IterateTrace, solve
 
 BACKTRACKING = ("ls1", "ls2", "ls3", "ls4", "tseng-yun")
@@ -251,6 +252,32 @@ def test_segment_base_is_the_image_of_the_last_gradient():
     assert f.a.matvecs == before + 1  # A dy alone
     assert point.tobytes() == x1.tobytes()
     assert bits(value) == bits(f1)
+
+
+def test_walk_from_a_point_other_than_the_last_gradient_takes_its_own_image():
+    # a gradient query at z moves the segment base off x, so a lam walk
+    # from x takes A x afresh besides A dy; its steps match, bit for bit,
+    # those of the walk that starts from the image of grad f(x)
+    a, b = lasso_data(0)
+    n = a.shape[1]
+    x = np.ones(n)
+    runs = []
+    for detour in (False, True):
+        f = vmfbs.PNormResidual(a, b)
+        problem = lasso(f, n)
+        fx, grad = f.value(x), f.gradient(x)
+        if detour:
+            f.gradient(x + 1.0)
+        before = f.a.matvecs
+        out = line_search(problem, np.ones(n), x, "ls2", vmfbs.LineSearchConfig(rule="ls2"),
+                          fx=fx, gx=problem.g.value(x), grad=grad, start=1.0, other=2.0)
+        runs.append((out, f.a.matvecs - before))
+    (plain, plain_products), (detoured, detoured_products) = runs
+    assert (plain.lam, plain.backtracks) == (detoured.lam, detoured.backtracks) == (0.125, 3)
+    assert plain.gamma == detoured.gamma
+    assert plain.x_next.tobytes() == detoured.x_next.tobytes()
+    assert np.float64(plain.f_next).tobytes() == np.float64(detoured.f_next).tobytes()
+    assert (plain_products, detoured_products) == (1, 2)
 
 
 # --- a term behind a delegating wrapper -----------------------------------------

@@ -285,6 +285,17 @@ def test_domain_search_pinned_kl_scalar():
     assert np.array_equal(out.y, [1.0])
 
 
+def test_ls3_skips_trials_outside_the_domain():
+    # ls3 takes no domain walk first: gamma = 8 and 4 put x_next outside
+    # int dom f and are cut without a gradient, gamma = 2 lands at 1 and
+    # fails the gradient test, gamma = 1 lands at 1.5 and is accepted
+    prob = kl_scalar()
+    out = search(prob, [2.0], "ls3", cfg(gamma_max=8.0, theta=0.5, delta=0.9))
+    assert out.gamma == 1.0 and out.backtracks == 3
+    assert out.prox_evals == 4 and out.grad_evals == 2 and out.f_evals == 1
+    assert np.array_equal(out.x_next, [1.5])
+
+
 def test_domain_search_already_feasible():
     prob = kl_scalar()
     out = search(prob, [2.0], "domain", cfg(gamma_max=0.5, theta=0.5))

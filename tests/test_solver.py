@@ -398,6 +398,60 @@ def test_general_regime_infeasible_interior_start():
         solve(prob, np.array([0.0]), base_config(max_iterations=5))
 
 
+class Unbounded(vmfbs.SmoothTerm):
+    """f = 0.5 |x|^2 with no declared lower bound."""
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+    def gradient(self, x):
+        return x.copy()
+
+
+class NaNValued(vmfbs.ProxTerm):
+    """A g that claims every point for its domain but has no value at any."""
+
+    def value(self, x):
+        return np.nan
+
+    def in_domain(self, x):
+        return True
+
+
+def _refused(case):
+    """The problem, x0 and config of a solve that ``case`` makes ``solve`` refuse."""
+    config = base_config(max_iterations=4)
+    if case == "gamma_schedule":
+        # iteration 0 runs at gamma = 1; the schedule's 0 at k = 1 is refused
+        config = base_config(search=vmfbs.LineSearchConfig(rule="ls2"), max_iterations=4,
+                             gamma_schedule=lambda k: 0.0 if k == 1 else 1.0)
+        return steep_quadratic_1d(), [1.0], config
+    if case == "lower_bound":
+        prob = vmfbs.CompositeProblem(f=Unbounded(), g=vmfbs.BoxIndicator(0.0, np.inf),
+                                      dimension=1, domain_regime="general")
+        return prob, [1.0], config
+    if case == "f_x0":
+        f = vmfbs.KLDivergence(np.array([[1.0]]), np.array([1.0]))
+        return vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=1), [-1.0], config
+    prob = vmfbs.CompositeProblem(f=lasso_1d().f, g=NaNValued(), dimension=1)
+    return prob, [1.0], config
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("gamma_schedule", "gamma_schedule(1) = 0.0 must be positive and finite"),
+        ("lower_bound", "the general regime needs declared lower bounds on both f and g"),
+        ("f_x0", "f(x0) is not finite although x0 is in dom g; "),
+        ("g_x0", "g(x0) is not finite"),
+    ],
+)
+def test_solve_refuses(case, message):
+    prob, x0, config = _refused(case)
+    with pytest.raises(vmfbs.UsageError, match=re.escape(message)):
+        solve(prob, np.array(x0), config)
+
+
 def test_general_regime_solves_kl(rng):
     from conftest import random_kl
 
