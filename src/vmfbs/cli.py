@@ -12,11 +12,13 @@ refuses what ``solve`` refuses. Validation is strict: unknown keys are
 rejected and every message names the offending field path. Matrices and
 vectors are inline arrays, whitespace-delimited numeric files
 ({"path": ...}), or generated ({"random": {...}}); generation is
-deterministic from the block's seed, and --seed N overrides the i-th
-random block's seed with N+i. The output block takes ``trace`` (the
-output path when --out is not given) and ``checks`` (SolverConfig's
-``record_checks``); without either path, ``solve`` writes
-``<spec stem>_trace.csv`` and ``rate`` ``<spec stem>_rate.csv``.
+deterministic from the block's seed (a nonnegative integer), and
+--seed N (also nonnegative) overrides the i-th random block's seed with
+N+i. The output block takes ``trace`` (a non-empty string: the path of
+``solve``'s trace when --out is not given) and ``checks``
+(SolverConfig's ``record_checks``). Without either path ``solve`` writes
+``<spec stem>_trace.csv``; ``rate`` writes --out, else
+``<spec stem>_rate.csv``, and never ``output.trace``.
 
 Exit codes: 0 clean, 2 spec or usage error, 3 search failure. ``solve``
 and ``rate`` print a search failure's step to stderr in one format.
@@ -165,6 +167,13 @@ def _inline(node, path, *, ndim: int) -> np.ndarray:
     return arr
 
 
+def _seed(v: int, path: str) -> int:
+    """``v`` as a seed of numpy's generator, which refuses a negative one."""
+    if v < 0:
+        raise UsageError(f"{path}: expected a nonnegative integer, got {v}")
+    return v
+
+
 def _load_numeric(node, path, seeds, *, ndim: int) -> np.ndarray:
     """Inline array, {"path": file}, or {"random": {...}} -> ndarray. A
     random block draws its seed from ``seeds`` (N, N + 1, ... under
@@ -199,7 +208,9 @@ def _load_numeric(node, path, seeds, *, ndim: int) -> np.ndarray:
         kind = spec.get("kind", "gaussian")
         if kind not in ("gaussian", "nonnegative", "positive"):
             raise UsageError(f"{rpath}.kind: expected gaussian|nonnegative|positive, got {kind!r}")
-        seed = spec.get("seed") if seeds is None else next(seeds)
+        own = (_seed(_number(spec, "seed", rpath, kind=int), f"{rpath}.seed")
+               if "seed" in spec else None)
+        seed = own if seeds is None else next(seeds)
         if seed is None:
             raise UsageError(f"{rpath}.seed: required (or pass --seed)")
         arr = np.random.default_rng(seed).standard_normal(shape)
@@ -235,14 +246,17 @@ def load_spec(path) -> dict:
         "solver",
         optional=("rule", "metrics", *_LINESEARCH_KEYS, *_SOLVER_KEYS),
     )
-    _check_keys(spec["output"], "output", optional=("trace", "checks"))
+    output = spec["output"]
+    _check_keys(output, "output", optional=("trace", "checks"))
+    if "trace" in output and not (isinstance(output["trace"], str) and output["trace"]):
+        raise UsageError(f"output.trace: expected a non-empty string, got {output['trace']!r}")
     return spec
 
 
 def build_problem(spec: dict, seed=None):
     """The problem and x0 of a spec; a ``seed`` N seeds its i-th random block with N + i."""
     block = spec["problem"]
-    seeds = None if seed is None else itertools.count(seed)
+    seeds = None if seed is None else itertools.count(_seed(seed, "--seed"))
 
     smooth = block["smooth"]
     spath = "problem.smooth"
@@ -350,10 +364,10 @@ def build_solver_config(spec: dict, n: int) -> SolverConfig:
     return _build(path, SolverConfig, linesearch=ls, metrics=metrics, **kwargs)
 
 
-def _out_path(args, spec, default_suffix: str) -> str:
-    """--out, else output.trace, else the spec's path less ``.json`` plus ``default_suffix``."""
-    default = args.spec.removesuffix(".json") + default_suffix
-    return getattr(args, "out", None) or spec["output"].get("trace") or default
+def _out_path(args, default_suffix: str, configured=None) -> str:
+    """--out, else ``configured`` (solve's output.trace), else the spec's
+    path less ``.json`` plus ``default_suffix``."""
+    return args.out or configured or args.spec.removesuffix(".json") + default_suffix
 
 
 def _load(args):
@@ -385,7 +399,7 @@ def _report_failure(result) -> int:
 def cmd_solve(args) -> int:
     spec, problem, x0, config = _load(args)
     result = solve(problem, x0, config)
-    out = _out_path(args, spec, "_trace.csv")
+    out = _out_path(args, "_trace.csv", spec["output"].get("trace"))
     write_trace_csv(out, result.trace)
     print(
         f"{result.termination} after {len(result.trace)} iterations, "
@@ -462,14 +476,14 @@ def cmd_rate(args) -> int:
         raise UsageError(f"--fstar file does not hold a single number") from None
     if not math.isfinite(f_star):
         raise UsageError(f"--fstar must be finite, got {f_star!r}")
-    spec, problem, x0, config = _load(args)
+    _, problem, x0, config = _load(args)
     result = solve(problem, x0, config)
     # a first search that fails leaves no row to rate: the table is its header
     r, tails = (), {}
     if len(result.trace):
         est = estimate_rate(result, f_star)
         r, tails = est.r, est.tails
-    out = _out_path(args, spec, "_rate.csv")
+    out = _out_path(args, "_rate.csv")
     with open(out, "w") as fh:
         fh.write("k,F,r\n")
         for k, F, r_k in zip(result.trace.k, result.trace.F, r):

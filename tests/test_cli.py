@@ -219,6 +219,22 @@ def test_default_output_path_is_the_spec_stem(tmp_path, capsys, command, suffix)
     assert capsys.readouterr().out.endswith(f"-> {out}\n")
 
 
+def test_rate_leaves_the_configured_trace_alone(tmp_path, capsys):
+    # output.trace names solve's trace only, so rate after solve keeps it
+    spec_dict = lasso_spec()
+    spec_dict["output"]["trace"] = str(tmp_path / "configured.csv")
+    spec = write_spec(tmp_path, spec_dict, "run.json")
+    fstar = tmp_path / "fstar.txt"
+    fstar.write_text("2.5\n")
+    assert main(["solve", "--spec", spec]) == 0
+    trace = (tmp_path / "configured.csv").read_bytes()
+    assert main(["rate", "--spec", spec, "--fstar", str(fstar)]) == 0
+    assert (tmp_path / "configured.csv").read_bytes() == trace
+    assert trace.decode().startswith(TRACE_HEADER + "\n")
+    assert (tmp_path / "run_rate.csv").read_text().startswith("k,F,r\n")
+    assert capsys.readouterr().out.endswith(f"rate table -> {tmp_path / 'run_rate.csv'}\n")
+
+
 # a first search that fails: at x0 = (100, -100) the p = 4 residual's
 # gradient is about 1e10, and none of ls1's three trials passes its test
 FIRST_SEARCH_FAILS = {
@@ -320,6 +336,12 @@ def table_metrics(**fields):
         (lambda s: s["output"].update(f_star=0), "output: unknown key(s) ['f_star']"),
         # the lam walks start at 1: there is no lam grid top to set
         (lambda s: s["solver"].update(lam_max=1.0), "solver: unknown key(s) ['lam_max']"),
+        # a trace path is a non-empty string: open(1) is file descriptor 1,
+        # stdout, and open(["x"]) a TypeError
+        (lambda s: s["output"].update(trace=1),
+         "output.trace: expected a non-empty string, got 1"),
+        (lambda s: s["output"].update(trace=["x"]),
+         "output.trace: expected a non-empty string, got ['x']"),
     ],
 )
 def test_spec_validation_names_the_field(tmp_path, capsys, mutate, needle):
@@ -338,6 +360,28 @@ def test_random_block_requires_seed_unless_overridden(tmp_path, capsys):
     assert main(["solve", "--spec", spec, "--out", out]) == 2
     assert ".seed" in capsys.readouterr().err
     assert main(["solve", "--spec", spec, "--out", out, "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "seed, flag, needle",
+    [
+        ("x", [], "problem.smooth.matrix.random.seed: expected a number, got 'x'"),
+        (1.5, [], "problem.smooth.matrix.random.seed: expected an integer, got 1.5"),
+        (True, [], "problem.smooth.matrix.random.seed: expected a number, got True"),
+        (-1, [], "problem.smooth.matrix.random.seed: expected a nonnegative integer, got -1"),
+        (11, ["--seed", "-1"], "--seed: expected a nonnegative integer, got -1"),
+    ],
+)
+def test_random_block_seed_is_a_nonnegative_integer(tmp_path, capsys, seed, flag, needle):
+    # numpy's generator takes neither a string, a fraction nor a negative
+    # seed, and would read true as 1
+    spec_dict = random_spec()
+    spec_dict["problem"]["smooth"]["matrix"]["random"]["seed"] = seed
+    spec = write_spec(tmp_path, spec_dict)
+    out = tmp_path / "t.csv"
+    assert main(["solve", "--spec", spec, "--out", str(out), *flag]) == 2
+    assert capsys.readouterr().err == f"error: {needle}\n"
+    assert not out.exists()
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):
@@ -496,6 +540,25 @@ def test_compare_default_rules(tmp_path, capsys):
     finals = [float(ln.split(",")[-1]) for ln in lines[1:]]
     assert max(finals) - min(finals) < 1e-3
 
+    # a 4x3 KL spec in the general domain regime (box lo 0, x0 ones): the
+    # domain walk, ls3's domain test and the step the walk finishes; every
+    # rule stops at the fixed-point tolerance
+    spec = write_spec(tmp_path, {
+        "problem": {
+            "smooth": {"type": "kl", "matrix": [[1, 2, 0], [0, 1, 1], [1, 0, 1], [2, 1, 1]],
+                       "b": [3.0, 1.0, 2.0, 4.0]},
+            "regularizer": {"type": "box", "lo": 0},
+            "x0": [1, 1, 1],
+            "domain_regime": "general",
+        },
+        "solver": {"gamma_max": 8, "tol_fixed_point": 1e-6},
+    }, "kl.json")
+    assert main(["compare", "--spec", spec]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        (rule, "fixed_point") for rule in ("ls1", "ls2", "ls3", "ls4", "tseng-yun")
+    ]
+
 
 def test_compare_rule_subset_and_out(tmp_path, capsys):
     spec = write_spec(tmp_path, random_spec())
@@ -524,19 +587,20 @@ def test_compare_rejects_unknown_rule(tmp_path, capsys):
 # --- validate-metrics ----------------------------------------------------------------
 
 def test_validate_metrics_table(tmp_path, capsys):
-    spec_dict = random_spec()
-    spec_dict["solver"]["metrics"] = {
-        "type": "table",
-        "weights": [[1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2]],
-        "nu": 1.0,
-        "mu": 1.2,
-        "regime": "growth",
-        "growth_budget": 1.0,
-    }
-    spec = write_spec(tmp_path, spec_dict)
-    assert main(["validate-metrics", "--spec", spec, "--horizon", "10"]) == 0
-    out = capsys.readouterr().out.lower()
-    assert "growth" in out and "spread" in out
+    # two rows: the last one holds past the end of the table, so the
+    # growth is 0.5 over the 4 steps of a horizon of 5
+    spec = write_spec(tmp_path, {
+        "problem": {
+            "smooth": {"type": "quadratic", "matrix": [[1, 0], [0, 1]], "b": [1.0, -1.0]},
+            "regularizer": {"type": "l1", "weight": 0.1},
+        },
+        "solver": {"metrics": {"type": "table", "weights": [[1, 1], [1.5, 1]], "nu": 1,
+                               "mu": 1.5, "regime": "growth", "growth_budget": 1}},
+    })
+    assert main(["validate-metrics", "--spec", spec, "--horizon", "5"]) == 0
+    growth, spread = capsys.readouterr().out.splitlines()
+    assert growth == "growth: sum eta over 4 steps = 0.5 (budget 1.0, pass)"
+    assert spread.startswith("spread: ")
 
 
 def test_validate_metrics_bb_needs_a_run(tmp_path, capsys):
