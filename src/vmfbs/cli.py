@@ -167,6 +167,13 @@ def _inline(node, path, *, ndim: int) -> np.ndarray:
     return arr
 
 
+def _text(v, path: str) -> str:
+    """``v`` as a file name: a non-empty string."""
+    if not (isinstance(v, str) and v):
+        raise UsageError(f"{path}: expected a non-empty string, got {v!r}")
+    return v
+
+
 def _seed(v: int, path: str) -> int:
     """``v`` as a seed of numpy's generator, which refuses a negative one."""
     if v < 0:
@@ -182,14 +189,16 @@ def _load_numeric(node, path, seeds, *, ndim: int) -> np.ndarray:
         return _inline(node, path, ndim=ndim)
     if isinstance(node, dict) and "path" in node:
         _check_keys(node, path, required=("path",))
+        # np.loadtxt would read a list of strings as the lines of a file
+        fname = _text(node["path"], f"{path}.path")
         try:
-            arr = np.loadtxt(node["path"], dtype=float, ndmin=ndim)
+            arr = np.loadtxt(fname, dtype=float, ndmin=ndim)
         except OSError as exc:
             raise UsageError(f"{path}: {exc}") from None
         except ValueError as exc:
-            raise UsageError(f"{path}: {node['path']} is not numeric ({exc})") from None
+            raise UsageError(f"{path}: {fname} is not numeric ({exc})") from None
         if arr.ndim != ndim:
-            raise UsageError(f"{path}: {node['path']} has shape {arr.shape}, expected {ndim}-d")
+            raise UsageError(f"{path}: {fname} has shape {arr.shape}, expected {ndim}-d")
         return arr
     if isinstance(node, dict) and "random" in node:
         _check_keys(node, path, required=("random",))
@@ -248,8 +257,8 @@ def load_spec(path) -> dict:
     )
     output = spec["output"]
     _check_keys(output, "output", optional=("trace", "checks"))
-    if "trace" in output and not (isinstance(output["trace"], str) and output["trace"]):
-        raise UsageError(f"output.trace: expected a non-empty string, got {output['trace']!r}")
+    if "trace" in output:
+        _text(output["trace"], "output.trace")
     return spec
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import growth_from_weights
+from .metrics import _min_nu, growth_from_weights
 from .problems import UsageError, as_vector
 
 __all__ = [
@@ -110,7 +110,6 @@ def check_quasi_fejer(
     problem=None,
     *,
     branch: str = "growth",
-    delta: float | None = None,
     f_star: float | None = None,
     tolerance: float = 1e-10,
 ) -> CheckReport:
@@ -128,8 +127,8 @@ def check_quasi_fejer(
       eps_k = 2 sup(gamma) / (nu (1-delta)) * (F_k - F_{k+1}).
 
     x_star should be a (near-)minimizer; F(x_star) comes from `problem`
-    or, if evaluation is unwanted, from ``f_star`` directly. ``delta``
-    defaults to the record's effective delta.
+    or, if evaluation is unwanted, from ``f_star`` directly. delta is
+    the record's ``delta_effective``.
     """
     if branch not in ("growth", "spread"):
         raise UsageError(f"branch must be 'growth' or 'spread', got {branch!r}")
@@ -138,13 +137,9 @@ def check_quasi_fejer(
     T = len(trace)
     if T == 0:
         return CheckReport("quasi_fejer", np.empty(0), np.empty(0), tolerance)
-    if delta is None:
-        delta = getattr(record, "delta_effective", None)
-        if delta is None:
-            raise UsageError("supply delta explicitly when the record carries none")
-    delta = float(delta)
+    delta = float(getattr(record, "delta_effective", np.nan))
     if not (0 < delta < 1):
-        raise UsageError(f"the checker constants need 0 < delta < 1, got {delta}")
+        raise UsageError(f"the checker constants need 0 < delta_effective < 1, got {delta}")
     if f_star is None:
         if problem is None:
             raise UsageError("supply the problem (to evaluate F(x_star)) or f_star")
@@ -197,48 +192,47 @@ def check_quasi_fejer(
 _FLOOR_RULES = ("ls1", "ls2", "ls3", "ls4")
 
 
-def check_stepsize_floor(
-    record,
-    rule: str,
-    delta: float,
-    theta: float,
-    gamma_max: float,
-    lam_max: float,
-    nu: float,
-    lipschitz: float | None,
-    *,
-    tolerance: float = 0.0,
-) -> CheckReport:
-    """Accepted stepsizes stay above the L-dependent floor.
+def check_stepsize_floor(record, problem, *, tolerance: float = 0.0) -> CheckReport:
+    """Accepted stepsizes stay above the L-dependent floor of the run.
 
-    For the gamma-backtracking rules the floor on gamma_k is
+    Every constant comes from the run: the rule, delta, theta and
+    gamma_max from ``record.config.linesearch``, nu as the smallest
+    metric weight over the recorded steps, and L from
+    ``problem.f.lipschitz_bound``. For the gamma-backtracking rules the
+    floor on gamma_k is
     min(gamma_max, c * delta * theta * nu / (L * sup_k lam_k)) with
     c = 2 for ls1 and c = 1 for ls3 (whose acceptance condition is not
     squared); for the lam-backtracking rules the floor on lam_k is
-    min(lam_max, 2 * delta * theta * nu / (L * sup_k gamma_k)), with
-    lam_max = 1 for the library's lam walks, which start at 1. The sup
-    is taken over the recorded run. Grid values are exact powers, so the
-    default tolerance is zero.
+    min(1, 2 * delta * theta * nu / (L * sup_k gamma_k)), 1 being the
+    top of every lam walk. The sup is taken over the recorded run. Grid
+    values are exact powers, so the default tolerance is zero.
     """
+    config = getattr(record, "config", None)
+    if config is None:
+        raise UsageError("the stepsize floor reads its constants from a SolveResult of solve")
+    ls = config.linesearch
+    rule = ls.rule
     if rule not in _FLOOR_RULES:
         raise UsageError(f"no stepsize floor is available for rule {rule!r}")
-    if lipschitz is None:
+    L = problem.f.lipschitz_bound
+    if L is None:
         raise UsageError("the stepsize floor needs a global gradient Lipschitz constant")
-    L = float(lipschitz)
+    L = float(L)
     if L <= 0:
-        raise UsageError(f"lipschitz must be positive, got {L}")
-    trace = _trace_of(record)
+        raise UsageError(f"the smooth term's lipschitz_bound must be positive, got {L}")
+    trace = record.trace
     if len(trace) == 0:
         raise UsageError("empty trace")
+    nu = _min_nu(config.metrics, len(trace))
     gammas = trace.gamma
     lams = trace.lam
     if rule in ("ls1", "ls3"):
         c = 2.0 if rule == "ls1" else 1.0
-        floor = min(gamma_max, c * delta * theta * nu / (L * float(np.max(lams))))
+        floor = min(ls.gamma_max, c * ls.delta * ls.theta * nu / (L * float(np.max(lams))))
         observed = gammas
         which = "gamma"
     else:
-        floor = min(lam_max, 2.0 * delta * theta * nu / (L * float(np.max(gammas))))
+        floor = min(1.0, 2.0 * ls.delta * ls.theta * nu / (L * float(np.max(gammas))))
         observed = lams
         which = "lambda"
     residuals = floor - observed

@@ -213,6 +213,21 @@ def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSch
     return MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime="growth")
 
 
+def _min_nu(schedule: MetricSchedule | None, horizon: int) -> float:
+    """Smallest nu_k over the first ``horizon`` steps (1 for no schedule).
+
+    A schedule with state-free ``rows`` answers from the rows the horizon
+    reaches (checked against the declared bounds when the schedule was
+    built). One whose weights depend on the run answers its declared
+    global bound, which is conservative: nu_k >= nu.
+    """
+    if schedule is None:
+        return 1.0
+    if schedule.reads_state:
+        return schedule.global_nu
+    return min(float(w.min()) for w in schedule.rows[:horizon])
+
+
 def _emit_weights(schedule: MetricSchedule, horizon: int) -> list[np.ndarray] | None:
     """The weights of steps 0..horizon-1, or None when they depend on the run."""
     if horizon < 1:

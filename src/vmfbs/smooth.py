@@ -435,10 +435,13 @@ class KLDivergence(_Composite):
     def __init__(self, a: LinearMap, b):
         if not isinstance(a, LinearMap):
             a = LinearMap(a)
-        stored = a.a  # a banded map builds it on each access
-        if np.any(stored < 0):
-            raise UsageError("KL needs a nonnegative matrix")
-        if not np.all(stored.any(axis=1)):
+        # judged on the stored blocks: a banded map builds ``a.a`` on each access
+        row_live = np.zeros(a.shape[0], dtype=bool)
+        for r0, r1, _, _, block in a._parts():
+            if (block < 0).any():
+                raise UsageError("KL needs a nonnegative matrix")
+            row_live[r0:r1] |= block.any(axis=1)
+        if not row_live.all():
             raise UsageError("KL matrix has an all-zero row; the domain would be empty")
         self.a = a
         self.b = as_vector(b, a.shape[0])

@@ -48,7 +48,7 @@ import numpy as np
 
 from .diagnostics import CheckReport
 from .linesearch import _GAMMA_WALKS, LineSearchConfig, line_search
-from .metrics import MetricSchedule, StepSnapshot, constant_schedule
+from .metrics import MetricSchedule, StepSnapshot, _min_nu, constant_schedule
 from .problems import (
     CompositeProblem,
     SearchFailure,
@@ -264,7 +264,8 @@ class SolverConfig:
 @dataclass
 class SolveResult:
     """What :func:`solve` returns; its oracle counters sum the trace's
-    columns, and ``f_evals`` adds the call at x0."""
+    columns, and ``f_evals`` adds the call at x0. ``config`` is the
+    configuration the run used."""
 
     x_final: np.ndarray
     F_final: float
@@ -274,6 +275,7 @@ class SolveResult:
     states: States | None = None
     failure: dict | None = None
     delta_effective: float = np.nan
+    config: SolverConfig | None = None
 
     @property
     def f_evals(self) -> int:
@@ -302,22 +304,6 @@ def _as_schedule(value) -> Callable[[int], float]:
         return value
     v = float(value)
     return lambda k: v
-
-
-def _min_nu(schedule: MetricSchedule | None, horizon: int) -> float:
-    """Smallest nu_k over the first ``horizon`` steps.
-
-    A schedule with state-free ``rows`` answers from the rows the horizon
-    reaches (checked against the declared bounds when the schedule was
-    built). One whose weights depend on the run answers its declared
-    global bound, which is conservative (nu_k >= nu makes the true sup
-    ratio smaller).
-    """
-    if schedule is None:
-        return 1.0
-    if schedule.reads_state:
-        return schedule.global_nu
-    return min(float(w.min()) for w in schedule.rows[:horizon])
 
 
 def fixed_step_validate(problem: CompositeProblem, config: SolverConfig) -> FixedStepReport:
@@ -597,4 +583,5 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         states=states,
         failure=failure,
         delta_effective=delta_eff,
+        config=config,
     )

@@ -251,7 +251,7 @@ def test_criterion_04_stepsize_floors():
         # later rows accept gamma_max with y == x
         g0 = float(res.trace.gamma[0])
         g_min = float(np.min(res.trace.gamma))
-        rep = check_stepsize_floor(res, rule, 0.9, 0.5, 1.0, 1.0, 1.0, 4.0)
+        rep = check_stepsize_floor(res, prob)
         ok = (ok and g0 == expected and g_min == expected
               and rep.passed and rep.tolerance == 0.0)
         detail.append(f"{rule} gamma={g0} >= floor {rep.details['floor']}")

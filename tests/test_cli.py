@@ -342,6 +342,14 @@ def table_metrics(**fields):
          "output.trace: expected a non-empty string, got 1"),
         (lambda s: s["output"].update(trace=["x"]),
          "output.trace: expected a non-empty string, got ['x']"),
+        # so is a file path: np.loadtxt reads a list of strings as the
+        # lines of a file, and refuses a number only in its own words
+        (lambda s: s["problem"].update(x0={"path": ["1", "2", "3"]}),
+         "problem.x0.path: expected a non-empty string, got ['1', '2', '3']"),
+        (lambda s: s["problem"].update(x0={"path": 0}),
+         "problem.x0.path: expected a non-empty string, got 0"),
+        (lambda s: s["problem"]["smooth"].update(b={"path": ""}),
+         "problem.smooth.b.path: expected a non-empty string, got ''"),
     ],
 )
 def test_spec_validation_names_the_field(tmp_path, capsys, mutate, needle):

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_quasi_fejer_delta_validation(rng):
     prob = random_lasso(rng)
     res = run(prob, np.zeros(prob.dimension), iters=10)
     with pytest.raises(vmfbs.UsageError):
-        check_quasi_fejer(res, res.x_final, prob, delta=1.0)
+        check_quasi_fejer(dataclasses.replace(res, delta_effective=1.0), res.x_final, prob)
     with pytest.raises(vmfbs.UsageError):
         check_quasi_fejer(res, res.x_final, prob, branch="sideways")
 
@@ -161,9 +162,10 @@ def test_quasi_fejer_matches_frozen_loop_bitwise(rng, branch):
     for record in cases:
         x_star = rng.standard_normal(record.states.xs.shape[1])
         f_star = float(rng.standard_normal())
-        delta = float(rng.uniform(0.05, 0.95))
-        rep = check_quasi_fejer(record, x_star, f_star=f_star, delta=delta, branch=branch)
-        ref = quasi_fejer_residuals_reference(record, x_star, f_star, delta, branch)
+        record.delta_effective = float(rng.uniform(0.05, 0.95))
+        rep = check_quasi_fejer(record, x_star, f_star=f_star, branch=branch)
+        ref = quasi_fejer_residuals_reference(record, x_star, f_star, record.delta_effective,
+                                              branch)
         assert rep.residuals.tobytes() == ref.tobytes()
     # and on solver records with a run-dependent (BB) metric
     for _ in range(5):
@@ -185,15 +187,20 @@ def test_quasi_fejer_matches_frozen_loop_bitwise(rng, branch):
 
 # --- stepsize floor ---------------------------------------------------------------
 
-def floor_run(rule):
-    prob = steep_quadratic_1d()  # L = 4 exactly
-    return run(prob, np.array([1.0]), iters=12, rule=rule,
-               delta=0.9, theta=0.5, gamma_max=1.0)
+def floor_run(rule, prob=None, *, metrics=None, **search_kw):
+    cfg = vmfbs.SolverConfig(
+        linesearch=vmfbs.LineSearchConfig(rule=rule, delta=0.9, theta=0.5, gamma_max=1.0,
+                                          **search_kw),
+        metrics=metrics,
+        max_iterations=12,
+    )
+    prob = steep_quadratic_1d() if prob is None else prob  # L = 4 exactly
+    return solve(prob, np.array([1.0]), cfg)
 
 
 def test_floor_ls1_pinned():
     res = floor_run("ls1")
-    rep = check_stepsize_floor(res, "ls1", 0.9, 0.5, 1.0, 1.0, 1.0, 4.0)
+    rep = check_stepsize_floor(res, steep_quadratic_1d())
     assert rep.passed and rep.tolerance == 0.0
     assert rep.details["floor"] == pytest.approx(0.225)
     assert min(res.trace.gamma) >= 0.225
@@ -201,7 +208,7 @@ def test_floor_ls1_pinned():
 
 def test_floor_ls3_pinned():
     res = floor_run("ls3")
-    rep = check_stepsize_floor(res, "ls3", 0.9, 0.5, 1.0, 1.0, 1.0, 4.0)
+    rep = check_stepsize_floor(res, steep_quadratic_1d())
     assert rep.passed
     assert rep.details["floor"] == pytest.approx(0.1125)
     assert min(res.trace.gamma) >= 0.1125
@@ -210,24 +217,66 @@ def test_floor_ls3_pinned():
 def test_floor_lam_rules():
     for rule in ("ls2", "ls4"):
         res = floor_run(rule)
-        rep = check_stepsize_floor(res, rule, 0.9, 0.5, 1.0, 1.0, 1.0, 4.0)
+        rep = check_stepsize_floor(res, steep_quadratic_1d())
         assert rep.passed
         assert rep.details["on"] == "lambda"
 
 
+class _HalfL(vmfbs.SmoothTerm):
+    """A term that passes value and gradient on but reports half its L."""
+
+    def __init__(self, f):
+        self._f = f
+        self.lipschitz_bound = 0.5 * f.lipschitz_bound
+
+    def value(self, x):
+        return self._f.value(x)
+
+    def gradient(self, x):
+        return self._f.gradient(x)
+
+
 def test_floor_flags_understated_lipschitz():
     # halving L doubles the floor past the observed gamma
-    res = floor_run("ls1")
-    rep = check_stepsize_floor(res, "ls1", 0.9, 0.5, 1.0, 1.0, 1.0, 2.0)
+    true = steep_quadratic_1d()
+    prob = vmfbs.CompositeProblem(f=_HalfL(true.f), g=true.g, dimension=1)
+    res = floor_run("ls1", prob)
+    assert res.trace.gamma.tobytes() == floor_run("ls1").trace.gamma.tobytes()
+    rep = check_stepsize_floor(res, prob)
     assert not rep.passed
+    assert rep.details["floor"] == pytest.approx(0.45)
+
+
+def test_floor_reads_nu_from_the_metric():
+    # nu = 0.5 halves the floor to 0.1125 under the observed 0.125; a
+    # checker that took nu = 1 would compute 0.225 and fail the run
+    res = floor_run("ls1", metrics=vmfbs.constant_schedule([0.5]))
+    assert min(res.trace.gamma) == 0.125
+    rep = check_stepsize_floor(res, steep_quadratic_1d())
+    assert rep.passed
+    assert rep.details["floor"] == pytest.approx(0.1125)
 
 
 def test_floor_unsupported_cases():
+    prob = steep_quadratic_1d()
     res = floor_run("ls1")
-    with pytest.raises(vmfbs.UsageError, match="no stepsize floor is available"):
-        check_stepsize_floor(res, "tseng-yun", 0.9, 0.5, 1.0, 1.0, 1.0, 4.0)
+    with pytest.raises(vmfbs.UsageError, match="reads its constants from a SolveResult"):
+        check_stepsize_floor(res.trace, prob)
+    for rule, kw in (("tseng-yun", {}), ("fixed", {"fixed_gamma": 0.25, "fixed_lam": 1.0})):
+        with pytest.raises(vmfbs.UsageError, match="no stepsize floor is available"):
+            check_stepsize_floor(floor_run(rule, **kw), prob)
+    kl = vmfbs.CompositeProblem(f=vmfbs.KLDivergence(np.array([[1.0]]), np.array([1.0])),
+                                g=vmfbs.ZeroTerm(), dimension=1)
     with pytest.raises(vmfbs.UsageError, match="needs a global gradient Lipschitz"):
-        check_stepsize_floor(res, "ls1", 0.9, 0.5, 1.0, 1.0, 1.0, None)
+        check_stepsize_floor(res, kl)
+    flat = vmfbs.CompositeProblem(f=vmfbs.PNormResidual(np.zeros((1, 1)), np.zeros(1)),
+                                  g=vmfbs.ZeroTerm(), dimension=1)
+    with pytest.raises(vmfbs.UsageError, match="lipschitz_bound must be positive"):
+        check_stepsize_floor(res, flat)
+    failed = floor_run("ls1", max_backtracks=1)
+    assert failed.termination == "search_failure" and len(failed.trace) == 0
+    with pytest.raises(vmfbs.UsageError, match="empty trace"):
+        check_stepsize_floor(failed, prob)
 
 
 # --- condition chain across rules ---------------------------------------------------

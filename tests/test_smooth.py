@@ -509,14 +509,18 @@ def test_band_kl_accepts_a_banded_nonnegative_matrix(rng, monkeypatch):
     x = rng.uniform(0.5, 1.5, 1000)
     assert f.value(x) == pytest.approx(dense.value(x), rel=1e-13)
     assert np.allclose(f.gradient(x), dense.gradient(x), rtol=0.0, atol=1e-13)
-    a = np.abs(_block_diagonal(rng))
-    a[3, 3] = -1.0
+    negative = np.abs(_block_diagonal(rng))
+    negative[3, 3] = -1.0
+    emptied = np.abs(_block_diagonal(rng))
+    emptied[300] = 0.0
+    maps = [vmfbs.LinearMap(negative), vmfbs.LinearMap(emptied)]
+    assert all(m._blocks is not None for m in maps)
+    # the refusals read the stored blocks; the dense matrix is never built
+    monkeypatch.setattr(vmfbs.LinearMap, "a", property(lambda m: pytest.fail("a was read")))
     with pytest.raises(vmfbs.UsageError, match="nonnegative"):
-        vmfbs.KLDivergence(a, np.ones(a.shape[0]))
-    a = np.abs(_block_diagonal(rng))
-    a[300] = 0.0
+        vmfbs.KLDivergence(maps[0], np.ones(negative.shape[0]))
     with pytest.raises(vmfbs.UsageError, match="all-zero row"):
-        vmfbs.KLDivergence(a, np.ones(a.shape[0]))
+        vmfbs.KLDivergence(maps[1], np.ones(emptied.shape[0]))
 
 
 @pytest.mark.parametrize("rule", ["ls1", "ls4"])
