@@ -111,7 +111,6 @@ def check_quasi_fejer(
     *,
     branch: str = "growth",
     f_star: float | None = None,
-    tolerance: float = 1e-10,
 ) -> CheckReport:
     """Per-transition quasi-Fejer inequality toward a supplied minimizer.
 
@@ -136,17 +135,16 @@ def check_quasi_fejer(
     states = _states_of(record, "check_quasi_fejer")
     T = len(trace)
     if T == 0:
-        return CheckReport("quasi_fejer", np.empty(0), np.empty(0), tolerance)
+        return CheckReport("quasi_fejer", np.empty(0), np.empty(0), 1e-10)
     delta = float(getattr(record, "delta_effective", np.nan))
     if not (0 < delta < 1):
         raise UsageError(f"the checker constants need 0 < delta_effective < 1, got {delta}")
+    x_star = as_vector(x_star, states.xs.shape[1])
     if f_star is None:
         if problem is None:
             raise UsageError("supply the problem (to evaluate F(x_star)) or f_star")
-        xs_ref = as_vector(x_star, states.xs.shape[1])
-        f_star = problem.f.value(xs_ref) + problem.g.value(xs_ref)
+        f_star = problem.f.value(x_star) + problem.g.value(x_star)
     f_star = float(f_star)
-    x_star = as_vector(x_star, states.xs.shape[1])
 
     F = trace.F
     F_next = np.empty(T)
@@ -184,7 +182,7 @@ def check_quasi_fejer(
         name="quasi_fejer",
         residuals=residuals,
         scales=1.0 + np.abs(F),
-        tolerance=tolerance,
+        tolerance=1e-10,
         details=details,
     )
 
@@ -192,7 +190,7 @@ def check_quasi_fejer(
 _FLOOR_RULES = ("ls1", "ls2", "ls3", "ls4")
 
 
-def check_stepsize_floor(record, problem, *, tolerance: float = 0.0) -> CheckReport:
+def check_stepsize_floor(record, problem) -> CheckReport:
     """Accepted stepsizes stay above the L-dependent floor of the run.
 
     Every constant comes from the run: the rule, delta, theta and
@@ -205,7 +203,7 @@ def check_stepsize_floor(record, problem, *, tolerance: float = 0.0) -> CheckRep
     squared); for the lam-backtracking rules the floor on lam_k is
     min(1, 2 * delta * theta * nu / (L * sup_k gamma_k)), 1 being the
     top of every lam walk. The sup is taken over the recorded run. Grid
-    values are exact powers, so the default tolerance is zero.
+    values are exact powers, so the tolerance is zero.
     """
     config = getattr(record, "config", None)
     if config is None:
@@ -240,7 +238,7 @@ def check_stepsize_floor(record, problem, *, tolerance: float = 0.0) -> CheckRep
         name=f"stepsize_floor[{rule}]",
         residuals=np.asarray(residuals, dtype=float),
         scales=np.full(len(trace), 1.0),
-        tolerance=tolerance,
+        tolerance=0.0,
         details={"floor": float(floor), "observed_min": float(np.min(observed)), "on": which},
     )
 

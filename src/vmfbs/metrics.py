@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import UsageError
+from .problems import UsageError, check_count
 
 __all__ = [
     "StepSnapshot",
@@ -192,8 +192,9 @@ def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSch
     which makes the relative growth summable by construction (partial
     sums bounded by 2 * eta0), hence the declared regime "growth".
     """
-    if eta0 < 0:
-        raise UsageError(f"eta0 must be nonnegative, got {eta0}")
+    check_count("n", n)
+    if not (0 <= eta0 < math.inf):
+        raise UsageError(f"eta0 must be nonnegative and finite, got {eta0}")
     if not (0 < nu <= mu):
         raise UsageError(f"bb_schedule needs 0 < nu <= mu, got nu={nu}, mu={mu}")
     start = np.clip(np.ones(n), nu, mu)

@@ -22,7 +22,7 @@ from vmfbs.diagnostics import (
 )
 from vmfbs.solver import IterateTrace, Trace, fixed_step_validate, solve
 
-from conftest import ACCEPTANCE_LINES, lasso_1d, steep_quadratic_1d
+from conftest import ACCEPTANCE_LINES, batch_instance, lasso_1d, steep_quadratic_1d
 from oracles import (
     fd_gradient,
     grid_prox_oracle,
@@ -56,47 +56,6 @@ def c1_run():
         record_states=True,
     )
     return prob, solve(prob, np.zeros(1), cfg)
-
-
-RULE_CYCLE = ["ls1", "ls2", "ls3", "ls4", "tseng-yun", "fixed"]
-SIZE_CYCLE = [4, 9, 16, 30, 50]
-
-
-def batch_instance(i):
-    """Deterministic instance i of the 200-run grid.
-
-    The three cycles are coprime in period so every smooth/regularizer/
-    rule combination occurs; "fixed" needs a global Lipschitz constant
-    and the standard regime, so it falls back to ls1 elsewhere.
-    """
-    rng = np.random.default_rng(20160114 + i)
-    n = SIZE_CYCLE[i % len(SIZE_CYCLE)]
-    smooth_kind = ("quadratic", "l4", "kl")[(i // 6) % 3]
-    reg_kind = ("l1", "box", "tv")[(i // 18) % 3]
-    rule = RULE_CYCLE[i % 6]
-    m = n + 5
-    if smooth_kind == "kl":
-        a = np.abs(rng.standard_normal((m, n))) + 0.1
-        x_true = np.abs(rng.standard_normal(n)) + 0.5
-        f = vmfbs.KLDivergence(a, a @ x_true)
-        regime = "general"
-        x0 = np.ones(n)
-    else:
-        a = rng.standard_normal((m, n)) / np.sqrt(n)
-        b = rng.standard_normal(m)
-        f = vmfbs.PNormResidual(a, b, p=2.0 if smooth_kind == "quadratic" else 4.0)
-        regime = "standard"
-        x0 = np.zeros(n)
-    if reg_kind == "l1":
-        g = vmfbs.L1Norm(0.1)
-    elif reg_kind == "box":
-        g = vmfbs.BoxIndicator(0.0, 2.0) if smooth_kind == "kl" else vmfbs.BoxIndicator(-1.0, 1.0)
-    else:
-        g = vmfbs.Tv1dNorm(0.2)
-    if rule == "fixed" and smooth_kind != "quadratic":
-        rule = "ls1"
-    prob = vmfbs.CompositeProblem(f=f, g=g, dimension=n, domain_regime=regime)
-    return prob, x0, rule, smooth_kind, reg_kind
 
 
 @pytest.fixture(scope="module")

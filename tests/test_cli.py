@@ -246,7 +246,7 @@ FIRST_SEARCH_FAILS = {
     "solver": {"rule": "ls1", "max_backtracks": 2, "max_iterations": 5},
 }
 
-# the third search fails: the run of the failure batch of golden_paths.py
+# the third search fails: the run of the failure batch of golden.py
 THIRD_SEARCH_FAILS = {
     "problem": {
         "smooth": {"type": "quadratic", "matrix": [[2.0]], "b": [0.0]},
@@ -332,6 +332,9 @@ def table_metrics(**fields):
          "solver: lam_schedule must lie in (0,1], got nan"),
         (lambda s: s["solver"].update(gamma_schedule=0),
          "solver: gamma_schedule must be positive and finite, got 0.0"),
+        (lambda s: s["solver"].update(metrics={"type": "bb", "nu": 0.5, "mu": 4.0,
+                                               "eta0": float("nan")}),
+         "solver.metrics: eta0 must be nonnegative and finite, got nan"),
         # F* comes from rate's --fstar alone
         (lambda s: s["output"].update(f_star=0), "output: unknown key(s) ['f_star']"),
         # the lam walks start at 1: there is no lam grid top to set

@@ -23,7 +23,9 @@ import pytest
 import vmfbs
 from vmfbs import problems
 from vmfbs.linesearch import line_search
-from vmfbs.solver import IterateTrace, solve
+from vmfbs.solver import solve
+
+from conftest import Delegating, assert_same_run
 
 BACKTRACKING = ("ls1", "ls2", "ls3", "ls4", "tseng-yun")
 LAM_WALKS = ("ls2", "ls4", "tseng-yun")
@@ -110,22 +112,6 @@ def search(rule, lipschitz=None):
     return vmfbs.LineSearchConfig(rule=rule, warm_start=True)
 
 
-def assert_bitwise_equal(res, ref):
-    assert res.termination == ref.termination
-    assert len(res.trace) == len(ref.trace) > 0
-    for name in IterateTrace._fields:
-        assert res.trace.column(name).tobytes() == ref.trace.column(name).tobytes(), name
-    assert res.x_final.tobytes() == ref.x_final.tobytes()
-    assert np.float64(res.F_final).tobytes() == np.float64(ref.F_final).tobytes()
-    assert (res.f_evals, res.grad_evals, res.prox_evals) == (
-        ref.f_evals, ref.grad_evals, ref.prox_evals)
-    if ref.states is None:
-        assert res.states is None
-    else:
-        for name in ("xs", "ys", "weights"):
-            assert getattr(res.states, name).tobytes() == getattr(ref.states, name).tobytes()
-
-
 # --- the matvec count ----------------------------------------------------------
 
 @pytest.mark.parametrize("rule", ["ls1", "ls2", "ls4", "tseng-yun", "fixed"])
@@ -175,7 +161,7 @@ def test_lasso_bitwise_equal_to_fresh_products(rule, p):
             linesearch=search(rule, f.lipschitz_bound), max_iterations=300,
             tol_fixed_point=1e-9, record_states=True)
         runs.append(solve(lasso(f, n), np.zeros(n), config))
-    assert_bitwise_equal(*runs)
+    assert_same_run(*runs)
 
 
 @pytest.mark.parametrize("rule", ["ls1", "ls3", "ls4"])
@@ -193,7 +179,7 @@ def test_kl_general_regime_bitwise_equal_to_fresh_products(rule):
             metrics=vmfbs.bb_schedule(n, nu=0.25, mu=4.0),
             max_iterations=300, tol_fixed_point=1e-7, record_states=True)
         runs.append(solve(problem, np.ones(n), config))
-    assert_bitwise_equal(*runs)
+    assert_same_run(*runs)
     # the searches backtracked and tested the domain, so the memo saw misses
     assert runs[0].trace.backtracks.sum() > 0
 
@@ -282,27 +268,6 @@ def test_walk_from_a_point_other_than_the_last_gradient_takes_its_own_image():
 
 # --- a term behind a delegating wrapper -----------------------------------------
 
-class Delegating(vmfbs.SmoothTerm):
-    """Passes ``value``, ``gradient`` and ``in_domain`` on, and nothing else."""
-
-    def __init__(self, f):
-        self._f = f
-        self.lower_bound = f.lower_bound
-
-    @property
-    def lipschitz_bound(self):
-        return self._f.lipschitz_bound
-
-    def value(self, x):
-        return self._f.value(x)
-
-    def gradient(self, x):
-        return self._f.gradient(x)
-
-    def in_domain(self, x):
-        return self._f.in_domain(x)
-
-
 @pytest.mark.parametrize("rule", BACKTRACKING + ("fixed",))
 def test_wrapped_term_solves_bitwise_as_the_term(rule):
     # the walk is current while the wrapper passes each trial's value on:
@@ -318,7 +283,7 @@ def test_wrapped_term_solves_bitwise_as_the_term(rule):
             tol_fixed_point=1e-9, record_states=True)
         runs.append(solve(lasso(wrap(f), n), np.zeros(n), config))
         matvecs.append(f.a.matvecs)
-    assert_bitwise_equal(*runs)
+    assert_same_run(*runs)
     assert matvecs[0] == matvecs[1]
 
 
@@ -339,7 +304,7 @@ def test_wrapped_kl_general_regime_solves_bitwise_as_the_term(rule):
             max_iterations=300, tol_fixed_point=1e-7, record_states=True)
         runs.append(solve(problem, np.ones(n), config))
         matvecs.append(f.a.matvecs)
-    assert_bitwise_equal(*runs)
+    assert_same_run(*runs)
     assert matvecs[0] == matvecs[1]
 
 

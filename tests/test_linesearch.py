@@ -182,7 +182,7 @@ def test_ls2_steep_quadratic_pinned():
     assert out.prox_evals == 1
 
 
-def test_ls2_small_gamma_accepts_lam_max():
+def test_ls2_small_gamma_accepts_the_first_lam():
     prob = steep_quadratic_1d()
     out = search(prob, [1.0], "ls2", cfg(delta=0.9, theta=0.5), other=0.25)
     assert out.lam == 1.0 and out.backtracks == 0

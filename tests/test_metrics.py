@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,9 @@ def test_metric_prox_separable_rescales_per_coordinate():
     out = g.prox(z, 1.0, np.array([1.0, 2.0, 4.0]))
     expected = np.array([2.0, -1.5, 0.15])  # soft(z_i, 1/w_i)
     assert np.allclose(out, expected, atol=1e-15)
+    # equal entries of z part with their weights
+    out = g.prox(np.array([3.0, 3.0]), 1.0, weights=np.array([1.0, 2.0]))
+    assert np.allclose(out, [2.0, 2.5])
 
 
 def test_constant_schedule_emits_same_metric():
@@ -159,12 +164,6 @@ def test_metric_at_returns_the_same_last_row_past_the_table():
     assert sched.metric_at(0) is sched.metric_at(0)
 
 
-def test_schedule_rejects_out_of_corridor_emission():
-    rows = [np.array([3.0])]
-    with pytest.raises(vmfbs.UsageError):
-        vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="growth").metric_at(0)
-
-
 def test_bb_schedule_secant_and_corridor():
     sched = vmfbs.bb_schedule(2, nu=0.5, mu=4.0)
     m0 = sched.metric_at(0)
@@ -179,6 +178,21 @@ def test_bb_schedule_secant_and_corridor():
     # corridor at k=1 allows growth up to factor 1 + eta0 = 2
     assert np.allclose(m1, [2.0, 2.0])
     assert sched.declared_regime == "growth"
+
+
+@pytest.mark.parametrize("kw, needle", [
+    (dict(eta0=np.nan), "eta0 must be nonnegative and finite, got nan"),
+    # an infinite eta0 would switch the growth corridor off
+    (dict(eta0=np.inf), "eta0 must be nonnegative and finite, got inf"),
+    (dict(eta0=-1.0), "eta0 must be nonnegative and finite, got -1.0"),
+    (dict(n=0), "n must be >= 1, got 0"),
+    (dict(n=-1), "n must be >= 1, got -1"),
+    (dict(n=2.0), "n must be an integer, got 2.0"),
+])
+def test_bb_schedule_refuses_bad_arguments_when_built(kw, needle):
+    kw = {"n": 2, "nu": 0.5, "mu": 4.0, **kw}
+    with pytest.raises(vmfbs.UsageError, match=re.escape(needle)):
+        vmfbs.bb_schedule(kw.pop("n"), **kw)
 
 
 def test_bb_schedule_keeps_previous_on_tiny_displacement():
