@@ -44,7 +44,6 @@ from .prox import (
 from .smooth import KLDivergence, LinearMap, PNormResidual
 from .solver import (
     TERMINATIONS,
-    IterateTrace,
     SolveResult,
     SolverConfig,
     Trace,
@@ -57,7 +56,6 @@ __all__ = [
     "BoxIndicator",
     "CheckReport",
     "CompositeProblem",
-    "IterateTrace",
     "KLDivergence",
     "L1Norm",
     "LineSearchConfig",

@@ -1,7 +1,7 @@
 """Command-line experiment harness.
 
 Subcommands: ``solve`` (run one configuration, write a trace CSV with
-every :class:`~vmfbs.solver.IterateTrace` column),
+every :class:`~vmfbs.solver.Trace` column),
 ``compare`` (run several stepsize rules on the same problem, tabulate
 cost counters), ``validate-metrics`` (finite-horizon partial sums of a
 metric schedule), ``rate`` (solve plus k*(F_k - F*) decade tails).
@@ -14,10 +14,9 @@ vectors are inline arrays, whitespace-delimited numeric files
 ({"path": ...}), or generated ({"random": {...}}); generation is
 deterministic from the block's seed (a nonnegative integer), and
 --seed N (also nonnegative) overrides the i-th random block's seed with
-N+i. The output block takes ``trace`` (a non-empty string: the path of
-``solve``'s trace when --out is not given) and ``checks``
-(SolverConfig's ``record_checks``). Without either path ``solve`` writes
-``<spec stem>_trace.csv``; ``rate`` writes --out, else
+N+i. The output block takes one key, ``trace``, a non-empty string: the
+path of ``solve``'s trace when --out is not given. Without either path
+``solve`` writes ``<spec stem>_trace.csv``; ``rate`` writes --out, else
 ``<spec stem>_rate.csv``, and never ``output.trace``.
 
 Exit codes: 0 clean, 2 spec or usage error, 3 search failure. ``solve``
@@ -256,7 +255,7 @@ def load_spec(path) -> dict:
         optional=("rule", "metrics", *_LINESEARCH_KEYS, *_SOLVER_KEYS),
     )
     output = spec["output"]
-    _check_keys(output, "output", optional=("trace", "checks"))
+    _check_keys(output, "output", optional=("trace",))
     if "trace" in output:
         _text(output["trace"], "output.trace")
     return spec
@@ -368,8 +367,6 @@ def build_solver_config(spec: dict, n: int) -> SolverConfig:
 
     metrics = _build_metrics(s, n)
     kwargs = _given(s, _SOLVER_KEYS, path)
-    if "checks" in spec["output"]:
-        kwargs["record_checks"] = _number(spec["output"], "checks", "output", kind=bool)
     return _build(path, SolverConfig, linesearch=ls, metrics=metrics, **kwargs)
 
 

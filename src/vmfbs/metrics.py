@@ -229,15 +229,6 @@ def _min_nu(schedule: MetricSchedule | None, horizon: int) -> float:
     return min(float(w.min()) for w in schedule.rows[:horizon])
 
 
-def _emit_weights(schedule: MetricSchedule, horizon: int) -> list[np.ndarray] | None:
-    """The weights of steps 0..horizon-1, or None when they depend on the run."""
-    if horizon < 1:
-        raise UsageError(f"horizon must be >= 1, got {horizon}")
-    if schedule.reads_state:
-        return None
-    return [schedule.metric_at(k) for k in range(horizon)]
-
-
 _NEEDS_RUN = "n/a: needs a run, the weights depend on the solver state"
 
 
@@ -283,10 +274,17 @@ def growth_from_weights(weight_rows) -> np.ndarray:
 
 
 def _summability(name, terms_of, schedule, horizon, budget) -> SummabilityReport:
-    ws = _emit_weights(schedule, horizon)
-    if ws is None:
+    """The report on ``terms_of(rows, horizon)`` over the first ``horizon`` steps.
+
+    ``rows`` are the table rows the horizon reaches; every step past
+    them emits the last row again, and ``terms_of`` fills in the terms
+    of those steps without building their weights.
+    """
+    if horizon < 1:
+        raise UsageError(f"horizon must be >= 1, got {horizon}")
+    if schedule.reads_state:
         return SummabilityReport(name, np.zeros(0), np.nan, budget, None, needs_run=True)
-    terms = terms_of(ws)
+    terms = terms_of(np.array(schedule.rows[:horizon]), horizon)
     total = float(terms.sum())
     passed = None if budget is None else bool(total <= budget)
     return SummabilityReport(name, terms, total, budget, passed)
@@ -300,7 +298,11 @@ def validate_growth(schedule: MetricSchedule, horizon: int, budget: float | None
     reported. A schedule that reads the solver state has no weights
     before a run, so its report says so and passes nothing.
     """
-    return _summability("growth", growth_from_weights, schedule, horizon, budget)
+    def terms_of(rows, horizon):
+        # a repeated row does not grow
+        return np.pad(growth_from_weights(rows), (0, horizon - len(rows)))
+
+    return _summability("growth", terms_of, schedule, horizon, budget)
 
 
 def validate_spread(schedule: MetricSchedule, horizon: int, budget: float | None = None) -> SummabilityReport:
@@ -309,4 +311,7 @@ def validate_spread(schedule: MetricSchedule, horizon: int, budget: float | None
     As :func:`validate_growth`, a schedule that reads the solver state
     gets a report that needs a run.
     """
-    return _summability("spread", lambda ws: np.ptp(ws, axis=1), schedule, horizon, budget)
+    def terms_of(rows, horizon):
+        return np.pad(np.ptp(rows, axis=1), (0, horizon - len(rows)), mode="edge")
+
+    return _summability("spread", terms_of, schedule, horizon, budget)

@@ -386,11 +386,13 @@ class L1Norm(ProxTerm):
 
 
 class BoxIndicator(ProxTerm):
-    """Indicator of the box [lo, hi]; bounds broadcast, +-inf allowed.
+    """Indicator of the box [lo, hi]; +-inf allowed.
 
-    The projection is a plain clamp regardless of gamma and of diagonal
-    weights (separable indicator: each coordinate projects onto its own
-    interval).
+    Each bound is a scalar, the same for every coordinate, or a vector
+    of one entry per coordinate; vector bounds must have one length, and
+    a point of another length is refused. The projection is a plain
+    clamp regardless of gamma and of diagonal weights (separable
+    indicator: each coordinate projects onto its own interval).
     """
 
     separable = True
@@ -399,20 +401,37 @@ class BoxIndicator(ProxTerm):
     def __init__(self, lo=-np.inf, hi=np.inf):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
+        sizes = {b.size for b in (lo, hi) if b.ndim == 1}
+        if lo.ndim > 1 or hi.ndim > 1 or len(sizes) > 1:
+            raise UsageError(
+                f"box bounds must be scalars or vectors of one length, got shapes "
+                f"{lo.shape} and {hi.shape}"
+            )
         if not np.all(lo <= hi):  # NaN bounds too
             raise UsageError("empty box: lo > hi or a NaN bound somewhere")
         self.lo = lo
         self.hi = hi
+        # the length every point must have, None for scalar bounds
+        self._size = sizes.pop() if sizes else None
+
+    def _check_dim(self, x):
+        if x.size != self._size:
+            raise UsageError(f"expected {self._size} coordinates, got {x.size}")
 
     def value(self, x) -> float:
         return 0.0 if self.in_domain(x) else np.inf
 
     def in_domain(self, x) -> bool:
         x = np.asarray(x, dtype=float)
+        if self._size is not None:
+            self._check_dim(x)
         return bool((x >= self.lo).all() and (x <= self.hi).all())
 
     def prox(self, z, gamma, weights=None):
-        # the constructor rejected lo > hi and NaN bounds, so no per-call check
+        # the constructor rejected lo > hi and NaN bounds; a point's length
+        # is all a call checks, and only against vector bounds
+        if self._size is not None:
+            self._check_dim(np.asarray(z))
         return np.minimum(np.maximum(z, self.lo), self.hi)
 
     def subdiff_distance(self, p, u) -> float:
@@ -467,13 +486,7 @@ class SeparableProx(ProxTerm):
         self.box = BoxIndicator(lo, hi)
         self._abs = weight > 0
 
-    def _check_dim(self, x):
-        if x.size != self.weight.size:
-            raise UsageError(f"expected {self.weight.size} coordinates, got {x.size}")
-
     def in_domain(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        self._check_dim(x)
         return self.box.in_domain(x)
 
     def value(self, x) -> float:
@@ -485,7 +498,7 @@ class SeparableProx(ProxTerm):
 
     def prox(self, z, gamma, weights=None):
         z = np.asarray(z, dtype=float)
-        self._check_dim(z)
+        self.box._check_dim(z)
         tau = gamma if weights is None else gamma / np.asarray(weights, dtype=float)
         # the threshold only where weight > 0: at weight 0 it would turn -0.0 into +0.0
         shrunk = np.where(self._abs, soft_threshold(z, self.weight * tau), z)
@@ -497,7 +510,7 @@ class SeparableProx(ProxTerm):
     def subdiff_distance(self, p, u) -> float:
         p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=float)
-        self._check_dim(p)
+        self.box._check_dim(p)
         a_lo, a_hi = _abs_interval(p, self.weight)
         c_lo, c_hi = _cone_interval(p, self.box.lo, self.box.hi)
         return float(np.linalg.norm(_interval_distances(u, a_lo + c_lo, a_hi + c_hi)))

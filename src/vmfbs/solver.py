@@ -20,8 +20,8 @@ The search tests the last step like any other; a run stops at the
 fixed-point tolerance through :func:`stopping_check` on the accepted
 step.
 
-The trace is stored by column: each iteration appends its fifteen
-values straight to fifteen typed arrays (``array('d')``, ``array('q')``
+The trace is stored by column: each iteration appends its fourteen
+values straight to fourteen typed arrays (``array('d')``, ``array('q')``
 for the counters, 8 bytes a value), and :class:`Trace` views them as
 numpy arrays when the run ends. No per-iteration row object is built;
 ``stopping_check`` reads the F column and the last scaled residual.
@@ -42,7 +42,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from .problems import (
 __all__ = [
     "TERMINATIONS",
     "SolverConfig",
-    "IterateTrace",
     "Trace",
     "write_trace_csv",
     "read_trace_csv",
@@ -74,90 +73,50 @@ __all__ = [
 
 TERMINATIONS = ("fixed_point", "max_iter", "objective_stall", "search_failure")
 
-
-class IterateTrace(NamedTuple):
-    """One iteration record.
-
-    ``F`` is F(x_k) before the update. ``mapping_norm`` is
-    ||y_k - x_k||_k / gamma_k (the prox-gradient mapping norm) and
-    ``fp_scaled`` is ||y_k - x_k||_k / (1 + ||x_k||), the quantity the
-    fixed-point stopping rule thresholds. The two check residuals are
-    signed (<= 0 means the inequality holds); ``check_max_residual`` is
-    their maximum divided by 1 + |F(x_k)|, NaN when checks are off.
-    ``domain_gamma`` is the gamma accepted by the domain search, NaN in
-    the standard regime.
-    """
-
-    k: int
-    F: float
-    gamma: float
-    lam: float
-    backtracks: int
-    step_norm: float
-    mapping_norm: float
-    fp_scaled: float
-    descent_residual: float
-    decrease_residual: float
-    check_max_residual: float
-    domain_gamma: float
-    f_evals: int
-    grad_evals: int
-    prox_evals: int
-
-
 _INT_COLUMNS = {"k", "backtracks", "f_evals", "grad_evals", "prox_evals"}
 
 
-class Trace(Sequence):
-    """Per-iteration records, stored columnar, viewed as IterateTrace rows.
+class Trace:
+    """The record of a run: one array per column, read as an attribute.
 
-    ``columns`` maps every IterateTrace field, and no other name, to its
-    values. ``trace[i]`` materializes row i; ``trace.F``, ``trace.gamma`` etc.
-    expose whole columns as arrays (cheap even for million-row runs).
+    ``Trace.COLUMNS`` names the columns in order, and ``columns`` must
+    map each of them, and no other name, to its values; ``len(trace)``
+    is the row count. ``trace.F`` is F(x_k) before the update.
+    ``mapping_norm`` is ||y_k - x_k||_k / gamma_k (the prox-gradient
+    mapping norm) and ``fp_scaled`` is ||y_k - x_k||_k / (1 + ||x_k||),
+    the quantity the fixed-point stopping rule thresholds. The two check
+    residuals are signed (<= 0 means the inequality holds).
+    ``domain_gamma`` is the gamma accepted by the domain search, NaN in
+    the standard regime. The counter columns are integers, the others
+    floats.
     """
 
+    COLUMNS = (
+        "k", "F", "gamma", "lam", "backtracks", "step_norm", "mapping_norm", "fp_scaled",
+        "descent_residual", "decrease_residual", "domain_gamma",
+        "f_evals", "grad_evals", "prox_evals",
+    )
+    __slots__ = COLUMNS
+
     def __init__(self, columns: dict):
-        missing = [name for name in IterateTrace._fields if name not in columns]
-        unknown = sorted(set(columns) - set(IterateTrace._fields))
+        missing = [name for name in self.COLUMNS if name not in columns]
+        unknown = sorted(set(columns) - set(self.COLUMNS))
         if missing or unknown:
             raise UsageError(f"trace columns: missing {missing}, unknown {unknown}")
-        self._columns = {
-            name: np.asarray(columns[name], dtype=int if name in _INT_COLUMNS else float)
-            for name in IterateTrace._fields
-        }
-        lengths = {len(c) for c in self._columns.values()}
-        if len(lengths) > 1:
+        for name in self.COLUMNS:
+            dtype = int if name in _INT_COLUMNS else float
+            setattr(self, name, np.asarray(columns[name], dtype=dtype))
+        if len({len(getattr(self, name)) for name in self.COLUMNS}) > 1:
             raise UsageError("trace columns have inconsistent lengths")
-        self._n = lengths.pop()
 
     def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> IterateTrace:
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        cols = self._columns
-        return IterateTrace(*(
-            int(cols[name][i]) if name in _INT_COLUMNS else float(cols[name][i])
-            for name in IterateTrace._fields
-        ))
-
-    def column(self, name: str) -> np.ndarray:
-        return self._columns[name]
-
-    def __getattr__(self, name: str):
-        columns = object.__getattribute__(self, "_columns")
-        if name in columns:
-            return columns[name]
-        raise AttributeError(name)
+        return len(self.k)
 
 
-# the trace file: every IterateTrace column in order under a header that
-# spells lam as "lambda", floats with 17 significant digits so that
-# re-parsing is lossless
-_CSV_HEADER = ",".join("lambda" if name == "lam" else name for name in IterateTrace._fields)
+# the trace file: every trace column in order under a header that spells
+# lam as "lambda", floats with 17 significant digits so that re-parsing
+# is lossless
+_CSV_HEADER = ",".join("lambda" if name == "lam" else name for name in Trace.COLUMNS)
 
 
 def _fmt(v) -> str:
@@ -169,7 +128,7 @@ def _fmt(v) -> str:
 
 def write_trace_csv(path, trace: Trace) -> None:
     """Write every column of ``trace`` to a CSV file, one line per iteration."""
-    cols = [trace.column(name) for name in IterateTrace._fields]
+    cols = [getattr(trace, name) for name in Trace.COLUMNS]
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
         for row in zip(*cols):
@@ -180,9 +139,9 @@ def read_trace_csv(path) -> Trace:
     """Read a trace CSV written by :func:`write_trace_csv` back into a :class:`Trace`.
 
     The header must be the one :func:`write_trace_csv` writes, every
-    IterateTrace column in order with lam spelled 'lambda' (a Python
-    keyword). A different header, a short, long or non-numeric row, or
-    a counter that is not a whole number is refused with its line number.
+    trace column in order with lam spelled 'lambda' (a Python keyword).
+    A different header, a short, long or non-numeric row, or a counter
+    that is not a whole number is refused with its line number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -192,7 +151,7 @@ def read_trace_csv(path) -> Trace:
     line, header = lines[0]
     if ",".join(h.strip() for h in header) != _CSV_HEADER:
         raise UsageError(f"{path}, line {line}: expected the trace header {_CSV_HEADER}")
-    names = IterateTrace._fields
+    names = Trace.COLUMNS
     rows = []
     for line, row in lines[1:]:
         try:
@@ -243,7 +202,6 @@ class SolverConfig:
     tol_fixed_point: float = 0.0
     tol_objective_stall: float = 0.0
     stall_window: int = 50
-    record_checks: bool = True
     record_states: bool = False
 
     def __post_init__(self):
@@ -417,14 +375,13 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         ls.gamma_max if config.gamma_schedule is None else config.gamma_schedule
     )
 
-    cols = {name: array("q" if name in _INT_COLUMNS else "d") for name in IterateTrace._fields}
+    cols = {name: array("q" if name in _INT_COLUMNS else "d") for name in Trace.COLUMNS}
     F_col = cols["F"]
     (
         add_k, add_F, add_gamma, add_lam, add_backtracks, add_step_norm, add_mapping_norm,
-        add_fp_scaled, add_descent, add_decrease, add_check_max, add_domain_gamma,
+        add_fp_scaled, add_descent, add_decrease, add_domain_gamma,
         add_f_evals, add_grad_evals, add_prox_evals,
-    ) = (cols[name].append for name in IterateTrace._fields)
-    record_checks = config.record_checks
+    ) = (cols[name].append for name in Trace.COLUMNS)
     record_states = config.record_states
     xs = [x.copy()] if record_states else None
     ys = [] if record_states else None
@@ -504,16 +461,10 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         step_norm = math.sqrt(step @ step)
         fp_scaled = root_ns / (1.0 + math.sqrt(x @ x))
 
-        if record_checks:
-            ell = outcome.ell
-            if ell is None:
-                # verification-only evaluation, kept out of the counters
-                ell = g.value(outcome.y) - gx + outcome.gdot
-            descent_res = ell + ns / gamma
-            decrease_res = (1.0 - delta_eff) * lam**2 * ns - gamma * (F_here - F_next)
-            check_max = max(descent_res, decrease_res) / (1.0 + abs(F_here))
-        else:
-            descent_res = decrease_res = check_max = math.nan
+        ell = outcome.ell
+        if ell is None:
+            # verification-only evaluation, kept out of the counters
+            ell = g.value(outcome.y) - gx + outcome.gdot
 
         add_k(k)
         add_F(F_here)
@@ -523,9 +474,8 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         add_step_norm(step_norm)
         add_mapping_norm(root_ns / gamma)
         add_fp_scaled(fp_scaled)
-        add_descent(descent_res)
-        add_decrease(decrease_res)
-        add_check_max(check_max)
+        add_descent(ell + ns / gamma)
+        add_decrease((1.0 - delta_eff) * lam**2 * ns - gamma * (F_here - F_next))
         add_domain_gamma(dom_gamma)
         add_f_evals(outcome.f_evals)
         add_grad_evals(1 + outcome.grad_evals)
@@ -566,12 +516,12 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
 
     trace = Trace(cols)
     verification = {}
-    if record_checks and len(trace) > 0:
+    if len(trace) > 0:
         scales = 1.0 + np.abs(trace.F)
-        for name, column in (("descent", "descent_residual"),
-                             ("sufficient_decrease", "decrease_residual")):
+        for name, residuals in (("descent", trace.descent_residual),
+                                ("sufficient_decrease", trace.decrease_residual)):
             verification[name] = CheckReport(
-                name=name, residuals=trace.column(column), scales=scales, tolerance=1e-10
+                name=name, residuals=residuals, scales=scales, tolerance=1e-10
             )
 
     return SolveResult(

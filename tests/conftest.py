@@ -94,8 +94,8 @@ def assert_same_run(res, ref):
     the final point and value, the oracle counters and the states."""
     assert res.termination == ref.termination
     assert len(res.trace) == len(ref.trace) > 0
-    for name in vmfbs.IterateTrace._fields:
-        assert res.trace.column(name).tobytes() == ref.trace.column(name).tobytes(), name
+    for name in vmfbs.Trace.COLUMNS:
+        assert getattr(res.trace, name).tobytes() == getattr(ref.trace, name).tobytes(), name
     assert res.x_final.tobytes() == ref.x_final.tobytes()
     assert np.float64(res.F_final).tobytes() == np.float64(ref.F_final).tobytes()
     assert (res.f_evals, res.grad_evals, res.prox_evals) == (

@@ -16,8 +16,7 @@ Five path batches pin the rest of the loop:
   ``tol_objective_stall > 0`` so that every run ends in
   ``objective_stall``, on lassos (all six rules) and on KL problems;
 - ``custom``: schedules built directly with ``MetricSchedule``, one
-  reading the solver state and one ignoring it, with
-  ``record_checks=False``;
+  reading the solver state and one ignoring it;
 - ``states``: constant non-identity and uniform metrics with
   ``record_states=True``, on lassos and a TV problem;
 - ``failure``: a run that ends in ``search_failure`` at its third step,
@@ -29,7 +28,7 @@ the trace columns in ``COLUMNS`` concatenated over the runs and, per
 run, its domain regime and the last value of its F column plus a
 BLAKE2b digest of the bytes of all the rows before it, one row of 16
 ``uint8`` (a numpy ``S16`` element would drop a digest's trailing NUL
-bytes when read). A path batch adds all fifteen trace columns and, for
+bytes when read). A path batch adds all fourteen trace columns and, for
 runs that keep states, the concatenated ``xs``, ``ys`` and ``weights``
 with their shapes.
 
@@ -54,7 +53,7 @@ import vmfbs
 from conftest import batch_instance
 
 COLUMNS = ("gamma", "lam", "backtracks", "f_evals", "grad_evals", "prox_evals")
-FIELDS = vmfbs.IterateTrace._fields
+FIELDS = vmfbs.Trace.COLUMNS
 BACKTRACKING = ("ls1", "ls2", "ls3", "ls4", "tseng-yun")
 CRITERION = {
     "b02": dict(max_iterations=25, record_states=True),
@@ -165,14 +164,13 @@ def runs(batch):
         for rule in BACKTRACKING:
             yield problem, x0, config(
                 rule, state_schedule(8), max_iterations=150, tol_fixed_point=1e-7,
-                record_checks=False,
             )
         problem, x0 = lasso(10, m=12, n=8)
         for rule in ("ls2", "fixed"):
             for schedule in (state_schedule(8), alternating_schedule(8)):
                 yield problem, x0, config(
                     rule, schedule, problem=problem, max_iterations=150,
-                    tol_fixed_point=1e-7, record_checks=False,
+                    tol_fixed_point=1e-7,
                 )
     elif batch == "states":
         problem, x0 = lasso(11, m=12, n=8)
@@ -215,7 +213,7 @@ def record(batch: str) -> dict:
     results = [r for _, r in solved]
     criterion = batch in CRITERION
     out = {
-        name: np.concatenate([r.trace.column(name) for r in results])
+        name: np.concatenate([getattr(r.trace, name) for r in results])
         for name in (COLUMNS if criterion else FIELDS)
     }
     if criterion:

@@ -20,7 +20,7 @@ from vmfbs.diagnostics import (
     check_stepsize_floor,
     estimate_rate,
 )
-from vmfbs.solver import IterateTrace, Trace, fixed_step_validate, solve
+from vmfbs.solver import Trace, fixed_step_validate, solve
 
 from conftest import ACCEPTANCE_LINES, batch_instance, lasso_1d, steep_quadratic_1d
 from oracles import (
@@ -124,15 +124,13 @@ def c7_bundle():
     ref = solve(prob, np.zeros(n), vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule="ls1", warm_start=True, gamma_max=10.0),
         max_iterations=10**6,
-        record_checks=False,
     ))
     elapsed = time.time() - t0
     f_star = float(np.min(ref.trace.F))
     # the experiment trace is the (deterministic) 1e5-cap prefix of the
     # same configuration
     cap = min(len(ref.trace), 10**5)
-    prefix = Trace({name: ref.trace.column(name)[:cap]
-                    for name in IterateTrace._fields})
+    prefix = Trace({name: getattr(ref.trace, name)[:cap] for name in Trace.COLUMNS})
     est = estimate_rate(prefix, f_star)
     return {"ref": ref, "est": est, "elapsed": elapsed, "prefix_len": cap}
 
@@ -153,7 +151,6 @@ def c8_run():
         linesearch=vmfbs.LineSearchConfig(rule="ls1", gamma_max=8.0),
         max_iterations=10**4,
         record_states=True,
-        record_checks=False,
     ))
     return prob, a, res
 
@@ -227,21 +224,20 @@ def test_criterion_05_condition_chain(batch200):
         delta = 0.5  # the batch runs ls3 at its default delta
         xs, ys = res.states.xs, res.states.ys
         W = res.states.weights
-        for k in range(len(res.trace)):
-            row = res.trace[k]
+        for k, (lam, gamma) in enumerate(zip(res.trace.lam.tolist(), res.trace.gamma.tolist())):
             x, y, w = xs[k], ys[k], W[k]
             gx = prob.f.gradient(x)
             dy = y - x
             ns = float(np.sum(w * dy * dy))
             fx = prob.f.value(x)
             slack = 1e-12 * (1.0 + abs(fx))
-            lhs1 = prob.f.value(x + row.lam * dy) - fx - row.lam * float(dy @ gx)
-            if lhs1 > delta * row.lam / row.gamma * ns + slack:
+            lhs1 = prob.f.value(x + lam * dy) - fx - lam * float(dy @ gx)
+            if lhs1 > delta * lam / gamma * ns + slack:
                 violations += 1
             ell = float(dy @ gx) + prob.g.value(y) - prob.g.value(x)
-            x1 = x + row.lam * dy
+            x1 = x + lam * dy
             lhs4 = (prob.f.value(x1) + prob.g.value(x1)) - (fx + prob.g.value(x))
-            if lhs4 > (1 - delta) * row.lam * ell + slack:
+            if lhs4 > (1 - delta) * lam * ell + slack:
                 violations += 1
             checked += 1
         assert res.trace is not None

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from vmfbs.solver import read_trace_csv, solve, write_trace_csv
 
 TRACE_HEADER = (
     "k,F,gamma,lambda,backtracks,step_norm,mapping_norm,fp_scaled,descent_residual,"
-    "decrease_residual,check_max_residual,domain_gamma,f_evals,grad_evals,prox_evals"
+    "decrease_residual,domain_gamma,f_evals,grad_evals,prox_evals"
 )
 
 
@@ -62,6 +63,11 @@ def test_solve_lasso_writes_trace(tmp_path, capsys):
     assert "fixed_point" in capsys.readouterr().out
 
 
+def test_readme_shows_the_trace_header():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert TRACE_HEADER in readme.read_text().splitlines()
+
+
 def test_solve_trace_roundtrip(tmp_path):
     spec = write_spec(tmp_path, random_spec())
     out = str(tmp_path / "trace.csv")
@@ -78,7 +84,7 @@ def test_solve_trace_roundtrip(tmp_path):
 def test_solve_trace_csv_round_trips_every_column(tmp_path, regime):
     if regime == "standard":
         spec_dict = random_spec(rule="ls4", warm_start=True)
-    else:  # domain walk, BB metric, checks off: the NaN-capable columns
+    else:  # domain walk and BB metric: domain_gamma is filled, not NaN
         spec_dict = random_spec(rule="ls1", gamma_max=8.0,
                                 metrics={"type": "bb", "nu": 0.25, "mu": 4.0})
         spec_dict["problem"]["smooth"] = {
@@ -89,7 +95,6 @@ def test_solve_trace_csv_round_trips_every_column(tmp_path, regime):
         spec_dict["problem"]["regularizer"] = {"type": "box", "lo": 0.0}
         spec_dict["problem"]["x0"] = [1.0] * 5
         spec_dict["problem"]["domain_regime"] = "general"
-    spec_dict["output"]["checks"] = regime == "standard"
     spec = write_spec(tmp_path, spec_dict)
     out = str(tmp_path / "trace.csv")
     assert main(["solve", "--spec", spec, "--out", out]) == 0
@@ -98,15 +103,10 @@ def test_solve_trace_csv_round_trips_every_column(tmp_path, regime):
     trace = solve(problem, x0, build_solver_config(load_spec(spec), problem.dimension)).trace
     frame = read_trace_csv(out)
     assert len(frame) == len(trace) == 25
-    for name in vmfbs.IterateTrace._fields:
-        want, got = trace.column(name), frame.column(name)
+    for name in vmfbs.Trace.COLUMNS:
+        want, got = getattr(trace, name), getattr(frame, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want, equal_nan=True), name
-    # rows index too (NaN marks the columns a run does not fill)
-    for i in (0, -1):
-        row = frame[i]
-        assert isinstance(row, vmfbs.IterateTrace)
-        assert all(a == b or (np.isnan(a) and np.isnan(b)) for a, b in zip(row, trace[i]))
 
 
 def test_solve_deterministic_byte_identical(tmp_path):
@@ -285,7 +285,7 @@ def table_metrics(**fields):
         (lambda s: s["solver"].update(max_backtracks="7"),
          "solver.max_backtracks: expected a number"),
         (lambda s: s["solver"].update(warm_start=1), "solver.warm_start: expected true/false"),
-        (lambda s: s["output"].update(checks="no"), "output.checks: expected true/false"),
+        (lambda s: s["output"].update(checks=True), "output: unknown key(s) ['checks']"),
         (lambda s: s["solver"].update(metrics={"type": "constant", "weights": ["heavy"]}),
          "solver.metrics.weights: not numeric"),
         (lambda s: s["solver"].update(metrics=table_metrics(weights=[[1.0], ["x"]])),

@@ -34,7 +34,6 @@ def test_golden_paths_reach_their_paths():
     terminations = {b: set(GOLDEN[f"{b}/termination"].tolist()) for b in BATCHES}
     assert terminations["table"] == {"objective_stall"}
     assert terminations["failure"] == {"search_failure"}
-    assert np.isnan(GOLDEN["custom/check_max_residual"]).all()
     assert not np.isnan(GOLDEN["bb/domain_gamma"]).all()
     for batch in ("bb", "states", "failure"):
         assert f"{batch}/states_weights" in GOLDEN.files

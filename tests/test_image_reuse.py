@@ -357,4 +357,4 @@ def test_concurrent_solves_each_see_their_own_walk():
     assert not any(t.is_alive() for t in threads)
     for res in results:
         assert res.x_final.tobytes() == ref.x_final.tobytes()
-        assert res.trace.column("F").tobytes() == ref.trace.column("F").tobytes()
+        assert res.trace.F.tobytes() == ref.trace.F.tobytes()

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,33 @@ def test_reports_share_one_type_and_render_exactly(rng):
     assert spread.terms.tolist() == [0.0, 0.5, 0.5]
     assert str(growth) == "growth: sum eta over 2 steps = 0.5 (budget 1.0, pass)"
     assert str(spread) == "spread: sum (mu_k - nu_k) over 3 steps = 1 (budget None, n/a)"
+
+
+def test_validators_hold_the_last_row_without_building_it(rng):
+    sched = vmfbs.table_schedule(rng.uniform(0.5, 2.0, size=(4, 3)), nu=0.5, mu=2.0,
+                                 regime="growth")
+    for horizon in (1, 2, 4, 9):  # below, at and past the table's four rows
+        ws = np.array([sched.metric_at(k) for k in range(horizon)])
+        for report, want in ((vmfbs.validate_growth(sched, horizon), growth_from_weights(ws)),
+                             (vmfbs.validate_spread(sched, horizon), np.ptp(ws, axis=1))):
+            assert report.terms.tobytes() == want.tobytes()
+            assert report.partial_sum == float(want.sum())
+    for validate in (vmfbs.validate_growth, vmfbs.validate_spread):
+        with pytest.raises(vmfbs.UsageError, match="horizon must be >= 1, got 0"):
+            validate(sched, 0)
+    # a weight vector per step would take 8 GB here
+    wide = vmfbs.table_schedule(rng.uniform(0.5, 2.0, size=(2, 1000)), nu=0.5, mu=2.0,
+                                regime="spread")
+    tracemalloc.start()
+    try:
+        growth = vmfbs.validate_growth(wide, 10**6)
+        spread = vmfbs.validate_spread(wide, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert growth.terms.size == 10**6 - 1 and spread.terms.size == 10**6
+    assert not growth.terms[1:].any() and (spread.terms[1:] == spread.terms[1]).all()
 
 
 def test_validators_need_a_run_for_state_reading_schedules():

@@ -81,6 +81,25 @@ def test_box_nan_bound_rejected(lo, hi):
         vmfbs.BoxIndicator(lo, hi)
 
 
+def test_box_refuses_bounds_of_another_shape():
+    # a (5, 1) bound would make the clamp a 5x5 array
+    with pytest.raises(vmfbs.UsageError, match=r"scalars or vectors of one length.*\(5, 1\)"):
+        vmfbs.BoxIndicator(np.zeros((5, 1)), 1.0)
+    with pytest.raises(vmfbs.UsageError, match=r"scalars or vectors of one length.*\(3,\) and \(5,\)"):
+        vmfbs.BoxIndicator(np.zeros(3), np.ones(5))
+    # a length-3 bound against a 5-dimensional point, refused as UsageError
+    box = vmfbs.BoxIndicator(np.zeros(3), 1.0)
+    for call in (box.in_domain, box.value, lambda z: box.prox(z, 1.0)):
+        with pytest.raises(vmfbs.UsageError, match="expected 3 coordinates, got 5"):
+            call(np.zeros(5))
+    problem = vmfbs.CompositeProblem(
+        f=vmfbs.PNormResidual(np.eye(5), np.ones(5)), g=box, dimension=5
+    )
+    with pytest.raises(vmfbs.UsageError, match="expected 3 coordinates, got 5"):
+        vmfbs.solve(problem, np.zeros(5))
+    assert box.in_domain(np.full(3, 0.5)) and not box.in_domain(np.full(3, 2.0))
+
+
 # --- TV prox (taut string) ---------------------------------------------
 
 def test_prox_tv1d_pinned_pair():
@@ -177,7 +196,6 @@ def test_prox_tv1d_replays_a_deblur_solve_bitwise(monkeypatch):
     vmfbs.solve(problem, np.zeros(1000), vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule="ls1", warm_start=True),
         max_iterations=30,
-        record_checks=False,
     ))
     assert len(calls) >= 30
     for z, gamma, weights, out in calls[:30]:
