@@ -10,7 +10,8 @@ and the prox of g in it is ``g.prox(z, gamma, w)``.
 The solver consumes a :class:`MetricSchedule`, which emits one weight
 vector per iteration and declares global eigenvalue bounds
 0 < nu <= nu_k <= mu_k <= mu plus the summability regime its weights
-are supposed to satisfy:
+are supposed to satisfy (the same type, emitting one value per step,
+gives the solver its lam_k and gamma_k):
 
 - ``"constant"``: the same metric every iteration.
 - ``"growth"``: per-step relative growth is summable. With
@@ -65,20 +66,21 @@ def _checked(weights) -> tuple[np.ndarray, float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError("vector has non-finite entries")
     if not lo > 0:
-        raise UsageError("metric weights must be strictly positive")
+        raise UsageError("weights must be strictly positive")
     w.flags.writeable = False
     return w, lo, hi
 
 
 @dataclass(frozen=True)
 class StepSnapshot:
-    """State handed to a schedule when it builds the metric for step k.
+    """State handed to a schedule when it emits the values of step k >= 1.
 
-    dx = x_k - x_{k-1}, dgrad = grad f(x_k) - grad f(x_{k-1}),
-    prev_weights = the weights the schedule emitted at step k-1.
-    The solver owns the mutation; schedules only read.
+    x = x_k, dx = x_k - x_{k-1}, dgrad = grad f(x_k) - grad f(x_{k-1}),
+    prev_weights = the weights the metric schedule emitted at step k-1.
+    The solver owns these arrays (x_k is not a copy); schedules only read.
     """
 
+    x: np.ndarray
     dx: np.ndarray
     dgrad: np.ndarray
     prev_weights: np.ndarray
@@ -101,8 +103,8 @@ class MetricSchedule:
       state-dependent strategies (BB) get their state through the
       snapshot. :meth:`metric_at` checks each vector as above, where it
       is emitted. Such a schedule counts as reading its
-      :class:`StepSnapshot`: the solver builds a snapshot only for
-      these, and the validators cannot judge them without a run.
+      :class:`StepSnapshot`: the solver builds snapshots only if one of
+      its schedules does, and the validators cannot judge it without a run.
     """
 
     def __init__(

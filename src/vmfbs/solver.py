@@ -6,7 +6,7 @@ row, and evaluate the stopping rules. Execution is fully deterministic.
 - backtracking rules (ls1/ls2/ls3/ls4/tseng-yun) need no Lipschitz
   constant. Each step is one call of the grid walk
   :func:`~vmfbs.linesearch.line_search`. The a-priori value (lam_k for
-  ls1/ls3, gamma_k for the others) comes from a user schedule, except
+  ls1/ls3, gamma_k for the others) comes from its schedule, except
   in the general domain regime: there a first walk of the same kernel,
   the domain walk, produces gamma_k for the lam-backtracking rules and
   the backtracking start for ls1/ls3, and its accepted prox point is
@@ -25,9 +25,9 @@ values straight to fourteen typed arrays (``array('d')``, ``array('q')``
 for the counters, 8 bytes a value), and :class:`Trace` views them as
 numpy arrays when the run ends. No per-iteration row object is built;
 ``stopping_check`` reads the F column and the last scaled residual.
-The :class:`~vmfbs.metrics.StepSnapshot` a schedule may read (two
-vector differences) is built only for schedules whose weights depend
-on the run (:attr:`~vmfbs.metrics.MetricSchedule.reads_state`).
+The metric, lam_k and gamma_k each come from a ``MetricSchedule`` (a
+constant emits itself), read at one site; the ``StepSnapshot`` they may
+read is built once per step, only when one of them depends on the run.
 
 The recorded per-iteration residuals (descent inequality, sufficient
 decrease) are signed; nonpositive means the inequality holds. For the
@@ -42,7 +42,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -187,7 +187,8 @@ class SolverConfig:
 
     ``lam_schedule`` feeds ls1/ls3 (values in (0,1]); ``gamma_schedule``
     feeds ls2/ls4/tseng-yun (positive values), defaulting to the
-    constant gamma_max. Either may be a constant or a callable of k.
+    constant gamma_max. Each is a constant or a ``MetricSchedule``
+    emitting one value per step (``global_mu`` <= 1 for lam).
     ``tol_fixed_point`` = 0 stops only at exact fixed points;
     ``tol_objective_stall`` = 0 disables the stall rule.
     ``record_states`` keeps full iterate history (memory: three arrays
@@ -196,8 +197,8 @@ class SolverConfig:
 
     linesearch: LineSearchConfig = field(default_factory=LineSearchConfig)
     metrics: MetricSchedule | None = None
-    lam_schedule: float | Callable[[int], float] = 1.0
-    gamma_schedule: float | Callable[[int], float] | None = None
+    lam_schedule: float | MetricSchedule = 1.0
+    gamma_schedule: float | MetricSchedule | None = None
     max_iterations: int = 1000
     tol_fixed_point: float = 0.0
     tol_objective_stall: float = 0.0
@@ -211,11 +212,17 @@ class SolverConfig:
             # a NaN tolerance would switch its stopping rule off unseen
             if not (getattr(self, name) >= 0):
                 raise UsageError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        # a constant schedule is checked here, a callable per k in the loop
         lam, gamma = self.lam_schedule, self.gamma_schedule
-        if not callable(lam) and not (0 < lam <= 1):
+        for name, value in (("lam_schedule", lam), ("gamma_schedule", gamma)):
+            if callable(value):
+                raise UsageError(f"{name} takes a constant or a MetricSchedule, not a callable; "
+                                 "use table_schedule or MetricSchedule(generator, ...)")
+        # a schedule has 0 < nu <= mu < inf and checks its values where it emits them
+        if isinstance(lam, MetricSchedule) and lam.global_mu > 1:
+            raise UsageError(f"lam_schedule must lie in (0,1], got global_mu={lam.global_mu}")
+        if not (isinstance(lam, MetricSchedule) or 0 < lam <= 1):
             raise UsageError(f"lam_schedule must lie in (0,1], got {lam}")
-        if not (gamma is None or callable(gamma) or 0 < gamma < math.inf):
+        if not (gamma is None or isinstance(gamma, MetricSchedule) or 0 < gamma < math.inf):
             raise UsageError(f"gamma_schedule must be positive and finite, got {gamma}")
 
 
@@ -257,11 +264,9 @@ class FixedStepReport:
     lipschitz: float
 
 
-def _as_schedule(value) -> Callable[[int], float]:
-    if callable(value):
-        return value
-    v = float(value)
-    return lambda k: v
+def _snapshot(x, grad, x_prev, grad_prev, w_prev) -> StepSnapshot:
+    """The state of step k that a schedule reading the run is handed."""
+    return StepSnapshot(x=x, dx=x - x_prev, dgrad=grad - grad_prev, prev_weights=w_prev)
 
 
 def fixed_step_validate(problem: CompositeProblem, config: SolverConfig) -> FixedStepReport:
@@ -331,7 +336,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     rule = ls.rule
     x = as_vector(x0, problem.dimension)
     n = x.size
-    schedule = config.metrics if config.metrics is not None else constant_schedule(np.ones(n))
+    metrics = config.metrics if config.metrics is not None else constant_schedule(np.ones(n))
     general = problem.domain_regime == "general"
 
     if not problem.g.in_domain(x):
@@ -370,10 +375,12 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             )
     delta_eff = _delta_effective(ls, fixed_report)
 
-    lam_at = _as_schedule(config.lam_schedule)
-    gamma_at = _as_schedule(
-        ls.gamma_max if config.gamma_schedule is None else config.gamma_schedule
+    # a constant is the schedule that emits it every step
+    lam_schedule, gamma_schedule = (
+        s if isinstance(s, MetricSchedule) else constant_schedule(s)
+        for s in (config.lam_schedule, config.gamma_schedule or ls.gamma_max)
     )
+    reads_state = metrics.reads_state or lam_schedule.reads_state or gamma_schedule.reads_state
 
     cols = {name: array("q" if name in _INT_COLUMNS else "d") for name in Trace.COLUMNS}
     F_col = cols["F"]
@@ -388,19 +395,18 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     w_rows = [] if record_states else None
 
     f, g = problem.f, problem.g
-    metric_at = schedule.metric_at
-    reads_state = schedule.reads_state
 
-    def emit(k, snapshot):
-        w = metric_at(k, snapshot)
-        if w.size != n:
-            raise UsageError(f"metric schedule emitted {w.size} weights at k={k}, n={n}")
+    def emit(name, schedule, size, k, snapshot):
+        try:
+            w = schedule.metric_at(k, snapshot)
+        except UsageError as exc:
+            raise UsageError(f"{name} at k={k}: {exc}") from None
+        if w.size != size:
+            raise UsageError(f"{name} emitted {w.size} weights at k={k}, not {size} (n={n})")
         return w
 
     walks_gamma = rule in _GAMMA_WALKS
-    x_prev = None
-    grad_prev = None
-    w_prev = None
+    x_prev = grad_prev = w_prev = None
     # the last accepted gamma (gamma walks) or lam (lam walks); the fixed
     # step and the general regime's gamma walks keep their grid top
     warm_start = ls.warm_start and rule != "fixed" and not (general and walks_gamma)
@@ -410,10 +416,8 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
 
     for k in range(config.max_iterations):
         grad = f.gradient(x)
-        snapshot = None
-        if reads_state and k > 0:
-            snapshot = StepSnapshot(dx=x - x_prev, dgrad=grad - grad_prev, prev_weights=w_prev)
-        w = emit(k, snapshot)
+        snapshot = _snapshot(x, grad, x_prev, grad_prev, w_prev) if reads_state and k > 0 else None
+        w = emit("metrics", metrics, n, k, snapshot)
         if record_states:
             w_rows.append(w)
 
@@ -431,15 +435,11 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
                 top, other = ls.fixed_lam, float(ls.fixed_gamma)
             elif walks_gamma:
                 top = dom_gamma if general else ls.gamma_max
-                other = float(lam_at(k))
-                if not (0 < other <= 1):
-                    raise UsageError(f"lam_schedule({k}) = {other} outside (0,1]")
+                other = emit("lam_schedule", lam_schedule, 1, k, snapshot).item()
             elif general:
                 top, other = 1.0, dom_gamma
             else:
-                top, other = 1.0, float(gamma_at(k))
-                if not (other > 0 and math.isfinite(other)):
-                    raise UsageError(f"gamma_schedule({k}) = {other} must be positive and finite")
+                top, other = 1.0, emit("gamma_schedule", gamma_schedule, 1, k, snapshot).item()
             start = top if warm is None else min(top, warm / ls.theta)
             outcome = line_search(
                 problem, w, x, rule, ls,
@@ -504,12 +504,10 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
             # align: emit the metric of the next (never-run) iteration so
             # transition k can use weight rows k and k+1
             snapshot = None
-            if reads_state and x_prev is not None:
-                grad_final = f.gradient(x)  # verification-only
-                snapshot = StepSnapshot(
-                    dx=x - x_prev, dgrad=grad_final - grad_prev, prev_weights=w_prev
-                )
-            w_rows.append(emit(len(w_rows), snapshot))
+            if metrics.reads_state:
+                # a step has run, so x_prev is set; the gradient is verification-only
+                snapshot = _snapshot(x, f.gradient(x), x_prev, grad_prev, w_prev)
+            w_rows.append(emit("metrics", metrics, n, len(w_rows), snapshot))
         states = States(
             xs=np.array(xs), ys=np.array(ys).reshape(len(ys), n), weights=np.array(w_rows)
         )

@@ -187,11 +187,14 @@ def test_quasi_fejer_matches_frozen_loop_bitwise(rng, branch):
 
 # --- stepsize floor ---------------------------------------------------------------
 
-def floor_run(rule, prob=None, *, metrics=None, **search_kw):
+def floor_run(rule, prob=None, *, metrics=None, lam_schedule=1.0, gamma_schedule=None,
+              **search_kw):
     cfg = vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule=rule, delta=0.9, theta=0.5, gamma_max=1.0,
                                           **search_kw),
         metrics=metrics,
+        lam_schedule=lam_schedule,
+        gamma_schedule=gamma_schedule,
         max_iterations=12,
     )
     prob = steep_quadratic_1d() if prob is None else prob  # L = 4 exactly
@@ -220,6 +223,24 @@ def test_floor_lam_rules():
         rep = check_stepsize_floor(res, steep_quadratic_1d())
         assert rep.passed
         assert rep.details["on"] == "lambda"
+
+
+@pytest.mark.parametrize("rule, field, values, floor, observed_min", [
+    # 2 delta theta / (L sup gamma) = 0.9 / (4 * 2.0); inf gamma would give min(1, 2.25)
+    ("ls4", "gamma_schedule", [0.1, 2.0], 0.1125, 0.125),
+    # 2 delta theta / (L sup lam) = 0.9 / (4 * 1.0); inf lam would give 0.75
+    ("ls1", "lam_schedule", [0.3, 1.0], 0.225, 0.25),
+])
+def test_floor_takes_the_sup_of_a_varying_schedule(rule, field, values, floor, observed_min):
+    # a floor taken over the smallest value would lie above the observed minimum
+    schedule = vmfbs.table_schedule(values, nu=values[0], mu=values[1], regime="spread")
+    res = floor_run(rule, **{field: schedule})
+    walked = res.trace.lam if rule == "ls4" else res.trace.gamma
+    assert min(walked) == observed_min
+    assert sorted(set(res.trace.gamma if rule == "ls4" else res.trace.lam)) == values
+    rep = check_stepsize_floor(res, steep_quadratic_1d())
+    assert rep.passed
+    assert rep.details["floor"] == pytest.approx(floor)
 
 
 class _HalfL(vmfbs.SmoothTerm):

@@ -168,6 +168,7 @@ def test_bb_schedule_secant_and_corridor():
     assert np.allclose(m0, [1.0, 1.0])
     # a clean quadratic secant: dgrad = H dx with H = diag(2, 3)
     snap = StepSnapshot(
+        x=np.zeros(2),
         dx=np.array([1.0, 1.0]),
         dgrad=np.array([2.0, 3.0]),
         prev_weights=m0,
@@ -193,10 +194,52 @@ def test_bb_schedule_refuses_bad_arguments_when_built(kw, needle):
         vmfbs.bb_schedule(kw.pop("n"), **kw)
 
 
+def test_schedule_bounds_need_0_lt_nu_le_mu_lt_inf():
+    for nu, mu in ((0.0, 1.0), (1.0, np.inf), (2.0, 1.0)):
+        with pytest.raises(vmfbs.UsageError,
+                           match=re.escape(f"need 0 < nu <= mu < inf, got nu={nu}, mu={mu}")):
+            vmfbs.MetricSchedule(lambda k, snap: 1.0, global_nu=nu, global_mu=mu,
+                                 declared_regime="constant")
+    # nu = mu is the constant bound
+    sched = vmfbs.MetricSchedule(lambda k, snap: 1.5, global_nu=1.5, global_mu=1.5,
+                                 declared_regime="constant")
+    assert sched.metric_at(0).tolist() == [1.5]
+
+
+def bb_step(sched, dx, dgrad):
+    """The weights a BB schedule emits at k = 1 after its start at k = 0."""
+    m0 = sched.metric_at(0)
+    snap = StepSnapshot(x=np.zeros(len(dx)), dx=np.array(dx), dgrad=np.array(dgrad),
+                        prev_weights=m0)
+    return sched.metric_at(1, snap)
+
+
+def test_bb_schedule_bounds_at_their_edges():
+    with pytest.raises(vmfbs.UsageError,
+                       match=re.escape("bb_schedule needs 0 < nu <= mu, got nu=0.0, mu=4.0")):
+        vmfbs.bb_schedule(2, nu=0.0, mu=4.0)
+    # nu = mu pins every weight
+    assert bb_step(vmfbs.bb_schedule(2, nu=2.0, mu=2.0), [1.0, 1.0], [3.0, 0.5]).tolist() == [
+        2.0, 2.0]
+    # eta0 = 0 closes the growth corridor: weights may shrink, never grow
+    frozen = vmfbs.bb_schedule(2, nu=0.5, mu=4.0, eta0=0.0)
+    assert bb_step(frozen, [1.0, 1.0], [3.0, 0.75]).tolist() == [1.0, 0.75]
+
+
+def test_bb_schedule_guards_are_scaled_to_the_largest_step():
+    sched = vmfbs.bb_schedule(2, nu=0.5, mu=4.0)
+    # 5e-10 is tiny beside 1e3 (the guard is 1e-12 * (1 + max |dx|)), so the
+    # second weight stays 1; a guard scaled from min |dx| would take its ratio 2
+    assert bb_step(sched, [1e3, 5e-10], [2e3, 1e-9]).tolist() == [2.0, 1.0]
+    # a zero secant ratio keeps the previous weight, where clipping would give nu
+    assert bb_step(sched, [1.0, 1.0], [2.0, 0.0]).tolist() == [2.0, 1.0]
+
+
 def test_bb_schedule_keeps_previous_on_tiny_displacement():
     sched = vmfbs.bb_schedule(2, nu=0.5, mu=4.0)
     m0 = sched.metric_at(0)
     snap = StepSnapshot(
+        x=np.zeros(2),
         dx=np.array([0.0, 0.0]),
         dgrad=np.array([1.0, 1.0]),
         prev_weights=m0,
@@ -213,6 +256,7 @@ def test_bb_growth_partial_sum_bounded_by_corridor():
     rows = [w_prev]
     for k in range(1, 40):
         snap = StepSnapshot(
+            x=np.zeros(3),
             dx=rng.standard_normal(3),
             dgrad=rng.standard_normal(3) * 3,
             prev_weights=w_prev,

@@ -15,6 +15,12 @@ def base_config(**kw):
     return vmfbs.SolverConfig(linesearch=search, **kw)
 
 
+def scalar_schedule(generator, lo, hi):
+    """A lam or gamma schedule: generator(k, snapshot) emits one value in [lo, hi]."""
+    # one value has no eigenvalue spread, mu_k - nu_k = 0
+    return vmfbs.MetricSchedule(generator, global_nu=lo, global_mu=hi, declared_regime="spread")
+
+
 # --- the pinned one-dimensional lasso ---------------------------------------
 
 def test_lasso_two_iteration_exact():
@@ -202,13 +208,13 @@ def test_lam_schedule_callable(rng):
     prob = random_lasso(rng)
     seen = []
 
-    def lam_of_k(k):
+    def lam_of_k(k, snapshot):
         seen.append(k)
         return 0.5 + 0.4 * (k % 2)
 
     res = solve(prob, np.zeros(prob.dimension),
                 base_config(search=vmfbs.LineSearchConfig(rule="ls1"),
-                            lam_schedule=lam_of_k, max_iterations=6))
+                            lam_schedule=scalar_schedule(lam_of_k, 0.5, 0.9), max_iterations=6))
     assert res.trace.lam.tolist() == [0.9 if k % 2 else 0.5 for k in range(6)]
     assert seen[: 6] == list(range(6))
 
@@ -217,15 +223,83 @@ def test_gamma_schedule_seeds_search(rng):
     prob = random_lasso(rng)
     res = solve(prob, np.zeros(prob.dimension),
                 base_config(search=vmfbs.LineSearchConfig(rule="ls1", gamma_max=2.0),
-                            gamma_schedule=lambda k: 0.125, max_iterations=4))
+                            gamma_schedule=vmfbs.constant_schedule(0.125), max_iterations=4))
     assert all(g <= 0.125 + 1e-15 for g in res.trace.gamma)
 
 
 def test_lam_schedule_out_of_range_rejected(rng):
     prob = random_lasso(rng)
-    res_cfg = base_config(lam_schedule=lambda k: 1.5, max_iterations=4)
+    # declared inside (0, 1], so the config takes it; its 1.5 is refused where it is emitted
+    res_cfg = base_config(lam_schedule=scalar_schedule(lambda k, s: 1.5, 0.5, 1.0),
+                          max_iterations=4)
     with pytest.raises(vmfbs.UsageError):
         solve(prob, np.zeros(prob.dimension), res_cfg)
+
+
+@pytest.mark.parametrize("name", ["lam_schedule", "gamma_schedule"])
+def test_config_refuses_a_bare_callable(name):
+    needle = (f"{name} takes a constant or a MetricSchedule, not a callable; "
+              "use table_schedule or MetricSchedule(generator, ...)")
+    with pytest.raises(vmfbs.UsageError, match=re.escape(needle)):
+        base_config(**{name: lambda k: 0.5})
+
+
+def test_config_refuses_a_lam_schedule_declared_above_one():
+    lam = vmfbs.table_schedule([0.5, 1.5], nu=0.5, mu=1.5, regime="spread")
+    with pytest.raises(vmfbs.UsageError,
+                       match=re.escape("lam_schedule must lie in (0,1], got global_mu=1.5")):
+        base_config(lam_schedule=lam)
+    # mu = 1 is the top of (0, 1]
+    base_config(lam_schedule=vmfbs.table_schedule([0.5, 1.0], nu=0.5, mu=1.0, regime="spread"))
+
+
+def test_constant_gamma_schedule_is_the_constant(rng):
+    prob = random_lasso(rng)
+    runs = [solve(prob, np.zeros(prob.dimension),
+                  base_config(search=vmfbs.LineSearchConfig(rule="ls4"),
+                              gamma_schedule=gamma, max_iterations=20))
+            for gamma in (vmfbs.constant_schedule(0.125), 0.125)]
+    assert_same_run(*runs)
+    assert set(runs[0].trace.gamma) == {0.125}
+
+
+def test_gamma_schedule_reads_the_iterate(rng):
+    prob = random_lasso(rng)
+    seen = {}
+
+    def gamma_of(k, snapshot):
+        seen[k] = snapshot
+        return 0.25
+
+    res = solve(prob, np.zeros(prob.dimension),
+                base_config(search=vmfbs.LineSearchConfig(rule="ls4"), record_states=True,
+                            gamma_schedule=scalar_schedule(gamma_of, 0.25, 0.25),
+                            max_iterations=8))
+    xs = res.states.xs
+    assert seen[0] is None and sorted(seen) == list(range(len(res.trace)))
+    for k in range(1, len(res.trace)):
+        assert np.array_equal(seen[k].x, xs[k])
+        assert np.array_equal(seen[k].dx, xs[k] - xs[k - 1])
+
+
+def test_constant_schedules_build_no_snapshot(rng, monkeypatch):
+    def refuse(**kw):
+        raise AssertionError("a StepSnapshot was built")
+
+    monkeypatch.setattr(vmfbs.solver, "StepSnapshot", refuse)
+    prob = random_lasso(rng)
+    table = vmfbs.table_schedule([np.full(8, 1.0), np.full(8, 1.5)], nu=1.0, mu=1.5,
+                                 regime="growth")
+    for rule in ("ls1", "ls4"):
+        for metrics in (None, table):
+            config = base_config(search=vmfbs.LineSearchConfig(rule=rule), metrics=metrics,
+                                 lam_schedule=0.5, gamma_schedule=0.25, record_states=True,
+                                 max_iterations=6)
+            assert len(solve(prob, np.zeros(8), config).trace) == 6
+    # the stub is the one solve calls: a BB metric reads the run
+    bb = base_config(metrics=vmfbs.bb_schedule(8, nu=0.5, mu=4.0), max_iterations=6)
+    with pytest.raises(AssertionError, match="a StepSnapshot was built"):
+        solve(prob, np.zeros(8), bb)
 
 
 def test_bb_metric_runs_and_stays_in_corridor(rng):
@@ -330,7 +404,8 @@ def test_counters_are_trace_column_sums(rng, case):
         # gamma jumps to 1e3 at k = 5, where two lam cuts cannot pass ls2
         prob, x0 = random_lasso(rng), np.zeros(8)
         config = base_config(search=vmfbs.LineSearchConfig(rule="ls2", max_backtracks=2),
-                             gamma_schedule=lambda k: 0.01 if k < 5 else 1e3,
+                             gamma_schedule=vmfbs.table_schedule(
+                                 [0.01] * 5 + [1e3], nu=0.01, mu=1e3, regime="spread"),
                              max_iterations=40)
     elif case == "general-ls3":
         prob, x0 = kl_8x5(), np.ones(5)
@@ -411,7 +486,8 @@ def _refused(case):
     if case == "gamma_schedule":
         # iteration 0 runs at gamma = 1; the schedule's 0 at k = 1 is refused
         config = base_config(search=vmfbs.LineSearchConfig(rule="ls2"), max_iterations=4,
-                             gamma_schedule=lambda k: 0.0 if k == 1 else 1.0)
+                             gamma_schedule=scalar_schedule(
+                                 lambda k, s: 0.0 if k == 1 else 1.0, 1.0, 1.0))
         return steep_quadratic_1d(), [1.0], config
     if case == "lower_bound":
         prob = vmfbs.CompositeProblem(f=Unbounded(), g=vmfbs.BoxIndicator(0.0, np.inf),
@@ -427,7 +503,7 @@ def _refused(case):
 @pytest.mark.parametrize(
     "case, message",
     [
-        ("gamma_schedule", "gamma_schedule(1) = 0.0 must be positive and finite"),
+        ("gamma_schedule", "gamma_schedule at k=1: weights must be strictly positive"),
         ("lower_bound", "the general regime needs declared lower bounds on both f and g"),
         ("f_x0", "f(x0) is not finite although x0 is in dom g; "),
         ("g_x0", "g(x0) is not finite"),
