@@ -333,7 +333,7 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
         _check_keys(m, mpath, required=("type", "weights"), optional=budgets)
         return _build(mpath, constant_schedule, weights(m["weights"], f"{mpath}.weights"))
     if mtype == "table":
-        _check_keys(m, mpath, required=("type", "weights", "nu", "mu", "regime"), optional=budgets)
+        _check_keys(m, mpath, required=("type", "weights", "regime"), optional=budgets)
         rows = m["weights"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise UsageError(f"{mpath}.weights: expected a list of weight rows")
@@ -341,8 +341,6 @@ def _build_metrics(solver_block: dict, n: int) -> MetricSchedule | None:
             mpath,
             table_schedule,
             [weights(r, f"{mpath}.weights[{i}]") for i, r in enumerate(rows)],
-            nu=_number(m, "nu", mpath),
-            mu=_number(m, "mu", mpath),
             regime=_choice(m, "regime", mpath, ("constant", "growth", "spread")),
         )
     _check_keys(m, mpath, required=("type", "nu", "mu"), optional=("eta0",) + budgets)

@@ -38,8 +38,9 @@ Ax + lam A(y - x), not a fresh product A(x + lam (y - x)); a wrapper
 around such a term that passes ``value`` on keeps that. No walk is
 current once the call returns or raises.
 
-An accepted step comes back with f and g at x_next, evaluated on
-acceptance where its test did not need them (the f call is counted).
+An accepted step comes back with f and g at x_next and with ell,
+evaluated on acceptance where its test did not need them (the f call is
+counted).
 
 A trial whose value comes back +inf (outside dom f) is an ordinary failed
 comparison. Acceptance uses "<= plus absolute slack 1e-14 * (1 + |f(x)|)"
@@ -124,12 +125,11 @@ class StepOutcome:
 
     ``y`` is the unrelaxed prox point at the accepted gamma and
     ``x_next = x + lam * (y - x)``; ``f_next`` and ``g_next`` are f and g
-    at x_next. ``norm_sq_yx`` is ||y - x||_W^2 and ``gdot`` is
-    <y - x, grad f(x)>. The domain walk fills only ``gamma``, ``lam``,
-    ``y``, ``backtracks`` and ``prox_evals``: its ``x_next`` is None and
-    its ``norm_sq_yx``, ``gdot``, ``f_next`` and ``g_next`` are NaN.
-    ``ell`` is filled when the rule evaluated it (ls4, tseng-yun). The
-    counters are the oracle calls the step made.
+    at x_next. ``norm_sq_yx`` is ||y - x||_W^2 and ``ell`` is
+    g(y) - g(x) + <y - x, grad f(x)>. The domain walk fills only
+    ``gamma``, ``lam``, ``y``, ``backtracks`` and ``prox_evals``: its
+    ``x_next`` is None and its ``norm_sq_yx``, ``ell``, ``f_next`` and
+    ``g_next`` are NaN. The counters are the oracle calls the step made.
     """
 
     gamma: float
@@ -138,10 +138,9 @@ class StepOutcome:
     x_next: np.ndarray | None
     backtracks: int
     norm_sq_yx: float
-    gdot: float
+    ell: float = math.nan
     f_next: float = math.nan
     g_next: float = math.nan
-    ell: float | None = None
     f_evals: int = 0
     grad_evals: int = 0
     prox_evals: int = 0
@@ -205,7 +204,7 @@ def line_search(
                     if f.in_domain(y):
                         return StepOutcome(
                             gamma=gamma, lam=lam, y=y, x_next=None, backtracks=i,
-                            norm_sq_yx=math.nan, gdot=math.nan, prox_evals=nprox,
+                            norm_sq_yx=math.nan, prox_evals=nprox,
                         )
                     continue
                 dy = y - x
@@ -245,15 +244,18 @@ def line_search(
                 rhs = lam * slope
             # +inf or nan on the left is a failed trial, never an acceptance
             if rule == "fixed" or (math.isfinite(lhs) and lhs <= rhs + slack):
-                # finish the step: f and g at x_next where the test did not need them
+                # finish the step: f and g at x_next, and ell, where the test
+                # did not need them (g is not counted)
                 if f_next is None:
                     f_next = f.value(x_next)
                     nf += 1
                 if g_next is None:
                     g_next = g.value(x_next)
+                if ell is None:
+                    ell = g.value(y) - gx + gdot
                 return StepOutcome(
                     gamma=gamma, lam=lam, y=y, x_next=x_next, backtracks=i, norm_sq_yx=ns,
-                    gdot=gdot, f_next=f_next, g_next=g_next, ell=ell,
+                    ell=ell, f_next=f_next, g_next=g_next,
                     f_evals=nf, grad_evals=ngrad, prox_evals=nprox,
                 )
         budget = config.max_backtracks

@@ -8,10 +8,12 @@ weight vector w alone. It induces
 and the prox of g in it is ``g.prox(z, gamma, w)``.
 
 The solver consumes a :class:`MetricSchedule`, which emits one weight
-vector per iteration and declares global eigenvalue bounds
-0 < nu <= nu_k <= mu_k <= mu plus the summability regime its weights
-are supposed to satisfy (the same type, emitting one value per step,
-gives the solver its lam_k and gamma_k):
+vector per iteration, has global eigenvalue bounds
+0 < nu <= nu_k <= mu_k <= mu (a table's are the extremes of its rows, a
+generator declares them and every emitted vector is held to them) and
+declares the summability regime its weights are supposed to satisfy
+(the same type, emitting one value per step, gives the solver its lam_k
+and gamma_k):
 
 - ``"constant"``: the same metric every iteration.
 - ``"growth"``: per-step relative growth is summable. With
@@ -93,18 +95,21 @@ class MetricSchedule:
 
     - ``rows``, for weights that do not depend on the run: the weights
       emitted at k = 0, 1, ..., len(rows) - 1, after which the last row
-      holds. Every row is checked once, here: 1-D, finite, positive and
-      inside the declared global bounds with a small relative slack for
-      float round-off; an empty table and rows of different lengths are
-      refused. Emitting a row is a lookup that returns the same
-      read-only array each time.
+      holds. Every row is checked once, here (1-D, finite, positive); an
+      empty table and rows of different lengths are refused. The bounds
+      are the rows' own: ``global_nu`` is the smallest entry of the
+      table and ``global_mu`` the largest, so none are given. Emitting a
+      row is a lookup that returns the same read-only array each time.
     - ``generator(k, snapshot)``, which returns the weights of step k as
       any array-like and must be a pure function of its arguments;
       state-dependent strategies (BB) get their state through the
-      snapshot. :meth:`metric_at` checks each vector as above, where it
-      is emitted. Such a schedule counts as reading its
-      :class:`StepSnapshot`: the solver builds snapshots only if one of
-      its schedules does, and the validators cannot judge it without a run.
+      snapshot. Such a schedule declares its bounds
+      0 < ``global_nu`` <= ``global_mu`` < inf, and :meth:`metric_at`
+      checks each vector as above where it is emitted, refusing any
+      entry outside [global_nu, global_mu]: the bounds hold exactly. It
+      counts as reading its :class:`StepSnapshot`: the solver builds
+      snapshots only if one of its schedules does, and the validators
+      cannot judge it without a run.
     """
 
     def __init__(
@@ -112,13 +117,26 @@ class MetricSchedule:
         generator: Callable[[int, StepSnapshot | None], np.ndarray] | None = None,
         *,
         rows=None,
-        global_nu: float,
-        global_mu: float,
+        global_nu: float | None = None,
+        global_mu: float | None = None,
         declared_regime: str,
     ):
         if (generator is None) == (rows is None):
             raise UsageError("a metric schedule needs exactly one of a generator and rows")
-        if not (0 < global_nu <= global_mu < np.inf):
+        if rows is not None:
+            if global_nu is not None or global_mu is not None:
+                raise UsageError("a schedule built from rows takes its bounds from the rows; "
+                                 "give no global_nu or global_mu")
+            checked = [_checked(w) for w in rows]
+            if not checked:
+                raise UsageError("a schedule table needs at least one row")
+            lengths = sorted({w.size for w, _, _ in checked})
+            if len(lengths) > 1:
+                raise UsageError(f"schedule rows have different lengths {lengths}")
+            rows = tuple(w for w, _, _ in checked)
+            global_nu = min(lo for _, lo, _ in checked)
+            global_mu = max(hi for _, _, hi in checked)
+        elif global_nu is None or global_mu is None or not (0 < global_nu <= global_mu < np.inf):
             raise UsageError(f"need 0 < nu <= mu < inf, got nu={global_nu}, mu={global_mu}")
         if declared_regime not in ("constant", "growth", "spread"):
             raise UsageError(
@@ -128,32 +146,12 @@ class MetricSchedule:
         self.global_nu = float(global_nu)
         self.global_mu = float(global_mu)
         self.declared_regime = declared_regime
-        slack = 1e-12
-        self._nu_floor = self.global_nu * (1 - slack)
-        self._mu_ceiling = self.global_mu * (1 + slack)
-        if rows is not None:
-            rows = tuple(self._bounded(w, k) for k, w in enumerate(rows))
-            if not rows:
-                raise UsageError("a schedule table needs at least one row")
-            lengths = sorted({w.size for w in rows})
-            if len(lengths) > 1:
-                raise UsageError(f"schedule rows have different lengths {lengths}")
         self.rows: tuple[np.ndarray, ...] | None = rows
 
     @property
     def reads_state(self) -> bool:
         """Whether the weights depend on the solver state (a generator, no ``rows``)."""
         return self.rows is None
-
-    def _bounded(self, weights, k: int) -> np.ndarray:
-        """The checked weights of step k, refused outside the declared bounds."""
-        w, lo, hi = _checked(weights)
-        if lo < self._nu_floor or hi > self._mu_ceiling:
-            raise UsageError(
-                f"schedule emitted weights in [{lo}, {hi}] at k={k}, outside "
-                f"declared bounds [{self.global_nu}, {self.global_mu}]"
-            )
-        return w
 
     def metric_at(self, k: int, snapshot: StepSnapshot | None = None) -> np.ndarray:
         """The weights w_k of step k: a checked, read-only float64 vector."""
@@ -162,23 +160,28 @@ class MetricSchedule:
         rows = self.rows
         if rows is not None:
             return rows[k] if k < len(rows) else rows[-1]
-        return self._bounded(self._generator(k, snapshot), k)
+        w, lo, hi = _checked(self._generator(k, snapshot))
+        if lo < self.global_nu or hi > self.global_mu:
+            raise UsageError(
+                f"schedule emitted weights in [{lo}, {hi}] at k={k}, outside "
+                f"declared bounds [{self.global_nu}, {self.global_mu}]"
+            )
+        return w
 
 
 def constant_schedule(weights) -> MetricSchedule:
     """The same diagonal metric every iteration (identity when w = ones)."""
-    w, lo, hi = _checked(weights)
-    return MetricSchedule(rows=(w,), global_nu=lo, global_mu=hi, declared_regime="constant")
+    return MetricSchedule(rows=(weights,), declared_regime="constant")
 
 
-def table_schedule(tables, *, nu: float, mu: float, regime: str) -> MetricSchedule:
+def table_schedule(rows, *, regime: str) -> MetricSchedule:
     """Weights read from an explicit per-iteration table.
 
     Row k is the weight vector of step k, and the last row holds past the
-    end of the table; every row is checked against the bounds [nu, mu]
-    when the table is built.
+    end of the table. The schedule's bounds are the smallest and the
+    largest entry of its rows.
     """
-    return MetricSchedule(rows=tables, global_nu=nu, global_mu=mu, declared_regime=regime)
+    return MetricSchedule(rows=rows, declared_regime=regime)
 
 
 def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSchedule:
@@ -220,9 +223,8 @@ def _min_nu(schedule: MetricSchedule | None, horizon: int) -> float:
     """Smallest nu_k over the first ``horizon`` steps (1 for no schedule).
 
     A schedule with state-free ``rows`` answers from the rows the horizon
-    reaches (checked against the declared bounds when the schedule was
-    built). One whose weights depend on the run answers its declared
-    global bound, which is conservative: nu_k >= nu.
+    reaches. One whose weights depend on the run answers its declared
+    global bound, which every emitted vector respects exactly: nu_k >= nu.
     """
     if schedule is None:
         return 1.0

@@ -394,7 +394,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
     ys = [] if record_states else None
     w_rows = [] if record_states else None
 
-    f, g = problem.f, problem.g
+    f = problem.f
 
     def emit(name, schedule, size, k, snapshot):
         try:
@@ -461,11 +461,6 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         step_norm = math.sqrt(step @ step)
         fp_scaled = root_ns / (1.0 + math.sqrt(x @ x))
 
-        ell = outcome.ell
-        if ell is None:
-            # verification-only evaluation, kept out of the counters
-            ell = g.value(outcome.y) - gx + outcome.gdot
-
         add_k(k)
         add_F(F_here)
         add_gamma(gamma)
@@ -474,7 +469,7 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         add_step_norm(step_norm)
         add_mapping_norm(root_ns / gamma)
         add_fp_scaled(fp_scaled)
-        add_descent(ell + ns / gamma)
+        add_descent(outcome.ell + ns / gamma)
         add_decrease((1.0 - delta_eff) * lam**2 * ns - gamma * (F_here - F_next))
         add_domain_gamma(dom_gamma)
         add_f_evals(outcome.f_evals)

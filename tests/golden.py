@@ -94,7 +94,7 @@ def tv(seed, n=40):
 def weight_table(seed, n, rows=10):
     rng = np.random.default_rng(seed)
     table = [rng.uniform(0.5, 2.0, n) for _ in range(rows)]
-    return vmfbs.table_schedule(table, nu=0.5, mu=2.0, regime="growth")
+    return vmfbs.table_schedule(table, regime="growth")
 
 
 def state_schedule(n):
@@ -190,7 +190,7 @@ def runs(batch):
         f = vmfbs.PNormResidual(np.array([[2.0]]), np.array([0.0]))
         problem = vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=1)
         # the weights halve each step, so gamma needs one more backtrack each step
-        shrinking = vmfbs.table_schedule([[4.0], [2.0], [1.0]], nu=1.0, mu=4.0, regime="growth")
+        shrinking = vmfbs.table_schedule([[4.0], [2.0], [1.0]], regime="growth")
         yield problem, np.array([1.0]), config(
             "ls1", shrinking, search={"delta": 0.3, "max_backtracks": 2}, max_iterations=10,
             record_states=True,

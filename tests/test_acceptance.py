@@ -404,18 +404,18 @@ def test_criterion_11_quasi_fejer(c1_run, c6_bundle):
 def test_criterion_12_metric_validators():
     monotone_rows = [np.full(2, 1.0 + 2.0 ** (-k)) for k in range(64)]
     mono = vmfbs.validate_growth(
-        vmfbs.table_schedule(monotone_rows, nu=1.0, mu=2.0, regime="growth"),
+        vmfbs.table_schedule(monotone_rows, regime="growth"),
         horizon=64, budget=1.0,
     )
     alternating_rows = [np.full(2, 1.0 if k % 2 == 0 else 2.0) for k in range(20)]
     alt = vmfbs.validate_growth(
-        vmfbs.table_schedule(alternating_rows, nu=1.0, mu=2.0, regime="growth"),
+        vmfbs.table_schedule(alternating_rows, regime="growth"),
         horizon=20, budget=1.0,
     )
     gap = vmfbs.validate_spread(vmfbs.constant_schedule([1.0, 2.0]), horizon=7)
     summable_rows = [np.array([1.0, 1.0 + 2.0 ** (-k)]) for k in range(60)]
     summ = vmfbs.validate_spread(
-        vmfbs.table_schedule(summable_rows, nu=1.0, mu=2.0, regime="spread"),
+        vmfbs.table_schedule(summable_rows, regime="spread"),
         horizon=60, budget=2.0,
     )
     ok = (

@@ -63,9 +63,39 @@ def test_solve_lasso_writes_trace(tmp_path, capsys):
     assert "fixed_point" in capsys.readouterr().out
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang):
+    """The fenced ``lang`` code blocks of the README, in order."""
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(), flags=re.S | re.M)
+
+
 def test_readme_shows_the_trace_header():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    assert TRACE_HEADER in readme.read_text().splitlines()
+    assert TRACE_HEADER in README.read_text().splitlines()
+
+
+def test_readme_quickstart_runs_as_written(capsys):
+    quickstart = readme_blocks("python")[0]
+    exec(quickstart, {})
+    termination, F_final = capsys.readouterr().out.splitlines()[0].split()
+    assert termination in vmfbs.TERMINATIONS and np.isfinite(float(F_final))
+
+
+def test_readme_factory_block_runs():
+    factories = readme_blocks("python")[1]
+    assert "table_schedule" in factories
+    namespace = {"vmfbs": vmfbs, "weights": [1.0, 2.0], "rows": [[1.0, 1.0], [1.5, 1.0]], "n": 2}
+    exec(factories, namespace)
+
+
+def test_readme_spec_solves(tmp_path):
+    (spec_text,) = readme_blocks("json")
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == TRACE_HEADER
 
 
 def test_solve_trace_roundtrip(tmp_path):
@@ -255,8 +285,7 @@ THIRD_SEARCH_FAILS = {
     },
     "solver": {
         "rule": "ls1", "delta": 0.3, "max_backtracks": 2, "max_iterations": 10,
-        "metrics": {"type": "table", "weights": [[4.0], [2.0], [1.0]], "nu": 1.0, "mu": 4.0,
-                    "regime": "growth"},
+        "metrics": {"type": "table", "weights": [[4.0], [2.0], [1.0]], "regime": "growth"},
     },
 }
 
@@ -265,8 +294,7 @@ THIRD_SEARCH_FAILS = {
 
 def table_metrics(**fields):
     """A valid metric table for the one-dimensional lasso, with ``fields`` replaced."""
-    return {"type": "table", "weights": [[1.0], [1.5]], "nu": 1.0, "mu": 1.5,
-            "regime": "growth", **fields}
+    return {"type": "table", "weights": [[1.0], [1.5]], "regime": "growth", **fields}
 
 
 @pytest.mark.parametrize(
@@ -294,6 +322,9 @@ def table_metrics(**fields):
          "solver.metrics.regime: expected one of"),
         (lambda s: s["solver"].update(metrics=table_metrics(extend="hold")),
          "solver.metrics: unknown key(s) ['extend']"),
+        # a table's bounds are its rows' extremes
+        (lambda s: s["solver"].update(metrics=table_metrics(nu=1.0, mu=1.5)),
+         "solver.metrics: unknown key(s) ['mu', 'nu']"),
         (lambda s: s["solver"].update(metrics={"type": "constant", "weights": [1.0, 2.0]}),
          "solver.metrics.weights: expected 1 weights"),
         # the library's own refusals, under the block that was refused
@@ -605,8 +636,8 @@ def test_validate_metrics_table(tmp_path, capsys):
             "smooth": {"type": "quadratic", "matrix": [[1, 0], [0, 1]], "b": [1.0, -1.0]},
             "regularizer": {"type": "l1", "weight": 0.1},
         },
-        "solver": {"metrics": {"type": "table", "weights": [[1, 1], [1.5, 1]], "nu": 1,
-                               "mu": 1.5, "regime": "growth", "growth_budget": 1}},
+        "solver": {"metrics": {"type": "table", "weights": [[1, 1], [1.5, 1]],
+                               "regime": "growth", "growth_budget": 1}},
     })
     assert main(["validate-metrics", "--spec", spec, "--horizon", "5"]) == 0
     growth, spread = capsys.readouterr().out.splitlines()

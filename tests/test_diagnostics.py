@@ -37,6 +37,12 @@ def test_report_pass_fail_and_worst():
     assert "demo" in str(bad) and "fail" in str(bad).lower()
 
 
+def test_report_passes_a_residual_exactly_at_its_tolerance():
+    # 0.5 / 2.0 = 0.25 exactly: the verdict is residual <= tolerance * scale
+    r = CheckReport("edge", np.array([0.5]), np.array([2.0]), 0.25, {})
+    assert r.worst == 0.25 and r.passed
+
+
 def test_report_empty_is_vacuously_true():
     r = CheckReport("none", np.array([]), np.array([]), 1e-10, {})
     assert r.passed and r.worst == -np.inf
@@ -113,13 +119,21 @@ def test_quasi_fejer_delta_validation(rng):
         check_quasi_fejer(res, res.x_final, prob, branch="sideways")
 
 
+def test_quasi_fejer_refuses_delta_zero(rng):
+    # the constants divide by 1 - delta but need delta > 0 as well
+    prob = random_lasso(rng)
+    res = run(prob, np.zeros(prob.dimension), iters=10)
+    with pytest.raises(vmfbs.UsageError, match=r"0 < delta_effective < 1, got 0.0"):
+        check_quasi_fejer(dataclasses.replace(res, delta_effective=0.0), res.x_final, prob)
+
+
 def test_quasi_fejer_spread_with_alternating_metric(rng):
     prob = random_lasso(rng)
     n = prob.dimension
     rows = [np.full(n, 1.0 if k % 2 == 0 else 1.3) for k in range(60)]
     cfg = vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(),
-        metrics=vmfbs.table_schedule(rows, nu=1.0, mu=1.3, regime="spread"),
+        metrics=vmfbs.table_schedule(rows, regime="spread"),
         max_iterations=50,
         record_states=True,
     )
@@ -233,7 +247,7 @@ def test_floor_lam_rules():
 ])
 def test_floor_takes_the_sup_of_a_varying_schedule(rule, field, values, floor, observed_min):
     # a floor taken over the smallest value would lie above the observed minimum
-    schedule = vmfbs.table_schedule(values, nu=values[0], mu=values[1], regime="spread")
+    schedule = vmfbs.table_schedule(values, regime="spread")
     res = floor_run(rule, **{field: schedule})
     walked = res.trace.lam if rule == "ls4" else res.trace.gamma
     assert min(walked) == observed_min

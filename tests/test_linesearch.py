@@ -110,7 +110,7 @@ def test_minimizer_accepts_first_grid_point(rule):
     if rule == "domain":
         # the domain walk only picks gamma and y; it forms no step
         assert out.x_next is None
-        assert np.isnan(out.norm_sq_yx) and np.isnan(out.gdot)
+        assert np.isnan(out.norm_sq_yx) and np.isnan(out.ell)
     else:
         assert np.array_equal(out.x_next, [2.0])
         assert out.norm_sq_yx == 0.0

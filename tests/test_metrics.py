@@ -39,19 +39,20 @@ def test_emission_validates_like_as_vector():
     with pytest.raises(vmfbs.UsageError, match="expected a vector"):
         emitted(np.ones((2, 2)))
     with pytest.raises(vmfbs.UsageError, match="expected a vector"):
-        vmfbs.table_schedule([np.ones((1, 2))], nu=1.0, mu=1.0, regime="constant")
+        vmfbs.table_schedule([np.ones((1, 2))], regime="constant")
     # 0-d becomes length 1, at emission and in a factory's rows
     assert emitted(2.5).tolist() == [2.5]
     assert vmfbs.constant_schedule(2.5).metric_at(3).tolist() == [2.5]
 
 
-def test_emission_checks_the_declared_bounds_with_slack():
-    # nu = 1, mu = 2 and a relative slack of 1e-12 for round-off
-    for inside in ([1.0 - 1e-13, 2.0], [1.5, 2.0 + 1e-12]):
-        assert emitted(inside, nu=1.0, mu=2.0).tolist() == inside
-    for outside in ([1.0 - 1e-11, 2.0], [1.5, 2.0 + 1e-11]):
-        with pytest.raises(vmfbs.UsageError, match=r"at k=0, outside declared bounds"):
-            emitted(outside, nu=1.0, mu=2.0)
+def test_generator_bounds_hold_exactly():
+    # nu = 1 and mu = 2 themselves are inside; the next float outward is not
+    nu, mu = 1.0, 2.0
+    for inside in ([nu, mu], [nu], [mu]):
+        assert emitted(inside, nu=nu, mu=mu).tolist() == inside
+    for outside in ([np.nextafter(nu, 0), mu], [nu, np.nextafter(mu, np.inf)]):
+        with pytest.raises(vmfbs.UsageError, match=r"at k=0, outside declared bounds \[1.0, 2.0\]"):
+            emitted(outside, nu=nu, mu=mu)
 
 
 def test_emission_owns_a_frozen_copy():
@@ -63,23 +64,31 @@ def test_emission_owns_a_frozen_copy():
     assert not np.shares_memory(out, w)
     # a factory's rows are frozen copies too
     src = np.array([1.0, 2.0])
-    sched = vmfbs.table_schedule([src], nu=1.0, mu=2.0, regime="constant")
+    sched = vmfbs.table_schedule([src], regime="constant")
     src[0] = 1.5
     assert sched.metric_at(0).tolist() == [1.0, 2.0]
     assert not sched.metric_at(0).flags.writeable
 
 
-def test_table_bounds_are_checked_when_the_table_is_built():
-    rows = [np.ones(2), np.ones(2), np.array([1.0, 3.0])]
-    with pytest.raises(vmfbs.UsageError, match=r"in \[1.0, 3.0\] at k=2"):
-        vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="growth")
+def test_table_bounds_are_the_extremes_of_its_rows():
+    rows = [np.array([1.5, 2.0]), np.array([0.75, 1.0]), np.array([1.0, 3.0])]
+    sched = vmfbs.table_schedule(rows, regime="growth")
+    assert (sched.global_nu, sched.global_mu) == (0.75, 3.0)
+    lam = vmfbs.table_schedule([0.5, 1.0, 0.25], regime="spread")
+    assert (lam.global_nu, lam.global_mu) == (0.25, 1.0)
+    # a table states no bounds of its own
+    with pytest.raises(TypeError):
+        vmfbs.table_schedule(rows, nu=0.5, mu=3.0, regime="growth")
+    for bounds in (dict(global_nu=0.5), dict(global_mu=3.0), dict(global_nu=0.75, global_mu=3.0)):
+        with pytest.raises(vmfbs.UsageError, match="takes its bounds from the rows"):
+            vmfbs.MetricSchedule(rows=rows, declared_regime="growth", **bounds)
 
 
 def test_empty_weight_vector_is_a_usage_error():
     with pytest.raises(vmfbs.UsageError, match="weight vector is empty"):
         vmfbs.constant_schedule([])
     with pytest.raises(vmfbs.UsageError, match="weight vector is empty"):
-        vmfbs.table_schedule([np.ones(2), []], nu=1.0, mu=1.0, regime="growth")
+        vmfbs.table_schedule([np.ones(2), []], regime="growth")
     # a schedule built directly is checked where it emits
     sched = vmfbs.MetricSchedule(
         lambda k, snap: np.zeros(0), global_nu=1.0, global_mu=1.0, declared_regime="constant"
@@ -90,8 +99,8 @@ def test_empty_weight_vector_is_a_usage_error():
 
 def test_ragged_table_is_refused_when_built():
     with pytest.raises(vmfbs.UsageError, match=r"different lengths \[2, 3\]"):
-        vmfbs.table_schedule([np.ones(2), np.ones(3)], nu=1, mu=1, regime="growth")
-    same = vmfbs.table_schedule([np.ones(3), np.ones(3)], nu=1, mu=1, regime="growth")
+        vmfbs.table_schedule([np.ones(2), np.ones(3)], regime="growth")
+    same = vmfbs.table_schedule([np.ones(3), np.ones(3)], regime="growth")
     assert vmfbs.validate_growth(same, 5).partial_sum == 0.0
     assert vmfbs.validate_spread(same, 5).partial_sum == 0.0
 
@@ -103,8 +112,8 @@ def test_schedule_needs_exactly_one_source():
     with pytest.raises(vmfbs.UsageError, match="exactly one of a generator and rows"):
         vmfbs.MetricSchedule(**bounds)
     with pytest.raises(vmfbs.UsageError, match="at least one row"):
-        vmfbs.MetricSchedule(rows=[], **bounds)
-    sched = vmfbs.MetricSchedule(rows=[[1.0, 1.0]], **bounds)
+        vmfbs.MetricSchedule(rows=[], declared_regime="constant")
+    sched = vmfbs.MetricSchedule(rows=[[1.0, 1.0]], declared_regime="constant")
     assert not sched.reads_state and sched.metric_at(3).tolist() == [1.0, 1.0]
 
 
@@ -149,13 +158,13 @@ def test_constant_schedule_emits_same_metric():
 
 def test_table_schedule_holds_its_last_row():
     rows = [np.array([1.0, 1.0]), np.array([1.5, 1.0])]
-    sched = vmfbs.table_schedule(rows, nu=1.0, mu=1.5, regime="growth")
+    sched = vmfbs.table_schedule(rows, regime="growth")
     assert np.array_equal(sched.metric_at(0), rows[0])
     assert np.array_equal(sched.metric_at(5), rows[1])
 
 
 def test_metric_at_returns_the_same_last_row_past_the_table():
-    sched = vmfbs.table_schedule([np.ones(2), np.full(2, 1.5)], nu=1.0, mu=1.5, regime="growth")
+    sched = vmfbs.table_schedule([np.ones(2), np.full(2, 1.5)], regime="growth")
     last = sched.metric_at(1)
     assert last is sched.rows[-1] and not last.flags.writeable
     assert all(sched.metric_at(k) is last for k in (2, 3, 10, 10**9))
@@ -195,7 +204,8 @@ def test_bb_schedule_refuses_bad_arguments_when_built(kw, needle):
 
 
 def test_schedule_bounds_need_0_lt_nu_le_mu_lt_inf():
-    for nu, mu in ((0.0, 1.0), (1.0, np.inf), (2.0, 1.0)):
+    # a generator declares both bounds
+    for nu, mu in ((0.0, 1.0), (1.0, np.inf), (2.0, 1.0), (None, 1.0), (1.0, None)):
         with pytest.raises(vmfbs.UsageError,
                            match=re.escape(f"need 0 < nu <= mu < inf, got nu={nu}, mu={mu}")):
             vmfbs.MetricSchedule(lambda k, snap: 1.0, global_nu=nu, global_mu=mu,
@@ -275,15 +285,22 @@ def test_growth_from_weights_monotone_decreasing_is_zero():
 
 def test_validate_growth_monotone_schedule_passes():
     rows = [np.full(2, 1.0 + 2.0 ** (-k)) for k in range(64)]
-    sched = vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="growth")
+    sched = vmfbs.table_schedule(rows, regime="growth")
     report = vmfbs.validate_growth(sched, horizon=64, budget=1.0)
     assert report.partial_sum == 0.0
     assert report.passed
 
 
+def test_summability_passes_a_sum_exactly_at_its_budget():
+    # one step of eta = 1.5 / 1 - 1 = 0.5, exact in binary
+    sched = vmfbs.table_schedule([[1.0, 1.0], [1.5, 1.5]], regime="growth")
+    report = vmfbs.validate_growth(sched, horizon=2, budget=0.5)
+    assert report.partial_sum == 0.5 and report.passed
+
+
 def test_validate_growth_alternating_schedule_fails_budget():
     rows = [np.full(2, 1.0 if k % 2 == 0 else 2.0) for k in range(20)]
-    sched = vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="growth")
+    sched = vmfbs.table_schedule(rows, regime="growth")
     report = vmfbs.validate_growth(sched, horizon=20, budget=1.0)
     # every up-step contributes eta = 1
     assert report.partial_sum == pytest.approx(10.0)
@@ -299,7 +316,7 @@ def test_validate_spread_constant_gap_grows_linearly():
 
 def test_validate_spread_summable_gap_converges_to_two():
     rows = [np.array([1.0, 1.0 + 2.0 ** (-k)]) for k in range(60)]
-    sched = vmfbs.table_schedule(rows, nu=1.0, mu=2.0, regime="spread")
+    sched = vmfbs.table_schedule(rows, regime="spread")
     report = vmfbs.validate_spread(sched, horizon=60, budget=2.0)
     assert report.partial_sum == pytest.approx(2.0, abs=1e-12)
     assert report.passed
@@ -322,10 +339,10 @@ def test_growth_from_weights_matches_the_per_step_formula(rng):
 def test_reports_share_one_type_and_render_exactly(rng):
     rows = rng.uniform(0.5, 2.0, size=(12, 3))
     report = vmfbs.validate_spread(
-        vmfbs.table_schedule(rows, nu=0.5, mu=2.0, regime="spread"), horizon=12
+        vmfbs.table_schedule(rows, regime="spread"), horizon=12
     )
     assert report.terms.tolist() == [float(r.max() - r.min()) for r in rows]
-    sched = vmfbs.table_schedule([[1.0, 1.0], [1.5, 1.0]], nu=1.0, mu=1.5, regime="growth")
+    sched = vmfbs.table_schedule([[1.0, 1.0], [1.5, 1.0]], regime="growth")
     growth = vmfbs.validate_growth(sched, horizon=3, budget=1.0)
     spread = vmfbs.validate_spread(sched, horizon=3)
     assert type(growth) is type(spread) is vmfbs.SummabilityReport
@@ -336,8 +353,7 @@ def test_reports_share_one_type_and_render_exactly(rng):
 
 
 def test_validators_hold_the_last_row_without_building_it(rng):
-    sched = vmfbs.table_schedule(rng.uniform(0.5, 2.0, size=(4, 3)), nu=0.5, mu=2.0,
-                                 regime="growth")
+    sched = vmfbs.table_schedule(rng.uniform(0.5, 2.0, size=(4, 3)), regime="growth")
     for horizon in (1, 2, 4, 9):  # below, at and past the table's four rows
         ws = np.array([sched.metric_at(k) for k in range(horizon)])
         for report, want in ((vmfbs.validate_growth(sched, horizon), growth_from_weights(ws)),
@@ -348,8 +364,7 @@ def test_validators_hold_the_last_row_without_building_it(rng):
         with pytest.raises(vmfbs.UsageError, match="horizon must be >= 1, got 0"):
             validate(sched, 0)
     # a weight vector per step would take 8 GB here
-    wide = vmfbs.table_schedule(rng.uniform(0.5, 2.0, size=(2, 1000)), nu=0.5, mu=2.0,
-                                regime="spread")
+    wide = vmfbs.table_schedule(rng.uniform(0.5, 2.0, size=(2, 1000)), regime="spread")
     tracemalloc.start()
     try:
         growth = vmfbs.validate_growth(wide, 10**6)
@@ -378,7 +393,7 @@ def test_validators_need_a_run_for_state_reading_schedules():
     )
     assert custom.reads_state and bb.reads_state
     assert vmfbs.validate_growth(custom, horizon=5, budget=1.0).passed is None
-    state_free = vmfbs.table_schedule([np.ones(2)], nu=1.0, mu=1.0, regime="constant")
+    state_free = vmfbs.table_schedule([np.ones(2)], regime="constant")
     assert not state_free.reads_state
     assert not vmfbs.constant_schedule(np.ones(2)).reads_state
     assert vmfbs.validate_growth(state_free, horizon=5, budget=1.0).passed

@@ -172,10 +172,10 @@ def test_fixed_step_validate_min_nu_per_schedule(rng, case):
         metrics, nu = vmfbs.constant_schedule([0.75, 2.0, 1.5]), 0.75
     elif case == "table-short":  # held past its end: every row counts
         rows = [np.full(3, 1.0), np.full(3, 0.6), np.full(3, 0.8)]
-        metrics, nu = vmfbs.table_schedule(rows[:2], nu=0.5, mu=1.0, regime="growth"), 0.6
+        metrics, nu = vmfbs.table_schedule(rows[:2], regime="growth"), 0.6
     elif case == "table-long":  # rows past the horizon do not count
         rows = [np.full(3, w) for w in (1.0, 0.9, 0.8, 0.5)]
-        metrics, nu = vmfbs.table_schedule(rows, nu=0.5, mu=1.0, regime="growth"), 0.8
+        metrics, nu = vmfbs.table_schedule(rows, regime="growth"), 0.8
     else:  # weights depend on the run: the declared global bound
         metrics, nu = vmfbs.bb_schedule(3, nu=0.25, mu=4.0), 0.25
     search = vmfbs.LineSearchConfig(rule="fixed", fixed_gamma=0.3 / L, fixed_lam=0.9)
@@ -220,11 +220,24 @@ def test_lam_schedule_callable(rng):
 
 
 def test_gamma_schedule_seeds_search(rng):
+    # ls4 walks lam at the emitted gamma; without a schedule the gamma is gamma_max
     prob = random_lasso(rng)
-    res = solve(prob, np.zeros(prob.dimension),
-                base_config(search=vmfbs.LineSearchConfig(rule="ls1", gamma_max=2.0),
-                            gamma_schedule=vmfbs.constant_schedule(0.125), max_iterations=4))
-    assert all(g <= 0.125 + 1e-15 for g in res.trace.gamma)
+    search = vmfbs.LineSearchConfig(rule="ls4", gamma_max=2.0)
+    seeded = solve(prob, np.zeros(prob.dimension),
+                   base_config(search=search, gamma_schedule=vmfbs.constant_schedule(0.125),
+                               max_iterations=4))
+    plain = solve(prob, np.zeros(prob.dimension), base_config(search=search, max_iterations=4))
+    assert len(seeded.trace) == len(plain.trace) == 4
+    assert seeded.trace.gamma.tolist() == [0.125] * 4
+    assert plain.trace.gamma.tolist() == [2.0] * 4
+
+
+def test_lam_generator_is_held_to_its_declared_bound_exactly(rng):
+    # a relative 5e-13 above the declared mu = 1 is outside (0, 1]
+    prob = random_lasso(rng)
+    lam = scalar_schedule(lambda k, s: 1.0 + 5e-13, 0.5, 1.0)
+    with pytest.raises(vmfbs.UsageError, match=r"^lam_schedule at k=0: .* outside declared bounds"):
+        solve(prob, np.zeros(prob.dimension), base_config(lam_schedule=lam, max_iterations=3))
 
 
 def test_lam_schedule_out_of_range_rejected(rng):
@@ -245,12 +258,12 @@ def test_config_refuses_a_bare_callable(name):
 
 
 def test_config_refuses_a_lam_schedule_declared_above_one():
-    lam = vmfbs.table_schedule([0.5, 1.5], nu=0.5, mu=1.5, regime="spread")
+    lam = vmfbs.table_schedule([0.5, 1.5], regime="spread")
     with pytest.raises(vmfbs.UsageError,
                        match=re.escape("lam_schedule must lie in (0,1], got global_mu=1.5")):
         base_config(lam_schedule=lam)
     # mu = 1 is the top of (0, 1]
-    base_config(lam_schedule=vmfbs.table_schedule([0.5, 1.0], nu=0.5, mu=1.0, regime="spread"))
+    base_config(lam_schedule=vmfbs.table_schedule([0.5, 1.0], regime="spread"))
 
 
 def test_constant_gamma_schedule_is_the_constant(rng):
@@ -288,8 +301,7 @@ def test_constant_schedules_build_no_snapshot(rng, monkeypatch):
 
     monkeypatch.setattr(vmfbs.solver, "StepSnapshot", refuse)
     prob = random_lasso(rng)
-    table = vmfbs.table_schedule([np.full(8, 1.0), np.full(8, 1.5)], nu=1.0, mu=1.5,
-                                 regime="growth")
+    table = vmfbs.table_schedule([np.full(8, 1.0), np.full(8, 1.5)], regime="growth")
     for rule in ("ls1", "ls4"):
         for metrics in (None, table):
             config = base_config(search=vmfbs.LineSearchConfig(rule=rule), metrics=metrics,
@@ -318,7 +330,7 @@ def test_table_metric_consumed_in_order(rng):
     prob = random_lasso(rng)
     n = prob.dimension
     tab = vmfbs.table_schedule([np.full(n, w) for w in (1.0, 1.25, 1.5)],
-                               nu=1.0, mu=1.5, regime="growth")
+                               regime="growth")
     res = solve(prob, np.zeros(n),
                 base_config(metrics=tab, max_iterations=5, record_states=True))
     W = res.states.weights
@@ -405,7 +417,7 @@ def test_counters_are_trace_column_sums(rng, case):
         prob, x0 = random_lasso(rng), np.zeros(8)
         config = base_config(search=vmfbs.LineSearchConfig(rule="ls2", max_backtracks=2),
                              gamma_schedule=vmfbs.table_schedule(
-                                 [0.01] * 5 + [1e3], nu=0.01, mu=1e3, regime="spread"),
+                                 [0.01] * 5 + [1e3], regime="spread"),
                              max_iterations=40)
     elif case == "general-ls3":
         prob, x0 = kl_8x5(), np.ones(5)
