@@ -162,9 +162,9 @@ class MetricSchedule:
             return rows[k] if k < len(rows) else rows[-1]
         w, lo, hi = _checked(self._generator(k, snapshot))
         if lo < self.global_nu or hi > self.global_mu:
+            emitted = f"emitted {lo}" if w.size == 1 else f"emitted weights in [{lo}, {hi}]"
             raise UsageError(
-                f"schedule emitted weights in [{lo}, {hi}] at k={k}, outside "
-                f"declared bounds [{self.global_nu}, {self.global_mu}]"
+                f"{emitted}, outside declared bounds [{self.global_nu}, {self.global_mu}]"
             )
         return w
 

@@ -51,8 +51,18 @@ def test_generator_bounds_hold_exactly():
     for inside in ([nu, mu], [nu], [mu]):
         assert emitted(inside, nu=nu, mu=mu).tolist() == inside
     for outside in ([np.nextafter(nu, 0), mu], [nu, np.nextafter(mu, np.inf)]):
-        with pytest.raises(vmfbs.UsageError, match=r"at k=0, outside declared bounds \[1.0, 2.0\]"):
+        with pytest.raises(vmfbs.UsageError,
+                           match=r"^emitted weights in \[.*\], outside declared bounds \[1.0, 2.0\]$"):
             emitted(outside, nu=nu, mu=mu)
+    # a one-entry emission names its value once; a vector, its extremes
+    with pytest.raises(vmfbs.UsageError) as err:
+        emitted(np.nextafter(mu, np.inf), nu=nu, mu=mu)
+    assert str(err.value) == "emitted 2.0000000000000004, outside declared bounds [1.0, 2.0]"
+    with pytest.raises(vmfbs.UsageError) as err:
+        emitted([1.5, np.nextafter(nu, 0), 1.25], nu=nu, mu=mu)
+    assert str(err.value) == (
+        "emitted weights in [0.9999999999999999, 1.5], outside declared bounds [1.0, 2.0]"
+    )
 
 
 def test_emission_owns_a_frozen_copy():

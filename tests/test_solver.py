@@ -236,8 +236,25 @@ def test_lam_generator_is_held_to_its_declared_bound_exactly(rng):
     # a relative 5e-13 above the declared mu = 1 is outside (0, 1]
     prob = random_lasso(rng)
     lam = scalar_schedule(lambda k, s: 1.0 + 5e-13, 0.5, 1.0)
-    with pytest.raises(vmfbs.UsageError, match=r"^lam_schedule at k=0: .* outside declared bounds"):
+    with pytest.raises(vmfbs.UsageError) as err:
         solve(prob, np.zeros(prob.dimension), base_config(lam_schedule=lam, max_iterations=3))
+    # one value is named once, and so is k
+    assert str(err.value) == (
+        "lam_schedule at k=0: emitted 1.0000000000005, outside declared bounds [0.5, 1.0]"
+    )
+
+
+def test_metric_generator_refusal_names_the_range_of_its_weights(rng):
+    prob = random_lasso(rng)
+    w = np.ones(prob.dimension)
+    w[3] = 4.5
+    metrics = vmfbs.MetricSchedule(
+        lambda k, s: w, global_nu=0.5, global_mu=4.0, declared_regime="growth")
+    with pytest.raises(vmfbs.UsageError) as err:
+        solve(prob, np.zeros(prob.dimension), base_config(metrics=metrics, max_iterations=3))
+    assert str(err.value) == (
+        "metrics at k=0: emitted weights in [1.0, 4.5], outside declared bounds [0.5, 4.0]"
+    )
 
 
 def test_lam_schedule_out_of_range_rejected(rng):
