@@ -18,7 +18,8 @@ asked for, its gradient. ``value``, ``gradient`` and ``in_domain`` at
 that same point (same bytes, same shape) reuse them, so the gradient
 at an accepted trial point costs one A^T product and a repeated query
 none. For these three the memo is bit-transparent: a reused image is
-the product a fresh call would compute.
+the product a fresh call would compute. Each term keeps a private,
+read-only copy of b.
 
 The trials of a lam walk recombine instead. ``line_search`` makes its
 walk from x in the direction dy current and asks ``value`` at each
@@ -34,13 +35,21 @@ the same bits and products as the term itself. The memo is plain
 instance state: one term instance must not be shared by solves running
 in concurrent threads.
 
+The p = 2 residual on a column-major map (below) takes the gradient at
+a point x with at most n // ``_GRAM_CUT`` nonzero entries as
+A^T A[:, S] x_S - A^T b, S the support of x, from columns of A^T A that
+the map caches (glmnet's covariance update): no A^T product but the one
+A^T b per term, and not from the image. Every other gradient is
+A^T grad h(Ax).
+
 ``LinearMap`` stores its matrix with every subnormal entry set to +0.0,
 so no product meets a subnormal operand (slow on x86); each output of
 a product moves by at most ``np.finfo(float).tiny`` times the l1 norm
 of the vector it multiplies. A banded matrix is stored as row blocks
 of its band, and a dense matrix of at least ``_COLUMN_FLOOR`` bytes
 column by column, so that A x reads only the columns of x's nonzero
-entries. See its docstring for all three.
+entries; such a map also caches the columns of A^T A that gradients
+ask for. See its docstring for all four.
 """
 
 from __future__ import annotations
@@ -81,6 +90,12 @@ _COLUMN_FLOOR = 8 << 20
 # cost the same near 900 nonzero entries)
 _SPARSE_CUT = 4
 _COLUMN_CHUNK = 64
+
+# on a column-major map the p = 2 gradient at a point with at most
+# n // _GRAM_CUT nonzero entries reads cached columns of A^T A; the cache
+# holds at most 1 / _GRAM_SHARE of the stored matrix's bytes
+_GRAM_CUT = 8
+_GRAM_SHARE = 2
 
 
 def _flush(block: np.ndarray, mag: np.ndarray, sub: np.ndarray, nonzero: np.ndarray) -> bool:
@@ -173,22 +188,35 @@ def _refuse_emptied(a: np.ndarray, parts) -> None:
                 )
 
 
-def _first_live(slab: np.ndarray, tiny: float) -> int:
-    """First column of ``slab`` with an entry that is non-finite or of magnitude >= tiny.
+def _first_live(group: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """First column of each slab of ``group`` with an entry that is non-finite or of magnitude >= tiny.
 
-    Scans in chunks of 8, 16, 32, ... columns, so a live first column
-    costs one small chunk and a dead run is read at most twice over.
-    Returns the slab's width if no column is live.
+    The slabs are the rows from each of ``starts`` to the next. All of
+    them are scanned at once, in chunks of 8, 16, 32, ... columns, until
+    each has a live column, so a live first column costs one small
+    chunk and a dead run is read at most twice over. A slab with no live
+    column gets the group's width.
     """
-    n = slab.shape[1]
+    n = group.shape[1]
+    first = np.full(starts.size, n)
+    left = starts.size
     start, width = 0, 8
-    while start < n:
-        live = ~(np.abs(slab[:, start : start + width]) < tiny).all(axis=0)
-        if live.any():
-            return start + int(live.argmax())
+    while start < n and left:
+        dead = np.abs(group[:, start : start + width]) < _TINY  # NaN is live
+        # reduceat is the fast reduction over many short slabs, and all()
+        # over one slab of wide rows (3 to 7 times faster there)
+        if starts.size > 1:
+            dead = np.logical_and.reduceat(dead, starts, axis=0)
+        else:
+            dead = dead.all(axis=0, keepdims=True)
+        hit = (first == n) & ~dead.all(axis=1)
+        found = np.count_nonzero(hit)
+        if found:
+            first[hit] = start + dead[hit].argmin(axis=1)
+            left -= found
         start += width
         width *= 2
-    return n
+    return first
 
 
 def _band(a: np.ndarray) -> list[tuple[int, int, int, int]] | None:
@@ -196,33 +224,42 @@ def _band(a: np.ndarray) -> list[tuple[int, int, int, int]] | None:
 
     Each slab of ``_BAND_SLAB`` rows keeps the columns from its first to
     its last live entry, found by scanning inward from both edges and
-    widened by at most 3 columns (a slab with none keeps nothing).
-    Returns None, for dense storage, when ``a`` fits in one slab or the
-    blocks would cover more than half of it.
+    widened by at most 3 columns (a slab with none keeps nothing). The
+    slabs are judged in groups of about one ``_INGEST_BLOCK`` of entries
+    (one slab when a slab is larger), so a tall, narrow matrix takes a
+    few numpy passes, not a Python step per slab. Returns None, for
+    dense storage, when ``a`` fits in one slab or the blocks would cover
+    more than half of it.
     """
     m, n = a.shape
     if m <= _BAND_SLAB:
         return None
-    tiny = np.finfo(float).tiny
+    rows = max(1, _INGEST_BLOCK // (_BAND_SLAB * n)) * _BAND_SLAB
     spans = []
     area = 0
-    for r0 in range(0, m, _BAND_SLAB):
-        slab = a[r0 : r0 + _BAND_SLAB]
-        c0 = _first_live(slab, tiny)
-        if c0 == n:
+    for g0 in range(0, m, rows):
+        group = a[g0 : g0 + rows]
+        starts = np.arange(0, group.shape[0], _BAND_SLAB)
+        c0 = _first_live(group, starts)
+        live = c0 < n
+        if not live.any():
             continue
-        c1 = n - _first_live(slab[:, ::-1], tiny)
+        c0 = c0[live]
+        c1 = n - _first_live(group[:, ::-1], starts)[live]
         # OpenBLAS's gemv adds the last (width mod 4) columns after the
         # rest: a block as wide as a multiple of 4 that stops short of
         # the dense product's such tail, or one that runs from a multiple
         # of 4 to the last column, sums each output in the dense order
         c1 = c0 + -(-(c1 - c0) // 4) * 4
-        if c1 > n - n % 4:
-            c0, c1 = c0 - c0 % 4, n
-        area += slab.shape[0] * (c1 - c0)
+        tail = c1 > n - n % 4
+        c0 = np.where(tail, c0 - c0 % 4, c0)
+        c1 = np.where(tail, n, c1)
+        r0 = g0 + starts[live]
+        r1 = np.minimum(r0 + _BAND_SLAB, m)
+        area += int(((r1 - r0) * (c1 - c0)).sum())
         if 2 * area > m * n:
             return None
-        spans.append((r0, r0 + slab.shape[0], c0, c1))
+        spans += zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist())
     return spans
 
 
@@ -266,8 +303,21 @@ class LinearMap:
     2 m eps (|A|^T |r|)_j. ``a`` is the stored matrix; a banded map
     builds it afresh on each access, with +0.0 outside the band.
 
+    An F-ordered map caches columns of the Gram matrix G = A^T A, filled
+    on demand by ``PNormResidual``'s gradient: the columns a query
+    misses are computed by one product ``A.T @ A[:, missing]`` (a single
+    one padded to two), so a fill of k columns costs a pass over A and
+    about k adjoints' flops. Each column has the same bits in every
+    batch of two or more, so a gradient does not depend on what the
+    cache held before. The cache holds at most 1 / ``_GRAM_SHARE`` of
+    the stored matrix's bytes, and is emptied when a fill would take it
+    past that. It is plain instance state: a map with a cache must not
+    be shared by solves running in concurrent threads.
+
     ``matvecs`` counts the products taken through ``apply`` and
-    ``adjoint``; the power iteration of ``operator_norm`` is not counted.
+    ``adjoint``; the power iteration of ``operator_norm`` is not counted,
+    and neither is a Gram fill: ``gram_columns`` counts the columns of
+    G computed.
     """
 
     def __init__(self, a):
@@ -292,6 +342,10 @@ class LinearMap:
         self._blocks = tuple(parts) if spans is not None else None
         self._opnorm: float | None = None
         self.matvecs = 0
+        self.gram_columns = 0
+        self._gram: np.ndarray | None = None  # cached columns of A^T A, by slot
+        self._slot: np.ndarray | None = None  # each column's slot, or -1
+        self._filled = 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -346,6 +400,45 @@ class LinearMap:
         for r0, r1, c0, c1, block in self._blocks:
             y[c0:c1] += block.T @ r[r0:r1]
         return y
+
+    def _gram_product(self, x) -> np.ndarray | None:
+        """A^T A x from cached Gram columns, or None off the Gram path.
+
+        The path is a column-major map and a vector x with at most
+        n // ``_GRAM_CUT`` nonzero entries, no more than the cache holds.
+        The columns of its support S missing from the cache are filled by
+        one product ``A.T @ A[:, missing]``; then the result is
+        G[:, S] x_S. A cache that a fill would take past 1 / ``_GRAM_SHARE``
+        of the stored matrix's bytes is emptied first.
+        """
+        if not self._column_major or np.ndim(x) != 1:
+            return None
+        x = np.asarray(x, dtype=float)
+        s = np.flatnonzero(x)
+        n = self._shape[1]
+        room = self._a.nbytes // _GRAM_SHARE // (8 * n)  # columns the cache holds
+        if s.size > min(n // _GRAM_CUT, room):
+            return None
+        if self._gram is None:
+            self._gram = np.empty((n, room), order="F")
+            self._slot = np.full(n, -1)
+        missing = s[self._slot[s] < 0]
+        if missing.size:
+            if self._filled + missing.size > room:
+                self._slot[:] = -1
+                self._filled = 0
+                missing = s
+            # each column of A.T @ A[:, cols] has the same bits in every
+            # batch of two or more columns; OpenBLAS takes a one-column
+            # product through gemv, which rounds otherwise, so it is padded
+            cols = missing if missing.size > 1 else np.repeat(missing, 2)
+            fill = self._a.T @ self._a[:, cols]
+            new = np.arange(self._filled, self._filled + missing.size)
+            self._gram[:, new] = fill[:, : missing.size]
+            self._slot[missing] = new
+            self._filled += missing.size
+            self.gram_columns += missing.size
+        return self._gram[:, self._slot[s]] @ x[s]
 
     def operator_norm(self) -> float:
         """||A|| by power iteration on A^T A, cached.
@@ -407,6 +500,13 @@ def _point_key(x: np.ndarray) -> tuple:
     return x.shape, x.tobytes()
 
 
+def _private(b) -> np.ndarray:
+    """A read-only copy of ``b``, so that the caller's later edits do not reach the term."""
+    b = b.copy()
+    b.flags.writeable = False
+    return b
+
+
 class _Composite(SmoothTerm):
     """f(x) = h(Ax) for a ``LinearMap`` A, remembering the last point queried.
 
@@ -457,21 +557,32 @@ class _Composite(SmoothTerm):
     def gradient(self, x) -> np.ndarray:
         ax = self._image(x)
         if self._grad is None:
-            self._grad = self.a.adjoint(self._outer_gradient(ax))
+            self._grad = self._gradient(x, ax)
         self._base = (self._key, ax)
         return self._grad.copy()
 
+    def _gradient(self, x, ax) -> np.ndarray:
+        return self.a.adjoint(self._outer_gradient(ax))
+
 
 class PNormResidual(_Composite):
-    """f(x) = (1/p) sum |(Ax - b)_i|^p with p > 1. Full domain."""
+    """f(x) = (1/p) sum |(Ax - b)_i|^p with p > 1. Full domain.
+
+    At p = 2 the gradient at a point x with at most n // ``_GRAM_CUT``
+    nonzero entries on a column-major map is A^T A x - A^T b, read from
+    the map's cached Gram columns of x's support; A^T b is taken once,
+    through ``adjoint``. It rounds otherwise than A^T (Ax - b) and does
+    not depend on what the cache held before.
+    """
 
     lower_bound = 0.0
+    _atb: np.ndarray | None = None
 
     def __init__(self, a: LinearMap, b, p: float = 2.0):
         if not isinstance(a, LinearMap):
             a = LinearMap(a)
         self.a = a
-        self.b = as_vector(b, a.shape[0])
+        self.b = _private(as_vector(b, a.shape[0]))
         if not (p > 1) or not np.isfinite(p):
             raise UsageError(f"p must be a finite real > 1, got {p}")
         self.p = float(p)
@@ -484,11 +595,25 @@ class PNormResidual(_Composite):
 
     def _value(self, ax) -> float:
         r = ax - self.b
+        if self.p == 2.0:
+            return float((r * r).sum() / 2.0)
         return float((np.abs(r) ** self.p).sum() / self.p)
 
     def _outer_gradient(self, ax) -> np.ndarray:
         r = ax - self.b
+        if self.p == 2.0:
+            r += 0.0  # |r| sign(r) is r, with -0.0 read as +0.0
+            return r
         return np.abs(r) ** (self.p - 1.0) * np.sign(r)
+
+    def _gradient(self, x, ax) -> np.ndarray:
+        if self.p == 2.0:
+            gram = self.a._gram_product(x)
+            if gram is not None:
+                if self._atb is None:
+                    self._atb = self.a.adjoint(self.b)
+                return gram - self._atb
+        return super()._gradient(x, ax)
 
 
 class KLDivergence(_Composite):
@@ -514,7 +639,7 @@ class KLDivergence(_Composite):
         if not row_live.all():
             raise UsageError("KL matrix has an all-zero row; the domain would be empty")
         self.a = a
-        self.b = as_vector(b, a.shape[0])
+        self.b = _private(as_vector(b, a.shape[0]))
         if not np.all(self.b > 0):
             raise UsageError("KL needs b > 0 componentwise")
 

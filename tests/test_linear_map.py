@@ -1,13 +1,19 @@
-"""The column-major storage of a large dense ``LinearMap``.
+"""The column-major storage of a large dense ``LinearMap`` and its Gram cache.
 
 A dense matrix of at least ``_COLUMN_FLOOR`` bytes is stored F-ordered,
 and ``apply(x)`` with at most n // ``_SPARSE_CUT`` nonzero entries in x
-reads only their columns. Every check here runs on a matrix at the floor
-(1024 x 1024 doubles, 8 MiB), handed over in C and in F layout, and
-needs numpy alone.
+reads only their columns. On such a map the p = 2 residual takes its
+gradient at a point with at most n // ``_GRAM_CUT`` nonzero entries from
+cached columns of A^T A. Every check here runs on a matrix at the floor
+(1024 x 1024 doubles, 8 MiB), handed over in C and in F layout where the
+layout could matter, and needs numpy alone.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,18 +208,197 @@ def test_one_row_below_the_floor_stays_row_major(rng, layout):
     assert m.adjoint(r).tobytes() == (stored.T @ r).tobytes()
 
 
+# --- the Gram path of the p = 2 residual ---------------------------------
+
+GRAM_CUT = N // smooth._GRAM_CUT
+ROOM = SHAPE[0] // smooth._GRAM_SHARE  # columns the cache holds
+
+
+def test_gram_cut_and_cap_in_this_shape():
+    assert 0 < GRAM_CUT < ROOM < N
+
+
+def _gram_case(seed=7, k=40):
+    """A map at the floor, a right-hand side and a point with k nonzero entries."""
+    rng = np.random.default_rng(seed)
+    a = _matrix(rng)
+    return a, rng.standard_normal(SHAPE[0]), _sparse(rng, k)
+
+
+def _on(cols, rng):
+    """A point whose nonzero entries are exactly those of ``cols``."""
+    y = np.zeros(N)
+    y[cols] = rng.standard_normal(len(cols))
+    return y
+
+
+_GRAM_BITS = """
+import sys
+sys.path.insert(0, {tests!r})
+import numpy as np, vmfbs
+from test_linear_map import _gram_case
+a, b, x = _gram_case()
+print(vmfbs.PNormResidual(vmfbs.LinearMap(a), b).gradient(x).tobytes().hex())
+"""
+
+
+def test_gram_gradient_has_the_same_bits_whatever_the_cache_held(rng):
+    # each Gram column has the same bits in every fill batch of two or more
+    # columns, so the gradient at a point does not depend on the cache's
+    # history; a one-column fill is padded to two, since OpenBLAS takes a
+    # one-column product through gemv, which rounds otherwise
+    a, b, x = _gram_case()
+    s = np.flatnonzero(x)
+    fresh = vmfbs.PNormResidual(vmfbs.LinearMap(a), b).gradient(x)
+
+    # after other supports filled the cache: x's columns came in three
+    # batches, each mixed with columns x does not use
+    m = vmfbs.LinearMap(a)
+    f = vmfbs.PNormResidual(m, b)
+    others = np.setdiff1d(np.arange(N), s)
+    for part in np.array_split(s, 3):
+        f.gradient(_on(np.union1d(part, rng.choice(others, 30, replace=False)), rng))
+    assert (m._slot[s] >= 0).all()
+    assert f.gradient(x).tobytes() == fresh.tobytes()
+
+    # after the cache was emptied: fill past the cap with other supports
+    filled = [m._filled]
+    for chunk in np.array_split(rng.permutation(others), len(others) // GRAM_CUT + 1):
+        f.gradient(_on(chunk, rng))
+        filled.append(m._filled)
+    assert any(now < before for before, now in zip(filled, filled[1:]))  # emptied on the way
+    assert f.gradient(x).tobytes() == fresh.tobytes()
+
+    # through a one-column fill: all of x's support but one column cached
+    m = vmfbs.LinearMap(a)
+    f = vmfbs.PNormResidual(m, b)
+    f.gradient(_on(s[:-1], rng))
+    before = m.gram_columns
+    assert f.gradient(x).tobytes() == fresh.tobytes()
+    assert m.gram_columns == before + 1
+
+    # one and two BLAS threads, each in a fresh interpreter
+    tests = str(Path(__file__).resolve().parent)
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(vmfbs.__file__).resolve().parent.parent),
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _GRAM_BITS.format(tests=tests)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == fresh.tobytes().hex(), threads
+
+
+@pytest.mark.parametrize("k", [1, 2, GRAM_CUT])
+def test_gram_gradient_within_round_off_of_an_exact_sum(rng, layout, k):
+    # each entry of A^T A x - A^T b stays within
+    # 2 (m + k + 1) eps ((|A|^T |A| |x|)_j + (|A|^T |b|)_j) of the exact value
+    a = _matrix(rng)
+    b = rng.standard_normal(SHAPE[0])
+    x = _sparse(rng, k)
+    m = vmfbs.LinearMap(layout(a))
+    got = vmfbs.PNormResidual(m, b).gradient(x)
+    assert m.gram_columns == k  # it took the Gram path
+    s = np.flatnonzero(x)
+    # the residual rounded once per entry, then exact sums: a reference
+    # within 3 eps of the same scale, far inside the bound
+    r = np.array([math.fsum([*(row * x[s]), -bi]) for row, bi in zip(a[:, s], b)])
+    exact = np.array([math.fsum(col * r) for col in a.T])
+    scale = np.abs(a).T @ (np.abs(a) @ np.abs(x)) + np.abs(a).T @ np.abs(b)
+    assert (np.abs(got - exact) <= 2 * (SHAPE[0] + k + 1) * EPS * scale).all()
+    assert np.abs(got - exact).max() > 0.0
+
+
+def test_gram_path_up_to_the_cut_and_the_dense_gradient_past_it(rng, layout):
+    a = _matrix(rng)
+    b = rng.standard_normal(SHAPE[0])
+    m = vmfbs.LinearMap(layout(a))
+    f = vmfbs.PNormResidual(m, b)
+    x = _sparse(rng, GRAM_CUT)
+    f.gradient(x)
+    # A x for the image and A^T b once; the Gram columns are not products
+    assert (m.matvecs, m.gram_columns) == (2, GRAM_CUT)
+    f.gradient(_on(np.flatnonzero(x)[:-1], rng))
+    assert (m.matvecs, m.gram_columns) == (3, GRAM_CUT)  # A^T b is kept
+    y = _sparse(rng, GRAM_CUT + 1)
+    got = f.gradient(y)
+    assert (m.matvecs, m.gram_columns) == (5, GRAM_CUT)  # A y and A^T r
+    assert got.tobytes() == m.adjoint(m.apply(y) - b).tobytes()
+
+
+def test_gram_path_is_only_for_p_2_on_a_column_major_map(rng):
+    a, b, x = _gram_case()
+    for m, p in ((vmfbs.LinearMap(a), 3.0), (vmfbs.LinearMap(a[:-1]), 2.0)):
+        f = vmfbs.PNormResidual(m, b[: m.shape[0]], p=p)
+        r = m.apply(x) - f.b
+        want = m.adjoint(np.abs(r) ** (p - 1.0) * np.sign(r))
+        assert f.gradient(x).tobytes() == want.tobytes()
+        assert m.gram_columns == 0 and m._gram is None
+
+
+def test_gram_cache_is_emptied_when_a_fill_would_pass_its_cap(rng):
+    a, b, _ = _gram_case()
+    m = vmfbs.LinearMap(a)
+    f = vmfbs.PNormResidual(m, b)
+    cols = rng.permutation(N)
+
+    def at(support):
+        f.gradient(_on(support, rng))
+
+    for lo in range(0, ROOM, GRAM_CUT):  # exactly full
+        at(cols[lo : min(lo + GRAM_CUT, ROOM)])
+    assert m._filled == m.gram_columns == ROOM
+    assert m._gram.nbytes <= m.a.nbytes // smooth._GRAM_SHARE
+    at(cols[:GRAM_CUT])  # all cached: no fill
+    assert m._filled == m.gram_columns == ROOM
+    at(np.append(cols[: GRAM_CUT - 1], cols[ROOM]))  # one column past the cap
+    assert m._filled == GRAM_CUT  # emptied, then the whole support filled
+    assert (m._slot >= 0).sum() == GRAM_CUT
+    assert m.gram_columns == ROOM + GRAM_CUT
+
+
+# --- the right-hand side ------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["p2", "p3", "kl"])
+def test_editing_the_callers_b_changes_neither_value_nor_gradient(rng, kind):
+    a, b, x = _gram_case()
+    if kind == "kl":
+        a, b, x = np.abs(a), np.abs(b) + 0.5, np.abs(x)
+        f = vmfbs.KLDivergence(a, b)
+    else:
+        f = vmfbs.PNormResidual(a, b, p=2.0 if kind == "p2" else 3.0)
+    value, grad = f.value(x), f.gradient(x)
+    b *= 2.0
+    x = x.copy()  # a new point, so the memo is not what answers
+    assert f.value(x) == value
+    assert f.gradient(x).tobytes() == grad.tobytes()
+    assert not f.b.flags.writeable
+
+
 # --- a solve ----------------------------------------------------------------
 
 @pytest.mark.parametrize("rule", ["ls1", "ls2", "ls3", "ls4", "tseng-yun"])
 def test_l1_solve_makes_the_products_of_the_readme_table(rng, layout, rule):
-    # per iteration with b backtracks: ls1 2 + b, ls3 2 + 2b, the lam walks
-    # 2; beside them f(x0) takes A x0, and ls3 the gradient at x0 as well
+    # every gradient here is taken at a point with at most n // 8 nonzero
+    # entries, so on the Gram path: per iteration with b backtracks ls1
+    # and ls3 make 1 + b products, the lam walks 1; beside them f(x0)
+    # takes A x0 and the term A^T b once
     a = _matrix(rng)
     x_true = _sparse(rng, 10)
     b = a @ x_true + 0.01 * rng.standard_normal(SHAPE[0])
     m = vmfbs.LinearMap(layout(a))
+    supports = []
+
+    class Recorded(vmfbs.PNormResidual):
+        def gradient(self, x):
+            supports.append(np.flatnonzero(x))
+            return super().gradient(x)
+
     problem = vmfbs.CompositeProblem(
-        f=vmfbs.PNormResidual(m, b), g=vmfbs.L1Norm(0.1), dimension=N)
+        f=Recorded(m, b), g=vmfbs.L1Norm(0.2), dimension=N)
     config = vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule=rule, warm_start=True),
         max_iterations=25,
@@ -221,8 +406,10 @@ def test_l1_solve_makes_the_products_of_the_readme_table(rng, layout, rule):
     )
     res = vmfbs.solve(problem, np.zeros(N), config)
     backtracks = np.asarray(res.trace.backtracks)
-    per_iteration = {"ls1": 2 + backtracks, "ls3": 2 + 2 * backtracks}.get(
-        rule, np.full(len(backtracks), 2))
+    per_iteration = 1 + backtracks if rule in ("ls1", "ls3") else np.ones(len(backtracks))
     assert len(res.trace) >= 5
-    assert m.matvecs == per_iteration.sum() + (2 if rule == "ls3" else 1)
+    assert max(s.size for s in supports) <= GRAM_CUT
+    assert m.matvecs == per_iteration.sum() + 2
+    # no fill passed the cap, so each column of a support was filled once
+    assert m.gram_columns == np.unique(np.concatenate(supports)).size
     assert 0 < np.count_nonzero(res.x_final) <= CUT  # its products read columns

@@ -296,6 +296,43 @@ def test_metric_prox_identity_weights_is_plain_prox(data, tau):
     assert np.allclose(g.prox(z, tau, np.ones(n)), g.prox(z, tau), atol=1e-14)
 
 
+# entries that make residuals of every kind: signed zeros, subnormal,
+# the smallest normal, huge (differences of two overflow), and the rest
+RESIDUALS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 2.2250738585072014e-308,
+             1e300, -1e300, 1.7e308, -1.7e308, 1.0, -3.5]
+residual_entry = st.one_of(
+    st.sampled_from(RESIDUALS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _check_p2_residual(ax, b):
+    # at p = 2, h is r.r / 2 and grad h is r (+0.0 for a -0.0 residual, as
+    # |r|^(p-1) sign(r) gives): the same bits as the general formula
+    f = vmfbs.PNormResidual(np.eye(ax.size), b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = ax - f.b
+        value = f._value(ax)
+        want = float((np.abs(r) ** 2.0).sum() / 2.0)
+        grad = f._outer_gradient(ax)
+        want_grad = np.abs(r) ** 1.0 * np.sign(r)
+    assert np.float64(value).tobytes() == np.float64(want).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_p2_residual_keeps_the_bits_of_the_general_formula_on_special_residuals():
+    ax = np.array(RESIDUALS)
+    _check_p2_residual(ax, np.zeros(ax.size))  # r = ax, -0.0 included
+    _check_p2_residual(ax, ax[::-1].copy())
+
+
+@SETTLE
+@given(data=st.data())
+def test_p2_residual_keeps_the_bits_of_the_general_formula(data):
+    n = data.draw(st.integers(1, 12))
+    ax = np.array(data.draw(st.lists(residual_entry, min_size=n, max_size=n)))
+    b = np.array(data.draw(st.lists(residual_entry, min_size=n, max_size=n)))
+    _check_p2_residual(ax, b)
+
+
 @SETTLE
 @given(inst=instance(), g1=small_pos, g2=small_pos, lam=st.floats(min_value=0.05, max_value=1.0))
 def test_forward_backward_map_scalings(inst, g1, g2, lam):

@@ -341,6 +341,67 @@ def test_band_needs_two_slabs_and_at_most_half_the_area():
     assert m.a is m.a and np.array_equal(_bits(m.a), _bits(a))
 
 
+def _band_by_slab(a):
+    """The spans of ``smooth._band``, found one slab at a time: its reference."""
+    m, n = a.shape
+    if m <= SLAB:
+        return None
+
+    def first_live(slab):
+        start, width = 0, 8
+        while start < n:
+            live = ~(np.abs(slab[:, start : start + width]) < np.finfo(float).tiny).all(axis=0)
+            if live.any():
+                return start + int(live.argmax())
+            start += width
+            width *= 2
+        return n
+
+    spans, area = [], 0
+    for r0 in range(0, m, SLAB):
+        slab = a[r0 : r0 + SLAB]
+        c0 = first_live(slab)
+        if c0 == n:
+            continue
+        c1 = n - first_live(slab[:, ::-1])
+        c1 = c0 + -(-(c1 - c0) // 4) * 4
+        if c1 > n - n % 4:
+            c0, c1 = c0 - c0 % 4, n
+        area += slab.shape[0] * (c1 - c0)
+        if 2 * area > m * n:
+            return None
+        spans.append((r0, r0 + slab.shape[0], c0, c1))
+    return spans
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 13, 40, 300])
+def test_band_spans_are_those_of_a_scan_slab_by_slab(rng, n):
+    # slabs are judged in groups when they are narrow; the spans are the same
+    group = max(1, vmfbs.smooth._INGEST_BLOCK // (SLAB * n)) * SLAB
+    m = max(40 * SLAB, 3 * group) + 17  # three groups at least, the last one short
+    dense = rng.standard_normal((m, n))
+    top = dense.copy()
+    top[3 * SLAB + 5 :] = 0.0  # dense top, zero bottom
+    bottom = dense.copy()
+    bottom[: m - 2 * SLAB] = 0.0
+    holes = dense.copy()
+    holes[SLAB : 9 * SLAB] = 0.0  # empty slabs, banded or not
+    holes[20 * SLAB :] = 0.0
+    sparse = np.where(rng.random((m, n)) < 2e-3, dense, 0.0)
+    edge = np.zeros((m, n))
+    edge[::SLAB, -1] = 1.0  # a live last column in every slab
+    edge[5, 0] = np.nan  # non-finite entries are live
+    edge[7 * SLAB + 1, n // 2] = 1e-310  # subnormal ones are not
+    rows, cols = np.arange(m)[:, None], np.arange(n)[None, :]
+    band = np.where(np.abs(cols - rows * n / m) <= 1, dense, 0.0)
+    cases = [dense, top, bottom, holes, sparse, edge, band, np.zeros((m, n)),
+             np.asfortranarray(top), dense[: SLAB + 1]]
+    found = [vmfbs.smooth._band(a) for a in cases]
+    assert found == [_band_by_slab(a) for a in cases]
+    assert any(spans for spans in found)  # some are banded
+    assert all(type(v) is int for spans in found if spans for span in spans for v in span)
+
+
 def test_band_widths_leave_the_gemv_tail_of_the_dense_product():
     # a block is a multiple of 4 columns wide and ends before the dense
     # product's last (n mod 4) columns, or runs from a multiple of 4 to
