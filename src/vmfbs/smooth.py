@@ -49,7 +49,8 @@ of the vector it multiplies. A banded matrix is stored as row blocks
 of its band, and a dense matrix of at least ``_COLUMN_FLOOR`` bytes
 column by column, so that A x reads only the columns of x's nonzero
 entries; such a map also caches the columns of A^T A that gradients
-ask for. See its docstring for all four.
+ask for, and keeps the last small support's gathered columns of A and
+A^T A at hand. See its docstring for all five.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ _COLUMN_CHUNK = 64
 
 # on a column-major map the p = 2 gradient at a point with at most
 # n // _GRAM_CUT nonzero entries reads cached columns of A^T A; the cache
-# holds at most 1 / _GRAM_SHARE of the stored matrix's bytes
+# holds at most 1 / _GRAM_SHARE of the stored matrix's bytes; the map's
+# active block keeps the gathered columns of one support of that size
 _GRAM_CUT = 8
 _GRAM_SHARE = 2
 
@@ -306,12 +308,25 @@ class LinearMap:
     An F-ordered map caches columns of the Gram matrix G = A^T A, filled
     on demand by ``PNormResidual``'s gradient: the columns a query
     misses are computed by one product ``A.T @ A[:, missing]`` (a single
-    one padded to two), so a fill of k columns costs a pass over A and
-    about k adjoints' flops. Each column has the same bits in every
+    one padded to two). OpenBLAS's gemm packs all of A^T for any k, so
+    even a small fill costs more than an adjoint: on a 3000 x 2000 map
+    with one BLAS thread, fills of 2, 8 and 64 columns take about 7.4,
+    8.9 and 24 ms against 3.1 ms. Each column has the same bits in every
     batch of two or more, so a gradient does not depend on what the
     cache held before. The cache holds at most 1 / ``_GRAM_SHARE`` of
     the stored matrix's bytes, and is emptied when a fill would take it
-    past that. It is plain instance state: a map with a cache must not
+    past that.
+
+    An F-ordered map also keeps an active block: the last support S of
+    at most n // ``_GRAM_CUT`` entries that a sparse ``apply`` or a Gram
+    gradient read, with the gathered columns A[:, S] and, once the Gram
+    path asks for them, G[:, S], at most n // ``_GRAM_CUT`` columns of
+    each. A query at the same support reads the block instead of
+    gathering again, and a query at another such support replaces it.
+    The block is a copy, so emptying the Gram cache does not touch it,
+    and a product read from it has the bits of one that gathers afresh:
+    ``apply`` still takes ``_COLUMN_CHUNK`` columns at a time. The cache
+    and the block are plain instance state: a map with either must not
     be shared by solves running in concurrent threads.
 
     ``matvecs`` counts the products taken through ``apply`` and
@@ -346,6 +361,7 @@ class LinearMap:
         self._gram: np.ndarray | None = None  # cached columns of A^T A, by slot
         self._slot: np.ndarray | None = None  # each column's slot, or -1
         self._filled = 0
+        self._block: list | None = None  # the active block, see ``_block_at``
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -380,11 +396,21 @@ class LinearMap:
         if self._column_major and np.ndim(x) == 1:
             x = np.asarray(x)
             s = np.flatnonzero(x)
-            if s.size <= self._shape[1] // _SPARSE_CUT:
+            n = self._shape[1]
+            if s.size <= n // _SPARSE_CUT:
+                gathered = None  # A[:, s], kept in the active block
+                if s.size <= n // _GRAM_CUT:
+                    block = self._block_at(s)
+                    if block[1] is None:
+                        block[1] = self._a[:, s]
+                    gathered = block[1]
                 y = np.zeros(self._shape[0])
                 for i in range(0, s.size, _COLUMN_CHUNK):
                     cols = s[i : i + _COLUMN_CHUNK]
-                    y += self._a[:, cols] @ x[cols]
+                    if gathered is None:
+                        y += self._a[:, cols] @ x[cols]
+                    else:
+                        y += gathered[:, i : i + _COLUMN_CHUNK] @ x[cols]
                 return y
         if self._a is not None:
             return self._a @ x
@@ -406,10 +432,9 @@ class LinearMap:
 
         The path is a column-major map and a vector x with at most
         n // ``_GRAM_CUT`` nonzero entries, no more than the cache holds.
-        The columns of its support S missing from the cache are filled by
-        one product ``A.T @ A[:, missing]``; then the result is
-        G[:, S] x_S. A cache that a fill would take past 1 / ``_GRAM_SHARE``
-        of the stored matrix's bytes is emptied first.
+        The result is G[:, S] x_S, S the support of x, with G[:, S] read
+        from the active block when S is its support, and gathered from
+        the cache into a new block otherwise.
         """
         if not self._column_major or np.ndim(x) != 1:
             return None
@@ -419,6 +444,19 @@ class LinearMap:
         room = self._a.nbytes // _GRAM_SHARE // (8 * n)  # columns the cache holds
         if s.size > min(n // _GRAM_CUT, room):
             return None
+        block = self._block_at(s)
+        if block[2] is None:
+            block[2] = self._gram_columns(s, room)
+        return block[2] @ x[s]
+
+    def _gram_columns(self, s: np.ndarray, room: int) -> np.ndarray:
+        """G[:, s], gathered from the cache after filling the columns it lacks.
+
+        The missing columns are filled by one product ``A.T @ A[:, missing]``.
+        A cache that a fill would take past 1 / ``_GRAM_SHARE`` of the
+        stored matrix's bytes is emptied first.
+        """
+        n = self._shape[1]
         if self._gram is None:
             self._gram = np.empty((n, room), order="F")
             self._slot = np.full(n, -1)
@@ -438,7 +476,18 @@ class LinearMap:
             self._slot[missing] = new
             self._filled += missing.size
             self.gram_columns += missing.size
-        return self._gram[:, self._slot[s]] @ x[s]
+        return self._gram[:, self._slot[s]]
+
+    def _block_at(self, s: np.ndarray) -> list:
+        """The active block ``[support, A[:, s], G[:, s]]`` at support ``s``.
+
+        A block of another support is replaced by an empty one; its two
+        gathers are None until a product asks for them.
+        """
+        key = s.tobytes()
+        if self._block is None or self._block[0] != key:
+            self._block = [key, None, None]
+        return self._block
 
     def operator_norm(self) -> float:
         """||A|| by power iteration on A^T A, cached.

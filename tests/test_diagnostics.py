@@ -255,6 +255,7 @@ def test_floor_takes_the_sup_of_a_varying_schedule(rule, field, values, floor, o
     rep = check_stepsize_floor(res, steep_quadratic_1d())
     assert rep.passed
     assert rep.details["floor"] == pytest.approx(floor)
+    assert rep.details["observed_min"] == observed_min
 
 
 class _HalfL(vmfbs.SmoothTerm):

@@ -4,9 +4,11 @@ A dense matrix of at least ``_COLUMN_FLOOR`` bytes is stored F-ordered,
 and ``apply(x)`` with at most n // ``_SPARSE_CUT`` nonzero entries in x
 reads only their columns. On such a map the p = 2 residual takes its
 gradient at a point with at most n // ``_GRAM_CUT`` nonzero entries from
-cached columns of A^T A. Every check here runs on a matrix at the floor
-(1024 x 1024 doubles, 8 MiB), handed over in C and in F layout where the
-layout could matter, and needs numpy alone.
+cached columns of A^T A. The map keeps the gathered columns of A and
+A^T A of the last support of at most n // ``_GRAM_CUT`` entries that
+either read, its active block. Every check here runs on a matrix at the
+floor (1024 x 1024 doubles, 8 MiB), handed over in C and in F layout
+where the layout could matter, and needs numpy alone.
 """
 
 import math
@@ -26,6 +28,7 @@ EPS = np.finfo(float).eps
 SHAPE = (1024, 1024)
 N = SHAPE[1]
 CUT = N // smooth._SPARSE_CUT
+GRAM_CUT = N // smooth._GRAM_CUT
 CHUNK = smooth._COLUMN_CHUNK
 TILE = (smooth._INGEST_ROWS, smooth._INGEST_BLOCK // smooth._INGEST_ROWS)
 
@@ -53,6 +56,22 @@ def _sparse(rng, k):
     x = np.zeros(N)
     x[rng.choice(N, size=k, replace=False)] = rng.standard_normal(k)
     return x
+
+
+def _on(cols, rng):
+    """A point whose nonzero entries are exactly those of ``cols``."""
+    y = np.zeros(N)
+    y[cols] = rng.standard_normal(len(cols))
+    return y
+
+
+def _chunked(stored, x):
+    """The reference column sum: 64 columns of x's support at a time, into a zeroed output."""
+    s = np.flatnonzero(x)
+    want = np.zeros(stored.shape[0])
+    for i in range(0, s.size, CHUNK):
+        want += stored[:, s[i : i + CHUNK]] @ x[s[i : i + CHUNK]]
+    return want
 
 
 # --- the ingest -------------------------------------------------------------
@@ -148,21 +167,57 @@ def test_apply_within_round_off_of_an_exact_sum(rng, layout, k):
     assert np.abs(y - exact).max() > 0.0  # the check sees rounding at all
 
 
-@pytest.mark.parametrize("k", [1, CHUNK + 1, CUT, CUT + 1])
+@pytest.mark.parametrize("k", [1, CHUNK, CHUNK + 1, GRAM_CUT, CUT, CUT + 1])
 def test_apply_sums_column_chunks_up_to_the_cutoff(rng, layout, k):
     # the reference loop: products of 64 columns at a time added into a
-    # zeroed output up to n // 4 nonzero entries, the dense product past it
+    # zeroed output up to n // 4 nonzero entries, the dense product past it;
+    # a second point on the same support reads the active block's columns
+    # (up to n // 8) and keeps the bits of the reference
     m = vmfbs.LinearMap(layout(_matrix(rng)))
     stored = m.a
     x = _sparse(rng, k)
-    if k <= CUT:
-        s = np.flatnonzero(x)
-        want = np.zeros(SHAPE[0])
-        for i in range(0, k, CHUNK):
-            want += stored[:, s[i : i + CHUNK]] @ x[s[i : i + CHUNK]]
-    else:
-        want = stored @ x
-    assert m.apply(x).tobytes() == want.tobytes()
+    s = np.flatnonzero(x)
+    for i, y in enumerate((x, _on(s, rng))):
+        want = _chunked(stored, y) if k <= CUT else stored @ y
+        assert m.apply(y).tobytes() == want.tobytes()
+        if k > GRAM_CUT:
+            assert m._block is None
+        elif i == 0:
+            gathered = m._block[1]
+            assert np.array_equal(_bits(gathered), _bits(stored[:, s]))
+        else:
+            assert m._block[1] is gathered  # read, not gathered again
+
+
+def test_a_support_past_the_gram_cut_keeps_no_block(rng, layout):
+    m = vmfbs.LinearMap(layout(_matrix(rng)))
+    x = _sparse(rng, GRAM_CUT)
+    m.apply(x)
+    block = m._block
+    y = _sparse(rng, GRAM_CUT + 1)
+    assert m.apply(y).tobytes() == _chunked(m.a, y).tobytes()
+    assert m._block is block  # neither replaced nor emptied
+    x = _on(np.flatnonzero(x), rng)
+    assert m.apply(x).tobytes() == _chunked(m.a, x).tobytes()
+    assert m._block is block and block[1] is not None
+
+
+def test_a_changed_support_replaces_the_block(rng, layout):
+    a, b, x = _gram_case()
+    m = vmfbs.LinearMap(layout(a))
+    f = vmfbs.PNormResidual(m, b)
+    stored = m.a
+    f.gradient(x)  # A x for the image, then G[:, S] for the gradient
+    s = np.flatnonzero(x)
+    assert m._block[0] == s.tobytes() and m._block[1] is not None
+    # a support of the same size with one column moved
+    t = np.sort(np.append(s[:-1], np.setdiff1d(np.arange(N), s)[0]))
+    y = _on(t, rng)
+    assert m.apply(y).tobytes() == _chunked(stored, y).tobytes()
+    assert m._block[0] == t.tobytes() and m._block[2] is None  # G[:, T] not asked yet
+    assert np.array_equal(_bits(m._block[1]), _bits(stored[:, t]))
+    assert f.gradient(y).tobytes() == _fresh_gradient(a, b, y).tobytes()
+    assert np.array_equal(_bits(m._block[2]), _bits(m._gram[:, m._slot[t]]))
 
 
 def test_apply_takes_a_list_and_a_matrix(rng, layout):
@@ -210,7 +265,6 @@ def test_one_row_below_the_floor_stays_row_major(rng, layout):
 
 # --- the Gram path of the p = 2 residual ---------------------------------
 
-GRAM_CUT = N // smooth._GRAM_CUT
 ROOM = SHAPE[0] // smooth._GRAM_SHARE  # columns the cache holds
 
 
@@ -225,11 +279,9 @@ def _gram_case(seed=7, k=40):
     return a, rng.standard_normal(SHAPE[0]), _sparse(rng, k)
 
 
-def _on(cols, rng):
-    """A point whose nonzero entries are exactly those of ``cols``."""
-    y = np.zeros(N)
-    y[cols] = rng.standard_normal(len(cols))
-    return y
+def _fresh_gradient(a, b, x):
+    """The p = 2 gradient at x on a new map: an empty cache and no block."""
+    return vmfbs.PNormResidual(vmfbs.LinearMap(a), b).gradient(x)
 
 
 _GRAM_BITS = """
@@ -249,7 +301,16 @@ def test_gram_gradient_has_the_same_bits_whatever_the_cache_held(rng):
     # one-column product through gemv, which rounds otherwise
     a, b, x = _gram_case()
     s = np.flatnonzero(x)
-    fresh = vmfbs.PNormResidual(vmfbs.LinearMap(a), b).gradient(x)
+    fresh = _fresh_gradient(a, b, x)
+    # a second point on x's support reads G[:, S] from the active block
+    x2 = _on(s, rng)
+    fresh2 = _fresh_gradient(a, b, x2)
+
+    def same_bits_twice(f, m):
+        assert f.gradient(x).tobytes() == fresh.tobytes()
+        before = m.gram_columns, m._block[2]
+        assert f.gradient(x2).tobytes() == fresh2.tobytes()
+        assert (m.gram_columns, m._block[2]) == before
 
     # after other supports filled the cache: x's columns came in three
     # batches, each mixed with columns x does not use
@@ -259,7 +320,7 @@ def test_gram_gradient_has_the_same_bits_whatever_the_cache_held(rng):
     for part in np.array_split(s, 3):
         f.gradient(_on(np.union1d(part, rng.choice(others, 30, replace=False)), rng))
     assert (m._slot[s] >= 0).all()
-    assert f.gradient(x).tobytes() == fresh.tobytes()
+    same_bits_twice(f, m)
 
     # after the cache was emptied: fill past the cap with other supports
     filled = [m._filled]
@@ -267,14 +328,14 @@ def test_gram_gradient_has_the_same_bits_whatever_the_cache_held(rng):
         f.gradient(_on(chunk, rng))
         filled.append(m._filled)
     assert any(now < before for before, now in zip(filled, filled[1:]))  # emptied on the way
-    assert f.gradient(x).tobytes() == fresh.tobytes()
+    same_bits_twice(f, m)
 
     # through a one-column fill: all of x's support but one column cached
     m = vmfbs.LinearMap(a)
     f = vmfbs.PNormResidual(m, b)
     f.gradient(_on(s[:-1], rng))
     before = m.gram_columns
-    assert f.gradient(x).tobytes() == fresh.tobytes()
+    same_bits_twice(f, m)
     assert m.gram_columns == before + 1
 
     # one and two BLAS threads, each in a fresh interpreter
@@ -300,9 +361,15 @@ def test_gram_gradient_within_round_off_of_an_exact_sum(rng, layout, k):
     b = rng.standard_normal(SHAPE[0])
     x = _sparse(rng, k)
     m = vmfbs.LinearMap(layout(a))
-    got = vmfbs.PNormResidual(m, b).gradient(x)
+    f = vmfbs.PNormResidual(m, b)
+    got = f.gradient(x)
     assert m.gram_columns == k  # it took the Gram path
     s = np.flatnonzero(x)
+    # a second point on the support reads G[:, S] from the active block,
+    # with the bits of a map that gathers it from a fresh cache
+    y = _on(s, rng)
+    assert f.gradient(y).tobytes() == _fresh_gradient(a, b, y).tobytes()
+    assert m.gram_columns == k
     # the residual rounded once per entry, then exact sums: a reference
     # within 3 eps of the same scale, far inside the bound
     r = np.array([math.fsum([*(row * x[s]), -bi]) for row, bi in zip(a[:, s], b)])
@@ -310,6 +377,25 @@ def test_gram_gradient_within_round_off_of_an_exact_sum(rng, layout, k):
     scale = np.abs(a).T @ (np.abs(a) @ np.abs(x)) + np.abs(a).T @ np.abs(b)
     assert (np.abs(got - exact) <= 2 * (SHAPE[0] + k + 1) * EPS * scale).all()
     assert np.abs(got - exact).max() > 0.0
+
+
+def test_the_block_keeps_its_gram_columns_when_the_cache_is_emptied(rng):
+    a, b, x = _gram_case()
+    m = vmfbs.LinearMap(a)
+    f = vmfbs.PNormResidual(m, b)
+    f.gradient(x)
+    kept = m._block[2]
+    bits = kept.tobytes()
+    # empty the cache and scribble over its slots, as fills past the cap
+    # would, but leave the block in place
+    m._slot[:] = -1
+    m._filled = 0
+    m._gram[:] = np.nan
+    y = _on(np.flatnonzero(x), rng)
+    before = m.gram_columns
+    assert f.gradient(y).tobytes() == _fresh_gradient(a, b, y).tobytes()
+    assert m.gram_columns == before  # no fill: G[:, S] came from the block
+    assert m._block[2] is kept and kept.tobytes() == bits
 
 
 def test_gram_path_up_to_the_cut_and_the_dense_gradient_past_it(rng, layout):

@@ -251,6 +251,10 @@ def test_bb_schedule_guards_are_scaled_to_the_largest_step():
     # 5e-10 is tiny beside 1e3 (the guard is 1e-12 * (1 + max |dx|)), so the
     # second weight stays 1; a guard scaled from min |dx| would take its ratio 2
     assert bb_step(sched, [1e3, 5e-10], [2e3, 1e-9]).tolist() == [2.0, 1.0]
+    # a displacement exactly on the guard (1e-12 * 2.0 is exact) is tiny too:
+    # its ratio 1.5 would move the weight, and it keeps the previous one
+    assert 1e-12 * (1.0 + 1.0) == 2e-12
+    assert bb_step(sched, [1.0, 2e-12], [2.0, 3e-12]).tolist() == [2.0, 1.0]
     # a zero secant ratio keeps the previous weight, where clipping would give nu
     assert bb_step(sched, [1.0, 1.0], [2.0, 0.0]).tolist() == [2.0, 1.0]
 
