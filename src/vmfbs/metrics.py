@@ -284,8 +284,7 @@ def _summability(name, terms_of, schedule, horizon, budget) -> SummabilityReport
     them emits the last row again, and ``terms_of`` fills in the terms
     of those steps without building their weights.
     """
-    if horizon < 1:
-        raise UsageError(f"horizon must be >= 1, got {horizon}")
+    check_count("horizon", horizon)
     if schedule.reads_state:
         return SummabilityReport(name, np.zeros(0), np.nan, budget, None, needs_run=True)
     terms = terms_of(np.array(schedule.rows[:horizon]), horizon)

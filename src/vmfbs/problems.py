@@ -169,5 +169,4 @@ class CompositeProblem:
             raise UsageError(
                 f"domain_regime must be 'standard' or 'general', got {self.domain_regime!r}"
             )
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise UsageError(f"dimension must be a positive int, got {self.dimension!r}")
+        check_count("dimension", self.dimension)

@@ -47,10 +47,10 @@ so no product meets a subnormal operand (slow on x86); each output of
 a product moves by at most ``np.finfo(float).tiny`` times the l1 norm
 of the vector it multiplies. A banded matrix is stored as row blocks
 of its band, and a dense matrix of at least ``_COLUMN_FLOOR`` bytes
-column by column, so that A x reads only the columns of x's nonzero
-entries; such a map also caches the columns of A^T A that gradients
-ask for, and keeps the last small support's gathered columns of A and
-A^T A at hand. See its docstring for all five.
+column by column; such a map multiplies a sparse x by the gathered
+columns of its support alone, caches the columns of A^T A that gradients
+ask for, and keeps the last support's gathered columns at hand. See its
+docstring for all five.
 """
 
 from __future__ import annotations
@@ -85,17 +85,14 @@ _BAND_SLAB = 128
 # 2 MiB L2): A x then reads only the columns of x's nonzero entries
 _COLUMN_FLOOR = 8 << 20
 
-# a column-major A x reads columns when x has at most n // _SPARSE_CUT
-# nonzero entries, _COLUMN_CHUNK columns per product; past that it takes
-# the dense product (on a 3000 x 2000 matrix with one BLAS thread the two
-# cost the same near 900 nonzero entries)
+# a column-major A x with at most n // _SPARSE_CUT nonzero entries is one
+# product with the gathered columns of its support; past that it is the
+# dense product
 _SPARSE_CUT = 4
-_COLUMN_CHUNK = 64
 
 # on a column-major map the p = 2 gradient at a point with at most
 # n // _GRAM_CUT nonzero entries reads cached columns of A^T A; the cache
-# holds at most 1 / _GRAM_SHARE of the stored matrix's bytes; the map's
-# active block keeps the gathered columns of one support of that size
+# holds m // _GRAM_SHARE columns, 1 / _GRAM_SHARE of the stored matrix's bytes
 _GRAM_CUT = 8
 _GRAM_SHARE = 2
 
@@ -288,22 +285,23 @@ class LinearMap:
     made). Every non-finite entry lies in a block, so the blocks' ingest
     sees it. ``apply`` takes one product per block into its rows of the
     output; each output sums the terms of the dense product in its
-    order, which on OpenBLAS makes it bitwise the dense product (one
-    BLAS thread; threaded, when the threads split the rows at multiples
-    of 4). ``adjoint`` adds each block's transposed product into its
+    order, which on OpenBLAS's SkylakeX and Haswell kernels makes it
+    bitwise the dense product (one BLAS thread; threaded, when the
+    threads split the rows at multiples of 4; not under Sandybridge).
+    ``adjoint`` adds each block's transposed product into its
     columns, which rounds differently from the dense product (within
     2 k eps sum_i |a_ij r_i| for a column of k nonzero entries). Any other
     matrix is stored dense: C-ordered below ``_COLUMN_FLOOR`` bytes, and
     F-ordered from there, copied and checked tile by tile. On the
-    F-ordered copy, ``apply(x)`` of a vector x with at most
-    n // ``_SPARSE_CUT`` nonzero entries adds the products of their
-    columns, ``_COLUMN_CHUNK`` at a time, into a zeroed output, and
-    takes the dense product otherwise; ``adjoint`` is the dense product.
-    Both round differently from the C-ordered products: each output of
-    ``apply(x)`` stays within 2 k eps (|A| |x|)_i of the exact product
-    for x of k nonzero entries, and of ``adjoint(r)`` within
-    2 m eps (|A|^T |r|)_j. ``a`` is the stored matrix; a banded map
-    builds it afresh on each access, with +0.0 outside the band.
+    F-ordered copy, ``apply(x)`` of a vector x of length n with at most
+    n // ``_SPARSE_CUT`` nonzero entries, at the support S, is the one
+    product ``A[:, S] @ x_S``, and any other ``apply`` is the dense
+    product; ``adjoint`` is the dense product. Both round differently
+    from the C-ordered products: each output of ``apply(x)`` stays within
+    2 k eps (|A| |x|)_i of the exact product for x of k nonzero entries,
+    and of ``adjoint(r)`` within 2 m eps (|A|^T |r|)_j. ``a`` is the
+    stored matrix; a banded map builds it afresh on each access, with
+    +0.0 outside the band.
 
     An F-ordered map caches columns of the Gram matrix G = A^T A, filled
     on demand by ``PNormResidual``'s gradient: the columns a query
@@ -313,21 +311,21 @@ class LinearMap:
     with one BLAS thread, fills of 2, 8 and 64 columns take about 7.4,
     8.9 and 24 ms against 3.1 ms. Each column has the same bits in every
     batch of two or more, so a gradient does not depend on what the
-    cache held before. The cache holds at most 1 / ``_GRAM_SHARE`` of
-    the stored matrix's bytes, and is emptied when a fill would take it
-    past that.
+    cache held before. The cache holds m // ``_GRAM_SHARE`` columns,
+    1 / ``_GRAM_SHARE`` of the stored matrix's bytes, and is emptied
+    when a fill would take it past that.
 
-    An F-ordered map also keeps an active block: the last support S of
-    at most n // ``_GRAM_CUT`` entries that a sparse ``apply`` or a Gram
-    gradient read, with the gathered columns A[:, S] and, once the Gram
-    path asks for them, G[:, S], at most n // ``_GRAM_CUT`` columns of
-    each. A query at the same support reads the block instead of
-    gathering again, and a query at another such support replaces it.
-    The block is a copy, so emptying the Gram cache does not touch it,
-    and a product read from it has the bits of one that gathers afresh:
-    ``apply`` still takes ``_COLUMN_CHUNK`` columns at a time. The cache
-    and the block are plain instance state: a map with either must not
-    be shared by solves running in concurrent threads.
+    An F-ordered map also keeps an active block: the last support S that
+    a sparse ``apply`` or a Gram gradient read, with the gathered columns
+    A[:, S] (S of at most n // ``_SPARSE_CUT`` entries) and, once the
+    Gram path asks for them, G[:, S] (S of at most n // ``_GRAM_CUT``).
+    A query at the same support reads the block instead of gathering
+    again, a query at another such support replaces it, and a larger
+    support leaves it as it is. The block is a copy, so emptying the
+    Gram cache does not touch it, and a product read from it has the
+    bits of one that gathers afresh. The cache and the block are plain
+    instance state: a map with either must not be shared by solves
+    running in concurrent threads.
 
     ``matvecs`` counts the products taken through ``apply`` and
     ``adjoint``; the power iteration of ``operator_norm`` is not counted,
@@ -393,25 +391,15 @@ class LinearMap:
         return self._adjoint(r)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        if self._column_major and np.ndim(x) == 1:
+        n = self._shape[1]
+        if self._column_major and np.shape(x) == (n,):
             x = np.asarray(x)
             s = np.flatnonzero(x)
-            n = self._shape[1]
             if s.size <= n // _SPARSE_CUT:
-                gathered = None  # A[:, s], kept in the active block
-                if s.size <= n // _GRAM_CUT:
-                    block = self._block_at(s)
-                    if block[1] is None:
-                        block[1] = self._a[:, s]
-                    gathered = block[1]
-                y = np.zeros(self._shape[0])
-                for i in range(0, s.size, _COLUMN_CHUNK):
-                    cols = s[i : i + _COLUMN_CHUNK]
-                    if gathered is None:
-                        y += self._a[:, cols] @ x[cols]
-                    else:
-                        y += gathered[:, i : i + _COLUMN_CHUNK] @ x[cols]
-                return y
+                block = self._block_at(s)
+                if block[1] is None:
+                    block[1] = self._a[:, s]
+                return block[1] @ x[s]
         if self._a is not None:
             return self._a @ x
         y = np.zeros(self._shape[0])
@@ -434,14 +422,14 @@ class LinearMap:
         n // ``_GRAM_CUT`` nonzero entries, no more than the cache holds.
         The result is G[:, S] x_S, S the support of x, with G[:, S] read
         from the active block when S is its support, and gathered from
-        the cache into a new block otherwise.
+        the cache into the block otherwise.
         """
-        if not self._column_major or np.ndim(x) != 1:
+        m, n = self._shape
+        if not self._column_major or np.shape(x) != (n,):
             return None
         x = np.asarray(x, dtype=float)
         s = np.flatnonzero(x)
-        n = self._shape[1]
-        room = self._a.nbytes // _GRAM_SHARE // (8 * n)  # columns the cache holds
+        room = m // _GRAM_SHARE  # columns the cache holds
         if s.size > min(n // _GRAM_CUT, room):
             return None
         block = self._block_at(s)

@@ -2,11 +2,12 @@
 
 A dense matrix of at least ``_COLUMN_FLOOR`` bytes is stored F-ordered,
 and ``apply(x)`` with at most n // ``_SPARSE_CUT`` nonzero entries in x
-reads only their columns. On such a map the p = 2 residual takes its
-gradient at a point with at most n // ``_GRAM_CUT`` nonzero entries from
-cached columns of A^T A. The map keeps the gathered columns of A and
-A^T A of the last support of at most n // ``_GRAM_CUT`` entries that
-either read, its active block. Every check here runs on a matrix at the
+is one product with the gathered columns of x's support. On such a map
+the p = 2 residual takes its gradient at a point with at most
+n // ``_GRAM_CUT`` nonzero entries from cached columns of A^T A. The map
+keeps the last support that either read, its active block, with the
+gathered columns of A (up to n // ``_SPARSE_CUT`` entries) and of A^T A
+(up to n // ``_GRAM_CUT``). Every check here runs on a matrix at the
 floor (1024 x 1024 doubles, 8 MiB), handed over in C and in F layout
 where the layout could matter, and needs numpy alone.
 """
@@ -29,7 +30,6 @@ SHAPE = (1024, 1024)
 N = SHAPE[1]
 CUT = N // smooth._SPARSE_CUT
 GRAM_CUT = N // smooth._GRAM_CUT
-CHUNK = smooth._COLUMN_CHUNK
 TILE = (smooth._INGEST_ROWS, smooth._INGEST_BLOCK // smooth._INGEST_ROWS)
 
 
@@ -63,15 +63,6 @@ def _on(cols, rng):
     y = np.zeros(N)
     y[cols] = rng.standard_normal(len(cols))
     return y
-
-
-def _chunked(stored, x):
-    """The reference column sum: 64 columns of x's support at a time, into a zeroed output."""
-    s = np.flatnonzero(x)
-    want = np.zeros(stored.shape[0])
-    for i in range(0, s.size, CHUNK):
-        want += stored[:, s[i : i + CHUNK]] @ x[s[i : i + CHUNK]]
-    return want
 
 
 # --- the ingest -------------------------------------------------------------
@@ -151,10 +142,10 @@ def test_apply_of_zeros_is_positive_zero(rng, layout):
     assert m.matvecs == 1
 
 
-@pytest.mark.parametrize("k", [CHUNK, CHUNK + 1, CUT, CUT + 1])
+@pytest.mark.parametrize("k", [GRAM_CUT, CUT, CUT + 1])
 def test_apply_within_round_off_of_an_exact_sum(rng, layout, k):
-    # k <= n // 4 reads the k columns in chunks of 64, k > n // 4 takes the
-    # dense product: both stay within 2 k eps (|A| |x|)_i of the exact sum
+    # k <= n // 4 is one product with the k gathered columns, k > n // 4
+    # the dense product: both stay within 2 k eps (|A| |x|)_i of the exact sum
     a = _matrix(rng)
     m = vmfbs.LinearMap(layout(a))
     x = _sparse(rng, k)
@@ -167,39 +158,28 @@ def test_apply_within_round_off_of_an_exact_sum(rng, layout, k):
     assert np.abs(y - exact).max() > 0.0  # the check sees rounding at all
 
 
-@pytest.mark.parametrize("k", [1, CHUNK, CHUNK + 1, GRAM_CUT, CUT, CUT + 1])
-def test_apply_sums_column_chunks_up_to_the_cutoff(rng, layout, k):
-    # the reference loop: products of 64 columns at a time added into a
-    # zeroed output up to n // 4 nonzero entries, the dense product past it;
+@pytest.mark.parametrize("k", [1, 64, 65, GRAM_CUT, GRAM_CUT + 1, CUT, CUT + 1])
+def test_apply_is_one_product_over_the_gathered_columns_up_to_the_cut(rng, layout, k):
+    # A[:, S] @ x_S up to n // 4 nonzero entries, the dense product past it;
     # a second point on the same support reads the active block's columns
-    # (up to n // 8) and keeps the bits of the reference
+    # and keeps the bits of the reference; a support past n // 4 leaves the
+    # block of the last smaller one as it was
     m = vmfbs.LinearMap(layout(_matrix(rng)))
     stored = m.a
+    m.apply(_sparse(rng, 3))
+    block, kept = m._block, m._block[1]
     x = _sparse(rng, k)
     s = np.flatnonzero(x)
     for i, y in enumerate((x, _on(s, rng))):
-        want = _chunked(stored, y) if k <= CUT else stored @ y
+        want = stored[:, s] @ y[s] if k <= CUT else stored @ y
         assert m.apply(y).tobytes() == want.tobytes()
-        if k > GRAM_CUT:
-            assert m._block is None
+        if k > CUT:
+            assert m._block is block and block[1] is kept  # neither replaced nor emptied
         elif i == 0:
             gathered = m._block[1]
             assert np.array_equal(_bits(gathered), _bits(stored[:, s]))
         else:
             assert m._block[1] is gathered  # read, not gathered again
-
-
-def test_a_support_past_the_gram_cut_keeps_no_block(rng, layout):
-    m = vmfbs.LinearMap(layout(_matrix(rng)))
-    x = _sparse(rng, GRAM_CUT)
-    m.apply(x)
-    block = m._block
-    y = _sparse(rng, GRAM_CUT + 1)
-    assert m.apply(y).tobytes() == _chunked(m.a, y).tobytes()
-    assert m._block is block  # neither replaced nor emptied
-    x = _on(np.flatnonzero(x), rng)
-    assert m.apply(x).tobytes() == _chunked(m.a, x).tobytes()
-    assert m._block is block and block[1] is not None
 
 
 def test_a_changed_support_replaces_the_block(rng, layout):
@@ -213,7 +193,7 @@ def test_a_changed_support_replaces_the_block(rng, layout):
     # a support of the same size with one column moved
     t = np.sort(np.append(s[:-1], np.setdiff1d(np.arange(N), s)[0]))
     y = _on(t, rng)
-    assert m.apply(y).tobytes() == _chunked(stored, y).tobytes()
+    assert m.apply(y).tobytes() == (stored[:, t] @ y[t]).tobytes()
     assert m._block[0] == t.tobytes() and m._block[2] is None  # G[:, T] not asked yet
     assert np.array_equal(_bits(m._block[1]), _bits(stored[:, t]))
     assert f.gradient(y).tobytes() == _fresh_gradient(a, b, y).tobytes()
@@ -228,6 +208,22 @@ def test_apply_takes_a_list_and_a_matrix(rng, layout):
     assert m.apply(x.tolist()).tobytes() == m.apply(x).tobytes()
     xs = np.stack([x, _sparse(rng, 10)], axis=1)
     assert m.apply(xs).tobytes() == (m.a @ xs).tobytes()
+
+
+@pytest.mark.parametrize("length", [N - 1, N + 1])
+def test_a_vector_of_another_length_meets_the_dense_products_refusal(rng, layout, length):
+    # a sparse vector one entry short or long (the last one nonzero, past n
+    # when long) takes neither the column path nor the Gram path
+    a = _matrix(rng)
+    x = np.zeros(length)
+    x[[3, -1]] = [1.0, 2.0]
+    for rows in (SHAPE[0], SHAPE[0] - 1):  # at the floor and one row below
+        m = vmfbs.LinearMap(layout(a[:rows]))
+        f = vmfbs.PNormResidual(m, np.ones(rows))
+        for call in (m.apply, f.value, f.gradient):
+            with pytest.raises(ValueError, match="matmul"):
+                call(x)
+        assert m._gram_product(x) is None and m._block is None
 
 
 def test_adjoint_within_round_off_of_an_exact_sum(rng, layout):
@@ -409,9 +405,12 @@ def test_gram_path_up_to_the_cut_and_the_dense_gradient_past_it(rng, layout):
     assert (m.matvecs, m.gram_columns) == (2, GRAM_CUT)
     f.gradient(_on(np.flatnonzero(x)[:-1], rng))
     assert (m.matvecs, m.gram_columns) == (3, GRAM_CUT)  # A^T b is kept
+    # a support between n // 8 and n // 4 fills A[:, S] but not G[:, S]
     y = _sparse(rng, GRAM_CUT + 1)
     got = f.gradient(y)
     assert (m.matvecs, m.gram_columns) == (5, GRAM_CUT)  # A y and A^T r
+    assert m._block[0] == np.flatnonzero(y).tobytes()
+    assert m._block[1] is not None and m._block[2] is None
     assert got.tobytes() == m.adjoint(m.apply(y) - b).tobytes()
 
 

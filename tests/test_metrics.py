@@ -377,6 +377,10 @@ def test_validators_hold_the_last_row_without_building_it(rng):
     for validate in (vmfbs.validate_growth, vmfbs.validate_spread):
         with pytest.raises(vmfbs.UsageError, match="horizon must be >= 1, got 0"):
             validate(sched, 0)
+        for bad in (2.5, True):
+            with pytest.raises(vmfbs.UsageError, match=f"horizon must be an integer, got {bad}"):
+                validate(sched, bad)
+        assert validate(sched, np.int64(2)).terms.tobytes() == validate(sched, 2).terms.tobytes()
     # a weight vector per step would take 8 GB here
     wide = vmfbs.table_schedule(rng.uniform(0.5, 2.0, size=(2, 1000)), regime="spread")
     tracemalloc.start()

@@ -31,8 +31,11 @@ def test_composite_problem_validates_regime():
 
 def test_composite_problem_validates_dimension():
     f = vmfbs.PNormResidual(np.array([[1.0]]), np.array([0.0]))
-    with pytest.raises(vmfbs.UsageError):
-        vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=0)
+    for bad, message in ((0, "must be >= 1, got 0"), (True, "must be an integer, got True"),
+                         (1.0, "must be an integer, got 1.0")):
+        with pytest.raises(vmfbs.UsageError, match=f"dimension {message}"):
+            vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=bad)
+    assert vmfbs.CompositeProblem(f=f, g=vmfbs.ZeroTerm(), dimension=np.int64(1)).dimension == 1
 
 
 def test_kl_gradient_outside_domain_raises():
