@@ -142,7 +142,7 @@ def test_apply_of_zeros_is_positive_zero(rng, layout):
     assert m.matvecs == 1
 
 
-@pytest.mark.parametrize("k", [GRAM_CUT, CUT, CUT + 1])
+@pytest.mark.parametrize("k", [64, 65, GRAM_CUT, CUT, CUT + 1])
 def test_apply_within_round_off_of_an_exact_sum(rng, layout, k):
     # k <= n // 4 is one product with the k gathered columns, k > n // 4
     # the dense product: both stay within 2 k eps (|A| |x|)_i of the exact sum
@@ -159,11 +159,11 @@ def test_apply_within_round_off_of_an_exact_sum(rng, layout, k):
 
 
 @pytest.mark.parametrize("k", [1, 64, 65, GRAM_CUT, GRAM_CUT + 1, CUT, CUT + 1])
-def test_apply_is_one_product_over_the_gathered_columns_up_to_the_cut(rng, layout, k):
-    # A[:, S] @ x_S up to n // 4 nonzero entries, the dense product past it;
-    # a second point on the same support reads the active block's columns
-    # and keeps the bits of the reference; a support past n // 4 leaves the
-    # block of the last smaller one as it was
+def test_apply_sums_column_chunks_up_to_the_cutoff(rng, layout, k):
+    # the support is one chunk, A[:, S] @ x_S, up to n // 4 nonzero entries,
+    # the dense product past it; a second point on the same support reads the
+    # active block's columns and keeps the bits of the reference; a support
+    # past n // 4 leaves the block of the last smaller one as it was
     m = vmfbs.LinearMap(layout(_matrix(rng)))
     stored = m.a
     m.apply(_sparse(rng, 3))
