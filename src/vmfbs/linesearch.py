@@ -65,6 +65,7 @@ __all__ = ["RULES", "LineSearchConfig", "StepOutcome", "line_search"]
 
 RULES = ("ls1", "ls2", "ls3", "ls4", "tseng-yun", "fixed")
 _GAMMA_WALKS = ("ls1", "ls3", "domain")
+_LAM_WALKS = ("ls2", "ls4", "tseng-yun")
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class LineSearchConfig:
                 raise UsageError(f"fixed_lam must lie in (0,1], got {self.fixed_lam}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     """One accepted forward-backward step.
 
@@ -175,6 +176,11 @@ def line_search(
     """
     f, g = problem.f, problem.g
     walks_gamma = rule in _GAMMA_WALKS
+    lam_walk = rule in _LAM_WALKS
+    armijo = rule in ("ls4", "tseng-yun")
+    # ls1 and the lam walks test f at every trial; ls3 and the fixed step
+    # need it at the accepted point only
+    f_each_trial = rule not in ("ls3", "fixed")
     if walks_gamma or y is None:
         # W^{-1} grad f(x): the forward step of every prox point is x - gamma * scaled_grad
         scaled_grad = grad / w
@@ -185,16 +191,20 @@ def line_search(
     gamma, lam = (start, other) if walks_gamma else (other, start)
     fgx = fx + gx
     slack = 1e-14 * (1.0 + abs(fx))
+    theta = config.theta
     trials = config.max_backtracks + 1
     token = _CURRENT_WALK.set(None)
     try:
         for i in range(trials):
-            t = start * config.theta**i
+            t = start * theta**i
             if t == 0.0:
                 trials = i
                 break
             f_next = g_next = None
-            gamma, lam = (t, lam) if walks_gamma else (gamma, t)
+            if walks_gamma:
+                gamma = t
+            else:
+                lam = t
             # y and its segment: at each trial of a gamma walk, the first of a lam walk
             if walks_gamma or i == 0:
                 if i > 0 or y is None:
@@ -208,23 +218,24 @@ def line_search(
                         )
                     continue
                 dy = y - x
-                ns = float(w @ (dy * dy))
-                gdot = float(dy @ grad)
-                if rule in ("ls2", "ls4", "tseng-yun"):
+                # ndarray.dot is the product ``@`` takes for two vectors,
+                # without the ufunc dispatch
+                ns = float(w.dot(dy * dy))
+                gdot = float(dy.dot(grad))
+                if lam_walk:
                     walk = _Walk(x, dy)
                     _CURRENT_WALK.set(walk)
-                if rule in ("ls4", "tseng-yun"):
+                if armijo:
                     ell = g.value(y) - gx + gdot
                     if rule == "ls4":
                         slope = (1.0 - config.delta) * ell
                     else:
                         slope = config.sigma * (ell + (config.beta / gamma) * ns)
-            x_next = x + lam * dy
+            # 1.0 * dy is dy bit for bit
+            x_next = x + dy if lam == 1.0 else x + lam * dy
             if walk is not None:
                 walk.lam, walk.point = lam, x_next
-            # ls1 and the lam walks test f at every trial; ls3 and the fixed
-            # step need it at the accepted point only
-            if rule not in ("ls3", "fixed"):
+            if f_each_trial:
                 f_next = f.value(x_next)
                 nf += 1
             if rule == "ls3":
@@ -233,12 +244,12 @@ def line_search(
                 grad_next = f.gradient(x_next)
                 ngrad += 1
                 dg = (grad_next - grad) / w
-                lhs = math.sqrt(float(w @ (dg * dg)))
+                lhs = math.sqrt(float(w.dot(dg * dg)))
                 rhs = (config.delta / gamma) * math.sqrt(ns)
-            elif rule in ("ls1", "ls2"):
+            elif rule == "ls1" or rule == "ls2":
                 lhs = f_next - fx - lam * gdot
                 rhs = (config.delta * lam / gamma) * ns
-            elif rule != "fixed":
+            elif armijo:
                 g_next = g.value(x_next)
                 lhs = (f_next + g_next) - fgx
                 rhs = lam * slope

@@ -63,8 +63,8 @@ def _checked(weights) -> tuple[np.ndarray, float, float]:
         raise UsageError(f"expected a vector, got array with shape {w.shape}")
     if w.size == 0:
         raise UsageError("weight vector is empty")
-    lo = float(w.min())
-    hi = float(w.max())
+    lo = float(np.minimum.reduce(w))
+    hi = float(np.maximum.reduce(w))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError("vector has non-finite entries")
     if not lo > 0:
@@ -203,18 +203,23 @@ def bb_schedule(n: int, *, nu: float, mu: float, eta0: float = 1.0) -> MetricSch
     if not (0 < nu <= mu):
         raise UsageError(f"bb_schedule needs 0 < nu <= mu, got nu={nu}, mu={mu}")
     start = np.clip(np.ones(n), nu, mu)
+    # 0-d operands: a ufunc converts a Python float anew at each call
+    lo, hi, zero, inf = (np.asarray(v, dtype=float) for v in (nu, mu, 0.0, np.inf))
 
     def gen(k, snap):
         if k == 0 or snap is None:
             return start
         prev = np.asarray(snap.prev_weights, dtype=float)
         adx = np.abs(snap.dx)
-        scale = float(adx.max()) if adx.size else 0.0
+        scale = float(np.maximum.reduce(adx)) if adx.size else 0.0
         ok = adx > 1e-12 * (1.0 + scale)
+        # the ratio is 0.0 at a short step, which the ratio test refuses
         ratio = np.divide(snap.dgrad, snap.dx, out=np.zeros(n), where=ok)
-        good = ok & (ratio > 0) & np.isfinite(ratio)
-        w = np.where(good, ratio, prev).clip(nu, mu)
-        return np.minimum(w, (1.0 + eta0 * 2.0 ** (-(k - 1))) * prev)
+        w = np.where((ratio > zero) & (ratio < inf), ratio, prev)
+        # clip into [nu, mu], then cap by the growth corridor
+        np.maximum(w, lo, out=w)
+        np.minimum(w, hi, out=w)
+        return np.minimum(w, (1.0 + eta0 * 2.0 ** (-(k - 1))) * prev, out=w)
 
     return MetricSchedule(gen, global_nu=nu, global_mu=mu, declared_regime="growth")
 

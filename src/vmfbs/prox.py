@@ -373,7 +373,7 @@ class L1Norm(ProxTerm):
         self.weight = float(weight)
 
     def value(self, x) -> float:
-        return self.weight * float(np.abs(x).sum())
+        return self.weight * float(np.add.reduce(np.abs(x), axis=None))
 
     def prox(self, z, gamma, weights=None):
         tau = self.weight * gamma if weights is None else self.weight * gamma / weights
@@ -393,6 +393,12 @@ class BoxIndicator(ProxTerm):
     a point of another length is refused. The projection is a plain
     clamp regardless of gamma and of diagonal weights (separable
     indicator: each coordinate projects onto its own interval).
+
+    Membership compares a point with the sides that bound it. Vector
+    bounds compare both sides. A scalar side of -inf (lo) or +inf (hi)
+    holds for every number and is not compared, and the clamp skips it
+    too; with both scalar sides infinite, lo is compared alone. A NaN
+    entry fails every comparison, so it lies outside every box.
     """
 
     separable = True
@@ -413,6 +419,12 @@ class BoxIndicator(ProxTerm):
         self.hi = hi
         # the length every point must have, None for scalar bounds
         self._size = sizes.pop() if sizes else None
+        # the sides that membership and the clamp compare, None for a scalar
+        # side that bounds nothing; lo stays when neither bounds, so NaN fails
+        lo_free = self._size is None and lo == -np.inf
+        hi_free = self._size is None and hi == np.inf
+        self._lo = None if lo_free and not hi_free else lo
+        self._hi = None if hi_free else hi
 
     def _check_dim(self, x):
         if x.size != self._size:
@@ -425,14 +437,18 @@ class BoxIndicator(ProxTerm):
         x = np.asarray(x, dtype=float)
         if self._size is not None:
             self._check_dim(x)
-        return bool((x >= self.lo).all() and (x <= self.hi).all())
+        lo, hi, size = self._lo, self._hi, x.size
+        return bool((lo is None or np.count_nonzero(x >= lo) == size)
+                    and (hi is None or np.count_nonzero(x <= hi) == size))
 
     def prox(self, z, gamma, weights=None):
         # the constructor rejected lo > hi and NaN bounds; a point's length
         # is all a call checks, and only against vector bounds
         if self._size is not None:
             self._check_dim(np.asarray(z))
-        return np.minimum(np.maximum(z, self.lo), self.hi)
+        if self._lo is not None:
+            z = np.maximum(z, self._lo)
+        return z if self._hi is None else np.minimum(z, self._hi)
 
     def subdiff_distance(self, p, u) -> float:
         p = np.asarray(p, dtype=float)

@@ -71,6 +71,11 @@ __all__ = [
 _TINY = np.finfo(float).tiny
 _BIG = np.finfo(float).max
 
+# a 0-d zero: a comparison with it skips the conversion of a Python scalar
+# that each call with 0 makes, which costs about as much as the comparison
+# itself on a short vector
+_ZERO = np.zeros(())
+
 # entries per block of the ingest pass: its scratch stays in cache
 _INGEST_BLOCK = 1 << 16
 
@@ -262,6 +267,12 @@ def _band(a: np.ndarray) -> list[tuple[int, int, int, int]] | None:
     return spans
 
 
+def _check_shape(name: str, v, size: int) -> None:
+    """Refuse ``v`` unless its shape is ``(size,)``, as the dense product does."""
+    if np.shape(v) != (size,):
+        raise UsageError(f"{name} must have shape ({size},), got {np.shape(v)}")
+
+
 class LinearMap:
     """m x n matrix with a cached, certified operator-norm estimate.
 
@@ -290,7 +301,9 @@ class LinearMap:
     threads split the rows at multiples of 4; not under Sandybridge).
     ``adjoint`` adds each block's transposed product into its
     columns, which rounds differently from the dense product (within
-    2 k eps sum_i |a_ij r_i| for a column of k nonzero entries). Any other
+    2 k eps sum_i |a_ij r_i| for a column of k nonzero entries). Like the
+    dense product, a banded map refuses an x whose shape is not (n,) and
+    an r whose shape is not (m,). Any other
     matrix is stored dense: C-ordered below ``_COLUMN_FLOOR`` bytes, and
     F-ordered from there, copied and checked tile by tile. On the
     F-ordered copy, ``apply(x)`` of a vector x of length n with at most
@@ -402,6 +415,7 @@ class LinearMap:
                 return block[1] @ x[s]
         if self._a is not None:
             return self._a @ x
+        _check_shape("x", x, n)  # the blocks would read a longer x's first n entries
         y = np.zeros(self._shape[0])
         for r0, r1, c0, c1, block in self._blocks:
             np.matmul(block, x[c0:c1], out=y[r0:r1])
@@ -410,6 +424,7 @@ class LinearMap:
     def _adjoint(self, r: np.ndarray) -> np.ndarray:
         if self._a is not None:
             return self._a.T @ r
+        _check_shape("r", r, self._shape[0])
         y = np.zeros(self._shape[1])
         for r0, r1, c0, c1, block in self._blocks:
             y[c0:c1] += block.T @ r[r0:r1]
@@ -533,10 +548,6 @@ class LinearMap:
         return est
 
 
-def _point_key(x: np.ndarray) -> tuple:
-    return x.shape, x.tobytes()
-
-
 def _private(b) -> np.ndarray:
     """A read-only copy of ``b``, so that the caller's later edits do not reach the term."""
     b = b.copy()
@@ -570,11 +581,13 @@ class _Composite(SmoothTerm):
             seg = self._segment
             if seg is None or seg[0] is not walk:
                 seg = self._segment = (walk, self._base_image(walk.x), self.a.apply(walk.dy))
-            ax = seg[1] + walk.lam * seg[2]
+            lam = walk.lam
+            # 1.0 * A dy is A dy bit for bit
+            ax = seg[1] + seg[2] if lam == 1.0 else seg[1] + lam * seg[2]
             key = (x.shape, x.tobytes())
         else:
             x = np.asarray(x, dtype=float)
-            key = _point_key(x)
+            key = (x.shape, x.tobytes())
             if key == self._key:
                 return self._ax
             ax = self.a.apply(x)
@@ -584,7 +597,7 @@ class _Composite(SmoothTerm):
     def _base_image(self, x) -> np.ndarray:
         """Ax for the start x of a walk: the last gradient query's image when x is its point."""
         base = self._base
-        if base is not None and base[0] == _point_key(x):
+        if base is not None and base[0] == (x.shape, x.tobytes()):
             return base[1]
         return self._image(x)
 
@@ -633,8 +646,8 @@ class PNormResidual(_Composite):
     def _value(self, ax) -> float:
         r = ax - self.b
         if self.p == 2.0:
-            return float((r * r).sum() / 2.0)
-        return float((np.abs(r) ** self.p).sum() / self.p)
+            return float(np.add.reduce(r * r) / 2.0)
+        return float(np.add.reduce(np.abs(r) ** self.p) / self.p)
 
     def _outer_gradient(self, ax) -> np.ndarray:
         r = ax - self.b
@@ -681,15 +694,23 @@ class KLDivergence(_Composite):
             raise UsageError("KL needs b > 0 componentwise")
 
     def _value(self, ax) -> float:
-        if (ax <= 0).any():
+        if np.count_nonzero(ax <= _ZERO):
             return np.inf
-        return float((self.b * np.log(self.b / ax) + ax - self.b).sum())
+        # b log(b / ax) + ax - b, one operation at a time into one array
+        b = self.b
+        t = b / ax
+        np.log(t, out=t)
+        t *= b
+        t += ax
+        t -= b
+        return float(np.add.reduce(t))
 
     def _outer_gradient(self, ax) -> np.ndarray:
-        if (ax <= 0).any():
+        if np.count_nonzero(ax <= _ZERO):
             raise UsageError("gradient of the KL term needs (Ax)_i > 0 for every i")
         return 1.0 - self.b / ax
 
     def in_domain(self, x) -> bool:
-        # dom f is open, so this is also int dom f
-        return bool((self._image(x) > 0).all())
+        # dom f is open, so this is also int dom f; a NaN entry fails
+        ax = self._image(x)
+        return bool(np.count_nonzero(ax > _ZERO) == ax.size)

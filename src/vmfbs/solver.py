@@ -406,6 +406,11 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         return w
 
     walks_gamma = rule in _GAMMA_WALKS
+    # a one-row table emits its row at every step: the lam of a gamma walk
+    # is then read once, not once per step
+    lam_rows = lam_schedule.rows
+    lam_once = (emit("lam_schedule", lam_schedule, 1, 0, None).item()
+                if walks_gamma and lam_rows is not None and len(lam_rows) == 1 else None)
     x_prev = grad_prev = w_prev = None
     # the last accepted gamma (gamma walks) or lam (lam walks); the fixed
     # step and the general regime's gamma walks keep their grid top
@@ -435,7 +440,8 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
                 top, other = ls.fixed_lam, float(ls.fixed_gamma)
             elif walks_gamma:
                 top = dom_gamma if general else ls.gamma_max
-                other = emit("lam_schedule", lam_schedule, 1, k, snapshot).item()
+                other = (lam_once if lam_once is not None
+                         else emit("lam_schedule", lam_schedule, 1, k, snapshot).item())
             elif general:
                 top, other = 1.0, dom_gamma
             else:
@@ -458,8 +464,8 @@ def solve(problem: CompositeProblem, x0, config: SolverConfig | None = None) -> 
         gamma, lam, ns = outcome.gamma, outcome.lam, outcome.norm_sq_yx
         root_ns = math.sqrt(ns)
         step = x_next - x
-        step_norm = math.sqrt(step @ step)
-        fp_scaled = root_ns / (1.0 + math.sqrt(x @ x))
+        step_norm = math.sqrt(step.dot(step))
+        fp_scaled = root_ns / (1.0 + math.sqrt(x.dot(x)))
 
         add_k(k)
         add_F(F_here)

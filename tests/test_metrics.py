@@ -272,6 +272,62 @@ def test_bb_schedule_keeps_previous_on_tiny_displacement():
     assert np.array_equal(m1, m0)
 
 
+def _bb_reference(k, snap, nu, mu, eta0=1.0):
+    """bb_schedule's weights of step k >= 1, as its docstring states them."""
+    prev = np.asarray(snap.prev_weights, dtype=float)
+    adx = np.abs(snap.dx)
+    tiny = adx <= 1e-12 * (1.0 + adx.max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = snap.dgrad / snap.dx
+    keep = tiny | ~(ratio > 0) | ~np.isfinite(ratio)
+    w = np.clip(np.where(keep, prev, ratio), nu, mu)
+    return np.minimum(w, (1.0 + eta0 * 2.0 ** -(k - 1)) * prev)
+
+
+def test_bb_schedule_is_its_docstring_bit_for_bit(rng):
+    nu, mu = 0.25, 4.0
+    guard = 1e-12 * (1.0 + 1.0)  # exact; the largest |dx| below is 1.0
+    cases = {  # name: (dx, dgrad, prev)
+        "largest step": (1.0, 2.5, 1.0),
+        "zero step": (0.0, 1.0, 1.5),
+        "just under the guard": (np.nextafter(guard, 0.0), 3.0 * guard, 1.5),
+        "just over the guard": (np.nextafter(guard, 1.0), 3.0 * guard, 2.0),
+        "negative ratio": (0.5, -1.0, 1.5),
+        "zero ratio": (0.5, 0.0, 1.5),
+        "negative zero ratio": (0.5, -0.0, 1.5),
+        "infinite ratio": (0.5, np.inf, 1.5),
+        "NaN ratio": (0.5, np.nan, 1.5),
+        "clipped at nu": (0.5, 1e-3, 0.5),
+        "clipped at mu": (-0.5, -100.0, mu),
+        "corridor": (-0.25, -0.875, 1.0),  # ratio 3.5 in [nu, mu]
+    }
+    names = list(cases)
+    dx, dgrad, prev = (np.array(v) for v in zip(*cases.values()))
+    sched = vmfbs.bb_schedule(len(names), nu=nu, mu=mu)
+    for k in (1, 2, 3, 10):
+        snap = StepSnapshot(x=np.zeros(len(names)), dx=dx, dgrad=dgrad, prev_weights=prev)
+        got = sched.metric_at(k, snap)
+        assert got.tobytes() == _bb_reference(k, snap, nu, mu).tobytes(), k
+    # each case takes the branch its name says (k = 3: the corridor is 1.25 prev)
+    got = dict(zip(names, sched.metric_at(3, snap).tolist()))
+    kept = ("zero step", "just under the guard", "negative ratio", "zero ratio",
+            "negative zero ratio", "infinite ratio", "NaN ratio")
+    assert all(got[name] == cases[name][2] for name in kept)
+    assert got["largest step"] == 1.25 and got["corridor"] == 1.25
+    assert got["just over the guard"] == 2.5  # ratio 3.0 - ulp, capped at 1.25 * 2.0
+    assert got["clipped at nu"] == nu and got["clipped at mu"] == mu
+    # random steps, some of them tiny, with the previous weights anywhere in [nu, mu]
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        dx = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 2, n)
+        dx[rng.random(n) < 0.1] = 0.0
+        snap = StepSnapshot(x=np.zeros(n), dx=dx, dgrad=rng.standard_normal(n) * 3,
+                            prev_weights=rng.uniform(nu, mu, n))
+        k = int(rng.integers(1, 30))
+        got = vmfbs.bb_schedule(n, nu=nu, mu=mu).metric_at(k, snap)
+        assert got.tobytes() == _bb_reference(k, snap, nu, mu).tobytes()
+
+
 def test_bb_growth_partial_sum_bounded_by_corridor():
     # eta_k <= eta0 * 2^{-(k-1)} by construction, so the sum stays <= 2*eta0
     sched = vmfbs.bb_schedule(3, nu=0.1, mu=10.0, eta0=1.0)

@@ -100,6 +100,45 @@ def test_box_refuses_bounds_of_another_shape():
     assert box.in_domain(np.full(3, 0.5)) and not box.in_domain(np.full(3, 2.0))
 
 
+_SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, -0.5, 2.0)
+
+
+def _two_sided(lo, hi, x):
+    """Box membership as both comparisons at every coordinate."""
+    return bool((x >= lo).all() and (x <= hi).all())
+
+
+def test_box_membership_at_nan_inf_and_signed_zero():
+    box = vmfbs.BoxIndicator(0.0, np.inf)
+    for v, inside in ((np.nan, False), (np.inf, True), (-np.inf, False), (-0.0, True)):
+        for x in (np.array([v]), np.array([1.0, v, 2.0])):
+            assert box.in_domain(x) is inside, x
+            assert box.value(x) == (0.0 if inside else np.inf)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (0.0, 1.0), (np.inf, np.inf),
+    (-np.inf, -np.inf),
+    (np.array([0.0, -np.inf, -np.inf, 1.0]), np.array([np.inf, 0.0, np.inf, np.inf])),
+    (np.array([-np.inf, 0.0, -1.0, -np.inf]), 2.0),
+])
+def test_box_membership_and_clamp_are_the_two_sided_forms(lo, hi):
+    # scalar bounds compare only the sides that bound, vector bounds both;
+    # every point below, NaN, infinities and signed zeros included, gets
+    # the verdict and the clamp bits of both comparisons
+    box = vmfbs.BoxIndicator(lo, hi)
+    n = 4
+    points = [np.full(n, v) for v in _SPECIAL]
+    points += [np.array([0.5, v, -0.0, 1.0]) for v in _SPECIAL]
+    for x in points:
+        inside = _two_sided(box.lo, box.hi, x)
+        assert box.in_domain(x) is inside, x
+        assert box.value(x) == (0.0 if inside else np.inf)
+        clamp = np.minimum(np.maximum(x, box.lo), box.hi)
+        assert box.prox(x, 1.0).tobytes() == clamp.tobytes(), x
+    assert box.in_domain(np.full(n, np.nan)) is False
+
+
 # --- TV prox (taut string) ---------------------------------------------
 
 def test_prox_tv1d_pinned_pair():

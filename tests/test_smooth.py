@@ -526,6 +526,23 @@ def test_band_refusals_match_the_dense_path(rng, monkeypatch):
     refused(a, "matrix column 255 has only subnormal")
 
 
+def test_band_refuses_a_vector_of_another_length_as_the_dense_path(rng, monkeypatch):
+    # 4 slabs of 128 rows, each with 96 live columns: m = 512, n = 384
+    m, n = 4 * SLAB, 4 * 96
+    a = np.zeros((m, n))
+    for s in range(4):
+        a[s * SLAB : (s + 1) * SLAB, s * 96 : (s + 1) * 96] = rng.standard_normal((SLAB, 96))
+    band, dense = vmfbs.LinearMap(a), _dense_map(a, monkeypatch)
+    assert band._blocks is not None and len(band._blocks) == 4 and dense._blocks is None
+    for lm in (band, dense):
+        for call, length in ((lm.apply, n - 1), (lm.apply, n + 1),
+                             (lm.adjoint, m - 1), (lm.adjoint, m + 1)):
+            with pytest.raises(ValueError):
+                call(np.ones(length))
+    x, r = rng.standard_normal(n), rng.standard_normal(m)
+    assert band.apply(x).shape == (m,) and band.adjoint(r).shape == (n,)
+
+
 def test_band_edge_column_subnormal_in_one_slab_only(rng, monkeypatch):
     # column 256 is subnormal throughout slab 1, where it lies beside the
     # band, and normal in slab 2: it is not emptied, so nothing is refused
@@ -673,6 +690,63 @@ def test_kl_value_inf_outside_domain():
     assert f.value(np.array([-1.0])) == np.inf
     assert not f.in_domain(np.array([0.0]))
     assert f.in_domain(np.array([0.5]))
+
+
+class _FixedImage(vmfbs.LinearMap):
+    """An all-ones column whose product is a given image, whatever x."""
+
+    def __init__(self, image):
+        super().__init__(np.ones((len(image), 1)))
+        self.image = np.array(image, dtype=float)
+
+    def apply(self, x):
+        self.matvecs += 1
+        return self.image.copy()
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, -1e-300, -1.0, -np.inf])
+def test_kl_image_entry_at_or_below_zero_is_outside_the_domain(v):
+    f = vmfbs.KLDivergence(_FixedImage([1.0, v, 2.0]), np.ones(3))
+    x = np.ones(1)
+    assert f.value(x) == np.inf
+    assert f.in_domain(x) is False
+    with pytest.raises(vmfbs.UsageError, match=r"needs \(Ax\)_i > 0"):
+        f.gradient(x)
+
+
+def test_kl_nan_image_entry_gives_nan_and_no_domain():
+    f = vmfbs.KLDivergence(_FixedImage([1.0, np.nan, 2.0]), np.ones(3))
+    x = np.ones(1)
+    assert np.isnan(f.value(x))
+    assert f.in_domain(x) is False
+    assert f.in_domain(np.full(1, 2.0)) is False  # a fresh image, as a NaN
+
+
+def _signed(rng, n):
+    """Gaussian entries with about a quarter of them +0.0 or -0.0."""
+    v = rng.standard_normal(n)
+    zero = rng.random(n) < 0.25
+    v[zero] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zero]
+    return v
+
+
+def test_values_are_their_sum_formulas_bit_for_bit(rng):
+    for n in (1, 2, 5, 7, 8, 9, 17, 130, 300):
+        for _ in range(5):
+            ax, b = _signed(rng, n), _signed(rng, n)
+            x = np.ones(1)
+            for p in (2.0, 3.0):
+                r = ax - b
+                want = (r * r).sum() / 2.0 if p == 2.0 else (np.abs(r) ** p).sum() / p
+                got = vmfbs.PNormResidual(_FixedImage(ax), b, p=p).value(x)
+                assert _bits(got) == _bits(float(want)), (n, p)
+            v = _signed(rng, n)
+            assert _bits(vmfbs.L1Norm(0.3).value(v)) == _bits(0.3 * float(np.abs(v).sum()))
+            # KL at a positive image, some of its entries equal to b's
+            kb = np.abs(rng.standard_normal(n)) + 0.1
+            kax = np.where(rng.random(n) < 0.25, kb, np.abs(rng.standard_normal(n)) + 0.1)
+            want = float((kb * np.log(kb / kax) + kax - kb).sum())
+            assert _bits(vmfbs.KLDivergence(_FixedImage(kax), kb).value(x)) == _bits(want)
 
 
 def test_kl_grad_matches_fd(rng):
