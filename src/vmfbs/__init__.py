@@ -13,6 +13,7 @@ from .diagnostics import (
     check_stepsize_floor,
     estimate_rate,
 )
+from .linear_map import LinearMap
 from .linesearch import RULES, LineSearchConfig
 from .metrics import (
     MetricSchedule,
@@ -41,7 +42,7 @@ from .prox import (
     prox_tv1d,
     soft_threshold,
 )
-from .smooth import KLDivergence, LinearMap, PNormResidual
+from .smooth import KLDivergence, PNormResidual
 from .solver import (
     TERMINATIONS,
     SolveResult,

@@ -41,7 +41,7 @@ def soft_threshold(z, tau):
     """
     z = np.asarray(z, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if (tau < 0).any():
+    if not (tau >= 0).all():  # a NaN tau fails the comparison too
         raise UsageError("soft threshold needs tau >= 0")
     out = np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
     return float(out) if out.ndim == 0 else out

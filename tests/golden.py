@@ -35,19 +35,23 @@ with their shapes.
 ``tests/test_golden.py`` requires every array of the committed
 ``tests/golden_traces.npz`` to be bitwise equal. It was recorded with
 the one grid-walk kernel ``linesearch.line_search``, whose lam walks
-(ls2, ls4, tseng-yun) evaluate each trial at Ax + lam A dy, with numpy
-2.4.6 on scipy-openblas 0.3.31 (x86-64), by:
+(ls2, ls4, tseng-yun) evaluate each trial at Ax + lam A dy, by:
 
     PYTHONPATH=src:tests python tests/golden.py tests/golden_traces.npz
 
 The comparison is bitwise, so a BLAS build that rounds matrix products
-differently fails it without any change to this package.
+differently fails it without any change to this package. The file
+names the environment it was recorded in: three strings, ``meta/numpy``,
+``meta/openblas`` and ``meta/core``, from ``environment()``, which a
+failing comparison prints beside the running ones.
 """
 
+import ctypes
 import hashlib
 import sys
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 import vmfbs
 from conftest import batch_instance
@@ -234,8 +238,30 @@ def record(batch: str) -> dict:
     return {f"{batch}/{name}": value for name, value in out.items()}
 
 
+def environment() -> dict:
+    """The numpy version, the OpenBLAS build and the OpenBLAS core in use, keyed ``meta/<name>``.
+
+    The core is the kernel set OpenBLAS picked for this CPU (or was told
+    to by ``OPENBLAS_CORETYPE``), as numpy's bundled scipy-openblas
+    reports it; "unknown" where that symbol is missing.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        corename = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        core = "unknown"
+    else:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return {
+        "meta/numpy": np.__version__,
+        "meta/openblas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "meta/core": core,
+    }
+
+
 if __name__ == "__main__":
-    arrays = {}
+    arrays = environment()
     for name in BATCHES:
         arrays.update(record(name))
     np.savez_compressed(sys.argv[1], **arrays)

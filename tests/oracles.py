@@ -5,7 +5,8 @@ prox values come from golden-section search or a box-constrained
 least-squares dual, gradients from central differences, operator norms
 from a dense SVD, lasso optima from L-BFGS-B and a duality gap.
 Agreement between these and the library is the evidence the tests rest
-on.
+on. The three that call scipy import it themselves, so a module that
+uses only the others runs where numpy alone is installed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize
 
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -80,6 +80,8 @@ def prox_tv1d_oracle(z, gamma: float) -> np.ndarray:
     min_u 0.5 || D^T u - z ||^2 over ||u||_inf <= gamma is exactly what
     lsq_linear solves; the primal solution is the residual z - D^T u*.
     """
+    from scipy.optimize import lsq_linear
+
     z = np.asarray(z, dtype=float)
     n = z.size
     if n < 2 or gamma == 0.0:
@@ -192,6 +194,8 @@ def tv_subdiff_distance_dense(p, u, t: float) -> float:
     The verifier as ``Tv1dNorm.subdiff_distance`` computed it before it
     split the dual by flat runs: an n x (n-1) matrix, so small n only.
     """
+    from scipy.optimize import lsq_linear
+
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
     n = p.size
@@ -230,6 +234,8 @@ def lasso_oracle(a, b, lam: float):
     Returns (x*, F*, gap). Raises if the solved signs disagree with the
     identified ones or the gap exceeds 1e-12; there is no fallback.
     """
+    from scipy.optimize import minimize
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[1]

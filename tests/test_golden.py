@@ -4,6 +4,8 @@ Every array the recording holds for the eight batches of ``golden.py``,
 the trace columns (or the digest and last value of F), the row count,
 termination, dimension and final iterate of each run and the recorded
 states, must be bitwise equal (NaN entries included, at the same places).
+A batch whose bytes differ names the numpy, OpenBLAS and OpenBLAS core
+the file was recorded with and those of the running process.
 """
 
 import itertools
@@ -13,9 +15,17 @@ import numpy as np
 import pytest
 
 import vmfbs
-from golden import BATCHES, head_digest, head_digests, record, runs
+from golden import BATCHES, environment, head_digest, head_digests, record, runs
 
 GOLDEN = np.load(Path(__file__).with_name("golden_traces.npz"))
+
+
+def _environments() -> str:
+    """The recorded and the running environment, side by side."""
+    return "; ".join(
+        f"{name[5:]} recorded {GOLDEN[name] if name in GOLDEN.files else 'nothing'}, running {now}"
+        for name, now in environment().items()
+    )
 
 
 @pytest.mark.parametrize("batch", BATCHES)
@@ -27,7 +37,12 @@ def test_golden_traces(batch):
     for name, want in old.items():
         got = new[name]
         assert got.dtype == want.dtype, name
-        assert got.tobytes() == want.tobytes(), name
+        assert got.tobytes() == want.tobytes(), f"{name} ({_environments()})"
+
+
+def test_golden_file_names_its_environment():
+    for name in environment():
+        assert name in GOLDEN.files and str(GOLDEN[name]), name
 
 
 def test_golden_paths_reach_their_paths():

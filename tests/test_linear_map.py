@@ -22,19 +22,19 @@ import numpy as np
 import pytest
 
 import vmfbs
-from vmfbs import smooth
+from vmfbs import linear_map
 
 TINY = np.finfo(float).tiny
 EPS = np.finfo(float).eps
 SHAPE = (1024, 1024)
 N = SHAPE[1]
-CUT = N // smooth._SPARSE_CUT
-GRAM_CUT = N // smooth._GRAM_CUT
-TILE = (smooth._INGEST_ROWS, smooth._INGEST_BLOCK // smooth._INGEST_ROWS)
+CUT = N // linear_map._SPARSE_CUT
+GRAM_CUT = N // linear_map._GRAM_CUT
+TILE = (linear_map._INGEST_ROWS, linear_map._INGEST_BLOCK // linear_map._INGEST_ROWS)
 
 
 def test_the_floor_is_the_shape_used_here():
-    assert 8 * SHAPE[0] * SHAPE[1] == smooth._COLUMN_FLOOR
+    assert 8 * SHAPE[0] * SHAPE[1] == linear_map._COLUMN_FLOOR
     assert SHAPE[0] > TILE[0] and SHAPE[1] > TILE[1]  # several ingest blocks each way
 
 
@@ -240,16 +240,16 @@ def test_banded_matrix_above_the_floor_keeps_its_band(layout):
     i = np.arange(N)
     a = np.exp(-0.5 * ((i[:, None] - i[None, :]) / 3.0) ** 2)
     a[np.abs(i[:, None] - i[None, :]) > 40] = 0.0
-    assert a.nbytes >= smooth._COLUMN_FLOOR
+    assert a.nbytes >= linear_map._COLUMN_FLOOR
     m = vmfbs.LinearMap(layout(a))
-    assert m._blocks is not None and m._a is None
-    assert all(block.flags.c_contiguous for *_, block in m._blocks)
+    assert m._a is None and len(m._parts) > 1
+    assert all(block.flags.c_contiguous for *_, block in m._parts)
     assert np.array_equal(_bits(m.a), _bits(a))
 
 
 def test_one_row_below_the_floor_stays_row_major(rng, layout):
     a = _matrix(rng, (SHAPE[0] - 1, N))
-    assert a.nbytes < smooth._COLUMN_FLOOR
+    assert a.nbytes < linear_map._COLUMN_FLOOR
     m = vmfbs.LinearMap(layout(a))
     stored = m.a
     assert stored.flags.c_contiguous and not stored.flags.f_contiguous
@@ -261,7 +261,7 @@ def test_one_row_below_the_floor_stays_row_major(rng, layout):
 
 # --- the Gram path of the p = 2 residual ---------------------------------
 
-ROOM = SHAPE[0] // smooth._GRAM_SHARE  # columns the cache holds
+ROOM = SHAPE[0] // linear_map._GRAM_SHARE  # columns the cache holds
 
 
 def test_gram_cut_and_cap_in_this_shape():
@@ -436,7 +436,7 @@ def test_gram_cache_is_emptied_when_a_fill_would_pass_its_cap(rng):
     for lo in range(0, ROOM, GRAM_CUT):  # exactly full
         at(cols[lo : min(lo + GRAM_CUT, ROOM)])
     assert m._filled == m.gram_columns == ROOM
-    assert m._gram.nbytes <= m.a.nbytes // smooth._GRAM_SHARE
+    assert m._gram.nbytes <= m.a.nbytes // linear_map._GRAM_SHARE
     at(cols[:GRAM_CUT])  # all cached: no fill
     assert m._filled == m.gram_columns == ROOM
     at(np.append(cols[: GRAM_CUT - 1], cols[ROOM]))  # one column past the cap

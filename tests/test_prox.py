@@ -42,6 +42,18 @@ def test_soft_threshold_rejects_negative_tau():
         vmfbs.soft_threshold(1.0, -0.5)
 
 
+def test_soft_threshold_rejects_a_nan_tau():
+    with pytest.raises(vmfbs.UsageError, match="tau >= 0"):
+        vmfbs.soft_threshold(1.0, np.nan)
+    with pytest.raises(vmfbs.UsageError, match="tau >= 0"):
+        vmfbs.soft_threshold([1.0, 2.0], [0.5, np.nan])
+    # and so do the proxes that threshold, at a NaN gamma
+    with pytest.raises(vmfbs.UsageError, match="tau >= 0"):
+        vmfbs.L1Norm(1.0).prox(np.ones(2), np.nan)
+    with pytest.raises(vmfbs.UsageError, match="tau >= 0"):
+        vmfbs.SeparableProx([1.0, 0.0], -np.inf, np.inf).prox(np.ones(2), np.nan)
+
+
 def test_soft_threshold_matches_golden_section(rng):
     for _ in range(50):
         z = float(rng.uniform(-5, 5))

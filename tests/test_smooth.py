@@ -1,3 +1,12 @@
+"""The smooth terms, and ``LinearMap`` below its column-major floor.
+
+The map's tests here cover the basic products, the ingest and its
+subnormal flush, the banded storage, the dense and banded refusals and
+the operator-norm certificate; ``tests/test_linear_map.py`` covers the
+column-major storage and its caches. The module needs numpy alone: the
+oracles it calls from ``tests/oracles.py`` use no scipy.
+"""
+
 import os
 import subprocess
 import sys
@@ -115,7 +124,7 @@ def test_operator_norm_cached():
 # --- the ingest: a private copy without subnormal entries ---------------
 
 TINY = np.finfo(float).tiny
-BLOCK = vmfbs.smooth._INGEST_BLOCK
+BLOCK = vmfbs.linear_map._INGEST_BLOCK
 
 
 def _bits(a):
@@ -244,6 +253,7 @@ def test_ingest_leaves_a_blurred_tv_solve_bitwise(rng, rule):
     raw = vmfbs.LinearMap(k)
     raw._a = k.copy()
     raw._a.flags.writeable = False
+    raw._parts = ((0, n, 0, n, raw._a),)
     assert _subnormal(raw.a).sum() > 0 and not _subnormal(flushed.a).any()
     config = vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule=rule, warm_start=True),
@@ -267,12 +277,12 @@ def test_ingest_leaves_a_blurred_tv_solve_bitwise(rng, rule):
 
 # --- band storage: a banded matrix keeps row blocks of its band ----------
 
-SLAB = vmfbs.smooth._BAND_SLAB
+SLAB = vmfbs.linear_map._BAND_SLAB
 EPS = np.finfo(float).eps
 
 
 def _spans(m):
-    return None if m._blocks is None else [block[:4] for block in m._blocks]
+    return None if m._a is not None else [part[:4] for part in m._parts]
 
 
 def _flushed(a):
@@ -282,8 +292,10 @@ def _flushed(a):
 def _dense_map(a, monkeypatch):
     """The map the dense path stores for ``a``, whatever its band."""
     with monkeypatch.context() as patch:
-        patch.setattr(vmfbs.smooth, "_band", lambda a: None)
-        return vmfbs.LinearMap(a)
+        patch.setattr(vmfbs.linear_map, "_band", lambda a: None)
+        m = vmfbs.LinearMap(a)
+    assert m._a is not None and len(m._parts) == 1  # the patch reached the map's module
+    return m
 
 
 def _block_diagonal(rng, slabs=4):
@@ -303,7 +315,7 @@ def test_band_of_a_blur_is_stored_as_row_blocks():
     assert spans[0] == (0, 128, 0, 240) and spans[1] == (128, 256, 16, 368)
     assert spans[-1] == (896, 1000, 784, 1000)
     assert sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in spans) == 322496
-    for *_, block in m._blocks:
+    for *_, block in m._parts:
         assert block.flags.c_contiguous and not block.flags.writeable
         assert not _subnormal(block).any()
     # ``a`` is the flushed matrix, built on access, read-only
@@ -342,7 +354,7 @@ def test_band_needs_two_slabs_and_at_most_half_the_area():
 
 
 def _band_by_slab(a):
-    """The spans of ``smooth._band``, found one slab at a time: its reference."""
+    """The spans of ``linear_map._band``, found one slab at a time: its reference."""
     m, n = a.shape
     if m <= SLAB:
         return None
@@ -377,7 +389,7 @@ def _band_by_slab(a):
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 13, 40, 300])
 def test_band_spans_are_those_of_a_scan_slab_by_slab(rng, n):
     # slabs are judged in groups when they are narrow; the spans are the same
-    group = max(1, vmfbs.smooth._INGEST_BLOCK // (SLAB * n)) * SLAB
+    group = max(1, vmfbs.linear_map._INGEST_BLOCK // (SLAB * n)) * SLAB
     m = max(40 * SLAB, 3 * group) + 17  # three groups at least, the last one short
     dense = rng.standard_normal((m, n))
     top = dense.copy()
@@ -396,7 +408,7 @@ def test_band_spans_are_those_of_a_scan_slab_by_slab(rng, n):
     band = np.where(np.abs(cols - rows * n / m) <= 1, dense, 0.0)
     cases = [dense, top, bottom, holes, sparse, edge, band, np.zeros((m, n)),
              np.asfortranarray(top), dense[: SLAB + 1]]
-    found = [vmfbs.smooth._band(a) for a in cases]
+    found = [vmfbs.linear_map._band(a) for a in cases]
     assert found == [_band_by_slab(a) for a in cases]
     assert any(spans for spans in found)  # some are banded
     assert all(type(v) is int for spans in found if spans for span in spans for v in span)
@@ -421,7 +433,7 @@ def test_band_widths_leave_the_gemv_tail_of_the_dense_product():
 
 _APPLY_BITWISE = """
 import numpy as np, vmfbs
-from vmfbs.smooth import _BAND_SLAB
+from vmfbs.linear_map import _BAND_SLAB
 TINY = np.finfo(float).tiny
 i = np.arange(1000)
 k = np.exp(-0.5 * ((i[:, None] - i[None, :]) / 3.0) ** 2)
@@ -436,7 +448,7 @@ while {random} and len(mats) < 12:
 banded = 0
 for a in mats:
     lm = vmfbs.LinearMap(a)
-    banded += lm._blocks is not None
+    banded += lm._a is None
     flushed = np.where(np.abs(a) < TINY, 0.0, a)
     for _ in range(50):
         x = rng.standard_normal(a.shape[1])
@@ -472,7 +484,7 @@ def test_band_adjoint_within_round_off(rng, monkeypatch):
     for a in (_blur(1000, 3.0), _block_diagonal(rng)):
         m = vmfbs.LinearMap(a)
         dense = _dense_map(a, monkeypatch)
-        assert m._blocks is not None and dense._blocks is None
+        assert m._a is None and dense._a is not None
         flushed = dense.a
         k = np.count_nonzero(flushed, axis=0)
         moved = 0.0
@@ -497,10 +509,10 @@ def _refusal(a):
 
 def test_band_refusals_match_the_dense_path(rng, monkeypatch):
     def refused(a, want):
-        assert vmfbs.smooth._band(a) is not None
+        assert vmfbs.linear_map._band(a) is not None
         got = _refusal(a)
         with monkeypatch.context() as patch:
-            patch.setattr(vmfbs.smooth, "_band", lambda a: None)
+            patch.setattr(vmfbs.linear_map, "_band", lambda a: None)
             assert _refusal(a) == got
         assert got is not None and want in got, got
 
@@ -533,7 +545,7 @@ def test_band_refuses_a_vector_of_another_length_as_the_dense_path(rng, monkeypa
     for s in range(4):
         a[s * SLAB : (s + 1) * SLAB, s * 96 : (s + 1) * 96] = rng.standard_normal((SLAB, 96))
     band, dense = vmfbs.LinearMap(a), _dense_map(a, monkeypatch)
-    assert band._blocks is not None and len(band._blocks) == 4 and dense._blocks is None
+    assert band._a is None and len(band._parts) == 4 and dense._a is not None
     for lm in (band, dense):
         for call, length in ((lm.apply, n - 1), (lm.apply, n + 1),
                              (lm.adjoint, m - 1), (lm.adjoint, m + 1)):
@@ -581,7 +593,7 @@ def test_band_kl_accepts_a_banded_nonnegative_matrix(rng, monkeypatch):
     b = k @ rng.uniform(0.5, 1.5, 1000)
     f = vmfbs.KLDivergence(k, b)
     dense = vmfbs.KLDivergence(_dense_map(k, monkeypatch), b)
-    assert f.a._blocks is not None
+    assert f.a._a is None
     x = rng.uniform(0.5, 1.5, 1000)
     assert f.value(x) == pytest.approx(dense.value(x), rel=1e-13)
     assert np.allclose(f.gradient(x), dense.gradient(x), rtol=0.0, atol=1e-13)
@@ -590,13 +602,31 @@ def test_band_kl_accepts_a_banded_nonnegative_matrix(rng, monkeypatch):
     emptied = np.abs(_block_diagonal(rng))
     emptied[300] = 0.0
     maps = [vmfbs.LinearMap(negative), vmfbs.LinearMap(emptied)]
-    assert all(m._blocks is not None for m in maps)
+    assert all(m._a is None for m in maps)
     # the refusals read the stored blocks; the dense matrix is never built
     monkeypatch.setattr(vmfbs.LinearMap, "a", property(lambda m: pytest.fail("a was read")))
     with pytest.raises(vmfbs.UsageError, match="nonnegative"):
         vmfbs.KLDivergence(maps[0], np.ones(negative.shape[0]))
     with pytest.raises(vmfbs.UsageError, match="all-zero row"):
         vmfbs.KLDivergence(maps[1], np.ones(emptied.shape[0]))
+
+
+@pytest.mark.parametrize("rule", ["ls1", "ls4"])
+def test_band_kl_never_assembles_the_dense_matrix(rng, monkeypatch, rule):
+    # the constructor and a general-regime solve read the stored blocks
+    # alone: on a 20000 x 20000 band, ``a.a`` would build 3.2 GB
+    k = _blur(1000, 3.0)
+    b = k @ rng.uniform(0.5, 1.5, 1000)
+    m = vmfbs.LinearMap(k)
+    assert m._a is None
+    monkeypatch.setattr(vmfbs.LinearMap, "a", property(lambda m: pytest.fail("a was read")))
+    f = vmfbs.KLDivergence(m, b)
+    problem = vmfbs.CompositeProblem(
+        f=f, g=vmfbs.BoxIndicator(0.0, np.inf), dimension=1000, domain_regime="general")
+    config = vmfbs.SolverConfig(
+        linesearch=vmfbs.LineSearchConfig(rule=rule), max_iterations=5)
+    res = vmfbs.solve(problem, np.ones(1000), config)
+    assert len(res.trace) == 5 and m.matvecs > 5
 
 
 @pytest.mark.parametrize("rule", ["ls1", "ls4"])
@@ -609,7 +639,7 @@ def test_band_solve_keeps_the_dense_matvecs_and_decisions(rng, monkeypatch, rule
     levels = rng.uniform(0.5, 1.0, 20) * np.where(np.arange(20) % 2, 1.0, -1.0)
     b = k @ np.repeat(levels, np.diff(np.r_[0, cuts, n])) + 0.1 * rng.standard_normal(n)
     maps = [vmfbs.LinearMap(k), _dense_map(k, monkeypatch)]
-    assert maps[0]._blocks is not None and maps[1]._blocks is None
+    assert maps[0]._a is None and maps[1]._a is not None
     config = vmfbs.SolverConfig(
         linesearch=vmfbs.LineSearchConfig(rule=rule, warm_start=True),
         max_iterations=5000,
