@@ -72,7 +72,10 @@ def prox_tv1d(z, gamma: float) -> np.ndarray:
     z, tube = _tube(z, gamma)
     if tube is None:
         return z.copy()
-    return _cold_taut_string(*tube)[0]
+    slopes = []
+    ends = []
+    _taut_string(tube[0].tolist(), tube[1].tolist(), -1, 0.0, slopes, ends, {})
+    return _fill(slopes, ends)[0]
 
 
 def _tube(z, gamma: float):
@@ -154,14 +157,6 @@ def _taut_string(hi, lo, anchor, aval, slopes, ends, stops):
             k += 1
 
 
-def _cold_taut_string(hi, lo):
-    """The sweep from the pinned left end: the output and its corner codes."""
-    slopes = []
-    ends = []
-    _taut_string(hi.tolist(), lo.tolist(), -1, 0.0, slopes, ends, {})
-    return _fill(slopes, ends)
-
-
 def _fill(slopes, ends):
     """The output of per-segment slopes and end codes, and the corner
     codes (every end code but the final segment's) as an array."""
@@ -182,17 +177,21 @@ class _Corners:
     tables carry two virtual segments in front (anchor -1), so that the
     certificate can read each point k of segment s from the anchors of
     segments s, s - 1 and s - 2: rows 0, 1 and 2 of ``src``, ``run``
-    and ``flip``, which index the tables at s + 2, s + 1 and s.
+    and ``flip``, which index the tables at s + 2, s + 1 and s. With
+    no corners (m = 0) the one segment runs from the pinned left end.
+    The sweep state of ``_taut_string`` is built with them, since most
+    hints need it: the end codes and anchors as lists, and ``stops``,
+    each end code's next segment. On a seed-1 bench tv-deblur run every
+    hint was swept, and 6,261 of the 7,489 warm calls swept a segment.
     Everything here depends on the corners and n alone.
     """
 
-    __slots__ = ("n", "codes", "corner", "value_at", "ends", "lengths", "starts",
-                 "src", "run", "flip", "pos2", "_sweep_state")
+    __slots__ = ("n", "value_at", "ends", "lengths", "starts", "src", "run", "flip",
+                 "pos2", "end_list", "stops", "anchors")
 
     def __init__(self, codes, n):
         self.n = n
-        self.codes = codes
-        self.corner = corner = np.maximum(codes, ~codes)
+        corner = np.maximum(codes, ~codes)
         upper = codes >= 0
         m = corner.size
         # the tube value at each corner, read from concat(hi, lo)
@@ -207,18 +206,9 @@ class _Corners:
         self.run = pos - anchor.astype(float)[self.src]
         self.flip = np.concatenate(([False, False], ~upper, [False]))[self.src]
         self.pos2 = 2 * pos
-        self._sweep_state = None
-
-    def sweep_state(self):
-        """(end codes, stops, anchors) as Python lists and a dict, for
-        ``_taut_string``: built on first use, since most hints never
-        need a sweep."""
-        if self._sweep_state is None:
-            end_list = self.codes.tolist() + [self.n - 1]
-            stops = dict(zip(end_list, range(1, len(end_list))))
-            anchors = [-1] + self.corner.tolist()
-            self._sweep_state = (end_list, stops, anchors)
-        return self._sweep_state
+        self.end_list = codes.tolist() + [n - 1]
+        self.stops = dict(zip(self.end_list, range(1, m + 1)))
+        self.anchors = [-1] + corner.tolist()
 
 
 def _warm_taut_string(hi, lo, hint):
@@ -231,7 +221,9 @@ def _warm_taut_string(hi, lo, hint):
     from its anchor until the sweep bends exactly at a corner of the
     hint (same index and side), where the hint's anchor holds again. The
     output is therefore bitwise the cold sweep's. Returns it with its
-    corners: ``hint`` itself when they did not change.
+    corners: ``hint`` itself when they did not change. A hint with no
+    corners certifies the single segment from the pinned left end, and
+    sweeping it is the cold sweep.
 
     The certificate. From (a, v) the sweep forms, at each k > a,
     U_k = (hi[k] - v) / (k - a) and L_k = (lo[k] - v) / (k - a). It keeps
@@ -300,7 +292,7 @@ def _warm_taut_string(hi, lo, hint):
     if ok.all():
         return np.repeat(slopes, hint.lengths), hint
     # sweep each uncertified segment back to a corner of the hint
-    end_list, stops, anchors = hint.sweep_state()
+    end_list, stops, anchors = hint.end_list, hint.stops, hint.anchors
     hi_view = memoryview(hi)
     lo_view = memoryview(lo)
     avals = [0.0] + at.tolist()
@@ -343,22 +335,22 @@ def prox_optimality_residual(g: ProxTerm, z, gamma: float, p, weights=None) -> f
     return float(g.subdiff_distance(p, u))
 
 
-def _interval_distances(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # distance from u_i to the interval [lo_i, hi_i], inf bounds allowed
-    below = np.where(np.isfinite(lo), lo - u, -np.inf)
-    above = np.where(np.isfinite(hi), u - hi, -np.inf)
-    return np.maximum(np.maximum(below, above), 0.0)
+def _separable_distance(p, u, weight, lo, hi) -> float:
+    """dist(u, dg(p)) for g(x) = sum_i weight_i * |x_i| on the box [lo, hi].
 
-
-def _abs_interval(p: np.ndarray, t):
-    # d(t |.|)(p_i) = [lo_i, hi_i]: [-t, t] at 0, t * sign(p_i) elsewhere
-    s = t * np.sign(p)
-    return np.where(p == 0.0, -t, s), np.where(p == 0.0, t, s)
-
-
-def _cone_interval(p: np.ndarray, lo, hi):
-    # the normal cone of [lo_i, hi_i] at an interior or boundary point p_i
-    return np.where(p == lo, -np.inf, 0.0), np.where(p == hi, np.inf, 0.0)
+    dg(p)_i is the interval weight_i * d|.|(p_i) ([-w, w] at 0, w * sign
+    elsewhere) plus the normal cone of [lo_i, hi_i] at p_i (unbounded on
+    the side of a bound that p_i sits on). ``L1Norm`` is its weight on
+    (-inf, inf), ``BoxIndicator`` weight 0 on its box.
+    """
+    p = np.asarray(p, dtype=float)
+    u = np.asarray(u, dtype=float)
+    s = weight * np.sign(p)
+    left = np.where(p == 0.0, -weight, s) + np.where(p == lo, -np.inf, 0.0)
+    right = np.where(p == 0.0, weight, s) + np.where(p == hi, np.inf, 0.0)
+    below = np.where(np.isfinite(left), left - u, -np.inf)
+    above = np.where(np.isfinite(right), u - right, -np.inf)
+    return float(np.linalg.norm(np.maximum(np.maximum(below, above), 0.0)))
 
 
 class L1Norm(ProxTerm):
@@ -380,9 +372,7 @@ class L1Norm(ProxTerm):
         return soft_threshold(z, tau)
 
     def subdiff_distance(self, p, u) -> float:
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return float(np.linalg.norm(_interval_distances(u, *_abs_interval(p, self.weight))))
+        return _separable_distance(p, u, self.weight, -np.inf, np.inf)
 
 
 class BoxIndicator(ProxTerm):
@@ -451,9 +441,7 @@ class BoxIndicator(ProxTerm):
         return z if self._hi is None else np.minimum(z, self._hi)
 
     def subdiff_distance(self, p, u) -> float:
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return float(np.linalg.norm(_interval_distances(u, *_cone_interval(p, self.lo, self.hi))))
+        return _separable_distance(p, u, 0.0, self.lo, self.hi)
 
 
 class SeparableProx(ProxTerm):
@@ -524,12 +512,8 @@ class SeparableProx(ProxTerm):
         return np.minimum(self.box.hi, np.maximum(self.box.lo, shrunk))
 
     def subdiff_distance(self, p, u) -> float:
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        self.box._check_dim(p)
-        a_lo, a_hi = _abs_interval(p, self.weight)
-        c_lo, c_hi = _cone_interval(p, self.box.lo, self.box.hi)
-        return float(np.linalg.norm(_interval_distances(u, a_lo + c_lo, a_hi + c_hi)))
+        self.box._check_dim(np.asarray(p))
+        return _separable_distance(p, u, self.weight, self.box.lo, self.box.hi)
 
 
 class Tv1dNorm(ProxTerm):
@@ -545,9 +529,12 @@ class Tv1dNorm(ProxTerm):
     (index and side) of its last output and certifies them segment by
     segment against the new input, sweeping only the segments that
     fail; outputs are bitwise those of ``prox_tv1d`` (see
-    ``_warm_taut_string``). The corners are ignored when n changes.
-    They are plain instance state: one term instance must not be shared
-    by solves running in concurrent threads.
+    ``_warm_taut_string``, the one path of every call). A fresh
+    instance, or one whose n changed, starts from no corners: the one
+    segment from the pinned left end, whose sweep is the cold one. That
+    call costs about 1.6 times ``prox_tv1d``'s at n = 1000, once per
+    instance and size. The corners are plain instance state: one term
+    instance must not be shared by solves running in concurrent threads.
     """
 
     separable = False
@@ -567,6 +554,8 @@ class Tv1dNorm(ProxTerm):
         z = np.asarray(z, dtype=float)
         if weights is not None:
             w = np.asarray(weights, dtype=float)
+            if w.shape != z.shape:
+                raise UsageError(f"expected weights of shape {z.shape}, got {w.shape}")
             if w.max() != w.min():
                 raise UsageError(
                     "TV term admits only uniform diagonal metrics (w = c * ones)"
@@ -576,11 +565,9 @@ class Tv1dNorm(ProxTerm):
         if tube is None:
             return z.copy()
         hint = self._corners
-        if hint is not None and hint.n == z.size:
-            out, self._corners = _warm_taut_string(*tube, hint)
-            return out
-        out, codes = _cold_taut_string(*tube)
-        self._corners = _Corners(codes, z.size)
+        if hint is None or hint.n != z.size:
+            hint = _Corners(np.zeros(0, dtype=int), z.size)
+        out, self._corners = _warm_taut_string(*tube, hint)
         return out
 
     def subdiff_distance(self, p, u) -> float:

@@ -7,9 +7,11 @@ the p = 2 residual takes its gradient at a point with at most
 n // ``_GRAM_CUT`` nonzero entries from cached columns of A^T A. The map
 keeps the last support that either read, its active block, with the
 gathered columns of A (up to n // ``_SPARSE_CUT`` entries) and of A^T A
-(up to n // ``_GRAM_CUT``). Every check here runs on a matrix at the
-floor (1024 x 1024 doubles, 8 MiB), handed over in C and in F layout
-where the layout could matter, and needs numpy alone.
+(up to n // ``_GRAM_CUT``). Every check here needs numpy alone. All but
+the whole-solve test at the end run on a matrix at the floor (1024 x
+1024 doubles, 8 MiB), handed over in C and in F layout where the layout
+could matter; that test lowers the floor to 0, so that small maps take
+the column path.
 """
 
 import math
@@ -498,3 +500,63 @@ def test_l1_solve_makes_the_products_of_the_readme_table(rng, layout, rule):
     # no fill passed the cap, so each column of a support was filled once
     assert m.gram_columns == np.unique(np.concatenate(supports)).size
     assert 0 < np.count_nonzero(res.x_final) <= CUT  # its products read columns
+
+
+# --- the column path under a whole solve -------------------------------------
+
+# (m, n, L1 weight, seeds): wide lassos with sparse solutions, whose
+# gradients reach the Gram cache once the support is under n // 8
+LASSO_BATCH = [(60, 400, 0.5, range(1, 6)), (100, 800, 1.0, range(1, 3))]
+RULES = ["ls1", "ls2", "ls3", "ls4", "tseng-yun"]
+
+
+def _solve_batch():
+    """Every (gamma, lam, backtracks) sequence, termination and F_final of
+    the batch, and the Gram columns its maps filled."""
+    runs = []
+    gram_columns = 0
+    for m, n, weight, seeds in LASSO_BATCH:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((m, n)) / np.sqrt(n)
+            b = rng.standard_normal(m)
+            linear = vmfbs.LinearMap(a)  # one map for the five rules
+            problem = vmfbs.CompositeProblem(
+                f=vmfbs.PNormResidual(linear, b), g=vmfbs.L1Norm(weight), dimension=n)
+            for rule in RULES:
+                config = vmfbs.SolverConfig(
+                    linesearch=vmfbs.LineSearchConfig(rule=rule, warm_start=True),
+                    max_iterations=3000,
+                    tol_fixed_point=1e-7,
+                )
+                res = vmfbs.solve(problem, np.zeros(n), config)
+                t = res.trace
+                runs.append(((m, n, seed, rule), t.gamma.tobytes(), t.lam.tobytes(),
+                             t.backtracks.tobytes(), res.termination, res.F_final))
+            gram_columns += linear.gram_columns
+    return runs, gram_columns
+
+
+def test_column_path_keeps_every_step_of_a_solve(monkeypatch):
+    # The same lassos solved on row-major maps and, with the floor at 0, on
+    # column-major ones: the sparse products, the Gram cache and the active
+    # block change the rounding of f and its gradient but no accepted step
+    reused = [0]
+    block_at = linear_map.LinearMap._block_at
+
+    def counted(self, s):
+        before = self._block
+        block = block_at(self, s)
+        reused[0] += block is before
+        return block
+
+    monkeypatch.setattr(linear_map.LinearMap, "_block_at", counted)
+    rows, rows_gram = _solve_batch()
+    assert rows_gram == 0 and reused[0] == 0  # no column path below the floor
+    monkeypatch.setattr(linear_map, "_COLUMN_FLOOR", 0)
+    columns, gram_columns = _solve_batch()
+    assert gram_columns > 0 and reused[0] > 0
+    assert len(rows) == len(columns) == len(RULES) * sum(len(seeds) for *_, seeds in LASSO_BATCH)
+    for (run, *row), (_, *column) in zip(rows, columns):
+        assert row[:4] == column[:4], f"{run}: a step or the termination changed"
+        assert abs(row[4] - column[4]) <= 1e-14 * abs(row[4]), run

@@ -274,6 +274,22 @@ def test_hinted_tv_prox_bitwise_equals_reference_sweep(case):
         assert _hinted_prox(z, gamma, ties, z.size)[1].tobytes() == want
 
 
+# A fresh instance, and one whose corners are over another n, start from
+# no corners: the one segment from the pinned left end, swept cold
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(case=st.one_of(tv_case(), tv_tie_case()), extra=st.integers(min_value=-1, max_value=5))
+def test_fresh_or_resized_tv_prox_is_prox_tv1d(case, extra):
+    z, gamma = case
+    want = vmfbs.prox_tv1d(z, gamma).tobytes()
+    assert vmfbs.Tv1dNorm(1.0).prox(z, gamma).tobytes() == want
+    other = z.size + (extra or 1)
+    if other >= 2:
+        g = vmfbs.Tv1dNorm(1.0)
+        g.prox(np.random.default_rng(other).standard_normal(other), 1.0)
+        assert g._corners.n == other
+        assert g.prox(z, gamma).tobytes() == want
+
+
 @SETTLE
 @given(data=st.data())
 def test_metric_norm_corridor(data):

@@ -461,6 +461,14 @@ def test_tv1d_norm_scales_weight_and_rejects_nonuniform_metric():
     assert np.allclose(out, g.prox(z, 0.0625))
 
 
+def test_tv1d_norm_refuses_weights_of_another_shape():
+    # a uniformity test on the weights alone would pass these and read w[0]
+    g = vmfbs.Tv1dNorm(0.5)
+    for w in (np.full(3, 2.0), np.full(6, 2.0), np.full((5, 1), 2.0)):
+        with pytest.raises(vmfbs.UsageError, match="weights of shape"):
+            g.prox(np.ones(5), 1.0, w)
+
+
 # --- optimality residual (the subdifferential distance) ----------------
 
 def test_prox_residual_zero_at_prox_point_l1(rng):
@@ -496,6 +504,26 @@ def test_prox_residual_respects_metric_weights():
     # the identity-metric prox point is wrong under these weights
     p_plain = g.prox(z, 1.0)
     assert vmfbs.prox_optimality_residual(g, z, 1.0, p_plain, weights=w) > 1e-3
+
+
+def test_l1_and_box_distances_are_the_separable_ones(rng):
+    # L1Norm(w) is SeparableProx(w, -inf, inf) and BoxIndicator(lo, hi) is
+    # SeparableProx(0, lo, hi), subdifferential distances bit for bit, at
+    # points with zeros of both signs and entries on the bounds
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        lo = np.where(rng.random(n) < 0.7, rng.uniform(-2, -1, n), -np.inf)
+        hi = np.where(rng.random(n) < 0.7, rng.uniform(1, 2, n), np.inf)
+        p = rng.uniform(-1, 1, n)  # inside the box
+        pick = rng.integers(0, 4, n)
+        p = np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, p))
+        p = np.where((pick == 2) & np.isfinite(lo), lo, np.where((pick == 3) & np.isfinite(hi), hi, p))
+        u = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(-3, 3, n))
+        w = float(rng.uniform(0.1, 2))
+        l1 = vmfbs.L1Norm(w).subdiff_distance(p, u)
+        assert l1 == vmfbs.SeparableProx(np.full(n, w), -np.inf, np.inf).subdiff_distance(p, u)
+        box = vmfbs.BoxIndicator(lo, hi).subdiff_distance(p, u)
+        assert box == vmfbs.SeparableProx(np.zeros(n), lo, hi).subdiff_distance(p, u)
 
 
 def test_prox_residual_tv(rng):
